@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench bench-smoke chaos figures report examples clean
+.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench bench-smoke bench-perf bench-perf-compare chaos figures report examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -43,6 +43,14 @@ bench:
 
 bench-smoke:
 	$(PYTHON) -m repro.bench smoke
+
+# the repo's benchmark (BENCHMARK.json): every workload, every metric
+bench-perf:
+	python3 benchmarks/perf/run.py --seed 1
+
+# make bench-perf-compare A=base.json B=new.json
+bench-perf-compare:
+	python3 benchmarks/perf/run.py --compare $(A) $(B)
 
 chaos:
 	$(PYTHON) -m repro.bench chaos

@@ -14,8 +14,10 @@ What changes relative to ``inproc``, and only this:
 
 * ``main``, ``session_factory`` and every rank's result must be
   picklable (module-level functions/classes — the spawn-safety rule);
-* ``progress="async"`` is realized by a real progress thread
-  (``async_driver="thread"``) instead of a simulated-clock task;
+* ranks are process-hosted (``hosting="process"``): ``progress="async"``
+  is realized by a real progress thread instead of a simulated-clock
+  task, and an idle wait spins before it yields the CPU instead of
+  ceding the interpreter at once;
 * ``sanitize=`` and ``fault_plan=`` are rejected: the sanitizer's
   cross-rank graphs and the fault injector's shared plan are
   single-address-space constructs (transport failures are *detected*
@@ -95,7 +97,7 @@ class ProcSubstrate(Substrate):
     """Real multi-process execution behind the same World seam."""
 
     name = "proc"
-    async_driver = "thread"
+    hosting = "process"
     supports_dynamic_ranks = False
 
     def __init__(
@@ -262,7 +264,7 @@ class _WorkerSubstrate(Substrate):
     """The substrate a worker's single-rank world is bound to."""
 
     name = "proc-worker"
-    async_driver = "thread"
+    hosting = "process"
     supports_dynamic_ranks = False
 
     def __init__(self, world, address) -> None:

@@ -6,7 +6,8 @@ what actually *hosts* a rank is not.  A :class:`Substrate` owns exactly
 the decisions that differ between a simulated and a real deployment:
 
 * **rank hosting** — threads in one process (``inproc``) or one OS
-  process per rank (``proc``);
+  process per rank (``proc``); the ``hosting`` fact every engine is
+  told, from which the idle-wait policy and the async driver follow;
 * **fabric construction** — an in-memory fabric built from
   ``FABRICS[channel]`` versus a packet router plus per-worker socket
   endpoints;
@@ -15,8 +16,10 @@ the decisions that differ between a simulated and a real deployment:
   virtual timestamps across the real wire too);
 * **the boot barrier** — inproc ranks are born connected, proc ranks
   block on the router's ``GO`` before their mains run;
-* **async progress realization** — a recurring task on the rank's clock
-  (simulated time) versus a real progress thread on a wall cadence.
+* **what follows from hosting** — an idle wait cedes the shared
+  interpreter at once versus spinning before it yields a CPU of its own;
+  async progress is a recurring task on the rank's clock (simulated
+  time) versus a real progress thread on a wall cadence.
 
 :class:`InprocSubstrate` is the original thread-per-rank behaviour,
 verbatim; :class:`repro.cluster.procsub.ProcSubstrate` boots real worker
@@ -90,10 +93,12 @@ class Substrate(abc.ABC):
 
     name = "abstract"
 
-    #: how ``progress="async"`` is realized on this substrate: ``"task"``
-    #: (recurring task on the rank's clock — simulated time) or
-    #: ``"thread"`` (a real daemon thread on a wall cadence)
-    async_driver = "task"
+    #: what hosts a rank: ``"thread"`` (ranks share one interpreter) or
+    #: ``"process"`` (one OS process each).  Each engine derives from it
+    #: what an idle wait does (cede the interpreter at once / spin, then
+    #: yield the CPU) and how ``progress="async"`` is realized (recurring
+    #: task on the rank's clock / real daemon thread on a wall cadence)
+    hosting = "thread"
 
     #: True when the substrate can host extra ranks after boot
     #: (MPI-2 spawn / recovery replacement need thread hosting)
@@ -145,7 +150,7 @@ class InprocSubstrate(Substrate):
     """
 
     name = "inproc"
-    async_driver = "task"
+    hosting = "thread"
     supports_dynamic_ranks = True
 
     def validate(self) -> None:

@@ -12,6 +12,7 @@ matching, protocol, collectives, observation — is identical either way.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -25,6 +26,7 @@ from repro.cluster.substrate import (
 from repro.mp.channels import FABRICS, FaultPlan
 from repro.mp.channels.base import ChannelStack
 from repro.mp.communicator import Communicator, Group
+from repro.mp.errors import MpiErrTimeout
 from repro.mp.mpi import MpiEngine
 from repro.simtime import Clock, CostModel
 
@@ -122,6 +124,8 @@ class World:
         self.fabric = self.substrate.build_fabric()
         self._engines: dict[int, MpiEngine] = {}
         self._mains_done: set[int] = set()
+        #: per rank, how many exit drains gave up at their wall timeout
+        self.quiesce_expired: Counter[int] = Counter()
         self._done_lock = threading.Lock()
         self._clocks: dict[int, Clock] = {}
         self._spawn_lock = threading.Lock()
@@ -137,11 +141,18 @@ class World:
         return self._clocks[rank]
 
     def engine_for(self, rank: int, yield_fn: Callable[[], None] | None = None) -> MpiEngine:
+        return self._build_engine(rank, self.size, yield_fn)
+
+    def _build_engine(
+        self, rank: int, world_size: int, yield_fn: Callable[[], None] | None = None
+    ) -> MpiEngine:
+        """Every engine of this world — boot, replacement or spawned child —
+        is built here, so all are told the substrate's one hosting fact."""
         clock = self.clock_for(rank)
         ch = self.fabric.endpoint(rank, clock, self.costs)
         self._engines[rank] = eng = MpiEngine(
             rank,
-            self.size,
+            world_size,
             ch,
             clock=clock,
             costs=self.costs,
@@ -150,7 +161,7 @@ class World:
             reliable=self.reliable,
             reliability_opts=self.reliability_opts,
             progress=self.progress,
-            async_driver=self.substrate.async_driver,
+            hosting=self.substrate.hosting,
         )
         self._wire_peer_death(ch, eng)
         return eng
@@ -207,6 +218,9 @@ class World:
             enabled=(self.observe == "enabled"),
         )
         attach_engine(inst, ctx.engine)
+        inst.register_provider(
+            lambda: {"cluster.quiesce_expired": self.quiesce_expired[ctx.rank]}
+        )
         if self.observe == "detached":
             detach_all(inst)
             return
@@ -398,21 +412,7 @@ class World:
     def _replacement_engine(
         self, rank: int, full_group: Group, slot: int, ctx_id: int, errhandler: str
     ) -> MpiEngine:
-        clock = self.clock_for(rank)
-        ch = self.fabric.endpoint(rank, clock, self.costs)
-        self._engines[rank] = eng = MpiEngine(
-            rank,
-            full_group.size,
-            ch,
-            clock=clock,
-            costs=self.costs,
-            eager_threshold=self.eager_threshold,
-            reliable=self.reliable,
-            reliability_opts=self.reliability_opts,
-            progress=self.progress,
-            async_driver=self.substrate.async_driver,
-        )
-        self._wire_peer_death(ch, eng)
+        eng = self._build_engine(rank, full_group.size)
         # The replacement's world IS the rebuilt communicator: same context
         # id and group as every survivor's copy, same slot the dead rank had.
         eng.comm_world = Communicator(
@@ -422,21 +422,7 @@ class World:
         return eng
 
     def _child_engine(self, rank: int, child_group: Group, local: int) -> MpiEngine:
-        clock = self.clock_for(rank)
-        ch = self.fabric.endpoint(rank, clock, self.costs)
-        self._engines[rank] = eng = MpiEngine(
-            rank,
-            self._next_rank,
-            ch,
-            clock=clock,
-            costs=self.costs,
-            eager_threshold=self.eager_threshold,
-            reliable=self.reliable,
-            reliability_opts=self.reliability_opts,
-            progress=self.progress,
-            async_driver=self.substrate.async_driver,
-        )
-        self._wire_peer_death(ch, eng)
+        eng = self._build_engine(rank, self._next_rank)
         # Children's COMM_WORLD spans the spawned set only (MPI-2 semantics).
         eng.comm_world = Communicator(
             engine=eng, context_id=0, group=child_group, rank=local
@@ -471,28 +457,29 @@ class World:
         retransmission still needs acking.  Every rank therefore keeps the
         progress engine turning until all mains have returned and every
         live rank's unacked window is empty (the simulated analogue of the
-        drain inside MPI_Finalize).
+        drain inside MPI_Finalize).  An expired ``timeout`` does not raise;
+        it is counted in :attr:`quiesce_expired` (pvar
+        ``cluster.quiesce_expired``).
         """
-        import time as _time
-
         with self._done_lock:
             self._mains_done.add(rank)
         if not self.reliable:
             return
         if self.fault_plan is not None and self.fault_plan.is_dead(rank):
             return  # a crashed rank does not get a graceful drain
-        deadline = _time.monotonic() + timeout
-        spin = 0
-        while _time.monotonic() < deadline:
-            engine.progress.poll()
+
+        def quiet() -> bool:
             with self._done_lock:
                 expected = set(self._engines.keys()) - self._dead()
                 all_done = expected <= self._mains_done | self._dead()
-            if all_done and self._all_drained():
-                return
-            spin += 1
-            if spin & 0x3F == 0:
-                _time.sleep(0)
+            return all_done and self._all_drained()
+
+        try:
+            engine.progress.drive(quiet, timeout, "world not quiet")
+        except MpiErrTimeout:
+            # still silent to the caller; counted where a report can see it
+            with self._done_lock:
+                self.quiesce_expired[rank] += 1
 
     def join_spawned(self, timeout: float = 30.0) -> None:
         for t in self._spawned_threads:

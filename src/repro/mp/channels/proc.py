@@ -66,6 +66,9 @@ class ProcChannel(Channel):
         except OSError:
             pass  # AF_UNIX socketpair etc.
         self._reader = FrameReader()
+        #: reused for the channel's life: with a fresh 256 KiB ``recv`` buffer
+        #: per poll, latency hinges on malloc returning its pages in between
+        self._rxbuf = memoryview(bytearray(_RECV_CHUNK))
         self._inbox: deque[Packet] = deque()
         self._txbuf = bytearray()
         self._closed = False
@@ -188,16 +191,16 @@ class ProcChannel(Channel):
         """Drain the socket and dispatch every complete frame."""
         while not self._closed:
             try:
-                data = self._sock.recv(_RECV_CHUNK)
+                n = self._sock.recv_into(self._rxbuf)
             except BlockingIOError:
                 return
             except OSError:
                 self._router_lost()
                 return
-            if not data:
+            if not n:
                 self._router_lost()
                 return
-            for ftype, arg, body in self._reader.feed(data):
+            for ftype, arg, body in self._reader.feed(self._rxbuf[:n]):
                 if ftype == PKT:
                     self._inbox.append(decode_packet_body(body))
                 elif ftype == GO:

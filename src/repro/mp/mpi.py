@@ -9,6 +9,7 @@ differ only in how they cross into it — which is the paper's experiment.
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 from repro.mp.buffers import BufferDesc
@@ -23,12 +24,13 @@ from repro.mp.errors import (
     MpiErrRank,
     MpiErrRequest,
     MpiErrTag,
+    MpiErrTimeout,
     MpiErrTruncate,
     MpiFatalError,
 )
 from repro.mp.hooks import wire_engine
 from repro.mp.matching import ANY_SOURCE, ANY_TAG
-from repro.mp.progress import AsyncProgressDriver, ProgressEngine
+from repro.mp.progress import AsyncProgressDriver, ProgressEngine, ThreadAsyncProgressDriver
 from repro.mp.request import RECV, SEND, Request
 from repro.mp.schedule import Schedule
 from repro.mp.status import Status
@@ -54,15 +56,15 @@ class MpiEngine:
         reliable: bool = False,
         reliability_opts: dict | None = None,
         progress: str = "polled",
-        async_driver: str = "task",
+        hosting: str = "thread",
     ) -> None:
         if progress not in ("polled", "async"):
             raise ValueError(
                 f"progress must be 'polled' or 'async', got {progress!r}"
             )
-        if async_driver not in ("task", "thread"):
+        if hosting not in ("thread", "process"):
             raise ValueError(
-                f"async_driver must be 'task' or 'thread', got {async_driver!r}"
+                f"hosting must be 'thread' or 'process', got {hosting!r}"
             )
         self.rank = rank
         self.world_size = world_size
@@ -78,22 +80,21 @@ class MpiEngine:
             reliability_opts=reliability_opts,
         )
         self.progress = ProgressEngine(self.device, yield_fn)
+        #: hosting is the substrate's one fact; two things follow from it.
+        #: "thread": ranks share one interpreter — an idle wait cedes it at
+        #: once, and async progress is a recurring task on the rank's clock
+        #: (keyed, so a rebuilt engine on that clock takes over).
+        #: "process": the rank owns an OS process — an idle wait spins
+        #: before yielding, and async progress is a real daemon thread on a
+        #: wall cadence, serialised against this rank's calls by the core's lock.
+        self.progress.thread_hosted = hosting == "thread"
         self.progress_mode = progress
-        #: async progress mode: how the core is stepped during application
-        #: compute.  "task" (simulated substrates) — a recurring task on
-        #: the rank's clock steps the core whenever simulated time
-        #: advances; keyed scheduling means a rebuilt engine on the same
-        #: clock takes over progression from its predecessor.  "thread"
-        #: (the proc substrate) — a real daemon thread on a wall cadence,
-        #: serialised against this rank's calls by the core's lock.
         self.async_driver = None
         #: the progress core's lock when a progress *thread* exists; every
         #: device mutation below must hold it (None costs one check)
         self._plock = None
         if progress == "async":
-            if async_driver == "thread":
-                from repro.mp.progress import ThreadAsyncProgressDriver
-
+            if hosting == "process":
                 self.async_driver = ThreadAsyncProgressDriver(self.progress.core)
                 self._plock = self.progress.core.lock
             else:
@@ -259,24 +260,16 @@ class MpiEngine:
     def wait_all(
         self, reqs, comm: Communicator | None = None, timeout: float | None = None
     ) -> list[Status]:
-        deadline = None
-        if timeout is not None:
-            import time as _time
-
-            deadline = _time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         out = []
         for r in reqs:
             remaining = None
             if deadline is not None:
-                import time as _time
-
-                remaining = deadline - _time.monotonic()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0.0:
                     # batch deadline already passed: raise immediately for
                     # stragglers instead of N delayed zero-timeout waits
                     if not r.completed:
-                        from repro.mp.errors import MpiErrTimeout
-
                         raise MpiErrTimeout(
                             f"request {r.op_id} incomplete after {timeout}s (batch deadline)"
                         )
@@ -309,30 +302,11 @@ class MpiEngine:
         """MPI_Waitany: block until one request completes; returns its index."""
         if not reqs:
             raise MpiErrRequest("wait_any on an empty request list")
-        import time as _time
-
-        from repro.mp.errors import MpiErrTimeout
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        spin = 0
-        while True:
-            for i, r in enumerate(reqs):
-                if r.completed:
-                    # may have completed via async progress mid-compute:
-                    # consumption applies the deferred arrival time
-                    self.clock.apply_pending()
-                    return i
-            if self.progress.poll() == 0:
-                spin += 1
-                if spin & 0x3F == 0:
-                    _time.sleep(0)
-            else:
-                # a productive poll resets the backoff, same as wait():
-                # otherwise 64 cumulative idle polls lock in sleep(0)
-                # cadence forever, even on a busy link
-                spin = 0
-            if deadline is not None and _time.monotonic() > deadline:
-                raise MpiErrTimeout(f"no request of {len(reqs)} completed after {timeout}s")
+        self.progress.drive(
+            lambda: any(r.completed for r in reqs), timeout,
+            f"no request of {len(reqs)} completed",
+        )
+        return next(i for i, r in enumerate(reqs) if r.completed)
 
     def wait_some(self, reqs, timeout: float | None = None) -> list[int]:
         """MPI_Waitsome: block until >= 1 completes; returns their indices."""
@@ -341,8 +315,11 @@ class MpiEngine:
         return [i for i, r in enumerate(reqs) if r.completed] or [first]
 
     def iprobe(self, source: int, tag: int, comm: Communicator | None = None) -> Status | None:
-        comm = comm or self.comm_world
         self.progress.poll()
+        return self._iprobe_queued(source, tag, comm or self.comm_world)
+
+    def _iprobe_queued(self, source: int, tag: int, comm: Communicator) -> Status | None:
+        """The unexpected queue's answer, without a progress step."""
         src_world = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank_of(source)
         if self._plock is None:
             st = self.device.iprobe(src_world, tag, comm.context_id)
@@ -353,11 +330,24 @@ class MpiEngine:
             st.source = comm.local_rank_of_world(st.source)
         return st
 
-    def probe(self, source: int, tag: int, comm: Communicator | None = None) -> Status:
-        while True:
-            st = self.iprobe(source, tag, comm)
-            if st is not None:
-                return st
+    def probe(
+        self,
+        source: int,
+        tag: int,
+        comm: Communicator | None = None,
+        timeout: float | None = None,
+    ) -> Status:
+        """MPI_Probe: block until a matching message is queued."""
+        comm = comm or self.comm_world
+        st = None
+
+        def queued() -> bool:
+            nonlocal st
+            st = self._iprobe_queued(source, tag, comm)
+            return st is not None
+
+        self.progress.drive(queued, timeout, f"no message from {source} with tag {tag}")
+        return st
 
     def cancel(self, req: Request) -> bool:
         if self._plock is None:

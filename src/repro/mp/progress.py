@@ -25,8 +25,9 @@ The layering here is MPICH's progress split made explicit:
     async-initiated steps.  Everything that completes a request goes
     through :meth:`ProgressCore.step`.
 :class:`ProgressEngine`
-    The caller-facing façade: the polling-wait family (``wait``,
-    ``wait_all``, ``poll_until``, ``test``) built on the core.
+    The caller-facing façade: one polling-wait loop (``drive``, built on
+    the one ``idle`` step) and the family spelled with it (``wait``,
+    ``wait_all``, ``poll_until``, ``test``).
 :class:`AsyncProgressDriver`
     Progress mode ``"async"``: a recurring task on the rank's clock
     (:mod:`repro.simtime.sched`) steps the core whenever simulated time
@@ -42,6 +43,7 @@ peer can never wedge the polling loop.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Iterable
 
@@ -57,6 +59,10 @@ from repro.simtime.sched import ensure_scheduler
 #: replacement) *replaces* the driver instead of leaving an orphan polling
 #: a retired device
 ASYNC_TASK_KEY = "mp.progress"
+
+#: every 64th consecutive idle poll of a wait is its backoff point: the
+#: ``wait_tick`` hooks fire, and a process-hosted rank first yields its CPU
+IDLE_MASK = 0x3F
 
 
 class ProgressCore:
@@ -205,8 +211,6 @@ class ThreadAsyncProgressDriver:
     """
 
     def __init__(self, core: ProgressCore, period_s: float = 50e-6) -> None:
-        import threading
-
         self.core = core
         self.period_s = max(float(period_s), 10e-6)
         if core.lock is None:
@@ -217,8 +221,6 @@ class ThreadAsyncProgressDriver:
         self.error: BaseException | None = None
 
     def start(self) -> None:
-        import threading
-
         if self._thread is not None:
             return
         self._stop.clear()
@@ -257,6 +259,11 @@ class ProgressEngine:
     def __init__(self, device: CH3Device, yield_fn: Callable[[], None] | None = None,
                  core: ProgressCore | None = None) -> None:
         self.core = core if core is not None else ProgressCore(device, yield_fn)
+        #: decides what an idle poll does (see :meth:`idle`); the engine
+        #: clears it for a rank that owns an OS process
+        self.thread_hosted = True
+        #: consecutive idle polls of the current wait
+        self._idle_run = 0
 
     # -- façade over the core (existing call sites keep working) ----------
 
@@ -316,6 +323,47 @@ class ProgressEngine:
                 failed=frozenset(self.core.device.failed_ranks),
             )
 
+    def idle(self, req: Request | None = None) -> None:
+        """One progress step; if it handled nothing, cede per the hosting.
+
+        :meth:`drive`'s step, public for callers that interleave their own
+        work between polls.  Thread-hosted ranks share one interpreter —
+        the peer *cannot run* while this rank spins — so they cede on the
+        first idle poll.  Process-hosted ranks run in parallel and a yield
+        only adds latency: they spin 63 consecutive idle polls first.  The
+        64th of a wait on ``req`` also fires the ``wait_tick`` hooks — the
+        quiet moment to look for a cross-rank deadlock knot.
+        """
+        if self.core.step():
+            self._idle_run = 0
+            return
+        self._idle_run = run = self._idle_run + 1
+        tick = run & IDLE_MASK == 0
+        if tick or self.thread_hosted:
+            time.sleep(0)
+        if tick and req is not None:
+            for cb in self.core.hooks.wait_tick:
+                cb(req)
+
+    def drive(self, done: Callable[[], bool], timeout: float | None = None,
+              what: str = "condition", req: Request | None = None) -> None:
+        """Poll until ``done()`` holds: the one polling-wait loop.
+
+        The wall ``timeout`` (seconds) bounds it ("MPI Progress For All":
+        no wait may hang forever), raising :class:`MpiErrTimeout` naming
+        ``what``.  It is checked every iteration: a chatty-but-stuck peer
+        (heartbeats, retransmits) must not defeat the bound.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._idle_run = 0
+        while not done():
+            self.idle(req)
+            if deadline is not None and time.monotonic() > deadline:
+                raise MpiErrTimeout(f"{what} after {timeout}s")
+        # ``done`` may have come true during application compute (async
+        # progress) — consuming the result is where the arrival time lands
+        self.core.device.clock.apply_pending()
+
     def wait(self, req: Request, timeout: float | None = None) -> None:
         """Polling-wait until the request completes.
 
@@ -323,43 +371,15 @@ class ProgressEngine:
         :class:`MpiErrTimeout`; a request that completes with a dead peer
         raises :class:`MpiErrProcFailed`.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        spin = 0
         h = self.core.hooks
-        cbs = h.wait_enter
-        if cbs:
-            for cb in cbs:
-                cb(req)
+        for cb in h.wait_enter:
+            cb(req)
         try:
-            while not req.completed:
-                if self.core.step() == 0:
-                    spin += 1
-                    if spin & 0x3F == 0:
-                        # Let the peer thread run (simulated SwitchToThread);
-                        # real MPICH2 spins the same way before backing off.
-                        time.sleep(0)
-                        ticks = h.wait_tick
-                        if ticks:
-                            # idle backoff: the quiet moment to look for a
-                            # cross-rank deadlock knot
-                            for cb in ticks:
-                                cb(req)
-                else:
-                    spin = 0
-                # checked every iteration: a chatty-but-stuck peer (heartbeats,
-                # retransmits) must not defeat the bound
-                if deadline is not None and time.monotonic() > deadline:
-                    raise MpiErrTimeout(
-                        f"request {req.op_id} incomplete after {timeout}s"
-                    )
+            self.drive(lambda: req.completed, timeout,
+                       f"request {req.op_id} incomplete", req)
         finally:
-            cbs = h.wait_exit
-            if cbs:
-                for cb in cbs:
-                    cb(req)
-        # the request may have completed during application compute (async
-        # progress) — consuming its result is where the arrival time lands
-        self.core.device.clock.apply_pending()
+            for cb in h.wait_exit:
+                cb(req)
         self._check_failed(req)
 
     def poll_until(self, cond: Callable[[], bool], timeout: float | None = None,
@@ -369,22 +389,9 @@ class ProgressEngine:
         Unlike :meth:`wait` this is not tied to a single request — the
         agreement and snapshot-redistribution rounds juggle a shifting
         set of requests whose failures are part of the protocol, not an
-        error.  The wall ``timeout`` still bounds the spin (``MPI
-        Progress For All``: no recovery step may hang forever), raising
-        :class:`MpiErrTimeout` naming ``what``.
+        error.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        spin = 0
-        while not cond():
-            if self.core.step() == 0:
-                spin += 1
-                if spin & 0x3F == 0:
-                    time.sleep(0)
-            else:
-                spin = 0
-            if deadline is not None and time.monotonic() > deadline:
-                raise MpiErrTimeout(f"{what} unmet after {timeout}s")
-        self.core.device.clock.apply_pending()
+        self.drive(cond, timeout, f"{what} unmet")
 
     def wait_all(self, reqs: Iterable[Request], timeout: float | None = None) -> None:
         """Wait for every request; ``timeout`` bounds the whole batch.

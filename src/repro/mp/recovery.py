@@ -40,6 +40,7 @@ as every other payload, so checkpoint traffic shows up in the device's
 from __future__ import annotations
 
 import struct
+import time
 from typing import Any
 
 from repro.mp.buffers import BufferDesc, NativeMemory
@@ -371,19 +372,12 @@ class RecoveryManager:
                 return folded, bits
 
     def _deadline(self, timeout: float | None):
-        if timeout is None:
-            return None
-        import time as _time
-
-        return _time.monotonic() + timeout
+        return None if timeout is None else time.monotonic() + timeout
 
     def _poll_step(self, deadline, what: str) -> None:
-        if self.engine.progress.poll() == 0:
-            import time as _time
-
-            _time.sleep(0)
-            if deadline is not None and _time.monotonic() > deadline:
-                raise MpiErrTimeout(what)
+        self.engine.progress.idle()
+        if deadline is not None and time.monotonic() > deadline:
+            raise MpiErrTimeout(what)
 
     # -- shrink epochs ---------------------------------------------------------
 

@@ -11,10 +11,12 @@ exhausts its retries is declared failed and every outstanding operation
 involving it completes with ``MPI_ERR_PROC_FAILED`` ("MPI Progress For
 All"-style robustness: the progress engine never blocks on a dead peer).
 
-Timers count progress-engine polls rather than wall time, which keeps the
-layer deterministic under the virtual clock and naturally adaptive: a rank
-that polls furiously while waiting retries sooner in wall terms than one
-that is busy computing.
+Timers count progress-engine polls rather than wall time, so a poll must
+be a fair tick of "the peer had a chance to answer".  The polling-wait's
+idle policy (``ProgressEngine.idle``) keeps it so: a thread-hosted rank
+cedes the interpreter on every idle poll, so its count cannot run ahead
+of a peer that is merely descheduled.  The counts still depend on how the
+OS interleaves rank threads; virtual-time timers are ROADMAP item 1.
 
 Heartbeats: when the device is *waiting* on a peer (posted receive,
 rendezvous in flight) and the link has been silent for ``heartbeat_after``

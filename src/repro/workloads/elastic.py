@@ -194,9 +194,9 @@ def _root(ctx, comm, cfg: ElasticConfig, schedule: ChaosSchedule, plan: FaultPla
         ack_reqs[slot] = (engine.irecv(buf, slot, TAG_ACK, comm), buf)
 
     def pump_acks() -> bool:
-        """One poll; process completed acks.  True when a failure showed."""
+        """One idle step; process completed acks.  True when a failure showed."""
         nonlocal acked, since_ckpt
-        engine.progress.poll()
+        engine.progress.idle()
         for s, (req, buf) in list(ack_reqs.items()):
             if not req.completed:
                 continue
@@ -241,9 +241,13 @@ def _root(ctx, comm, cfg: ElasticConfig, schedule: ChaosSchedule, plan: FaultPla
         try:
             if cfg.round_robin:
                 # strict cyclic order: the next batch waits for its slot's
-                # window even if another slot is idle
-                s = rr_slot % (comm.size - 1) + 1
-                if len(inflight[s]) < cfg.window and next_unit < total:
+                # window even if another slot is idle.  All the order allows
+                # is issued before the pump may cede to a worker: merging its
+                # ack first would serialise the other slots in virtual time
+                while next_unit < total:
+                    s = rr_slot % (comm.size - 1) + 1
+                    if len(inflight[s]) >= cfg.window:
+                        break
                     count = min(cfg.batch, total - next_unit)
                     _send(engine, comm, s, TAG_CMD, K_WORK, next_unit, count)
                     inflight[s].append((next_unit, count))
@@ -271,7 +275,7 @@ def _root(ctx, comm, cfg: ElasticConfig, schedule: ChaosSchedule, plan: FaultPla
             them = comm.group.world_rank(ev.slot)
             plan.partition(me, them)
             for _ in range(cfg.partition_polls):
-                engine.progress.poll()
+                engine.progress.idle()
             plan.heal(me, them)
         if cfg.ckpt_every and since_ckpt >= cfg.ckpt_every and acked < total:
             # drain: a checkpoint is only consistent with nothing in flight

@@ -4,9 +4,10 @@ Covers the recurring-task scheduler (repro.simtime.sched), deferred causal
 merges, completion *without* caller polls in ``progress="async"`` worlds,
 mode parity (identical results), the sanitizer under third-party
 progression, and the wait/test-family regressions the async work exposed:
-``test_all`` swallowing dead-peer failures, ``wait_any`` never resetting
-its backoff, and expired-deadline ``wait_all`` grinding through N
-zero-timeout waits.
+``test_all`` swallowing dead-peer failures, the one ``drive`` loop's idle
+policy per rank hosting (including ``wait_any`` never resetting its
+backoff), the unbounded ``probe``, silent quiesce expiry, and
+expired-deadline ``wait_all`` grinding through N zero-timeout waits.
 """
 
 import time
@@ -19,6 +20,7 @@ from repro.mp import MpiEngine
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.channels import FaultPlan, FaultyFabric, ShmFabric
 from repro.mp.errors import MpiErrProcFailed, MpiErrTimeout
+from repro.mp.status import Status
 from repro.simtime import CostModel, VirtualClock, WallClock, ensure_scheduler
 
 pytestmark = pytest.mark.progress
@@ -272,6 +274,7 @@ class _FakeReq:
     def __init__(self, completed=False):
         self.done = completed
         self.op_id = 99
+        self.status = Status()
 
     @property
     def completed(self):
@@ -298,27 +301,137 @@ class TestTestAllDeadPeer:
         assert 1 in ei.value.failed
 
 
-class TestWaitAnySpinReset:
-    def test_productive_poll_resets_backoff(self, monkeypatch):
-        """Regression: wait_any never reset ``spin`` after a productive
-        poll, so 64 cumulative idle polls locked in sleep(0) forever."""
-        eng = _lonely_engine()
+class _Ticks:
+    """Hook-spine subscriber counting ``wait_tick`` events."""
+
+    def __init__(self):
+        self.n = 0
+
+    def on_wait_tick(self, req):
+        self.n += 1
+
+
+def _scripted(monkeypatch, eng, script, req):
+    """Replace the core's step with ``script`` (packets handled per poll);
+    the request completes on the poll after the script runs out.  Returns
+    the list ``time.sleep`` calls are recorded in."""
+    script = list(script)
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+
+    def step(from_async=False):
+        if script:
+            return script.pop(0)
+        req.done = True
+        return 1
+
+    monkeypatch.setattr(eng.progress.core, "step", step)
+    return sleeps
+
+
+class TestIdlePolicy:
+    """What one idle poll does follows from how the rank is hosted."""
+
+    def test_thread_hosted_cedes_on_first_idle_poll(self, monkeypatch):
+        eng = _lonely_engine()  # a directly constructed stack: thread-hosted
+        ticks = _Ticks()
+        eng.hooks.attach(ticks)
         req = _FakeReq()
-        sleeps = []
-        monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
-        # alternate idle/productive: spin never accumulates to 64 once
-        # productive polls reset it (the old code slept from iteration 128)
-        script = [0, 1] * 200
+        sleeps = _scripted(monkeypatch, eng, [0], req)
+        eng.progress.wait(req)
+        assert sleeps == [0]  # one idle poll, one hand-off
+        assert ticks.n == 0
 
-        def scripted_poll():
-            if script:
-                return script.pop(0)
-            req.done = True
-            return 1
+    def test_thread_hosted_wait_tick_stays_one_in_64(self, monkeypatch):
+        eng = _lonely_engine()
+        ticks = _Ticks()
+        eng.hooks.attach(ticks)
+        req = _FakeReq()
+        sleeps = _scripted(monkeypatch, eng, [0] * 130, req)
+        eng.progress.wait(req)
+        assert len(sleeps) == 130  # every idle poll cedes the interpreter
+        assert ticks.n == 2  # ... but the deadlock look stays on the 64th
 
-        monkeypatch.setattr(eng.progress, "poll", scripted_poll)
+    def test_process_hosted_spins_63_polls_before_first_yield(self, monkeypatch):
+        eng = _lonely_engine(hosting="process")
+        ticks = _Ticks()
+        eng.hooks.attach(ticks)
+        req = _FakeReq()
+        sleeps = _scripted(monkeypatch, eng, [0] * 63, req)
+        eng.progress.wait(req)
+        assert sleeps == [] and ticks.n == 0
+        req = _FakeReq()
+        sleeps = _scripted(monkeypatch, eng, [0] * 64, req)
+        eng.progress.wait(req)
+        assert sleeps == [0] and ticks.n == 1  # the parent commit's sequence
+
+    def test_process_hosted_productive_poll_resets_backoff(self, monkeypatch):
+        """Regression: wait_any never reset its idle count after a
+        productive poll, so 64 *cumulative* idle polls locked in the
+        sleep(0) cadence forever, even on a busy link."""
+        eng = _lonely_engine(hosting="process")
+        req = _FakeReq()
+        sleeps = _scripted(monkeypatch, eng, [0, 1] * 200, req)
         assert eng.wait_any([req]) == 0
         assert sleeps == []
+
+    def test_inproc_pingpong_polls_per_round_trip(self):
+        """Thread-hosted ranks hand the interpreter to the peer instead of
+        spinning 64 polls under the GIL: a round trip costs a few polls."""
+        trips = 200
+
+        def main(ctx):
+            eng, peer = ctx.engine, 1 - ctx.rank
+            buf = ints(0)
+            eng.barrier()
+            before = eng.progress.polls
+            for _ in range(trips):
+                if ctx.rank == 0:
+                    eng.send(buf, peer, 1)
+                    eng.recv(buf, peer, 2)
+                else:
+                    eng.recv(buf, peer, 1)
+                    eng.send(buf, peer, 2)
+            return (eng.progress.polls - before) / trips
+
+        for per_trip in mpiexec(2, main, channel="sock", clock_mode="virtual"):
+            assert per_trip <= 4, per_trip
+
+    def test_fault_free_reliable_exchange_never_retransmits(self):
+        """Retransmit timers count polls; a waiting rank that hands off at
+        once cannot out-poll a peer that is merely descheduled."""
+
+        def main(ctx):
+            eng, peer = ctx.engine, 1 - ctx.rank
+            buf = ints(0)
+            for _ in range(200):
+                if ctx.rank == 0:
+                    eng.send(buf, peer, 1)
+                    eng.recv(buf, peer, 2)
+                else:
+                    eng.recv(buf, peer, 1)
+                    eng.send(buf, peer, 2)
+            return eng.device.rel.stats["retransmits"]
+
+        assert mpiexec(2, main, channel="sock", reliable=True) == [0, 0]
+
+
+class TestBoundedProbeAndQuiesce:
+    def test_probe_times_out_on_a_silent_peer(self):
+        """Regression: probe was a bare ``while True: iprobe()`` — no
+        yield, no deadline."""
+        eng = _lonely_engine()
+        with pytest.raises(MpiErrTimeout):
+            eng.probe(0, 5, timeout=0.05)
+
+    def test_quiesce_expiry_is_counted_and_exported(self):
+        world = World(2, reliable=True, observe="enabled")
+        ctx = world.context_for(0)
+        world.context_for(1)  # its main never returns: the drain cannot finish
+        world.quiesce(0, ctx.engine, timeout=0.05)  # still does not raise
+        assert world.quiesce_expired == {0: 1}
+        counters = world.merged_snapshot()["counters"]
+        assert counters["cluster.quiesce_expired"]["total"] == 1
 
 
 class TestWaitAllExpiredDeadline:
@@ -333,11 +446,8 @@ class TestWaitAllExpiredDeadline:
         assert eng.progress.polls == before  # no wait cycles ran
 
     def test_progress_engine_checks_completed_then_raises(self):
-        from repro.mp.status import Status
-
         eng = _lonely_engine()
         done = _FakeReq(completed=True)
-        done.status = Status()
         stuck = _FakeReq()
         before = eng.progress.polls
         with pytest.raises(MpiErrTimeout):
