@@ -13,7 +13,7 @@
     won, and the verdict of the benchmark's own ``--compare`` rule and
     bounds (``run.py`` is imported, not re-implemented).  The two suite
     files (``run.py --seed S --out ...`` on each commit) supply the traced
-    per-layer counters a messaging change is expected to move.
+    per-layer counters a change names beforehand (``COUNTERS``).
 """
 
 from __future__ import annotations
@@ -32,12 +32,22 @@ from run import MANIFEST, verdict  # noqa: E402
 
 from repro.bench.report import BENCH_SCHEMA_VERSION, run_metadata  # noqa: E402
 
+#: traced per-layer metrics copied beside the rows: the ones the issues
+#: behind the committed rows named beforehand as "moves" or "must not move"
 COUNTERS = (
+    "virtual_us_per_op",
+    "harness.layer_sum_share",
     "mp.progress.polls_per_op",
     "mp.progress.idle_poll_share",
+    "mp.progress.wall_self_us_per_op",
     "mp.reliability.retransmits_per_kop",
     "mp.reliability.dup_dropped_per_kop",
-    "virtual_us_per_op",
+    "mp.channels.packets_per_op",
+    "motor.serialization.wall_self_us_per_op",
+    "motor.serialization.virt_self_us_per_op",
+    "motor.serialization.calls_per_op",
+    "motor.serialization.bytes_per_op",
+    "runtime.gcollector.gen0_per_kop",
 )
 
 

@@ -17,11 +17,12 @@ buffers (no pinning needed).
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
 from repro.motor.buffers import BufferPool
 from repro.motor.pinpolicy import PinDecision, PinningPolicy
-from repro.motor.serialization import MotorSerializer, PooledWriter
+from repro.motor.serialization import SPLIT_MAGIC, MotorSerializer, PooledWriter
 from repro.mp import collectives
 from repro.mp.buffers import BufferDesc
 from repro.mp.communicator import Communicator
@@ -497,8 +498,7 @@ class MessagePassingCore:
         native, size, st = self._recv_blob(source, comm, tsize, tdata)
         try:
             data = native.view(0, size)
-            head = bytes(data[:4])
-            if int.from_bytes(head, "little") == 0x4D53504C:  # split frame
+            if size >= 4 and struct.unpack_from("<I", data)[0] == SPLIT_MAGIC:
                 name, parts = self.serializer.unframe_parts(data)
                 ref = self.serializer.build_array_from_parts(name, parts)
             else:

@@ -12,15 +12,25 @@ The flat object-tree representation has two parts:
 
 Propagation follows the FieldDesc **Transportable bit** — never the slow
 metadata/reflection path.  Object arrays propagate their elements by
-default; plain reference fields propagate only when marked.
+default; plain reference fields propagate only when marked.  Here that
+reads: the first object of a type compiles a :class:`_Plan` (kind, sizes,
+per-field flag/offset/size), and every later object of the type is a
+straight loop over the plan with ``struct`` calls on the heap's bytes — no
+``MethodTable`` lookup, no ``FieldDesc`` property, no name.
 
-Visited-object tracking is pluggable, reproducing the paper's own
-performance note: "at the time of writing we employ a linear structure to
-record objects visited.  This causes excessive search times with large
-numbers of objects and will be improved when we implement an efficient
-structure" — :class:`LinearVisited` is that linear structure (and the
-source of Motor's degradation above ~2048 objects in Figure 10);
-:class:`HashedVisited` is the announced fix, benchmarked in ablation A4.
+**What is modelled and what is host cost.**  The virtual clock is charged
+per object, per primitive byte and per visited-record comparison at the
+2006 rates of :mod:`repro.simtime.costs` — one ``charge`` per object, per
+primitive field and per primitive array, in walk order, never batched
+(``0.9`` and ``2.2`` ns are not exact in binary, and async progress is
+driven by charges).  The paper's own performance note — "at the time of
+writing we employ a linear structure to record objects visited.  This
+causes excessive search times with large numbers of objects and will be
+improved when we implement an efficient structure" — is such a charge:
+:class:`VisitedRecord` counts the comparisons a front-to-back scan makes
+and the serializer charges them (Motor's degradation above ~2048 objects
+in Figure 10; ``hashed`` is the announced fix, ablation A4).  How the host
+*finds* an address in the record is not modelled: it is a dict.
 
 The **split representation** (one independently-deserializable part per
 array element) enables the OScatter/OGather operations no standard
@@ -28,22 +38,29 @@ serializer supports; see :meth:`MotorSerializer.serialize_array_split`.
 
 Safety: serialization touches raw heap addresses but never allocates
 managed memory or polls a safepoint, so no collection can move objects
-mid-walk.  Deserialization *does* allocate (and may therefore trigger
-collections), so it works in two passes holding only GC-updated handles.
+mid-walk.  Deserialization validates the whole representation before it
+allocates anything, then lands it in two passes: pass 1 allocates (and may
+therefore collect) holding only GC-updated handle slots; pass 2 allocates
+nothing, so it wires references between addresses read once.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Iterable
 
 from repro.mp.buffers import BufferDesc
 from repro.mp.hooks import NULL_SPINE
 from repro.runtime.errors import ObjectModelViolation
 from repro.runtime.handles import ObjRef
+from repro.runtime.objectmodel import HDR_AUX, HDR_MT
 from repro.runtime.typesys import (
     ARRAY_DATA_OFFSET,
+    REF_SIZE,
+    FieldDesc,
     MethodTable,
+    align8,
 )
 
 MAGIC = 0x4D534552  # "MSER"
@@ -53,8 +70,11 @@ _K_CLASS = 0
 _K_PRIM_ARRAY = 1
 _K_REF_ARRAY = 2
 
+_u8 = struct.Struct("<B")
+_u16 = struct.Struct("<H")
 _u32 = struct.Struct("<I")
-_i64 = struct.Struct("<q")
+_u32x2 = struct.Struct("<II")
+_u64 = struct.Struct("<Q")
 
 
 class SerializationError(ObjectModelViolation):
@@ -62,65 +82,60 @@ class SerializationError(ObjectModelViolation):
 
 
 # ---------------------------------------------------------------------------
-# visited-object records
+# the visited-object record
 # ---------------------------------------------------------------------------
 
+VISITED_KINDS = ("linear", "hashed")
 
-class LinearVisited:
-    """The paper's linear visited record: a list scanned per lookup.
 
-    The scan is a real linear search (``list.index`` — C-speed, but
-    genuinely O(n) per lookup and O(n^2) per serialization); the
-    ``comparisons`` counter feeds the virtual clock so the quadratic cost
-    appears at paper-era per-comparison rates.
+class VisitedRecord:
+    """The objects visited so far, in visit order (their internal ids).
+
+    Modelled: ``comparisons`` is what the paper's linear structure spends
+    per lookup — a scan from the front, ``idx + 1`` compares on a hit and
+    ``len`` on a miss, so O(n^2) per serialization — and ``probes`` is one
+    per lookup, the "efficient structure" the paper promises.  ``kind``
+    selects which of the two :meth:`charge_ns` prices, and nothing else.
+
+    Host cost: ``_index`` finds an address in ``addrs`` without scanning.
+    It is bookkeeping of the simulator, charged to nobody.
     """
 
-    name = "linear"
-
-    def __init__(self) -> None:
-        self._addrs: list[int] = []
+    def __init__(self, kind: str = "linear") -> None:
+        if kind not in VISITED_KINDS:
+            raise ValueError(f"unknown visited structure {kind!r}")
+        self.kind = kind
+        #: the record itself; the serializer walks it as its work queue
+        self.addrs: list[int] = []
+        self._index: dict[int, int] = {}
         self.comparisons = 0
-
-    def lookup(self, addr: int) -> int | None:
-        try:
-            idx = self._addrs.index(addr)
-        except ValueError:
-            self.comparisons += len(self._addrs)
-            return None
-        self.comparisons += idx + 1
-        return idx
-
-    def add(self, addr: int) -> int:
-        self._addrs.append(addr)
-        return len(self._addrs) - 1
-
-    def __len__(self) -> int:
-        return len(self._addrs)
-
-
-class HashedVisited:
-    """The 'efficient structure' the paper promises as future work."""
-
-    name = "hashed"
-
-    def __init__(self) -> None:
-        self._map: dict[int, int] = {}
         self.probes = 0
 
     def lookup(self, addr: int) -> int | None:
+        idx = self._index.get(addr)
         self.probes += 1
-        return self._map.get(addr)
-
-    def add(self, addr: int) -> int:
-        idx = len(self._map)
-        self._map[addr] = idx
+        self.comparisons += len(self.addrs) if idx is None else idx + 1
         return idx
 
-    def __len__(self) -> int:
-        return len(self._map)
+    def add(self, addr: int) -> int:
+        idx = self._index[addr] = len(self.addrs)
+        self.addrs.append(addr)
+        return idx
+
+    def visit(self, addr: int) -> int:
+        """The id ``addr`` is exchanged for, recording it on first sight."""
+        idx = self.lookup(addr)
+        return self.add(addr) if idx is None else idx
+
+    def charge_ns(self, costs) -> float:
+        """The modelled search cost of every lookup made so far."""
+        if self.kind == "linear":
+            return costs.visited_linear_cmp_ns * self.comparisons
+        return costs.visited_hash_probe_ns * self.probes
 
 
-VISITED_KINDS = {"linear": LinearVisited, "hashed": HashedVisited}
+LinearVisited = partial(VisitedRecord, "linear")
+HashedVisited = partial(VisitedRecord, "hashed")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +145,7 @@ VISITED_KINDS = {"linear": LinearVisited, "hashed": HashedVisited}
 
 def _w_str(out, s: str) -> None:
     enc = s.encode("utf-8")
-    out += struct.pack("<H", len(enc))
+    out += _u16.pack(len(enc))
     out += enc
 
 
@@ -200,31 +215,33 @@ class PooledWriter:
 
 
 class _Reader:
+    """Cursor over the header, type table and split framing.
+
+    Every read past the end is a :class:`SerializationError`, never a
+    ``struct.error`` or an ``IndexError``."""
+
     __slots__ = ("data", "pos")
 
     def __init__(self, data) -> None:
         self.data = memoryview(data)
         self.pos = 0
 
-    def u8(self) -> int:
-        v = self.data[self.pos]
-        self.pos += 1
+    def _take(self, st: struct.Struct) -> int:
+        try:
+            (v,) = st.unpack_from(self.data, self.pos)
+        except struct.error:
+            raise SerializationError("truncated representation") from None
+        self.pos += st.size
         return v
+
+    def u8(self) -> int:
+        return self._take(_u8)
 
     def u16(self) -> int:
-        v = struct.unpack_from("<H", self.data, self.pos)[0]
-        self.pos += 2
-        return v
+        return self._take(_u16)
 
     def u32(self) -> int:
-        v = struct.unpack_from("<I", self.data, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def i64(self) -> int:
-        v = struct.unpack_from("<q", self.data, self.pos)[0]
-        self.pos += 8
-        return v
+        return self._take(_u32)
 
     def raw(self, n: int) -> memoryview:
         v = self.data[self.pos : self.pos + n]
@@ -234,12 +251,49 @@ class _Reader:
         return v
 
     def text(self) -> str:
-        return bytes(self.raw(self.u16())).decode("utf-8")
+        try:
+            return str(self.raw(self.u16()), "utf-8")
+        except UnicodeDecodeError:
+            raise SerializationError("type table holds a name that is not UTF-8") from None
 
 
 # ---------------------------------------------------------------------------
 # the serializer
 # ---------------------------------------------------------------------------
+
+
+class _Plan:
+    """What transport needs of one MethodTable, decoded once.
+
+    A class's record is one ``struct`` (``q`` per reference id, ``Ns`` per
+    primitive, in layout order, no padding), so a field's place in the
+    record is its index in the packed tuple: ``refs`` holds ``(index,
+    transportable, heap offset, FieldDesc)`` and ``prims`` ``(index, heap
+    offset, size)``.  Reference fields are never charged and primitive
+    fields never visit, so walking the two in turn charges and numbers
+    exactly as walking the fields in layout order does.  An array's record
+    is a length and ``elem_size``-wide elements.
+    """
+
+    __slots__ = ("mt", "kind", "elem_size", "instance_size", "refs", "prims", "record")
+
+    def __init__(self, mt: MethodTable) -> None:
+        self.mt = mt
+        if mt.is_array:
+            self.kind = _K_REF_ARRAY if mt.element_is_ref else _K_PRIM_ARRAY
+            self.elem_size = mt.element_size
+        else:
+            self.kind = _K_CLASS
+            self.elem_size = 0
+        self.instance_size = mt.instance_size
+        fields = list(enumerate(mt.fields))  # none on an array
+        self.refs = tuple(
+            (i, fd.is_transportable, fd.offset, fd) for i, fd in fields if fd.is_ref
+        )
+        self.prims = tuple((i, fd.offset, fd.size) for i, fd in fields if not fd.is_ref)
+        self.record = struct.Struct(
+            "<" + "".join("q" if fd.is_ref else f"{fd.size}s" for _, fd in fields)
+        )
 
 
 class MotorSerializer:
@@ -256,6 +310,16 @@ class MotorSerializer:
         self.visited_kind = visited
         self.objects_serialized = 0
         self.objects_deserialized = 0
+        #: mt_id -> plan; the registry never reuses an id
+        self._plans: dict[int, _Plan] = {}
+        #: (field, target MethodTable) pairs that passed rt.check_storable
+        self._storable: set[tuple[FieldDesc, MethodTable]] = set()
+
+    def _plan(self, mt: MethodTable) -> _Plan:
+        plan = self._plans.get(mt.mt_id)
+        if plan is None:
+            plan = self._plans[mt.mt_id] = _Plan(mt)
+        return plan
 
     # -- serialize ---------------------------------------------------------------
 
@@ -288,110 +352,87 @@ class MotorSerializer:
 
     def _serialize_root(self, ref: ObjRef | None, out) -> None:
         rt = self.runtime
-        om, heap = rt.om, rt.heap
-        clock, costs = rt.clock, rt.costs
+        heap, costs = rt.heap, rt.costs
+        mem = heap.mem
+        charge = rt.clock.charge
+        per_obj, per_byte = costs.motor_ser_per_obj_ns, costs.motor_ser_per_byte_ns
+        plans = self._plans
+        u32_from, u64_from = _u32.unpack_from, _u64.unpack_from
 
-        visited = VISITED_KINDS[self.visited_kind]()
-        type_refs: dict[int, int] = {}  # mt_id -> index in type table
-        type_order: list[MethodTable] = []
-        queue: list[int] = []
-
-        def visit(addr: int) -> int:
-            if addr == 0:
-                return -1
-            idx = visited.lookup(addr)
-            if idx is not None:
-                return idx
-            idx = visited.add(addr)
-            queue.append(addr)
-            return idx
-
-        def type_ref(mt: MethodTable) -> int:
-            idx = type_refs.get(mt.mt_id)
-            if idx is None:
-                idx = len(type_order)
-                type_refs[mt.mt_id] = idx
-                type_order.append(mt)
-            return idx
-
+        visited = VisitedRecord(self.visited_kind)
+        visit, queue = visited.visit, visited.addrs
+        type_refs: dict[int, int] = {}  # mt_id -> index in type table, in table order
         records = bytearray()
-        nrecords = 0
         if ref is not None and not ref.is_null:
             visit(ref.addr)
-        qi = 0
-        while qi < len(queue):
-            addr = queue[qi]
-            qi += 1
-            nrecords += 1
-            self.objects_serialized += 1
-            clock.charge(costs.motor_ser_per_obj_ns)
-            mt = om.method_table(addr)
-            records += _u32.pack(type_ref(mt))
-            if mt.is_array:
-                length = om.array_length(addr)
-                records += _u32.pack(length)
-                if mt.element_is_ref:
-                    # Arrays are transported together with the array-entry
-                    # objects they reference (paper §4.2.2).
-                    base = addr + ARRAY_DATA_OFFSET
-                    for i in range(length):
-                        child = heap.read_u64(base + 8 * i)
-                        records += _i64.pack(visit(child))
-                else:
-                    nbytes = length * mt.element_size
-                    records += heap.view(addr + ARRAY_DATA_OFFSET, nbytes)
-                    clock.charge(costs.motor_ser_per_byte_ns * nbytes)
+        done = 0
+        while done < len(queue):
+            addr = queue[done]
+            done += 1
+            charge(per_obj)
+            (mt_id,) = u32_from(mem, addr + HDR_MT)
+            plan = plans.get(mt_id) or self._plan(rt.om.method_table(addr))
+            tidx = type_refs.setdefault(mt_id, len(type_refs))
+            kind = plan.kind
+            if kind == _K_CLASS:
+                values: list = [-1] * len(plan.mt.fields)
+                for i, transportable, offset, _ in plan.refs:
+                    # Only Transportable references propagate; others are
+                    # swapped to null (§4.2.2).
+                    if transportable:
+                        (child,) = u64_from(mem, addr + offset)
+                        if child:
+                            values[i] = visit(child)
+                for i, offset, size in plan.prims:
+                    values[i] = mem[addr + offset : addr + offset + size]
+                    charge(per_byte * size)
+                records += _u32.pack(tidx)
+                records += plan.record.pack(*values)
+                continue
+            (length,) = u32_from(mem, addr + HDR_AUX)
+            if kind == _K_REF_ARRAY:
+                # Arrays are transported together with the array-entry
+                # objects they reference (paper §4.2.2).
+                children = struct.unpack_from(f"<{length}Q", mem, addr + ARRAY_DATA_OFFSET)
+                ids = [visit(child) if child else -1 for child in children]
+                records += struct.pack(f"<II{length}q", tidx, length, *ids)
             else:
-                for fd in mt.fields:
-                    if fd.is_ref:
-                        child = heap.read_u64(addr + fd.offset)
-                        # Only Transportable references propagate; others
-                        # are swapped to null (§4.2.2).
-                        if fd.is_transportable:
-                            records += _i64.pack(visit(child))
-                        else:
-                            records += _i64.pack(-1)
-                    else:
-                        records += heap.view(addr + fd.offset, fd.ftype.size)
-                        clock.charge(costs.motor_ser_per_byte_ns * fd.ftype.size)
+                nbytes = length * plan.elem_size
+                records += _u32x2.pack(tidx, length)
+                records += heap.view(addr + ARRAY_DATA_OFFSET, nbytes)
+                charge(per_byte * nbytes)
+        self.objects_serialized += done
 
-        # Charge the visited-structure search cost.
-        if isinstance(visited, LinearVisited):
-            clock.charge(costs.visited_linear_cmp_ns * visited.comparisons)
-        else:
-            clock.charge(costs.visited_hash_probe_ns * visited.probes)
+        charge(visited.charge_ns(costs))
 
         # Header + type table + object data.
-        out += _u32.pack(MAGIC)
-        out += _u32.pack(0)
-        out += _u32.pack(len(type_order))
-        for mt in type_order:
-            self._write_type_entry(out, mt)
-        out += _u32.pack(nrecords)
+        out += struct.pack("<III", MAGIC, 0, len(type_refs))
+        for mt_id in type_refs:
+            self._write_type_entry(out, plans[mt_id].mt)
+        out += _u32.pack(done)
         out += records
 
     @staticmethod
     def _write_type_entry(out, mt: MethodTable) -> None:
         if mt.is_array:
-            if mt.element_is_ref:
-                out.append(_K_REF_ARRAY)
-                _w_str(out, mt.element_type.name)
-            else:
-                out.append(_K_PRIM_ARRAY)
-                _w_str(out, mt.element_type.name)
-        else:
-            out.append(_K_CLASS)
-            _w_str(out, mt.name)
-            out += struct.pack("<H", len(mt.fields))
-            for fd in mt.fields:
-                _w_str(out, fd.name)
-                out.append(1 if fd.is_ref else 0)
-                _w_str(out, "" if fd.is_ref else fd.ftype.name)
+            out.append(_K_REF_ARRAY if mt.element_is_ref else _K_PRIM_ARRAY)
+            _w_str(out, mt.element_type.name)
+            return
+        out.append(_K_CLASS)
+        _w_str(out, mt.name)
+        out += _u16.pack(len(mt.fields))
+        for fd in mt.fields:
+            _w_str(out, fd.name)
+            out.append(1 if fd.is_ref else 0)
+            _w_str(out, "" if fd.is_ref else fd.ftype.name)
 
     # -- deserialize ---------------------------------------------------------------
 
     def deserialize(self, data) -> ObjRef | None:
-        """Reconstruct the object tree; returns the root (or None)."""
+        """Reconstruct the object tree; returns the root (or None).
+
+        Anything wrong with ``data`` is a :class:`SerializationError`
+        raised before the first allocation."""
         h = self.hooks
         if not (h.region_begin or h.region_end):
             return self._deserialize(data)
@@ -403,67 +444,119 @@ class MotorSerializer:
             for cb in h.region_end:
                 cb("motor.deserialize")
 
-    def _deserialize(self, data) -> ObjRef | None:
-        rt = self.runtime
+    def _scan(self, data: memoryview) -> list[tuple[_Plan, int, int, tuple]]:
+        """Decode and validate every record; allocates and charges nothing.
+
+        One ``(plan, length, instance size, values)`` per record.  A class's
+        values are its unpacked record (reference ids, primitive bytes), a
+        reference array's its element ids, a primitive array's the
+        ``(position, nbytes)`` of its payload inside ``data``.
+        """
         rd = _Reader(data)
         if rd.u32() != MAGIC:
             raise SerializationError("bad magic")
         rd.u32()  # flags
-        ntypes = rd.u32()
-        mts: list[MethodTable] = []
-        for _ in range(ntypes):
-            mts.append(self._read_type_entry(rd))
+        plans = [self._plan(self._read_type_entry(rd)) for _ in range(rd.u32())]
         nrecords = rd.u32()
-        if nrecords == 0:
-            return None
-
-        # Pass 1: allocate every object (may trigger collections — we keep
-        # only handles), remembering where each record's payload begins.
-        refs: list[ObjRef] = []
-        payloads: list[tuple[MethodTable, int, int]] = []  # (mt, length, payload pos)
-        for _ in range(nrecords):
-            self.objects_deserialized += 1
-            rt.clock.charge(rt.costs.motor_deser_per_obj_ns)
-            mt = mts[rd.u32()]
-            if mt.is_array:
-                length = rd.u32()
-                # element_type is a PrimitiveType or MethodTable; both carry
-                # the name the runtime resolves, so no branching is needed
-                # (the old isinstance ternary had two identical arms).
-                ref = rt.new_array(mt.element_type.name, length)
-                payloads.append((mt, length, rd.pos))
-                rd.raw(length * (8 if mt.element_is_ref else mt.element_size))
-            else:
-                ref = rt.new(mt)
-                payloads.append((mt, 0, rd.pos))
-                size = sum(8 if fd.is_ref else fd.ftype.size for fd in mt.fields)
-                rd.raw(size)
-            refs.append(ref)
-
-        # Pass 2: fill payloads and wire references through the barrier.
-        for ref, (mt, length, pos) in zip(refs, payloads):
-            rd.pos = pos
-            if mt.is_array:
-                if mt.element_is_ref:
-                    for i in range(length):
-                        rid = rd.i64()
-                        rt.set_elem_ref(ref, i, None if rid < 0 else refs[rid])
-                else:
-                    nbytes = length * mt.element_size
-                    rt.heap.write_bytes(
-                        ref.addr + ARRAY_DATA_OFFSET, rd.raw(nbytes)
+        pos, end = rd.pos, len(data)
+        u32_from = _u32.unpack_from
+        scanned = []
+        try:
+            for _ in range(nrecords):
+                (tidx,) = u32_from(data, pos)
+                if tidx >= len(plans):
+                    raise SerializationError(
+                        f"record {len(scanned)}: type index {tidx} outside the "
+                        f"{len(plans)}-entry type table"
                     )
-                    rt.clock.charge(rt.costs.motor_ser_per_byte_ns * nbytes)
-            else:
-                for fd in mt.fields:
-                    if fd.is_ref:
-                        rid = rd.i64()
-                        rt.set_ref(ref, fd.name, None if rid < 0 else refs[rid])
+                plan = plans[tidx]
+                kind = plan.kind
+                if kind == _K_CLASS:
+                    values = plan.record.unpack_from(data, pos + 4)
+                    pos += 4 + plan.record.size
+                    ids = [values[i] for i, _, _, _ in plan.refs]
+                    scanned.append((plan, 0, plan.instance_size, values))
+                else:
+                    (length,) = u32_from(data, pos + 4)
+                    pos += 8
+                    nbytes = length * plan.elem_size
+                    if kind == _K_REF_ARRAY:
+                        values = ids = struct.unpack_from(f"<{length}q", data, pos)
+                    elif pos + nbytes > end:
+                        raise SerializationError("truncated representation")
                     else:
-                        rt.heap.write_bytes(
-                            ref.addr + fd.offset, rd.raw(fd.ftype.size)
-                        )
-        return refs[0]
+                        values, ids = (pos, nbytes), ()
+                    pos += nbytes
+                    size = align8(ARRAY_DATA_OFFSET + nbytes)
+                    scanned.append((plan, length, size, values))
+                if ids and not (-1 <= min(ids) and max(ids) < nrecords):
+                    raise SerializationError(
+                        f"record {len(scanned) - 1}: object id outside [-1, {nrecords})"
+                    )
+        except struct.error:
+            raise SerializationError("truncated representation") from None
+        return scanned
+
+    def _deserialize(self, data) -> ObjRef | None:
+        rt = self.runtime
+        data = memoryview(data)
+        scanned = self._scan(data)
+        if not scanned:
+            return None
+        heap, handles, costs = rt.heap, rt.handles, rt.costs
+        mem = heap.mem
+        charge = rt.clock.charge
+        self.objects_deserialized += len(scanned)
+
+        # Pass 1: allocate every object.  Any allocation may collect, so
+        # each one is rooted in a handle slot the GC keeps current.
+        slots: list[int] = []
+        try:
+            alloc_object, root = rt.alloc_object, handles.alloc
+            per_obj = costs.motor_deser_per_obj_ns
+            for plan, length, size, _ in scanned:
+                charge(per_obj)
+                slots.append(root(alloc_object(plan.mt, size, length)))
+
+            # Pass 2: fill payloads and wire references through the
+            # barrier.  Nothing from here to the last store allocates or
+            # polls a safepoint, so the addresses are read once.
+            addrs = [handles.get(slot) for slot in slots]
+            per_byte = costs.motor_ser_per_byte_ns
+            record_write = rt.gc.record_write
+            storable = self._storable
+            u64_into = _u64.pack_into
+            for (plan, length, _, values), addr in zip(scanned, addrs):
+                kind = plan.kind
+                if kind == _K_CLASS:
+                    for i, _, offset, fd in plan.refs:
+                        rid = values[i]
+                        if rid < 0:
+                            continue  # null: the instance was zeroed
+                        target_mt = scanned[rid][0].mt
+                        if (fd, target_mt) not in storable:
+                            rt.check_storable(plan.mt, fd, target_mt)
+                            storable.add((fd, target_mt))
+                        u64_into(mem, addr + offset, addrs[rid])
+                        record_write(addr + offset, addrs[rid])
+                    for i, offset, size in plan.prims:
+                        mem[addr + offset : addr + offset + size] = values[i]
+                elif kind == _K_REF_ARRAY:
+                    base = addr + ARRAY_DATA_OFFSET
+                    targets = [addrs[rid] if rid >= 0 else 0 for rid in values]
+                    struct.pack_into(f"<{length}Q", mem, base, *targets)
+                    for i, target in enumerate(targets):
+                        if target:
+                            record_write(base + REF_SIZE * i, target)
+                else:
+                    pos, nbytes = values
+                    base = addr + ARRAY_DATA_OFFSET
+                    mem[base : base + nbytes] = data[pos : pos + nbytes]
+                    charge(per_byte * nbytes)
+            return rt.make_ref(addrs[0])
+        finally:
+            for slot in reversed(slots):
+                handles.free(slot)
 
     def _read_type_entry(self, rd: _Reader) -> MethodTable:
         rt = self.runtime

@@ -13,6 +13,8 @@ Instance data (or array elements) begins at offset 16.  References are
 
 from __future__ import annotations
 
+import struct
+
 from repro.runtime.errors import (
     InvalidCastError,
     NullReferenceError_,
@@ -36,6 +38,8 @@ HDR_FLAGS = 4
 HDR_SIZE = 8
 HDR_AUX = 12
 
+_HEADER = struct.Struct("<IIII")  # mt_id, flags, size, aux: the four words in order
+
 
 class ObjectModel:
     """Typed object access over raw heap bytes."""
@@ -47,11 +51,7 @@ class ObjectModel:
     # -- headers ---------------------------------------------------------------
 
     def write_header(self, addr: int, mt: MethodTable, size: int, aux: int = 0) -> None:
-        h = self.heap
-        h.write_u32(addr + HDR_MT, mt.mt_id)
-        h.write_u32(addr + HDR_FLAGS, 0)
-        h.write_u32(addr + HDR_SIZE, size)
-        h.write_u32(addr + HDR_AUX, aux)
+        _HEADER.pack_into(self.heap.mem, addr, mt.mt_id, 0, size, aux)
 
     def method_table(self, addr: int) -> MethodTable:
         if addr == 0:

@@ -26,6 +26,7 @@ from repro.runtime.reflection import Metadata
 from repro.runtime.safepoint import SafepointState
 from repro.runtime.typesys import (
     ARRAY_DATA_OFFSET,
+    FieldDesc,
     FieldSpec,
     MethodTable,
     TypeRegistry,
@@ -104,6 +105,16 @@ class ManagedRuntime:
             raise OutOfManagedMemory(f"cannot allocate {size} bytes")
         return addr
 
+    def alloc_object(self, mt: MethodTable, size: int, aux: int = 0) -> int:
+        """Allocate, zero and stamp one object; returns its *unrooted* address.
+
+        The caller roots it (an ObjRef, a handle slot) before the next
+        allocation, which may collect."""
+        addr = self._alloc(size)
+        self.heap.zero(addr, size)
+        self.om.write_header(addr, mt, size, aux)
+        return addr
+
     def _collect_on_pressure(self) -> None:
         self._gen0_count += 1
         gen = 1 if self._gen0_count % self.config.full_gc_every == 0 else 0
@@ -118,11 +129,7 @@ class ManagedRuntime:
         )
         if not isinstance(mt, MethodTable) or mt.is_array:
             raise InvalidOperation(f"new() needs a class type, got {mt!r}")
-        size = mt.instance_size
-        addr = self._alloc(size)
-        self.heap.zero(addr, size)
-        self.om.write_header(addr, mt, size)
-        ref = ObjRef(self.handles, addr)
+        ref = ObjRef(self.handles, self.alloc_object(mt, mt.instance_size))
         for k, v in init.items():
             if isinstance(v, (ObjRef, type(None))):
                 self.set_ref(ref, k, v)
@@ -136,10 +143,7 @@ class ManagedRuntime:
             raise InvalidOperation("negative array length")
         mt = self.registry.array_of(element_type_name)
         size = self.om.sizeof_instance(mt, length)
-        addr = self._alloc(size)
-        self.heap.zero(addr, size)
-        self.om.write_header(addr, mt, size, aux=length)
-        ref = ObjRef(self.handles, addr)
+        ref = ObjRef(self.handles, self.alloc_object(mt, size, aux=length))
         if values is not None:
             for i, v in enumerate(values):
                 if mt.element_is_ref:
@@ -194,15 +198,18 @@ class ManagedRuntime:
             raise ObjectModelViolation(f"{mt.name}.{name} is not a reference field")
         taddr = 0 if target is None or target.is_null else target.addr
         if isinstance(fd.ftype, MethodTable) and taddr:
-            actual = self.om.method_table(taddr)
-            if not actual.is_subclass_of(fd.ftype) and fd.ftype is not self.registry.OBJECT:
-                raise ObjectModelViolation(
-                    f"cannot store {actual.name} into {mt.name}.{name} "
-                    f"({fd.ftype.name}) — object references are guaranteed to "
-                    "be either null or reference an object of the correct type"
-                )
+            self.check_storable(mt, fd, self.om.method_table(taddr))
         self.om.set_ref_raw(addr, fd, taddr)
         self.gc.record_write(addr + fd.offset, taddr)
+
+    def check_storable(self, mt: MethodTable, fd: FieldDesc, actual: MethodTable) -> None:
+        """The type rule of a reference store into ``mt``'s field ``fd``."""
+        if not actual.is_subclass_of(fd.ftype) and fd.ftype is not self.registry.OBJECT:
+            raise ObjectModelViolation(
+                f"cannot store {actual.name} into {mt.name}.{fd.name} "
+                f"({fd.ftype.name}) — object references are guaranteed to "
+                "be either null or reference an object of the correct type"
+            )
 
     # ------------------------------------------------------------- arrays
 

@@ -1,5 +1,7 @@
 """Motor's custom serializer: type table + object data, Transportable bit."""
 
+import struct
+
 import pytest
 
 from repro.motor.serialization import (
@@ -183,8 +185,61 @@ class TestTypeTable:
     def test_truncated_stream(self):
         a, b = pair()
         data = MotorSerializer(a).serialize(a.new("Mixed", i=5))
-        with pytest.raises(Exception):
+        with pytest.raises(SerializationError):
             MotorSerializer(b).deserialize(bytes(data)[: len(data) // 2])
+
+
+def _node_with_array(rt: ManagedRuntime) -> bytes:
+    """A LinkedArray node (record 0) and its 2-int array (record 1).
+
+    Layout: 12-byte header | type table | u32 nrecords | record 0 = u32
+    type, i64 array, i64 next, i64 next2 | record 1 = u32 type, u32 length,
+    8 payload bytes.  The records are the last 28 + 16 bytes."""
+    node = rt.new("LinkedArray")
+    rt.set_ref(node, "array", rt.new_array("int32", 2, values=[5, 6]))
+    return bytes(MotorSerializer(rt).serialize(node))
+
+
+_REC0 = -(28 + 16)  # offset of record 0 from the end of _node_with_array()
+
+
+def _patched(data: bytes, at: int, fmt: str, value: int) -> bytes:
+    out = bytearray(data)
+    struct.pack_into(fmt, out, at % len(data), value)
+    return bytes(out)
+
+
+MALFORMED = {
+    "bad type index": lambda d: _patched(d, _REC0, "<I", 2),
+    "id >= nrecords": lambda d: _patched(d, _REC0 + 4, "<q", 2),
+    "id < -1": lambda d: _patched(d, _REC0 + 12, "<q", -7),
+    "truncated in header": lambda d: d[:10],
+    "truncated in type table": lambda d: d[:20],
+    "truncated in records": lambda d: d[:-20],
+    "truncated in array payload": lambda d: d[:-3],
+    "nrecords larger than the data": lambda d: _patched(d, _REC0 - 4, "<I", 3),
+    "array length larger than the data": lambda d: _patched(d, -12, "<I", 1 << 30),
+}
+
+
+class TestMalformedInput:
+    """Every defect is a SerializationError raised before any allocation."""
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED))
+    def test_rejected_before_allocation(self, defect):
+        a, b = pair()
+        data = MALFORMED[defect](_node_with_array(a))
+        allocated, handles = b.heap.stats.objects_allocated, len(b.handles)
+        with pytest.raises(SerializationError):
+            MotorSerializer(b).deserialize(data)
+        assert b.heap.stats.objects_allocated == allocated
+        assert len(b.handles) == handles
+
+    def test_the_unpatched_representation_is_well_formed(self):
+        a, b = pair()
+        got = MotorSerializer(b).deserialize(_node_with_array(a))
+        arr = b.get_field(got, "array")
+        assert [b.get_elem(arr, i) for i in range(2)] == [5, 6]
 
 
 class TestVisitedStructures:
