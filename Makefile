@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench bench-smoke bench-perf bench-perf-compare chaos figures report examples clean
+.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench bench-smoke smoke-determinism bench-perf bench-perf-compare chaos figures report examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -43,6 +43,10 @@ bench:
 
 bench-smoke:
 	$(PYTHON) -m repro.bench smoke
+
+# the smoke suite twice: modelled numbers must be identical run to run
+smoke-determinism:
+	$(PYTHON) benchmarks/smoke_determinism.py 2
 
 # the repo's benchmark (BENCHMARK.json): every workload, every metric
 bench-perf:

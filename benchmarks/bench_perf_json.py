@@ -40,6 +40,12 @@ COUNTERS = (
     "mp.progress.polls_per_op",
     "mp.progress.idle_poll_share",
     "mp.progress.wall_self_us_per_op",
+    "mp.mpi.wall_self_us_per_op",
+    "mp.ch3.wall_self_us_per_op",
+    "mp.channels.wall_self_us_per_op",
+    "mp.ch3.unexpected_share",
+    "mp.ch3.rndv_per_op",
+    "mp.ch3.copies_per_byte",
     "mp.reliability.retransmits_per_kop",
     "mp.reliability.dup_dropped_per_kop",
     "mp.channels.packets_per_op",

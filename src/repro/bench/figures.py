@@ -558,10 +558,9 @@ def _copy_accounting_main(mode: str, sizes: list[int]):
             rbuf = BufferDesc.from_native(NativeMemory(size))
             if mode == "unexpected":
                 eng.barrier()
-                # stay unposted until the message is staged: iprobe only
+                # stay unposted until the message is staged: probe only
                 # sees messages already in the unexpected queue
-                while eng.iprobe(0, tag) is None:
-                    pass
+                eng.probe(0, tag)
                 eng.recv(rbuf, 0, tag)
             else:
                 req = eng.irecv(rbuf, 0, tag)
@@ -664,15 +663,14 @@ def _overlap_main(rounds: int, compute_ns: float, chunk_ns: float, bcast_bytes: 
 
     Each round posts a rendezvous-sized ``ibcast`` plus a small
     ``iallreduce``, then simulates ``compute_ns`` of application work as a
-    stream of small clock charges (with a thread yield per chunk, the
-    simulated analogue of other cores running).  In polled mode nothing
+    stream of small clock charges (ceding to the peer rank per chunk,
+    the simulated analogue of other cores running).  In polled mode nothing
     progresses until the waits; in async mode the recurring progress task
     streams and consumes the collective traffic *during* the charges.
     Returns per-rank results, elapsed/blocked virtual time and the
     progress core's overlap ledger.
     """
     import struct
-    import time as _time
 
     def main(ctx):
         eng = ctx.engine
@@ -697,7 +695,7 @@ def _overlap_main(rounds: int, compute_ns: float, chunk_ns: float, bcast_bytes: 
             done = 0.0
             while done < compute_ns:
                 ctx.clock.charge(chunk_ns)  # the overlapped computation
-                _time.sleep(0)
+                eng.progress.cede()
                 done += chunk_ns
             w0 = ctx.clock.now()
             eng.wait(breq)

@@ -19,10 +19,14 @@ the decisions that differ between a simulated and a real deployment:
 * **what follows from hosting** — an idle wait cedes the shared
   interpreter at once versus spinning before it yields a CPU of its own;
   async progress is a recurring task on the rank's clock (simulated
-  time) versus a real progress thread on a wall cadence.
+  time) versus a real progress thread on a wall cadence;
+* **who runs** — the inproc substrate owns the world's one scheduler, a
+  :class:`~repro.simtime.sched.Baton`: exactly one of the rank threads
+  it hosts is runnable, and ceding wakes the next one directly.  Process
+  hosting leaves that to the operating system.
 
-:class:`InprocSubstrate` is the original thread-per-rank behaviour,
-verbatim; :class:`repro.cluster.procsub.ProcSubstrate` boots real worker
+:class:`InprocSubstrate` is the thread-per-rank world;
+:class:`repro.cluster.procsub.ProcSubstrate` boots real worker
 processes over the same seam.  ``make_substrate`` resolves the
 ``substrate=`` mode flag threaded through :class:`~repro.cluster.world.
 World` and the ``mpiexec`` family.
@@ -32,9 +36,11 @@ from __future__ import annotations
 
 import abc
 import threading
+from functools import partial
 from typing import Any, Callable
 
 from repro.mp.channels import FABRICS, FaultyFabric
+from repro.simtime.sched import Baton
 
 
 class _RankThread(threading.Thread):
@@ -142,19 +148,47 @@ class Substrate(abc.ABC):
 class InprocSubstrate(Substrate):
     """Thread-per-rank in one Python process — the simulated machine.
 
-    The original ``World`` behaviour, unchanged: every rank is a
-    cooperative daemon thread, the fabric moves packets between them
-    in-memory, clocks are per-rank objects, and ranks are born connected
-    (no boot barrier is needed because the fabric wires every endpoint
-    before any main starts).
+    Every rank is a cooperative daemon thread, the fabric moves packets
+    between them in-memory, clocks are per-rank objects, and ranks are
+    born connected (no boot barrier is needed because the fabric wires
+    every endpoint before any main starts).  The substrate owns the
+    world's scheduler: every thread it hosts — boot ranks, spawned
+    children, replacements — runs under one :class:`Baton`.
     """
 
     name = "inproc"
     hosting = "thread"
     supports_dynamic_ranks = True
 
+    def __init__(self, world) -> None:
+        super().__init__(world)
+        self.baton = Baton(by_clock=world.clock_mode == "virtual")
+
     def validate(self) -> None:
         return None
+
+    def host(self, name: str, main: Callable, ctx) -> _RankThread:
+        """An unstarted thread running ``main(ctx)`` under the baton.
+
+        The rank is seated here, on the caller's thread, so that whoever
+        holds the baton when the thread starts can already pick it; its
+        engine's ``cede`` becomes the baton's hand-off.  The thread gives
+        the baton up for good after the exit drain, whatever ``main`` did.
+        """
+        baton, rank = self.baton, ctx.rank
+        core = ctx.engine.progress.core
+        baton.join(rank, ctx.clock, lambda: core.handled)
+        ctx.engine.progress.hand_off = partial(baton.cede, rank)
+        run = draining(self.world, main)
+
+        def hosted(ctx) -> Any:
+            baton.enter(rank)
+            try:
+                return run(ctx)
+            finally:
+                baton.leave(rank)
+
+        return _RankThread(name, hosted, ctx)
 
     def build_fabric(self):
         w = self.world
@@ -179,7 +213,7 @@ class InprocSubstrate(Substrate):
                     ctx.session = session_factory(ctx)
                     observe_session(ctx)
                     sanitize_session(ctx)
-                threads.append(_RankThread(f"rank-{rank}", draining(world, main), ctx))
+                threads.append(self.host(f"rank-{rank}", main, ctx))
             for t in threads:
                 t.start()
             for t in threads:

@@ -18,7 +18,6 @@ from typing import Any, Callable
 
 from repro.cluster.substrate import (
     _RankThread,
-    draining,
     make_substrate,
     observe_session,
     sanitize_session,
@@ -315,7 +314,7 @@ class World:
                     ctx.session = session_factory(ctx)
                     observe_session(ctx)
                     sanitize_session(ctx)
-                t = _RankThread(f"spawned-{r}", draining(self, child_main), ctx)
+                t = self.substrate.host(f"spawned-{r}", child_main, ctx)
                 self._spawned_threads.append(t)
                 t.start()
 
@@ -396,9 +395,7 @@ class World:
                     rctx.session = session_factory(rctx)
                     observe_session(rctx)
                     sanitize_session(rctx)
-                t = _RankThread(
-                    f"replacement-{rank}", draining(self, replacement_main), rctx
-                )
+                t = self.substrate.host(f"replacement-{rank}", replacement_main, rctx)
                 self._spawned_threads.append(t)
                 t.start()
         return Communicator(

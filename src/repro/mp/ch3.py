@@ -352,7 +352,12 @@ class CH3Device:
         if PUT <= pkt.ptype <= WUNLOCKACK:
             self._handle_rma(pkt)
             return
-        self.clock.merge(pkt.ts)
+        if pkt.ptype > RTS:
+            # an EAGER or RTS merges where it is *matched* — below if a
+            # receive is posted, in ``post_recv`` if not: draining one
+            # nobody waits for yet must not drag this rank to the time of
+            # a sender that ran ahead (cf. ``_handle_rma``)
+            self.clock.merge(pkt.ts)
         cbs = self.hooks.packet_rx
         if cbs:
             for cb in cbs:
@@ -476,6 +481,7 @@ class CH3Device:
                 # the message is matched; we note the divergence).
                 self._emit(Packet(ptype=FIN, src=self.rank, dst=pkt.src, op_id=pkt.op_id))
             return
+        self.clock.merge(pkt.ts)
         self._matched(req, pkt.src, pkt.op_id)
         n = min(pkt.total, req.buf.nbytes)
         # The matched delivery is the path's one copy (wire payload into
@@ -511,6 +517,7 @@ class CH3Device:
                 )
             )
             return
+        self.clock.merge(pkt.ts)
         self._accept_rndv(req, pkt.src, pkt.tag, pkt.op_id, pkt.total)
 
     def _on_cts(self, pkt: Packet) -> None:

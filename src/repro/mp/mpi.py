@@ -288,8 +288,9 @@ class MpiEngine:
         :class:`MpiErrProcFailed` instead of reading as plain success, and
         completed recvs get their status source translated (once).
         """
-        self.progress.poll()
+        self.progress.core.step()
         if not all(r.completed for r in reqs):
+            self.progress._missed()
             return False
         comm = comm or self.comm_world
         for r in reqs:
@@ -311,12 +312,15 @@ class MpiEngine:
     def wait_some(self, reqs, timeout: float | None = None) -> list[int]:
         """MPI_Waitsome: block until >= 1 completes; returns their indices."""
         first = self.wait_any(reqs, timeout=timeout)
-        self.progress.poll()
+        self.progress.core.step()
         return [i for i, r in enumerate(reqs) if r.completed] or [first]
 
     def iprobe(self, source: int, tag: int, comm: Communicator | None = None) -> Status | None:
-        self.progress.poll()
-        return self._iprobe_queued(source, tag, comm or self.comm_world)
+        self.progress.core.step()
+        st = self._iprobe_queued(source, tag, comm or self.comm_world)
+        if st is None:
+            self.progress._missed()
+        return st
 
     def _iprobe_queued(self, source: int, tag: int, comm: Communicator) -> Status | None:
         """The unexpected queue's answer, without a progress step."""

@@ -27,7 +27,8 @@ The layering here is MPICH's progress split made explicit:
 :class:`ProgressEngine`
     The caller-facing façade: one polling-wait loop (``drive``, built on
     the one ``idle`` step) and the family spelled with it (``wait``,
-    ``wait_all``, ``poll_until``, ``test``).
+    ``wait_all``, ``poll_until``, ``test``); and ``cede``, the one seam
+    through which a rank with nothing to do lets another rank run.
 :class:`AsyncProgressDriver`
     Progress mode ``"async"``: a recurring task on the rank's clock
     (:mod:`repro.simtime.sched`) steps the core whenever simulated time
@@ -259,9 +260,14 @@ class ProgressEngine:
     def __init__(self, device: CH3Device, yield_fn: Callable[[], None] | None = None,
                  core: ProgressCore | None = None) -> None:
         self.core = core if core is not None else ProgressCore(device, yield_fn)
-        #: decides what an idle poll does (see :meth:`idle`); the engine
-        #: clears it for a rank that owns an OS process
+        #: *when* an idle wait cedes (see :meth:`idle`): at once for a rank
+        #: that shares an interpreter; the engine clears it for a rank that
+        #: owns an OS process
         self.thread_hosted = True
+        #: *how* it cedes (see :meth:`cede`): a substrate that hosts this
+        #: rank as one of its threads installs its scheduler's hand-off
+        #: here; None — nobody schedules this rank — is the OS yield
+        self.hand_off: Callable[[], None] | None = None
         #: consecutive idle polls of the current wait
         self._idle_run = 0
 
@@ -311,8 +317,36 @@ class ProgressEngine:
         self.core.add_schedule(sched)
 
     def poll(self) -> int:
-        """One caller-initiated progress step."""
-        return self.core.step()
+        """One caller-initiated progress step; handling nothing is a miss."""
+        handled = self.core.step()
+        if not handled:
+            self._missed()
+        return handled
+
+    def cede(self) -> None:
+        """Let another rank run: the one ceding seam.
+
+        Public for compute loops that want to yield between chunks.  A rank
+        hosted as a thread of an inproc world hands the baton to the rank
+        its substrate's scheduler picks and parks until it is picked
+        itself; anyone else — a process-hosted rank, an engine built
+        directly — yields to the operating system.
+        """
+        if self.hand_off is None:
+            time.sleep(0)
+        else:
+            self.hand_off()
+
+    def _missed(self) -> None:
+        """An unsuccessful ``test``/``iprobe``/``poll`` is an idle poll.
+
+        Under the baton the caller's ``while not test(...)`` spin would
+        otherwise hold the interpreter forever — what it waits for can
+        only arrive once another rank runs.  Ranks nobody schedules are
+        preempted by the OS anyway and cede nothing here.
+        """
+        if self.hand_off is not None:
+            self.hand_off()
 
     # -- the polling-wait family ------------------------------------------
 
@@ -340,7 +374,7 @@ class ProgressEngine:
         self._idle_run = run = self._idle_run + 1
         tick = run & IDLE_MASK == 0
         if tick or self.thread_hosted:
-            time.sleep(0)
+            self.cede()
         if tick and req is not None:
             for cb in self.core.hooks.wait_tick:
                 cb(req)
@@ -419,4 +453,6 @@ class ProgressEngine:
         self.core.step()
         if req.completed:
             self._check_failed(req)
-        return req.completed
+            return True
+        self._missed()
+        return False

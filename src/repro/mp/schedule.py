@@ -39,20 +39,29 @@ class CollRequest(Request):
 class Schedule:
     """One in-flight collective, advanced by the progress core."""
 
-    __slots__ = ("gen", "req", "round")
+    __slots__ = ("gen", "req", "round", "members", "failed")
 
     def __init__(self, engine, name: str, comm, gen) -> None:
         self.gen = gen
         self.req = CollRequest(name, comm.context_id, hooks=engine.hooks)
         self.round: tuple = ()
+        self.members = frozenset(comm.group.ranks)
+        #: the device's live set of ranks declared dead
+        self.failed = engine.device.failed_ranks
 
     def step(self) -> bool:
         """Advance as far as completed rounds allow; True when finished.
 
         A round member completed with a dead peer aborts the whole
         schedule: the collective's request fails with the same error, so
-        waiters get the standard :class:`MpiErrProcFailed` treatment.
+        waiters get the standard :class:`MpiErrProcFailed` treatment.  So
+        does a dead rank anywhere in the communicator: a live neighbour
+        whose own leg toward the dead rank failed has aborted and will
+        never send what this rank's round waits for.
         """
+        if not self.failed.isdisjoint(self.members):
+            self._abort()
+            return True
         while True:
             for r in self.round:
                 if r.completed and r.status.error == PROC_FAILED:

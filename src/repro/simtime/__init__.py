@@ -21,7 +21,7 @@ where the crossovers fall.  Two clock modes support that:
 
 from repro.simtime.clock import Clock, VirtualClock, WallClock
 from repro.simtime.costs import CostModel, HOST_PROFILES, HostProfile
-from repro.simtime.sched import RecurringTask, TaskScheduler, ensure_scheduler
+from repro.simtime.sched import Baton, RecurringTask, TaskScheduler, ensure_scheduler
 
 __all__ = [
     "Clock",
@@ -30,6 +30,7 @@ __all__ = [
     "CostModel",
     "HostProfile",
     "HOST_PROFILES",
+    "Baton",
     "RecurringTask",
     "TaskScheduler",
     "ensure_scheduler",

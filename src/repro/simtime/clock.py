@@ -9,6 +9,11 @@ the textbook round-trip decomposition
 
 without needing a discrete-event scheduler: the two ranks strictly
 alternate, so the merge at each receive carries the full causal time.
+Who enforces the alternation: the ranks of an in-process world run one at
+a time under a :class:`~repro.simtime.sched.Baton`, and a rank that finds
+nothing to handle hands over to the runnable rank with the lowest clock —
+so which rank polls when, and therefore every merge, is a function of the
+simulation and not of the operating system's run queue.
 """
 
 from __future__ import annotations

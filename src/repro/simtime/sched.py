@@ -10,11 +10,15 @@ work.  A :class:`TaskScheduler` hangs off a clock and is driven from
 due time, the task fires — on the owning rank's thread, at a deterministic
 point in its virtual timeline.
 
-This is deliberately *not* a discrete-event scheduler across ranks; each
-rank owns one clock and one scheduler, preserving the Lamport-clock design
-(single writer, no locks).  The seam for a real progress thread later is
-exactly :meth:`TaskScheduler.drive`: a thread would call it on a wall-time
-cadence instead of piggybacking on charges.
+A :class:`TaskScheduler` is deliberately *not* a discrete-event scheduler
+across ranks; each rank owns one clock and one scheduler, preserving the
+Lamport-clock design (single writer, no locks).  The seam for a real
+progress thread later is exactly :meth:`TaskScheduler.drive`: a thread
+would call it on a wall-time cadence instead of piggybacking on charges.
+
+Across ranks the schedulable entity is the rank itself: a :class:`Baton`
+lets exactly one rank thread of an in-process world run at a time and
+decides, from simulation state alone, who runs when that rank cedes.
 
 Determinism and safety rules:
 
@@ -37,6 +41,7 @@ Determinism and safety rules:
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 
@@ -131,3 +136,116 @@ def ensure_scheduler(clock) -> TaskScheduler:
         sched = TaskScheduler(clock)
         clock.scheduler = sched
     return sched
+
+
+class _Seat:
+    """One rank's place under a :class:`Baton`."""
+
+    __slots__ = ("rank", "clock", "work", "gate", "ceded_at", "mark")
+
+    def __init__(self, rank: int, clock, work: Callable[[], int]) -> None:
+        self.rank = rank
+        self.clock = clock
+        #: count of what the rank has handled so far (its progress core's)
+        self.work = work
+        #: held while the rank is parked; releasing it *is* the wake-up
+        self.gate = threading.Lock()
+        self.gate.acquire()
+        #: the baton's cede count when this rank last ceded (0: never)
+        self.ceded_at = 0
+        #: (work, clock) when this rank last ceded
+        self.mark = None
+
+
+class Baton:
+    """Exactly one rank thread of an in-process world is runnable.
+
+    The ranks of an inproc world are threads of one interpreter: while one
+    spins, none of the others can run, and an OS yield leaves the choice of
+    who runs next to the run queue.  Under the baton every hosted rank
+    thread parks on a lock of its own (its *gate*) and the running rank —
+    the *holder* — hands over by releasing the gate of the rank it picked
+    and blocking on its own: a direct wake-up, and a choice that depends
+    on nothing but simulation state, so the same run polls the same number
+    of times in the same order every time.
+
+    The pick, with a modelled clock (``by_clock``): the lowest ``(clock,
+    rank)`` among the other ranks that are not *stale*.  A rank goes stale
+    when it cedes having handled nothing and charged nothing since it last
+    ceded — it was woken and found no work; any cede that follows work
+    clears the stale set, because that work may be what the others were
+    waiting for.  When every other rank is stale the one that ceded longest
+    ago runs, so two ranks waiting on a third whose clock is ahead cannot
+    starve it, and poll-counted timers keep ticking.  Without a modelled
+    clock there is nothing to order by: cede order alone.
+
+    No locking: only the holder mutates the baton (a rank joins others
+    from the launcher before anything runs, or from the holder's thread),
+    and every mutation precedes the gate release that publishes it.  The
+    one rule for a rank: never block on another rank except by ceding.
+    """
+
+    def __init__(self, by_clock: bool) -> None:
+        self.by_clock = by_clock
+        self._seats: dict[int, _Seat] = {}
+        self._stale: set[int] = set()
+        self._cedes = 0
+        #: the rank allowed to run; None when no rank is hosted
+        self.holder: int | None = None
+        #: gate releases made so far (one per cede or exit that found a peer)
+        self.handoffs = 0
+
+    @property
+    def ranks(self) -> frozenset:
+        """The ranks currently hosted (joined and not yet left)."""
+        return frozenset(self._seats)
+
+    def join(self, rank: int, clock, work: Callable[[], int]) -> None:
+        """Seat ``rank`` before its thread starts; the first holds the baton."""
+        seat = self._seats[rank] = _Seat(rank, clock, work)
+        if self.holder is None:
+            self.holder = rank
+            seat.gate.release()
+
+    def enter(self, rank: int) -> None:
+        """First thing a hosted rank thread does: park until picked."""
+        self._seats[rank].gate.acquire()
+
+    def cede(self, rank: int) -> None:
+        """Hand the baton to the next rank and park until it comes back."""
+        seat = self._seats[rank]
+        self._cedes += 1
+        seat.ceded_at = self._cedes
+        if self.by_clock:
+            mark = (seat.work(), seat.clock.now())
+            if mark == seat.mark:
+                self._stale.add(rank)
+            else:
+                seat.mark = mark
+                self._stale.clear()
+        nxt = self._pick(seat)
+        if nxt is not None:
+            self._pass(nxt)
+            seat.gate.acquire()
+
+    def leave(self, rank: int) -> None:
+        """Last thing a hosted rank thread does: pass the baton on for good."""
+        seat = self._seats.pop(rank)
+        self._stale.clear()
+        self.holder = None
+        nxt = self._pick(seat)
+        if nxt is not None:
+            self._pass(nxt)
+
+    def _pass(self, nxt: _Seat) -> None:
+        self.holder = nxt.rank
+        self.handoffs += 1
+        nxt.gate.release()
+
+    def _pick(self, me: _Seat) -> "_Seat | None":
+        others = [s for s in self._seats.values() if s is not me]
+        if self.by_clock:
+            fresh = [s for s in others if s.rank not in self._stale]
+            if fresh:
+                return min(fresh, key=lambda s: (s.clock.now(), s.rank))
+        return min(others, key=lambda s: (s.ceded_at, s.rank), default=None)

@@ -375,6 +375,39 @@ class TestIdlePolicy:
         assert eng.wait_any([req]) == 0
         assert sleeps == []
 
+    def test_hosted_thread_hands_the_baton_on_once_per_idle_poll(self, monkeypatch):
+        """A rank the inproc substrate hosts cedes through its scheduler:
+        every idle poll is exactly one hand-off, and never an OS yield."""
+        trips = 50
+
+        def main(ctx):
+            eng, peer = ctx.engine, 1 - ctx.rank
+            prog, cedes = eng.progress, []
+            hand_off = prog.hand_off
+            assert hand_off is not None  # the substrate seated this rank
+
+            def counted():
+                cedes.append(1)
+                hand_off()
+
+            prog.hand_off = counted
+            idle0, buf = prog.idle_polls, ints(0)
+            for _ in range(trips):
+                if ctx.rank == 0:
+                    eng.send(buf, peer, 1)
+                    eng.recv(buf, peer, 2)
+                else:
+                    eng.recv(buf, peer, 1)
+                    eng.send(buf, peer, 2)
+            return len(cedes), prog.idle_polls - idle0
+
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        res = mpiexec(2, main, channel="sock", clock_mode="virtual")
+        for cedes, idle in res:
+            assert cedes == idle > 0
+        assert sleeps == []
+
     def test_inproc_pingpong_polls_per_round_trip(self):
         """Thread-hosted ranks hand the interpreter to the peer instead of
         spinning 64 polls under the GIL: a round trip costs a few polls."""

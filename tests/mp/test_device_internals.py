@@ -130,3 +130,67 @@ class TestCancellation:
             return None
 
         assert mpiexec(2, main, channel="shm")[1] is False
+
+
+class TestMergeAtMatch:
+    """A two-sided arrival lands its timestamp where it is *matched*:
+    on arrival if a receive is posted, at ``post_recv`` if not."""
+
+    AHEAD = 5_000_000.0  # the sender runs 5 ms ahead of the receiver
+
+    def _pair(self):
+        from repro.mp.ch3 import CH3Device
+        from repro.mp.channels import ShmFabric
+        from repro.simtime import CostModel, VirtualClock
+
+        fab, cm = ShmFabric(2), CostModel()
+        devs = []
+        for rank in (0, 1):
+            clock = VirtualClock()
+            devs.append(CH3Device(rank, fab.endpoint(rank, clock, cm), clock, cm,
+                                  eager_threshold=1024))
+        devs[0].clock.charge(self.AHEAD)
+        return devs[0], devs[1], cm
+
+    def _send(self, d0, nbytes):
+        from repro.mp.request import Request
+
+        req = Request("send", BufferDesc.from_bytes(b"\x01" * nbytes), 1, 1, 0, nbytes)
+        d0.start_send(req, 1)
+        return req
+
+    def _recv(self, d1, nbytes):
+        from repro.mp.request import RECV, Request
+
+        req = Request(RECV, BufferDesc.from_native(NativeMemory(nbytes)), 0, 1, 0, nbytes)
+        d1.post_recv(req)
+        return req
+
+    def test_unexpected_eager_merges_at_post_recv(self):
+        d0, d1, cm = self._pair()
+        self._send(d0, 64)
+        assert d1.poll() == 1 and d1.stats["unexpected"] == 1
+        # drained, staged — and still at its own time plus the staging copy
+        assert d1.clock.now() == cm.copy_per_byte_ns * 64
+        ts = d1.queues.unexpected[0].ts
+        assert ts > self.AHEAD
+        rreq = self._recv(d1, 64)
+        assert rreq.completed and d1.clock.now() > ts  # ts + the delivery copy
+
+    def test_unexpected_rts_merges_at_post_recv(self):
+        d0, d1, _cm = self._pair()
+        self._send(d0, 4096)
+        assert d1.poll() == 1 and d1.stats["unexpected"] == 1
+        assert d1.clock.now() == 0.0  # an RTS stages nothing
+        ts = d1.queues.unexpected[0].ts
+        self._recv(d1, 4096)
+        # the RTS's time, plus only what sending the CTS costs
+        assert ts <= d1.clock.now() < ts + 10_000.0
+
+    @pytest.mark.parametrize("nbytes", [64, 4096])
+    def test_matched_arrival_merges_as_it_arrives(self, nbytes):
+        d0, d1, _cm = self._pair()
+        self._recv(d1, nbytes)
+        self._send(d0, nbytes)
+        assert d1.poll() == 1 and d1.stats["unexpected"] == 0
+        assert d1.clock.now() > self.AHEAD

@@ -10,7 +10,7 @@ thread scheduling is not.
 
 import pytest
 
-from repro.cluster import mpiexec
+from repro.cluster import World, mpiexec
 from repro.mp import collectives, recovery
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.channels import FaultPlan
@@ -278,10 +278,12 @@ class TestNonblockingCollectiveFailure:
                 return "timed-out"
             return "completed"
 
-        res = mpiexec(3, main, channel="shm", fault_plan=plan,
-                      reliability_opts=OPTS, timeout=120.0,
-                      progress=progress)
+        world = World(3, channel="shm", fault_plan=plan,
+                      reliability_opts=OPTS, progress=progress)
+        res = world.launch(3, main, timeout=120.0)
         assert res[2] == "crashed"
+        # no survivor sat out its exit drain waiting for an aborted peer
+        assert sum(world.quiesce_expired.values()) == 0
         # allreduce needs the dead rank's contribution: no survivor may
         # complete, and none may hang into the timeout
         assert res[0] == ("proc-failed", True)
@@ -315,10 +317,11 @@ class TestNonblockingCollectiveFailure:
                 return "timed-out"
             return "completed"
 
-        res = mpiexec(3, main, channel="shm", fault_plan=plan,
-                      eager_threshold=64, reliability_opts=OPTS,
-                      timeout=120.0, progress=progress)
+        world = World(3, channel="shm", fault_plan=plan, eager_threshold=64,
+                      reliability_opts=OPTS, progress=progress)
+        res = world.launch(3, main, timeout=120.0)
         assert res[2] == "crashed"
+        assert sum(world.quiesce_expired.values()) == 0
         # a survivor off the dead subtree may legitimately finish, but
         # whoever feeds the dead rank must fail — and nobody may hang
         assert all(out in ("completed", "proc-failed") for out in res[:2])
