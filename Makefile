@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench bench-smoke smoke-determinism bench-perf bench-perf-compare chaos figures report examples clean
+.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench-smoke smoke-determinism bench-perf bench-perf-compare chaos figures report experiments experiments-check examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -38,13 +38,11 @@ lint:
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 bench-smoke:
 	$(PYTHON) -m repro.bench smoke
 
-# the smoke suite twice: modelled numbers must be identical run to run
+# the smoke suite twice: modelled numbers must be identical run to run,
+# and equal to the committed BENCH_smoke.json
 smoke-determinism:
 	$(PYTHON) benchmarks/smoke_determinism.py 2
 
@@ -67,6 +65,10 @@ report:
 
 experiments:
 	$(PYTHON) -m repro.bench write-experiments
+
+# every modelled figure and claim, regenerated, must equal the committed file
+experiments-check: experiments
+	git diff --exit-code EXPERIMENTS.md
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

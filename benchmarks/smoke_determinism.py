@@ -3,9 +3,13 @@
     python benchmarks/smoke_determinism.py [N=2]
 
 Runs the smoke suite N times, each in a fresh interpreter, and compares
-the JSON summaries with the ``run`` stamp and every ``elapsed_s`` (wall
-time) removed.  Prints the number of distinct summaries and exits 1 if
-there is more than one, or if any run had a claim that DIFFERS.
+the JSON summaries — with each other and with the committed
+``BENCH_smoke.json`` — with the ``run`` stamp and every ``elapsed_s``
+(wall time) removed.  Prints the number of distinct summaries and exits 1
+if there is more than one, if it is not the committed one (a change that
+moves a modelled number on *every* run), or if any run had a claim that
+DIFFERS.  A move that is meant: ``python -m repro.bench smoke --json
+BENCH_smoke.json`` and commit the file.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
     )
+    with open(os.path.join(root, "BENCH_smoke.json")) as fh:
+        committed = json.dumps(modelled(json.load(fh)), sort_keys=True)
     seen: dict[str, int] = {}
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -50,10 +56,12 @@ def main(argv: list[str]) -> int:
             seen[key] = seen.get(key, 0) + 1
             print(f"run {i + 1}/{runs}: summary #{list(seen).index(key) + 1}",
                   flush=True)
+    moved = next(iter(seen)) != committed
     print(f"{len(seen)} distinct summaries in {runs} runs "
           f"(counts {sorted(seen.values(), reverse=True)}); "
-          f"{failed} run(s) with a claim that DIFFERS")
-    return 0 if len(seen) == 1 and not failed else 1
+          f"run 1 {'DIFFERS from' if moved else 'equals'} the committed "
+          f"BENCH_smoke.json; {failed} run(s) with a claim that DIFFERS")
+    return 0 if len(seen) == 1 and not moved and not failed else 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,9 @@ above the substrate, which is exactly the experiment:
   object serializer (which genuinely overflows on long linked lists).
 * :mod:`repro.baselines.jmpi` — JMPI: pure managed MPI over an RMI
   simulation; fully portable, no native anything, and slow.
+* :mod:`repro.baselines.managed` — what the three managed bindings above
+  share: a hosting runtime, ``byte[]`` buffers, and tree transport as a
+  size-prefixed serialized stream.
 * :mod:`repro.baselines.serializers` — the standard atomic serializers
   (CLI binary, Java object serialization) that the wrapper bindings use
   for object trees; both read type information through the slow metadata

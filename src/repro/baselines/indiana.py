@@ -18,63 +18,23 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.baselines.managed import ManagedBinding
 from repro.baselines.serializers import ClrBinarySerializer
 from repro.cluster.world import RankContext
-from repro.mp.buffers import BufferDesc
 from repro.mp.status import Status
 from repro.runtime.handles import ObjRef
-from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
-from repro.runtime.typesys import ARRAY_DATA_OFFSET
-from repro.simtime import HOST_PROFILES
-
-_SIZE_HDR = 8
 
 
-class IndianaComm:
+class IndianaComm(ManagedBinding):
     """C# MPI bindings over P/Invoke, hosted by a selectable runtime."""
 
     def __init__(self, ctx: RankContext, profile: str = "sscli-free") -> None:
-        self.ctx = ctx
-        self.engine = ctx.engine
-        self.comm = ctx.engine.comm_world
-        self.profile = HOST_PROFILES[profile]
+        super().__init__(ctx, profile)
         self.name = f"indiana-{profile}"
-        # The hosting managed runtime.  Its progress loop never yields to
-        # the collector: the native MPI knows nothing about the VM.
-        self.runtime = ManagedRuntime(
-            RuntimeConfig(), clock=ctx.clock, costs=ctx.world.costs
-        )
         self.gate = self.runtime.gate("pinvoke", self.profile)
         self.serializer = ClrBinarySerializer(self.runtime, self.profile)
 
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    # -- buffers (managed byte[]) ---------------------------------------------------
-
-    def alloc_buffer(self, nbytes: int) -> ObjRef:
-        return self.runtime.new_array("byte", nbytes)
-
-    def fill_buffer(self, buf: ObjRef, data: bytes) -> None:
-        self.runtime.fill_array_bytes(buf, data)
-
-    def buffer_bytes(self, buf: ObjRef) -> bytes:
-        return self.runtime.array_bytes(buf)
-
     # -- the per-op pin + P/Invoke discipline -----------------------------------
-
-    def _buf_desc(self, buf: ObjRef) -> BufferDesc:
-        addr = buf.require()
-        length = self.runtime.om.array_length(addr)
-        mt = self.runtime.om.method_table(addr)
-        return BufferDesc.from_heap(
-            self.runtime.heap, addr + ARRAY_DATA_OFFSET, length * mt.element_size
-        )
 
     def _pinned_call(self, buf: ObjRef, native_fn, *args):
         cookie = self.runtime.gc.pin(buf, cost_mult=self.profile.pin_mult)
@@ -97,25 +57,6 @@ class IndianaComm:
 
     def barrier(self) -> None:
         self.gate.call(partial(self.engine.barrier, self.comm))
-
-    # -- object-tree transport via the standard binary formatter -----------------
-
-    def send_tree(self, root: ObjRef, dest: int, tag: int) -> None:
-        blob = self.serializer.serialize(root)
-        # Stage the stream into a managed byte[], as the C# code must.
-        managed = self.runtime.new_byte_array(blob)
-        self.runtime.clock.charge(self.runtime.costs.copy_per_byte_ns * len(blob))
-        size_arr = self.runtime.new_byte_array(len(blob).to_bytes(_SIZE_HDR, "little"))
-        self.send(size_arr, dest, tag)
-        self.send(managed, dest, tag)
-
-    def recv_tree(self, source: int, tag: int) -> ObjRef | None:
-        size_arr = self.alloc_buffer(_SIZE_HDR)
-        st = self.recv(size_arr, source, tag)
-        size = int.from_bytes(self.buffer_bytes(size_arr), "little")
-        managed = self.alloc_buffer(size)
-        self.recv(managed, st.source, tag)
-        return self.serializer.deserialize(self.buffer_bytes(managed))
 
 
 def indiana_session(ctx: RankContext, profile: str = "sscli-free") -> IndianaComm:

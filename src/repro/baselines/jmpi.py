@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import struct
 
+from repro.baselines.managed import ManagedBinding
 from repro.baselines.serializers import ClrBinarySerializer
 from repro.cluster.world import RankContext
 from repro.mp.buffers import BufferDesc
 from repro.mp.status import Status
 from repro.runtime.handles import ObjRef
-from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
-from repro.simtime import HOST_PROFILES
 
 
-class JmpiComm:
+class JmpiComm(ManagedBinding):
     """Pure managed message passing over simulated RMI."""
 
     name = "jmpi"
@@ -33,33 +32,8 @@ class JmpiComm:
     _RMI_TAG = (1 << 20) + 900
 
     def __init__(self, ctx: RankContext, profile: str = "jvm") -> None:
-        self.ctx = ctx
-        self.engine = ctx.engine
-        self.comm = ctx.engine.comm_world
-        self.profile = HOST_PROFILES[profile]
-        self.runtime = ManagedRuntime(
-            RuntimeConfig(), clock=ctx.clock, costs=ctx.world.costs
-        )
+        super().__init__(ctx, profile)
         self.serializer = ClrBinarySerializer(self.runtime, self.profile)
-
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    # -- buffers (managed byte[]) ----------------------------------------------------
-
-    def alloc_buffer(self, nbytes: int) -> ObjRef:
-        return self.runtime.new_array("byte", nbytes)
-
-    def fill_buffer(self, buf: ObjRef, data: bytes) -> None:
-        self.runtime.fill_array_bytes(buf, data)
-
-    def buffer_bytes(self, buf: ObjRef) -> bytes:
-        return self.runtime.array_bytes(buf)
 
     # -- RMI layer -------------------------------------------------------------------
 

@@ -19,53 +19,23 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.baselines.managed import ManagedBinding
 from repro.baselines.serializers import JavaSerializer
 from repro.cluster.world import RankContext
-from repro.mp.buffers import BufferDesc
 from repro.mp.status import Status
 from repro.runtime.handles import ObjRef
-from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
-from repro.runtime.typesys import ARRAY_DATA_OFFSET
-from repro.simtime import HOST_PROFILES
-
-_SIZE_HDR = 8
 
 
-class MpiJavaComm:
+class MpiJavaComm(ManagedBinding):
     """mpiJava bindings over JNI, hosted by the JVM profile."""
 
     name = "mpijava"
 
     def __init__(self, ctx: RankContext, profile: str = "jvm") -> None:
-        self.ctx = ctx
-        self.engine = ctx.engine
-        self.comm = ctx.engine.comm_world
-        self.profile = HOST_PROFILES[profile]
-        self.runtime = ManagedRuntime(
-            RuntimeConfig(), clock=ctx.clock, costs=ctx.world.costs
-        )
+        super().__init__(ctx, profile)
         # JNI pins/unpins object args automatically on every call.
         self.gate = self.runtime.gate("jni", self.profile)
         self.serializer = JavaSerializer(self.runtime, self.profile)
-
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    # -- buffers ---------------------------------------------------------------
-
-    def alloc_buffer(self, nbytes: int) -> ObjRef:
-        return self.runtime.new_array("byte", nbytes)
-
-    def fill_buffer(self, buf: ObjRef, data: bytes) -> None:
-        self.runtime.fill_array_bytes(buf, data)
-
-    def buffer_bytes(self, buf: ObjRef) -> bytes:
-        return self.runtime.array_bytes(buf)
 
     def new_multi_array(self, rows: int, cols: int) -> ObjRef:
         """Java ``int[rows][cols]``: an array of row-array references."""
@@ -76,14 +46,6 @@ class MpiJavaComm:
         return arr
 
     # -- point-to-point through JNI ------------------------------------------------
-
-    def _buf_desc(self, buf: ObjRef) -> BufferDesc:
-        addr = buf.require()
-        length = self.runtime.om.array_length(addr)
-        mt = self.runtime.om.method_table(addr)
-        return BufferDesc.from_heap(
-            self.runtime.heap, addr + ARRAY_DATA_OFFSET, length * mt.element_size
-        )
 
     def send(self, buf: ObjRef, dest: int, tag: int) -> None:
         desc = self._buf_desc(buf)
@@ -100,26 +62,6 @@ class MpiJavaComm:
 
     def barrier(self) -> None:
         self.gate.call(partial(self.engine.barrier, self.comm))
-
-    # -- MPI.OBJECT transport (standard Java serialization) ------------------------
-
-    def send_tree(self, root: ObjRef, dest: int, tag: int) -> None:
-        blob = self.serializer.serialize(root)
-        managed = self.runtime.new_byte_array(blob)
-        self.runtime.clock.charge(self.runtime.costs.copy_per_byte_ns * len(blob))
-        # "Before sending the serialized buffer ... sends the size of the
-        # buffer ... is also used by mpiJava" (§7.5).
-        size_arr = self.runtime.new_byte_array(len(blob).to_bytes(_SIZE_HDR, "little"))
-        self.send(size_arr, dest, tag)
-        self.send(managed, dest, tag)
-
-    def recv_tree(self, source: int, tag: int) -> ObjRef | None:
-        size_arr = self.alloc_buffer(_SIZE_HDR)
-        st = self.recv(size_arr, source, tag)
-        size = int.from_bytes(self.buffer_bytes(size_arr), "little")
-        managed = self.alloc_buffer(size)
-        self.recv(managed, st.source, tag)
-        return self.serializer.deserialize(self.buffer_bytes(managed))
 
 
 def mpijava_session(ctx: RankContext) -> MpiJavaComm:

@@ -4,13 +4,21 @@
 channel ... the simplest port requires implementation of five functions
 which define the simplest functionality required to move a message from
 one address space to another" (paper §6).  :class:`repro.mp.channels.base.
-Channel` is that five-function interface; the concrete channels are
-``sock`` (framed packets over simulated loopback sockets + IOCP, the
-configuration Motor shipped with), ``shm`` (shared-memory queue),
-``ssm`` (sockets + shared memory, picking shm for local peers) and
-``proc`` (framed packets over a *real* OS socket through the packet
-router — the transport the proc execution substrate runs worker
-processes on; see :mod:`repro.cluster.substrate`).
+Channel` is that five-function interface.  Three mechanisms implement it:
+
+* one **in-memory** transport (:mod:`repro.mp.channels.mem`): a bounded
+  shared queue per rank plus a window registry for native one-sided ops.
+  ``shm`` (MPICH2's shared-memory channel) and ``ib`` (the RDMA-style
+  port of paper §9) are the same code over two rows of
+  :data:`repro.simtime.LINK_PROFILES` — they differ only in constants;
+* one **framed** transport, ``sock``: packets encoded onto bounded byte
+  pipes, so a large message genuinely arrives over several polls — the
+  configuration Motor shipped with, and the mechanism the pinning
+  ablations need.  ``ssm`` composes the two (shm for peers on the same
+  node, sock across nodes) and adds no mechanism of its own;
+* one **real-socket** transport, ``proc``: the same frames over an OS
+  socket through the packet router — what the proc execution substrate
+  runs worker processes on; see :mod:`repro.cluster.substrate`.
 
 :class:`FaultyChannel` is a wrapper, not a transport: it composes over
 any of the concrete channels and injects the failures described by a
@@ -19,9 +27,8 @@ seeded :class:`FaultPlan` (see ``repro.mp.channels.faulty``).
 
 from repro.mp.channels.base import Channel, ChannelFabric
 from repro.mp.channels.faulty import FaultPlan, FaultyChannel, FaultyFabric
-from repro.mp.channels.ib import IbChannel, IbFabric
+from repro.mp.channels.mem import IbChannel, IbFabric, ShmChannel, ShmFabric
 from repro.mp.channels.proc import ProcChannel, ProcFabric
-from repro.mp.channels.shm import ShmChannel, ShmFabric
 from repro.mp.channels.sock import SockChannel, SockFabric
 from repro.mp.channels.ssm import SsmChannel, SsmFabric
 

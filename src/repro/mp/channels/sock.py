@@ -1,21 +1,27 @@
-"""Sock channel: framed packets over simulated sockets, driven by IOCP.
+"""Sock channel: framed packets over simulated sockets.
 
 The configuration Motor shipped with: "the MPICH2 Windows sock channel
 within the CH3 device" (paper §7, Figure 7).  Each rank pair is connected
-by a duplex byte-pipe 'socket'; packets are framed with a fixed header;
-arrivals surface through an I/O completion port, the Windows-specific
-mechanism that kept this channel *below* the PAL (§7.1).
+by a pair of bounded byte pipes, the 'socket'; packets are framed with a
+fixed header.
 
 Framing means a large message genuinely streams: a DATA chunk may be
 half-arrived when the progress engine polls, and the remainder lands on a
 later poll — the multi-poll window in which an unpinned buffer can move.
+
+Motor's sock channel learnt which sockets had data from an I/O completion
+port (IOCP), a Windows mechanism the PAL does not expose — which is why
+this one channel stayed *below* the PAL (§7.1; :class:`repro.pal.api.PAL`
+refuses ``CreateIoCompletionPort``).  A port spares scanning every socket;
+this model is polled and must look at every pipe anyway (a frame may be
+half-decoded, or buffered beyond an earlier poll's limit), so readiness
+is read off the pipes and no port is simulated.
 """
 
 from __future__ import annotations
 
 from repro.mp.channels.base import Channel, ChannelFabric
 from repro.mp.packets import HEADER_SIZE, Packet
-from repro.pal.iocp import CompletionPort
 from repro.pal.pipes import BytePipe, PipeClosed
 from repro.simtime import Clock, CostModel
 
@@ -33,8 +39,7 @@ class SockChannel(Channel):
     ) -> None:
         super().__init__(rank, clock, costs)
         self._tx = tx_pipes  # dest rank -> pipe this rank writes
-        self._rx = rx_pipes  # src rank -> pipe this rank reads
-        self._iocp = CompletionPort(name=f"rank{rank}")
+        self._rx = dict(sorted(rx_pipes.items()))  # src rank -> pipe this rank reads, in poll order
         # partially decoded inbound frame per source rank
         self._partial: dict[int, tuple[Packet, int, bytearray]] = {}
         # outbound bytes that did not fit in the pipe (flow control)
@@ -42,8 +47,6 @@ class SockChannel(Channel):
 
     def init(self, world_size: int) -> None:
         self.world_size = world_size
-        for src, pipe in self._rx.items():
-            self._iocp.associate(pipe, key=src)
 
     # -- sending -----------------------------------------------------------------
 
@@ -63,7 +66,7 @@ class SockChannel(Channel):
         if not backlog:
             return
         try:
-            n = self._tx[dst].write(backlog, block=False)
+            n = self._tx[dst].write(backlog)
         except PipeClosed:
             backlog.clear()
             return
@@ -84,15 +87,10 @@ class SockChannel(Channel):
     def recv_packets(self, limit: int | None = None) -> list[Packet]:
         self.flush_all()
         out: list[Packet] = []
-        # Drain the completion port to learn which sockets have data, then
-        # decode as many complete frames as are available.
-        ready = {cp.key for cp in self._iocp.drain() if cp.key is not None}
-        # Frames may also be pending from a previous partial decode, or
-        # buffered beyond the per-poll limit of an earlier drain (IOCP
-        # completions are per-write, not per-frame).
-        ready |= set(self._partial)
-        ready |= {src for src, pipe in self._rx.items() if pipe.peek_available()}
-        for src in sorted(ready):
+        # Decode as many complete frames as each socket holds: new bytes,
+        # the rest of a partial decode, or frames buffered beyond the
+        # per-poll limit of an earlier drain.
+        for src in self._rx:
             out.extend(self._decode_from(src, limit))
             if limit is not None and len(out) >= limit:
                 break
@@ -136,7 +134,6 @@ class SockChannel(Channel):
         if self._finalized:
             return
         self._finalized = True
-        self._iocp.close()
         for pipe in self._tx.values():
             pipe.close()
 

@@ -8,7 +8,7 @@ path, everyone else through the sock path.
 from __future__ import annotations
 
 from repro.mp.channels.base import Channel, ChannelFabric
-from repro.mp.channels.shm import ShmFabric
+from repro.mp.channels.mem import ShmFabric
 from repro.mp.channels.sock import SockFabric
 from repro.mp.packets import Packet
 from repro.simtime import Clock, CostModel

@@ -9,7 +9,6 @@ differ only in how they cross into it — which is the paper's experiment.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from repro.mp.buffers import BufferDesc
@@ -24,7 +23,6 @@ from repro.mp.errors import (
     MpiErrRank,
     MpiErrRequest,
     MpiErrTag,
-    MpiErrTimeout,
     MpiErrTruncate,
     MpiFatalError,
 )
@@ -200,14 +198,16 @@ class MpiEngine:
         return req
 
     def _guarded_wait(
-        self, req: Request, comm: Communicator, timeout: float | None = None
+        self, req, comm: Communicator, timeout: float | None = None, wait=None
     ) -> None:
-        """Progress-wait, reporting process failure per the communicator's
-        error handler: ERRORS_RETURN raises a catchable
-        :class:`MpiErrProcFailed`; ERRORS_ARE_FATAL marks the engine
-        aborted and raises :class:`MpiFatalError` (the simulated abort)."""
+        """Progress-wait (``progress.wait`` on one request unless another
+        member of the wait family is passed), reporting process failure
+        per the communicator's error handler: ERRORS_RETURN raises a
+        catchable :class:`MpiErrProcFailed`; ERRORS_ARE_FATAL marks the
+        engine aborted and raises :class:`MpiFatalError` (the simulated
+        abort)."""
         try:
-            self.progress.wait(req, timeout=timeout)
+            (wait or self.progress.wait)(req, timeout=timeout)
         except MpiErrProcFailed as exc:
             if comm.errhandler == ERRORS_ARE_FATAL:
                 self.aborted = True
@@ -260,22 +260,14 @@ class MpiEngine:
     def wait_all(
         self, reqs, comm: Communicator | None = None, timeout: float | None = None
     ) -> list[Status]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        out = []
+        """MPI_Waitall; ``timeout`` bounds the whole batch (see
+        :meth:`ProgressEngine.wait_all`, which does the waiting)."""
+        reqs = list(reqs)
+        comm = comm or self.comm_world
         for r in reqs:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    # batch deadline already passed: raise immediately for
-                    # stragglers instead of N delayed zero-timeout waits
-                    if not r.completed:
-                        raise MpiErrTimeout(
-                            f"request {r.op_id} incomplete after {timeout}s (batch deadline)"
-                        )
-                    remaining = None  # already done: just collect its status
-            out.append(self.wait(r, comm, timeout=remaining))
-        return out
+            r.check_usable()
+        self._guarded_wait(reqs, comm, timeout, wait=self.progress.wait_all)
+        return [self._finish_recv(r, comm) if r.kind == RECV else r.status for r in reqs]
 
     def test(self, req: Request) -> bool:
         req.check_usable()

@@ -1,10 +1,9 @@
 """Bounded byte pipes — the simulated OS transport under the sock channel.
 
 A :class:`BytePipe` is a one-directional, thread-safe, bounded byte FIFO
-with non-blocking reads and (optionally) partial writes, mimicking a TCP
-socket buffer over loopback.  The sock channel frames packets on top of it
-and drives it through a completion port, like MPICH2's Windows sock channel
-drives overlapped socket I/O through IOCP.
+with non-blocking reads and partial writes, mimicking a non-blocking TCP
+socket buffer over loopback.  The sock channel frames packets on top of
+it and polls it, like MPICH2's sock channel drives overlapped socket I/O.
 """
 
 from __future__ import annotations
@@ -26,131 +25,38 @@ class BytePipe:
         self.name = name
         self._buf = bytearray()
         self._lock = threading.Lock()
-        self._readable = threading.Condition(self._lock)
-        self._writable = threading.Condition(self._lock)
         self._closed = False
-        #: callbacks fired (outside the lock) when data becomes available
-        self._on_readable: list = []
-
-    # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._buf)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    peek_available = __len__
 
-    # -- notification hooks (used by the completion port) -------------------
-
-    def add_readable_listener(self, fn) -> None:
+    def write(self, data: bytes | bytearray | memoryview, block: bool = False) -> int:
+        """Write what fits of ``data`` right now (possibly 0 bytes), like a
+        non-blocking socket send; returns the bytes accepted.  ``block``
+        spells the mode as a socket call would; only ``False`` exists."""
+        if block:
+            raise ValueError("BytePipe writes are non-blocking")
         with self._lock:
-            self._on_readable.append(fn)
+            if self._closed:
+                raise PipeClosed(self.name)
+            chunk = memoryview(data)[: self.capacity - len(self._buf)]
+            self._buf.extend(chunk)
+            return len(chunk)
 
-    def _notify_readable(self) -> None:
-        for fn in list(self._on_readable):
-            fn(self)
-
-    # -- I/O -----------------------------------------------------------------
-
-    def write(self, data: bytes | bytearray | memoryview, block: bool = True) -> int:
-        """Write up to ``len(data)`` bytes; returns bytes accepted.
-
-        With ``block=True`` waits for space and writes everything; with
-        ``block=False`` writes what fits immediately (possibly 0 bytes),
-        like a non-blocking socket send.
-        """
-        data = memoryview(data)
-        total = 0
-        notify = False
+    def read(self, nbytes: int) -> bytes:
+        """Read up to ``nbytes``; empty result means no data right now."""
         with self._lock:
-            while total < len(data):
-                if self._closed:
-                    raise PipeClosed(self.name)
-                space = self.capacity - len(self._buf)
-                if space == 0:
-                    if not block:
-                        break
-                    self._writable.wait()
-                    continue
-                chunk = data[total : total + space]
-                self._buf.extend(chunk)
-                total += len(chunk)
-                notify = True
-                self._readable.notify_all()
-        if notify:
-            self._notify_readable()
-        return total
-
-    def read(self, nbytes: int, block: bool = False) -> bytes:
-        """Read up to ``nbytes``; empty result means no data (non-blocking)."""
-        with self._lock:
-            if block:
-                self._readable.wait_for(lambda: self._buf or self._closed)
             if not self._buf:
                 if self._closed:
                     raise PipeClosed(self.name)
                 return b""
-            n = min(nbytes, len(self._buf))
-            out = bytes(self._buf[:n])
-            del self._buf[:n]
-            self._writable.notify_all()
+            out = bytes(self._buf[:nbytes])
+            del self._buf[:nbytes]
             return out
-
-    def read_exact(self, nbytes: int) -> bytes:
-        """Blocking read of exactly ``nbytes``."""
-        parts: list[bytes] = []
-        got = 0
-        with self._lock:
-            while got < nbytes:
-                self._readable.wait_for(lambda: self._buf or self._closed)
-                if not self._buf and self._closed:
-                    raise PipeClosed(self.name)
-                n = min(nbytes - got, len(self._buf))
-                parts.append(bytes(self._buf[:n]))
-                del self._buf[:n]
-                got += n
-                self._writable.notify_all()
-        return b"".join(parts)
-
-    def peek_available(self) -> int:
-        with self._lock:
-            return len(self._buf)
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._readable.notify_all()
-            self._writable.notify_all()
-        self._notify_readable()
-
-
-def duplex_pair(capacity: int = 1 << 20, name: str = "") -> tuple["DuplexEndpoint", "DuplexEndpoint"]:
-    """Create a connected pair of duplex endpoints (a loopback 'socket')."""
-    a2b = BytePipe(capacity, name=f"{name}:a->b")
-    b2a = BytePipe(capacity, name=f"{name}:b->a")
-    return DuplexEndpoint(b2a, a2b), DuplexEndpoint(a2b, b2a)
-
-
-class DuplexEndpoint:
-    """One end of a duplex connection: a read pipe plus a write pipe."""
-
-    __slots__ = ("rx", "tx")
-
-    def __init__(self, rx: BytePipe, tx: BytePipe) -> None:
-        self.rx = rx
-        self.tx = tx
-
-    def send(self, data, block: bool = True) -> int:
-        return self.tx.write(data, block=block)
-
-    def recv(self, nbytes: int) -> bytes:
-        return self.rx.read(nbytes)
-
-    def recv_exact(self, nbytes: int) -> bytes:
-        return self.rx.read_exact(nbytes)
-
-    def close(self) -> None:
-        self.tx.close()
-        self.rx.close()

@@ -7,9 +7,10 @@ where the crossovers fall.  Two clock modes support that:
 
 ``WallClock``
     ``now()`` is ``time.perf_counter_ns()`` and ``charge()`` is a no-op.
-    Used by the pytest-benchmark suite: the relative ordering of Motor vs.
-    the wrapper baselines then comes from *real* Python work (marshalling,
-    pinning bookkeeping, serialization), not from a model.
+    The default of a directly built engine or runtime, and of a world
+    launched with ``clock_mode="wall"``: what such a run costs is *real*
+    Python work (marshalling, pinning bookkeeping, serialization), not a
+    model.
 
 ``VirtualClock``
     A deterministic per-rank Lamport-style clock.  Every simulated
@@ -20,7 +21,7 @@ where the crossovers fall.  Two clock modes support that:
 """
 
 from repro.simtime.clock import Clock, VirtualClock, WallClock
-from repro.simtime.costs import CostModel, HOST_PROFILES, HostProfile
+from repro.simtime.costs import HOST_PROFILES, LINK_PROFILES, CostModel, HostProfile, LinkProfile
 from repro.simtime.sched import Baton, RecurringTask, TaskScheduler, ensure_scheduler
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
     "CostModel",
     "HostProfile",
     "HOST_PROFILES",
+    "LinkProfile",
+    "LINK_PROFILES",
     "Baton",
     "RecurringTask",
     "TaskScheduler",

@@ -52,6 +52,31 @@ class HostProfile:
     gate: str = "pinvoke"
 
 
+@dataclass(frozen=True)
+class LinkProfile:
+    """An interconnect of the in-memory channel (:mod:`repro.mp.channels.mem`).
+
+    Every in-memory transport moves packets the same way; a profile is what
+    a packet *costs* on one of them, as fractions of the sock-channel
+    figures in :class:`CostModel`.  The channel has no constant of its own.
+    """
+
+    #: one-way latency and per-byte time of a packet, relative to sock
+    latency_fraction: float
+    per_byte_fraction: float
+    #: per-byte time of a native one-sided op: one memory traversal — no
+    #: enqueue+drain pair, no header processing, no target-side completion
+    rma_per_byte_fraction: float
+    #: payloads of at most ``inline_max`` bytes ride the work request
+    #: itself: their latency is multiplied by ``inline_discount``
+    inline_max: int = 0
+    inline_discount: float = 1.0
+    #: memory registration: ns per new buffer region (0 = none needed) and
+    #: the registration cache's granularity, a 'page'
+    registration_ns: float = 0.0
+    registration_page: int = 4096
+
+
 @dataclass
 class CostModel:
     """Calibrated primitive costs (nanoseconds) for virtual-clock runs."""
@@ -202,5 +227,28 @@ HOST_PROFILES: dict[str, HostProfile] = {
         serializer_per_obj_ns=2_600.0,
         serializer_per_byte_ns=2.2,
         gate="jni",
+    ),
+}
+
+
+#: Interconnects of the in-memory channel (``FABRICS["shm"]``, ``["ib"]``).
+LINK_PROFILES: dict[str, LinkProfile] = {
+    # MPICH2's shm channel: a quarter of the socket latency, twice the
+    # effective bandwidth.
+    "shm": LinkProfile(
+        latency_fraction=0.25,
+        per_byte_fraction=0.5,
+        rma_per_byte_fraction=0.2,
+    ),
+    # The paper's future-work port (§9), RDMA-flavoured: ~2 us instead of
+    # ~24 us, a ~1 GB/s-class fabric, tiny payloads inline, and a
+    # registration cost for every buffer region the HCA has not seen.
+    "ib": LinkProfile(
+        latency_fraction=0.08,
+        per_byte_fraction=0.12,
+        rma_per_byte_fraction=0.06,
+        inline_max=220,
+        inline_discount=0.6,
+        registration_ns=18_000.0,
     ),
 }

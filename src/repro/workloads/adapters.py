@@ -9,8 +9,11 @@ so every series in a figure runs the identical protocol.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.baselines.indiana import IndianaComm
 from repro.baselines.jmpi import JmpiComm
+from repro.baselines.managed import ManagedBinding
 from repro.baselines.mpijava import MpiJavaComm
 from repro.baselines.native_cpp import NativeComm
 from repro.cluster.world import RankContext
@@ -65,13 +68,12 @@ class BaseAdapter:
         return False
 
 
-class NativeAdapter(BaseAdapter):
-    name = "cpp"
-    supports_trees = False
+class BindingAdapter(BaseAdapter):
+    """The buffer verbs over a binding's comm object (any baseline)."""
 
-    def __init__(self, ctx: RankContext) -> None:
+    def __init__(self, ctx: RankContext, comm) -> None:
         super().__init__(ctx)
-        self.comm = NativeComm(ctx)
+        self.comm = comm
 
     def alloc(self, nbytes: int):
         return self.comm.alloc_buffer(nbytes)
@@ -90,6 +92,14 @@ class NativeAdapter(BaseAdapter):
 
     def barrier(self) -> None:
         self.comm.barrier()
+
+
+class NativeAdapter(BindingAdapter):
+    name = "cpp"
+    supports_trees = False
+
+    def __init__(self, ctx: RankContext) -> None:
+        super().__init__(ctx, NativeComm(ctx))
 
 
 class MotorAdapter(BaseAdapter):
@@ -157,30 +167,14 @@ class MotorPinAlwaysAdapter(MotorAdapter):
         super().__init__(ctx, pinning_policy_enabled=False)
 
 
-class IndianaAdapter(BaseAdapter):
-    def __init__(self, ctx: RankContext, profile: str = "sscli-free") -> None:
-        super().__init__(ctx)
-        self.comm = IndianaComm(ctx, profile)
-        self.name = self.comm.name
-        linkedlist.define_linked_array(self.comm.runtime)
+class ManagedBindingAdapter(BindingAdapter):
+    """A managed wrapper binding (:class:`repro.baselines.managed.
+    ManagedBinding`): the tree verbs go through the comm's own runtime."""
 
-    def alloc(self, nbytes: int):
-        return self.comm.alloc_buffer(nbytes)
-
-    def fill(self, buf, data: bytes) -> None:
-        self.comm.fill_buffer(buf, data)
-
-    def read(self, buf) -> bytes:
-        return self.comm.buffer_bytes(buf)
-
-    def send(self, buf, dest: int, tag: int) -> None:
-        self.comm.send(buf, dest, tag)
-
-    def recv(self, buf, source: int, tag: int) -> None:
-        self.comm.recv(buf, source, tag)
-
-    def barrier(self) -> None:
-        self.comm.barrier()
+    def __init__(self, ctx: RankContext, comm: ManagedBinding) -> None:
+        super().__init__(ctx, comm)
+        self.name = comm.name
+        linkedlist.define_linked_array(comm.runtime)
 
     def build_tree(self, elements: int, total_bytes: int = 4096):
         return linkedlist.build_linked_list(self.comm.runtime, elements, total_bytes)
@@ -195,125 +189,33 @@ class IndianaAdapter(BaseAdapter):
         linkedlist.verify_linked_list(self.comm.runtime, tree, elements, total_bytes)
 
 
-class IndianaSscliAdapter(IndianaAdapter):
-    name = "indiana-sscli"
-
-    def __init__(self, ctx: RankContext) -> None:
-        super().__init__(ctx, "sscli-free")
-
-
-class IndianaFastcheckedAdapter(IndianaAdapter):
-    name = "indiana-sscli-fastchecked"
-
-    def __init__(self, ctx: RankContext) -> None:
-        super().__init__(ctx, "sscli-fastchecked")
-
-
-class IndianaDotnetAdapter(IndianaAdapter):
-    name = "indiana-dotnet"
-
-    def __init__(self, ctx: RankContext) -> None:
-        super().__init__(ctx, "dotnet")
-
-
-class MpiJavaAdapter(BaseAdapter):
-    name = "mpijava"
-
-    def __init__(self, ctx: RankContext) -> None:
-        super().__init__(ctx)
-        self.comm = MpiJavaComm(ctx)
-        linkedlist.define_linked_array(self.comm.runtime)
-
-    def alloc(self, nbytes: int):
-        return self.comm.alloc_buffer(nbytes)
-
-    def fill(self, buf, data: bytes) -> None:
-        self.comm.fill_buffer(buf, data)
-
-    def read(self, buf) -> bytes:
-        return self.comm.buffer_bytes(buf)
-
-    def send(self, buf, dest: int, tag: int) -> None:
-        self.comm.send(buf, dest, tag)
-
-    def recv(self, buf, source: int, tag: int) -> None:
-        self.comm.recv(buf, source, tag)
-
-    def barrier(self) -> None:
-        self.comm.barrier()
-
-    def build_tree(self, elements: int, total_bytes: int = 4096):
-        return linkedlist.build_linked_list(self.comm.runtime, elements, total_bytes)
-
-    def send_tree(self, tree, dest: int, tag: int) -> None:
-        self.comm.send_tree(tree, dest, tag)
-
-    def recv_tree(self, source: int, tag: int):
-        return self.comm.recv_tree(source, tag)
-
-    def verify_tree(self, tree, elements: int, total_bytes: int = 4096) -> None:
-        linkedlist.verify_linked_list(self.comm.runtime, tree, elements, total_bytes)
-
+class MpiJavaAdapter(ManagedBindingAdapter):
     def tree_will_overflow(self, elements: int) -> bool:
         # writeObject recursion deepens once per list element.
         return elements > self.comm.runtime.costs.java_recursion_limit
 
 
-class JmpiAdapter(BaseAdapter):
-    name = "jmpi"
-
-    def __init__(self, ctx: RankContext) -> None:
-        super().__init__(ctx)
-        self.comm = JmpiComm(ctx)
-        linkedlist.define_linked_array(self.comm.runtime)
-
-    def alloc(self, nbytes: int):
-        return self.comm.alloc_buffer(nbytes)
-
-    def fill(self, buf, data: bytes) -> None:
-        self.comm.fill_buffer(buf, data)
-
-    def read(self, buf) -> bytes:
-        return self.comm.buffer_bytes(buf)
-
-    def send(self, buf, dest: int, tag: int) -> None:
-        self.comm.send(buf, dest, tag)
-
-    def recv(self, buf, source: int, tag: int) -> None:
-        self.comm.recv(buf, source, tag)
-
-    def barrier(self) -> None:
-        self.comm.barrier()
-
-    def build_tree(self, elements: int, total_bytes: int = 4096):
-        return linkedlist.build_linked_list(self.comm.runtime, elements, total_bytes)
-
-    def send_tree(self, tree, dest: int, tag: int) -> None:
-        self.comm.send_tree(tree, dest, tag)
-
-    def recv_tree(self, source: int, tag: int):
-        return self.comm.recv_tree(source, tag)
-
-    def verify_tree(self, tree, elements: int, total_bytes: int = 4096) -> None:
-        linkedlist.verify_linked_list(self.comm.runtime, tree, elements, total_bytes)
+def _over(comm_cls, *comm_args, adapter=ManagedBindingAdapter):
+    """An ``ADAPTERS`` entry: ``adapter`` over ``comm_cls(ctx, *comm_args)``."""
+    return lambda ctx: adapter(ctx, comm_cls(ctx, *comm_args))
 
 
-ADAPTERS: dict[str, type[BaseAdapter]] = {
+ADAPTERS: dict[str, Callable[[RankContext], BaseAdapter]] = {
     "cpp": NativeAdapter,
     "motor": MotorAdapter,
     "motor-hashed": MotorHashedAdapter,
     "motor-pin-always": MotorPinAlwaysAdapter,
-    "indiana-sscli": IndianaSscliAdapter,
-    "indiana-sscli-fastchecked": IndianaFastcheckedAdapter,
-    "indiana-dotnet": IndianaDotnetAdapter,
-    "mpijava": MpiJavaAdapter,
-    "jmpi": JmpiAdapter,
+    "indiana-sscli": _over(IndianaComm, "sscli-free"),
+    "indiana-sscli-fastchecked": _over(IndianaComm, "sscli-fastchecked"),
+    "indiana-dotnet": _over(IndianaComm, "dotnet"),
+    "mpijava": _over(MpiJavaComm, adapter=MpiJavaAdapter),
+    "jmpi": _over(JmpiComm),
 }
 
 
 def make_adapter(name: str, ctx: RankContext) -> BaseAdapter:
     try:
-        cls = ADAPTERS[name]
+        make = ADAPTERS[name]
     except KeyError:
         raise ValueError(f"unknown adapter {name!r} (have {sorted(ADAPTERS)})") from None
-    return cls(ctx)
+    return make(ctx)

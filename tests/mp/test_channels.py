@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.channels import FABRICS, ShmFabric, SockFabric, SsmFabric
 from repro.mp.packets import DATA, EAGER, Packet
-from repro.simtime import CostModel, VirtualClock, WallClock
+from repro.simtime import LINK_PROFILES, CostModel, VirtualClock, WallClock
 
 
 def make_pair(fabric_cls, **kw):
@@ -137,3 +138,88 @@ class TestSsm:
 
     def test_registry(self):
         assert set(FABRICS) == {"shm", "sock", "ssm", "ib", "proc"}
+
+
+def _observables(ch, dst):
+    return (
+        ch.clock.now(),
+        ch.clock.charges,
+        ch._link_busy_until.get(dst),
+        ch.packets_sent,
+        ch.bytes_sent,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LINK_PROFILES))
+class TestInMemoryLinks:
+    def test_refused_packet_is_free(self, name):
+        """A backed-up link is retried every poll; the retries must not be
+        charged, or modelled time depends on the poll count."""
+        cm = CostModel()
+        payload = b"p" * 8192  # above ib's inline size: registration is live
+
+        def pkt():
+            return Packet(ptype=DATA, src=0, dst=1, payload=payload)
+
+        fab = FABRICS[name](2, queue_capacity=2)
+        c0 = fab.endpoint(0, VirtualClock(), cm)
+        c1 = fab.endpoint(1, VirtualClock(), cm)
+        assert c0.send_packet(pkt()) and c0.send_packet(pkt())
+        before = _observables(c0, 1)
+        for _ in range(5):
+            assert not c0.send_packet(pkt())
+            assert _observables(c0, 1) == before
+        assert len(c1.recv_packets(limit=1)) == 1
+        third = pkt()
+        assert c0.send_packet(third)
+        # the stamp a first attempt would have got: a twin fabric with room
+        twin = FABRICS[name](2).endpoint(0, VirtualClock(), cm)
+        stamps = []
+        for _ in range(3):
+            p = pkt()
+            assert twin.send_packet(p)
+            stamps.append(p.ts)
+        assert third.ts == stamps[2]
+        assert _observables(c0, 1) == _observables(twin, 1)
+
+    @pytest.mark.parametrize("nbytes", [64, 221, 64 * 1024])
+    def test_send_cost_is_the_literal_formula(self, name, nbytes):
+        """The profile table against the formulas of the shm and ib
+        channels it replaced, written out."""
+        cm = CostModel()
+        clock = VirtualClock()
+        ch = FABRICS[name](2).endpoint(0, clock, cm)
+        pkt = Packet(ptype=DATA, src=0, dst=1, payload=b"x" * nbytes)
+        assert ch.send_packet(pkt)
+        if name == "shm":
+            registration = None  # no charge at all, not a zero charge
+            latency = cm.message_latency_ns * 0.25
+            per_byte = cm.per_byte_ns * 0.5
+        else:
+            registration = 0.0 if nbytes <= 220 else 18_000.0 * (1 + nbytes // (256 * 4096))
+            latency = cm.message_latency_ns * 0.08
+            if nbytes <= 220:
+                latency *= 0.6
+            per_byte = cm.per_byte_ns * 0.12
+        now = (registration or 0.0) + cm.packet_overhead_ns
+        assert clock.now() == now
+        assert clock.charges == (1 if registration is None else 2)
+        assert pkt.ts == now + cm.packet_overhead_ns + per_byte * nbytes + latency
+
+    def test_rma_put_cost_is_the_literal_formula(self, name):
+        cm = CostModel()
+        clock = VirtualClock()
+        fab = FABRICS[name](2)
+        ch = fab.endpoint(0, clock, cm)
+        target = NativeMemory(16 * 1024)
+        fab.endpoint(1, VirtualClock(), cm).rma_register(7, 1, BufferDesc.from_native(target))
+        src = memoryview(b"r" * 16 * 1024)
+        assert ch.rma_put(7, 1, 0, src)
+        latency_frac, rma_frac = {"shm": (0.25, 0.2), "ib": (0.08, 0.06)}[name]
+        assert clock.now() == (
+            cm.packet_overhead_ns
+            + cm.message_latency_ns * latency_frac
+            + len(src) * cm.per_byte_ns * rma_frac
+        )
+        assert clock.charges == 1
+        assert bytes(target.mem) == bytes(src)

@@ -1,11 +1,8 @@
 """Byte pipes (the simulated loopback sockets)."""
 
-import threading
-
 import pytest
 
 from repro.pal import BytePipe, PipeClosed
-from repro.pal.pipes import duplex_pair
 
 
 class TestBasics:
@@ -45,38 +42,6 @@ class TestBasics:
         assert p.read(6) == b"123456"
 
 
-class TestBlocking:
-    def test_blocking_write_waits_for_space(self):
-        p = BytePipe(4)
-        p.write(b"aaaa")
-        done = []
-
-        def writer():
-            p.write(b"bb", block=True)
-            done.append(True)
-
-        t = threading.Thread(target=writer)
-        t.start()
-        assert p.read(2) == b"aa"
-        t.join(2.0)
-        assert done == [True]
-        assert p.read(10) == b"aabb"
-
-    def test_read_exact_across_writes(self):
-        p = BytePipe()
-        out = []
-
-        def reader():
-            out.append(p.read_exact(6))
-
-        t = threading.Thread(target=reader)
-        t.start()
-        p.write(b"ab")
-        p.write(b"cdef")
-        t.join(2.0)
-        assert out == [b"abcdef"]
-
-
 class TestClose:
     def test_read_after_close_raises(self):
         p = BytePipe()
@@ -89,50 +54,3 @@ class TestClose:
         p.close()
         with pytest.raises(PipeClosed):
             p.write(b"x")
-
-    def test_close_unblocks_read_exact(self):
-        p = BytePipe()
-        errors = []
-
-        def reader():
-            try:
-                p.read_exact(10)
-            except PipeClosed:
-                errors.append(True)
-
-        t = threading.Thread(target=reader)
-        t.start()
-        p.close()
-        t.join(2.0)
-        assert errors == [True]
-
-
-class TestListeners:
-    def test_readable_listener_fires_on_write(self):
-        p = BytePipe()
-        fired = []
-        p.add_readable_listener(lambda pipe: fired.append(pipe.peek_available()))
-        p.write(b"abc")
-        assert fired and fired[0] >= 3
-
-    def test_listener_fires_on_close(self):
-        p = BytePipe()
-        fired = []
-        p.add_readable_listener(lambda pipe: fired.append("close"))
-        p.close()
-        assert fired == ["close"]
-
-
-class TestDuplex:
-    def test_pair_is_cross_wired(self):
-        a, b = duplex_pair()
-        a.send(b"ping")
-        assert b.recv_exact(4) == b"ping"
-        b.send(b"pong")
-        assert a.recv_exact(4) == b"pong"
-
-    def test_close_propagates(self):
-        a, b = duplex_pair()
-        a.close()
-        with pytest.raises(PipeClosed):
-            b.recv_exact(1)
