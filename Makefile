@@ -66,7 +66,7 @@ report:
 experiments:
 	$(PYTHON) -m repro.bench write-experiments
 
-# every modelled figure and claim, regenerated, must equal the committed file
+# every modelled figure, every claim and the claim summary, regenerated, must equal the committed file
 experiments-check: experiments
 	git diff --exit-code EXPERIMENTS.md
 

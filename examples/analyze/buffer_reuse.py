@@ -16,7 +16,7 @@ buffer handed to a nonblocking operation as if it were still yours:
 Run:  python examples/analyze/buffer_reuse.py
 """
 
-from repro.cluster import mpiexec_sanitized
+from repro.cluster import mpiexec
 from repro.motor import motor_session
 
 NWORDS = 16 * 1024  # rendezvous-sized with the 4 KiB threshold below
@@ -58,11 +58,10 @@ def main(ctx):
 
 def run():
     """Run both buffer bugs under the sanitizer; return the Report."""
-    _results, report = mpiexec_sanitized(
-        2, main, session_factory=motor_session,
+    return mpiexec(
+        2, main, sanitize="enabled", session_factory=motor_session,
         eager_threshold=EAGER_THRESHOLD,
-    )
-    return report
+    ).report
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ The runtime sanitizer builds the cross-rank wait-for graph, finds the
 Run:  python examples/analyze/deadlock_pair.py
 """
 
-from repro.cluster import mpiexec_sanitized
+from repro.cluster import mpiexec
 from repro.motor import motor_session
 
 #: with a 4 KiB eager threshold this payload always takes the
@@ -37,12 +37,12 @@ def main(ctx):
 
 def run():
     """Run the buggy exchange under the sanitizer; return the Report."""
-    results, report = mpiexec_sanitized(
-        2, main, session_factory=motor_session,
+    results = mpiexec(
+        2, main, sanitize="enabled", session_factory=motor_session,
         eager_threshold=EAGER_THRESHOLD, timeout=60.0,
     )
-    assert results is None, "the sanitizer should have halted the run"
-    return report
+    assert results.deadlocked, "the sanitizer should have halted the run"
+    return results.report
 
 
 if __name__ == "__main__":

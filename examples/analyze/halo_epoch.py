@@ -102,12 +102,11 @@ def run_sanitized():
     Cross-validation: the epoch violation MA-S11 predicts is the one
     MA-R06 observes when the put actually runs.
     """
-    from repro.cluster.world import mpiexec_sanitized
+    from repro.cluster.world import mpiexec
     from repro.motor import motor_session
 
-    _results, report = mpiexec_sanitized(2, main, channel="shm",
-                                         session_factory=motor_session)
-    return report
+    return mpiexec(2, main, channel="shm", sanitize="enabled",
+                   session_factory=motor_session).report
 
 
 if __name__ == "__main__":

@@ -115,13 +115,12 @@ def run_sanitized():
     Cross-validation: the static MA-S07 finding and the runtime MA-R03
     finding are the same bug seen by the two passes.
     """
-    from repro.cluster.world import mpiexec_sanitized
+    from repro.cluster.world import mpiexec
     from repro.motor import motor_session
 
-    _results, report = mpiexec_sanitized(
-        2, main, session_factory=motor_session, eager_threshold=4096
-    )
-    return report
+    return mpiexec(
+        2, main, sanitize="enabled", session_factory=motor_session, eager_threshold=4096
+    ).report
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ candidate sender, turning a heisenbug into a deterministic warning.
 Run:  python examples/analyze/wildcard_race.py
 """
 
-from repro.cluster import mpiexec_sanitized
+from repro.cluster import mpiexec
 from repro.motor import motor_session
 
 
@@ -37,8 +37,7 @@ def main(ctx):
 
 def run():
     """Run the racy gather under the sanitizer; return the Report."""
-    _results, report = mpiexec_sanitized(3, main, session_factory=motor_session)
-    return report
+    return mpiexec(3, main, sanitize="enabled", session_factory=motor_session).report
 
 
 if __name__ == "__main__":

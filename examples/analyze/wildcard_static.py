@@ -111,11 +111,10 @@ def run_sanitized():
     Cross-validation: the static MA-S10 finding and the runtime MA-R02
     finding are the same nondeterminism seen by the two passes.
     """
-    from repro.cluster.world import mpiexec_sanitized
+    from repro.cluster.world import mpiexec
     from repro.motor import motor_session
 
-    _results, report = mpiexec_sanitized(3, main, session_factory=motor_session)
-    return report
+    return mpiexec(3, main, sanitize="enabled", session_factory=motor_session).report
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ scenario under the runtime sanitizer (rules MA-R01..MA-R05) and prints
 the findings; ``gate`` sweeps every IL program under ``examples/`` and
 ``src/repro/baselines/`` and diffs the findings against the checked-in
 ``analyze-baseline.json`` (see :mod:`repro.analyze.gate`); ``ablate``
-reruns the A12 three-way ping-pong (baseline / sanitizer disabled /
-sanitizer enabled) and reports the detached-hook residue.
+runs the experiment table's A12 row (the three-way ping-pong: baseline /
+sanitizer disabled / sanitizer enabled): it is
+``python -m repro.bench ablate-sanitize``, same claims, same exit status.
 
 Reports render as ``--format text`` (default), ``json``, or ``sarif``
 (SARIF 2.1.0, for code-scanning UIs); ``--json`` remains an alias.
@@ -116,15 +117,16 @@ SCENARIOS: dict[str, tuple[int, object, dict]] = {
 }
 
 
-def run_scenario(name: str) -> tuple[object, Report]:
+def run_scenario(name: str) -> tuple[list, Report]:
     """Run one built-in scenario under the sanitizer; (results, report)."""
-    from repro.cluster.world import mpiexec_sanitized
+    from repro.cluster.world import mpiexec
     from repro.motor import motor_session
 
     ranks, main, kw = SCENARIOS[name]
-    return mpiexec_sanitized(
-        ranks, main, session_factory=motor_session, **kw
+    results = mpiexec(
+        ranks, main, sanitize="enabled", session_factory=motor_session, **kw
     )
+    return results, results.report
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     results, report = run_scenario(args.scenario)
     code = _emit(report, args)
-    if results is None and _format_of(args) == "text":
+    if results.deadlocked and _format_of(args) == "text":
         print("(run halted by the sanitizer)", file=sys.stderr)
     return code
 
@@ -220,15 +222,9 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    from repro.bench.figures import ablate_sanitize
+    from repro.bench.cli import main as bench_main
 
-    series = ablate_sanitize(quick=not args.paper)
-    print(series.render_table())
-    base = series.series["baseline"]
-    disabled = series.series["san-disabled"]
-    worst = max(disabled[s] / base[s] for s in base if base[s] > 0)
-    print(f"worst-case disabled-hook overhead: {worst:.4f}x (bound: 1.01x)")
-    return 0 if worst <= 1.01 else 1
+    return bench_main(["ablate-sanitize"] + ["--paper"] * args.paper)
 
 
 def main(argv: list[str] | None = None) -> int:

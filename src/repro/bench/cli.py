@@ -15,8 +15,14 @@ import argparse
 import os
 import sys
 
-from repro.bench.figures import EXPERIMENTS
-from repro.bench.report import build_report, render_claims, run_experiment
+from repro.bench.report import (
+    EXPERIMENTS,
+    build_report,
+    render_claims,
+    rewrite_experiments_md,
+    run_experiment,
+    run_table,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,10 +41,11 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(EXPERIMENTS)
         + ["all", "report", "write-experiments", "metrics", "smoke", "chaos"],
         help="which experiment to run (or 'all' / 'report' / "
-        "'write-experiments' to refresh EXPERIMENTS.md's data section, or "
+        "'write-experiments' to refresh EXPERIMENTS.md's claim summary and "
+        "data section, or "
         "'metrics' for an instrumented ping-pong with a merged pvar report, "
-        "or 'smoke' for the CI overhead gate over A10-A16, or 'chaos' for "
-        "the seeded fault-schedule soak (writes BENCH_recovery.json); "
+        "or 'smoke' for the CI gate over the smoke-flagged rows (A10-A17), "
+        "or 'chaos' for the seeded fault-schedule soak (writes BENCH_recovery.json); "
         "'analyze ...' forwards to the Motor analyzer CLI)",
     )
     parser.add_argument(
@@ -100,20 +107,19 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(path) as fh:
                 current = fh.read()
-            header, _sep, _old = current.partition(
-                "# Regenerated series and claim checks"
-            )
         except FileNotFoundError:
-            header = "# EXPERIMENTS — paper vs measured\n\n"
-        body = build_report(quick=quick)
+            current = "# EXPERIMENTS — paper vs measured\n\n"
+        text = rewrite_experiments_md(current, run_table(quick=quick))
         with open(path, "w") as fh:
-            fh.write(header + "# Regenerated series and claim checks\n\n" + body)
+            fh.write(text)
         print(f"rewrote {path}", file=sys.stderr)
         return 0
 
     ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    differ = 0
     for exp_id in ids:
         series, claims = run_experiment(exp_id, quick=quick)
+        differ += sum(not c.holds for c in claims)
         print(series.render_table())
         if claims:
             print(render_claims(claims))
@@ -124,58 +130,39 @@ def main(argv: list[str] | None = None) -> int:
             with open(path, "w") as fh:
                 fh.write(series.to_csv())
             print(f"wrote {path}", file=sys.stderr)
-    return 0
-
-
-#: the overhead ablations gating CI: instrumentation must stay free
-SMOKE_EXPERIMENTS = (
-    "ablate-reliability",  # A10: seq/CRC/ack on a fault-free wire
-    "ablate-obs",          # A11: observability hooks
-    "ablate-sanitize",     # A12: sanitizer hooks
-    "ablate-spine",        # A13: detached hook-spine residue
-    "ablate-copies",       # A14: copy accounting per delivery path
-    "ablate-checkpoint",   # A15: fault-free coordinated-checkpoint cost
-    "ablate-progress",     # A16: polled vs. async progress overlap
-    "ablate-rma",          # A17: one-sided windows native vs emulated
-)
+    return 1 if differ else 0
 
 
 def _smoke(quick: bool = True, json_path: str | None = None) -> int:
-    """Run the A10-A16 overhead/overlap claims; exit nonzero if any differs.
+    """Run the smoke-flagged rows of the table (A10-A17); exit nonzero if any
+    claim differs.
 
     When ``json_path`` is given, a standalone machine-readable summary is
     written there: one entry per ablation with its claims (paper bound,
     measured ratio, verdict) and per-experiment elapsed seconds — the CI
     artifact mirroring ``BENCH_recovery.json`` on the overhead side.
     """
+    import dataclasses
     import json
     import time
 
     failed = 0
     experiments = []
     t0 = time.monotonic()
-    for exp_id in SMOKE_EXPERIMENTS:
+    for exp in (e for e in EXPERIMENTS.values() if e.smoke):
         e0 = time.monotonic()
-        series, claims = run_experiment(exp_id, quick=quick)
+        _series, claims = run_experiment(exp.id, quick=quick)
         exp_elapsed = time.monotonic() - e0
-        print(f"== {EXPERIMENTS[exp_id][0]} ==")
+        print(f"== {exp.heading} ==")
         print(render_claims(claims))
         print()
         failed += sum(1 for c in claims if not c.holds)
         experiments.append(
             {
-                "id": exp_id,
-                "title": EXPERIMENTS[exp_id][0],
+                "id": exp.id,
+                "title": exp.heading,
                 "elapsed_s": round(exp_elapsed, 3),
-                "claims": [
-                    {
-                        "claim": c.claim,
-                        "paper": c.paper,
-                        "measured": c.measured,
-                        "holds": c.holds,
-                    }
-                    for c in claims
-                ],
+                "claims": [dataclasses.asdict(c) for c in claims],
             }
         )
     if json_path:
@@ -227,17 +214,17 @@ def _chaos(seeds: int, json_path: str) -> int:
 
 def _metrics(quick: bool, trace_path: str | None = None) -> int:
     """One instrumented ping-pong run; print the merged cluster report."""
-    from repro.cluster.world import mpiexec_observed
+    from repro.cluster.world import mpiexec
     from repro.obs import render_report, write_chrome_trace
-    from repro.workloads.pingpong import _buffer_main
+    from repro.workloads.pingpong import BufferPingPong
 
     sizes = [4, 1024, 65536] if quick else [4 << i for i in range(17)]
     iters = 10 if quick else 200
     timed = 5 if quick else 100
-    main_fn = _buffer_main("cpp", sizes, iters, timed, 1, verify=True)
-    _results, merged = mpiexec_observed(
-        2, main_fn, channel="sock", clock_mode="virtual"
-    )
+    main_fn = BufferPingPong("cpp", sizes, iters, timed, 1, verify=True)
+    merged = mpiexec(
+        2, main_fn, channel="sock", clock_mode="virtual", observe="enabled"
+    ).snapshot
     print(render_report(merged))
     if trace_path:
         write_chrome_trace(merged, trace_path)

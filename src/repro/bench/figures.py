@@ -1,14 +1,19 @@
-"""Experiment implementations: one function per figure/ablation.
+"""How experiments run: the row type, the ping-pong sweep, the bespoke runners.
 
-Each function regenerates one row of DESIGN.md's experiment index and
-returns a :class:`SeriesSet`.  ``quick=True`` (the default) runs a reduced
-iteration protocol — the virtual clock is deterministic, so per-iteration
-results match the full paper protocol (200 iterations, last 100 timed,
-mean of 3 runs) to within a ~1% warm-up transient; ``quick=False`` runs
-the full protocol for rigour.
+Every figure and ablation is one :class:`Experiment` row of the table in
+:mod:`repro.bench.report`.  The ping-pong sweeps share one runner,
+:class:`Sweep`; the rest are the functions below, each named by its row
+and taking id, title and notes from it.  ``quick=True`` (the
+default) runs a reduced iteration protocol — the virtual clock is
+deterministic, so per-iteration results match the full paper protocol
+(200 iterations, last 100 timed, mean of 3 runs) to within a ~1% warm-up
+transient; ``quick=False`` runs the full protocol for rigour.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from repro.baselines.serializers import ClrBinarySerializer
 from repro.bench.harness import SeriesSet
@@ -24,97 +29,79 @@ from repro.workloads.pingpong import (
     sweep_tree_pingpong,
 )
 
-#: the paper's series labels, mapped to our adapter names
-FIG9_SERIES = [
-    ("Java", "mpijava"),
-    ("Indiana SSCLI", "indiana-sscli"),
-    ("Indiana .NET", "indiana-dotnet"),
-    ("Motor", "motor"),
-    ("C++", "cpp"),
-]
 
-FIG10_SERIES = [
-    ("Motor", "motor"),
-    ("mpiJava", "mpijava"),
-    ("Indiana (.NET)", "indiana-dotnet"),
-    ("Indiana (SSCLI)", "indiana-sscli"),
-]
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the experiment table: what runs, and what it must show."""
 
+    id: str
+    #: the EXPERIMENTS.md section heading, "A10: reliability sublayer overhead"
+    heading: str
+    #: the regenerated series' title
+    title: str
+    #: where the paper makes the claim, or which extension of it this gates
+    section: str
+    #: ``runner(row, quick) -> SeriesSet``: a :class:`Sweep` or a function below
+    runner: Callable[["Experiment", bool], SeriesSet]
+    #: ``check(series) -> list[ClaimResult]``: the claims, as predicates
+    check: Callable[[SeriesSet], list]
+    notes: tuple[str, ...] = ()
+    #: part of ``python -m repro.bench smoke``, the CI gate
+    smoke: bool = False
 
-def _protocol(quick: bool) -> dict:
-    if quick:
-        return {"iterations": 20, "timed": 10, "runs": 1}
-    return {"iterations": 200, "timed": 100, "runs": 3}
+    def run(self, quick: bool = True) -> SeriesSet:
+        return self.runner(self, quick)
 
-
-def _tree_protocol(quick: bool) -> dict:
-    # the virtual clock makes per-iteration times deterministic, so the
-    # quick tree protocol can be very short without changing the series
-    if quick:
-        return {"iterations": 8, "timed": 4, "runs": 1}
-    return {"iterations": 200, "timed": 100, "runs": 3}
+    def series_set(self, x_label: str, y_label: str) -> SeriesSet:
+        return SeriesSet(self.id, self.title, x_label, y_label, notes=list(self.notes))
 
 
-def figure9(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """Figure 9: ping-pong of regular MPI operations, time per iteration."""
-    out = SeriesSet(
-        experiment="fig9",
-        title="Ping-pong comparison of regular MPI operations",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, flavor in FIG9_SERIES:
-        out.add(
-            label,
-            sweep_buffer_pingpong(flavor, FIG9_SIZES, channel=channel, **_protocol(quick)),
-        )
-    out.notes.append(
-        "expected shape: C++ fastest, Motor second, then Indiana .NET, "
-        "Indiana SSCLI, Java (paper Figure 9)"
-    )
-    return out
+_PAPER_PROTOCOL = {"iterations": 200, "timed": 100, "runs": 3}
 
 
-def figure10(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """Figure 10: ping-pong of a linked list of objects (incl. serialization)."""
-    out = SeriesSet(
-        experiment="fig10",
-        title="Ping-pong transport of a linked list of objects",
-        x_label="objects",
-        y_label="time per iteration (us)",
-    )
-    for label, flavor in FIG10_SERIES:
-        out.add(
-            label,
-            sweep_tree_pingpong(
-                flavor, FIG10_OBJECT_COUNTS, channel=channel, **_tree_protocol(quick)
-            ),
-        )
-    out.notes.append(
-        "mpiJava stops at 1024 objects: longer lists overflow the Java "
-        "serializer's stack (paper Figure 10 caption)"
-    )
-    out.notes.append(
-        "Motor is fastest below 2048 objects and degrades beyond it: the "
-        "linear visited-object record (paper §8)"
-    )
-    return out
+class SweepKind(NamedTuple):
+    """A ping-pong driver, its x label, its whole axis and its quick protocol."""
+
+    sweep: Callable[..., dict]
+    x_label: str
+    axis: Sequence[int]
+    quick_protocol: dict
 
 
-# ---------------------------------------------------------------------------
-# ablations
-# ---------------------------------------------------------------------------
+BUFFER = SweepKind(
+    sweep_buffer_pingpong, "bytes", FIG9_SIZES, {"iterations": 20, "timed": 10, "runs": 1}
+)
+# the virtual clock makes per-iteration times deterministic, so the quick
+# tree protocol can be very short without changing the series
+TREE = SweepKind(
+    sweep_tree_pingpong, "objects", FIG10_OBJECT_COUNTS, {"iterations": 8, "timed": 4, "runs": 1}
+)
 
 
-def ablate_calls(quick: bool = True) -> SeriesSet:
+@dataclass(frozen=True)
+class Sweep:
+    """The ping-pong runner: one series per arm over a shared axis."""
+
+    kind: SweepKind
+    #: (series label, adapter flavor, extra keyword arguments of the sweep)
+    arms: Sequence[tuple[str, str, dict]]
+    #: x values of the quick / full protocol; ``None`` is the kind's whole axis
+    quick: Sequence[int] | None = None
+    full: Sequence[int] | None = None
+
+    def __call__(self, exp: Experiment, quick: bool) -> SeriesSet:
+        out = exp.series_set(self.kind.x_label, "time per iteration (us)")
+        xs = (self.quick if quick else self.full) or self.kind.axis
+        protocol = self.kind.quick_protocol if quick else _PAPER_PROTOCOL
+        for label, flavor, kwargs in self.arms:
+            out.add(label, self.kind.sweep(flavor, xs, **kwargs, **protocol))
+        return out
+
+
+def ablate_calls(exp: Experiment, quick: bool) -> SeriesSet:
     """A1: per-call cost of FCall vs P/Invoke vs JNI gates."""
     n = 200 if quick else 2000
-    out = SeriesSet(
-        experiment="ablate-calls",
-        title="Managed-to-native call gate cost",
-        x_label="args",
-        y_label="ns per call",
-    )
+    out = exp.series_set("args", "ns per call")
     gates = [
         ("FCall", "fcall", None),
         ("P/Invoke", "pinvoke", HOST_PROFILES["sscli-free"]),
@@ -131,43 +118,13 @@ def ablate_calls(quick: bool = True) -> SeriesSet:
                 gate.call(lambda *a: None, *args)
             points[nargs] = (rt.clock.now() - t0) / n
         out.add(label, points)
-    out.notes.append(
-        "FCalls skip marshalling and security checks (paper §5.1); the gap "
-        "is the per-MPI-call overhead wrapper bindings pay"
-    )
     return out
 
 
-def ablate_pinning(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A2: Motor's pinning policy vs pin-per-operation."""
-    sizes = [4, 256, 4096, 65536, 262144] if quick else FIG9_SIZES
-    out = SeriesSet(
-        experiment="ablate-pinning",
-        title="Pinning policy vs per-operation pinning (Motor)",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, flavor in (("policy", "motor"), ("pin-always", "motor-pin-always")):
-        out.add(
-            label,
-            sweep_buffer_pingpong(flavor, sizes, channel=channel, **_protocol(quick)),
-        )
-    out.notes.append(
-        "the policy skips elder-generation objects and defers young pins to "
-        "the polling-wait (paper §7.4)"
-    )
-    return out
-
-
-def ablate_buildtype(quick: bool = True) -> SeriesSet:
+def ablate_buildtype(exp: Experiment, quick: bool) -> SeriesSet:
     """A3 (footnote 4): pin/unpin cost under different host build types."""
     n = 200 if quick else 2000
-    out = SeriesSet(
-        experiment="ablate-buildtype",
-        title="Pin/unpin pair cost by host build type",
-        x_label="bytes",
-        y_label="ns per pin/unpin pair",
-    )
+    out = exp.series_set("bytes", "ns per pin/unpin pair")
     for pname in ("sscli-free", "sscli-fastchecked", "dotnet"):
         profile = HOST_PROFILES[pname]
         points: dict[int, float] = {}
@@ -180,35 +137,10 @@ def ablate_buildtype(quick: bool = True) -> SeriesSet:
                 rt.gc.unpin(cookie, cost_mult=profile.pin_mult)
             points[size] = (rt.clock.now() - t0) / n
         out.add(pname, points)
-    out.notes.append(
-        "fastchecked builds pin several times more expensively than free "
-        "builds — why [7] measured a larger pinning overhead (footnote 4)"
-    )
     return out
 
 
-def ablate_visited(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A4: linear vs hashed visited-object record in Motor's serializer."""
-    counts = [2, 64, 512, 2048, 8192] if quick else FIG10_OBJECT_COUNTS
-    out = SeriesSet(
-        experiment="ablate-visited",
-        title="Visited-object record: linear (paper) vs hashed (future work)",
-        x_label="objects",
-        y_label="time per iteration (us)",
-    )
-    for label, flavor in (("linear", "motor"), ("hashed", "motor-hashed")):
-        out.add(
-            label,
-            sweep_tree_pingpong(flavor, counts, channel=channel, **_tree_protocol(quick)),
-        )
-    out.notes.append(
-        "the hashed record removes the quadratic search the paper blames "
-        "for Motor's degradation above 2048 objects (§8)"
-    )
-    return out
-
-
-def ablate_split(quick: bool = True) -> SeriesSet:
+def ablate_split(exp: Experiment, quick: bool) -> SeriesSet:
     """A5: split representation vs N separate standard serializations.
 
     Root-side cost of preparing an object-array scatter over 4 ranks:
@@ -218,12 +150,7 @@ def ablate_split(quick: bool = True) -> SeriesSet:
     """
     lengths = [8, 64, 256] if quick else [8, 64, 256, 1024]
     nranks = 4
-    out = SeriesSet(
-        experiment="ablate-split",
-        title="Object-array scatter preparation: split vs atomic",
-        x_label="array length",
-        y_label="us per scatter preparation",
-    )
+    out = exp.series_set("array length", "us per scatter preparation")
 
     def build(rt: ManagedRuntime, length: int):
         if "Cell" not in rt.registry:
@@ -262,272 +189,32 @@ def ablate_split(quick: bool = True) -> SeriesSet:
         atomic_pts[length] = (rt.clock.now() - t0) / 1e3
     out.add("motor-split", split_pts)
     out.add("standard-atomic", atomic_pts)
-    out.notes.append(
-        "atomic serializers must create N new sub-arrays and serialize them "
-        "individually (paper §2.4); the split representation is one pass"
-    )
     return out
 
 
-def ablate_protocol(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A6: the eager/rendezvous crossover in the transfer curve."""
-    sizes = [16384, 65536, 131072, 262144] if quick else FIG9_SIZES[8:]
-    out = SeriesSet(
-        experiment="ablate-protocol",
-        title="Eager/rendezvous threshold and the curve knee (native)",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, threshold in (("eager@16K", 16 * 1024), ("eager@128K", 128 * 1024)):
-        out.add(
-            label,
-            sweep_buffer_pingpong(
-                "cpp", sizes, channel=channel, eager_threshold=threshold,
-                **_protocol(quick),
-            ),
-        )
-    out.notes.append(
-        "messages above the threshold pay the RTS/CTS handshake; moving the "
-        "threshold moves the knee (MPICH2 protocol, paper §6)"
-    )
-    return out
-
-
-def ablate_pure_managed(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A7: pure managed MPI (JMPI over RMI) vs Motor vs native."""
-    sizes = [4, 1024, 65536, 262144] if quick else FIG9_SIZES
-    out = SeriesSet(
-        experiment="ablate-pure-managed",
-        title="Pure managed MPI (JMPI/RMI) vs Motor vs native",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, flavor in (("C++", "cpp"), ("Motor", "motor"), ("JMPI", "jmpi")):
-        out.add(
-            label,
-            sweep_buffer_pingpong(flavor, sizes, channel=channel, **_protocol(quick)),
-        )
-    out.notes.append(
-        "pure managed implementations are portable but slow (paper §2.1): "
-        "every transfer is serialized through the RMI stack"
-    )
-    return out
-
-
-def ablate_pal(quick: bool = True) -> SeriesSet:
+def ablate_pal(exp: Experiment, quick: bool) -> SeriesSet:
     """A8: thin (Windows) vs thick (UNIX) PAL backends (paper §5.4).
 
     The same PAL call sequence costs more through the UNIX emulation —
     the porting asymmetry the paper describes ("the Windows implementation
-    is thin, while ... the UNIX PAL, is thicker").
+    is thin, while ... the UNIX PAL, is thicker").  A backend prices every
+    call alike, so the series is one point: the calls one round makes
+    (create, set and reset an event), as the PAL itself counted them.
     """
     from repro.pal import PAL
 
     n = 300 if quick else 3000
-    out = SeriesSet(
-        experiment="ablate-pal",
-        title="PAL backend cost: thin Windows vs thick UNIX emulation",
-        x_label="calls",
-        y_label="ns per PAL call",
-    )
+    out = exp.series_set("calls per round", "ns per PAL call")
     for backend in ("windows", "unix"):
-        points: dict[int, float] = {}
-        for ncalls in (1, 10, 100):
-            clock = VirtualClock()
-            pal = PAL(backend, clock=clock, costs=CostModel())
-            t0 = clock.now()
-            for _ in range(n):
-                ev = pal.create_event()
-                pal.set_event(ev)
-                pal.reset_event(ev)
-            points[ncalls] = (clock.now() - t0) / (n * 3)
-        out.add(backend, points)
-    out.notes.append(
-        "porting the runtime = re-implementing the PAL; the UNIX PAL pays "
-        "Win32-emulation overhead on every call (paper §5.4)"
-    )
-    return out
-
-
-def ablate_interconnect(quick: bool = True, **_: object) -> SeriesSet:
-    """A9: the future-work interconnect port (paper §9).
-
-    Motor and the native baseline run unmodified over the RDMA-flavoured
-    ``ib`` channel; only the channel changed, and the Motor-vs-native gap
-    stays small while absolute times drop.
-    """
-    sizes = [4, 4096, 65536] if quick else FIG9_SIZES[::4]
-    out = SeriesSet(
-        experiment="ablate-interconnect",
-        title="Channel swap: sock vs ib, same stack above",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, flavor, channel in (
-        ("C++ / sock", "cpp", "sock"),
-        ("Motor / sock", "motor", "sock"),
-        ("C++ / ib", "cpp", "ib"),
-        ("Motor / ib", "motor", "ib"),
-    ):
-        out.add(
-            label,
-            sweep_buffer_pingpong(flavor, sizes, channel=channel, **_protocol(quick)),
-        )
-    out.notes.append(
-        "'The layered Motor architecture will allow us to port Motor to "
-        "other platforms and interconnects' (paper §9) — nothing above the "
-        "five-function channel interface changed"
-    )
-    return out
-
-
-def ablate_reliability(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A10: the reliability sublayer's fault-free cost.
-
-    Seq/CRC sealing, ack generation and retransmit bookkeeping run on
-    every packet once ``reliable`` is on; over a fault-free wire the whole
-    sublayer should be close to free (the target is a <=5% mean slowdown
-    on the Figure 9 ping-pong), which is what makes it acceptable to
-    enable whenever a fault plan is present.
-    """
-    sizes = [4, 1024, 65536, 262144] if quick else FIG9_SIZES
-    out = SeriesSet(
-        experiment="ablate-reliability",
-        title="Reliability sublayer overhead on a fault-free wire (native)",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, reliable in (("baseline", False), ("reliable", True)):
-        out.add(
-            label,
-            sweep_buffer_pingpong(
-                "cpp", sizes, channel=channel, reliable=reliable,
-                **_protocol(quick),
-            ),
-        )
-    out.notes.append(
-        "acks are piggy-backed per poll batch and CRC32 is a single zlib "
-        "call, so the sublayer prices in as noise; faults are what cost "
-        "(retransmit timeouts), not the insurance"
-    )
-    return out
-
-
-def ablate_obs(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A11: the observability layer's cost on the fast path.
-
-    Three configurations of the same ping-pong: no instrumentation,
-    hooks attached but disabled (how a production run would ship — every
-    hot-path guard is crossed but nothing records), and full recording.
-    The claim is that attached-but-disabled instrumentation costs <=5%
-    (it is a handful of ``is not None`` tests per message), so leaving
-    the hooks compiled in is free; recording costs whatever the pvar
-    and span bookkeeping genuinely costs, which A11 also shows.
-    """
-    sizes = [4, 1024, 65536, 262144] if quick else FIG9_SIZES
-    out = SeriesSet(
-        experiment="ablate-obs",
-        title="Observability layer overhead on the ping-pong fast path (native)",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, observe in (
-        ("baseline", None),
-        ("obs-disabled", "disabled"),
-        ("obs-enabled", "enabled"),
-    ):
-        out.add(
-            label,
-            sweep_buffer_pingpong(
-                "cpp", sizes, channel=channel, observe=observe,
-                **_protocol(quick),
-            ),
-        )
-    out.notes.append(
-        "pvars are pull-model (read at snapshot time, MPI_T-style), so the "
-        "progress loop carries no probe at all; disabled hooks cost one "
-        "branch per message event, which prices in as noise"
-    )
-    return out
-
-
-def ablate_sanitize(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A12: the runtime sanitizer's cost on the fast path.
-
-    Same three-way shape as A11: no sanitizer, sanitizer attached but
-    disabled (every ``san is not None`` guard is crossed and every rank
-    view early-returns), and full checking (registry updates, CRC
-    snapshots, wait-for-graph sweeps on idle waits).  The claim the
-    acceptance criteria bound is the middle column: a detached/disabled
-    sanitizer must price within 1% of the baseline, so the hooks can
-    stay compiled into the device and progress engine permanently.
-    """
-    sizes = [4, 1024, 65536, 262144] if quick else FIG9_SIZES
-    out = SeriesSet(
-        experiment="ablate-sanitize",
-        title="Runtime sanitizer overhead on the ping-pong fast path (native)",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, sanitize in (
-        ("baseline", None),
-        ("san-disabled", "disabled"),
-        ("san-enabled", "enabled"),
-    ):
-        out.add(
-            label,
-            sweep_buffer_pingpong(
-                "cpp", sizes, channel=channel, sanitize=sanitize,
-                **_protocol(quick),
-            ),
-        )
-    out.notes.append(
-        "disabled rank views early-return before touching the shared core, "
-        "so the residue is one attribute test plus one enabled test per "
-        "message event; enabled runs pay registry locking, CRC snapshots "
-        "and a deadlock sweep each idle-wait backoff"
-    )
-    return out
-
-
-def ablate_spine(quick: bool = True, channel: str = "sock") -> SeriesSet:
-    """A13: the hook spine's residue on an unobserved run.
-
-    The unified spine replaced per-module ``obs``/``san`` attributes with
-    one compiled dispatcher: every emit site is a slot load plus a falsy
-    check on an empty tuple.  Three configurations of the ping-pong:
-    nothing ever attached (baseline), observer and sanitizer attached
-    then immediately detached (``"detached"`` — the emit sites cross an
-    empty spine that once held subscribers), and both attached but
-    disabled (the subscribers are dispatched to and early-return).  The
-    acceptance bound is the middle column: a detached spine must price
-    within 1% of never having attached at all.
-    """
-    sizes = [4, 1024, 65536, 262144] if quick else FIG9_SIZES
-    out = SeriesSet(
-        experiment="ablate-spine",
-        title="Hook spine residue on the ping-pong fast path (native)",
-        x_label="bytes",
-        y_label="time per iteration (us)",
-    )
-    for label, mode in (
-        ("baseline", None),
-        ("spine-detached", "detached"),
-        ("attached-disabled", "disabled"),
-    ):
-        out.add(
-            label,
-            sweep_buffer_pingpong(
-                "cpp", sizes, channel=channel, observe=mode, sanitize=mode,
-                **_protocol(quick),
-            ),
-        )
-    out.notes.append(
-        "detached dispatch tuples are empty, so each emit site costs one "
-        "attribute load and one truth test — indistinguishable from never "
-        "wiring the spine; disabled subscribers add the bound-method call "
-        "and an early return per subscribed event"
-    )
+        clock = VirtualClock()
+        pal = PAL(backend, clock=clock, costs=CostModel())
+        t0 = clock.now()
+        for _ in range(n):
+            ev = pal.create_event()
+            pal.set_event(ev)
+            pal.reset_event(ev)
+        calls = sum(pal.call_counts.values())
+        out.add(backend, {calls // n: (clock.now() - t0) / calls})
     return out
 
 
@@ -575,7 +262,7 @@ def _copy_accounting_main(mode: str, sizes: list[int]):
     return main
 
 
-def ablate_copies(quick: bool = True, channel: str = "sock") -> SeriesSet:
+def ablate_copies(exp: Experiment, quick: bool) -> SeriesSet:
     """A14: the zero-copy data plane's ledger, per delivery path.
 
     The device counts ``bytes_moved`` (payload bytes accepted off the
@@ -589,31 +276,21 @@ def ablate_copies(quick: bool = True, channel: str = "sock") -> SeriesSet:
     """
     eager_sizes = [4096, 65536] if quick else [1024, 4096, 16384, 65536, 131072]
     rndv_sizes = [262144, 524288] if quick else [262144, 524288, 1048576]
-    out = SeriesSet(
-        experiment="ablate-copies",
-        title="Copy accounting: receiver copies per byte moved",
-        x_label="bytes",
-        y_label="bytes_copied / bytes_moved (receiver)",
-    )
+    out = exp.series_set("bytes", "bytes_copied / bytes_moved (receiver)")
     for label, mode, sizes in (
         ("eager-matched", "matched", eager_sizes),
         ("rendezvous", "matched", rndv_sizes),
         ("eager-unexpected", "unexpected", eager_sizes),
     ):
         ratios = mpiexec(
-            2, _copy_accounting_main(mode, sizes), channel=channel,
+            2, _copy_accounting_main(mode, sizes), channel="sock",
             clock_mode="virtual",
         )[1]
         out.add(label, ratios)
-    out.notes.append(
-        "matched eager and rendezvous land at <=1 copy per byte (the wire "
-        "view windows the latched source buffer); unexpected eager pays "
-        "exactly one extra staging copy (stage + deliver = 2)"
-    )
     return out
 
 
-def ablate_checkpoint(quick: bool = True, **_: object) -> SeriesSet:
+def ablate_checkpoint(exp: Experiment, quick: bool) -> SeriesSet:
     """A15: fault-free coordinated-checkpoint overhead.
 
     The elastic work queue runs the same deterministic round-robin
@@ -631,12 +308,7 @@ def ablate_checkpoint(quick: bool = True, **_: object) -> SeriesSet:
 
     cadences = [200] if quick else [100, 200, 300]
     reps = 3 if quick else 5
-    out = SeriesSet(
-        experiment="ablate-checkpoint",
-        title="Coordinated checkpoint overhead on a fault-free run",
-        x_label="ckpt_every",
-        y_label="virtual ms per run",
-    )
+    out = exp.series_set("ckpt_every", "virtual ms per run")
     baseline: dict[int, float] = {}
     ckptd: dict[int, float] = {}
     for cadence in cadences:
@@ -650,11 +322,6 @@ def ablate_checkpoint(quick: bool = True, **_: object) -> SeriesSet:
         )
     out.add("baseline", baseline)
     out.add("checkpointed", ckptd)
-    out.notes.append(
-        "the dominant term is not protocol chatter but the drain to a "
-        "consistent cut (one batch of scheduling skew per checkpoint), "
-        "so the premium shrinks as the cadence grows"
-    )
     return out
 
 
@@ -715,7 +382,7 @@ def _overlap_main(rounds: int, compute_ns: float, chunk_ns: float, bcast_bytes: 
     return main
 
 
-def ablate_progress(quick: bool = True, channel: str = "sock") -> SeriesSet:
+def ablate_progress(exp: Experiment, quick: bool) -> SeriesSet:
     """A16: polled vs. async progress on a compute+communicate workload.
 
     The polling-wait pathology ("MPI Progress For All"): with polled
@@ -731,17 +398,12 @@ def ablate_progress(quick: bool = True, channel: str = "sock") -> SeriesSet:
     compute_ns = 3_000_000.0  # 3 ms of simulated application work per round
     chunk_ns = 5_000.0
     bcast_bytes = 256 * 1024  # rendezvous-sized: must be pumped to flow
-    out = SeriesSet(
-        experiment="ablate-progress",
-        title="Progress modes: polled vs. async on compute+communicate",
-        x_label="rank",
-        y_label="virtual ms (elapsed/blocked) and ratios",
-    )
+    out = exp.series_set("rank", "virtual ms (elapsed/blocked) and ratios")
     per_mode: dict[str, list[dict]] = {}
     for mode in ("polled", "async"):
         per_mode[mode] = mpiexec(
             2, _overlap_main(rounds, compute_ns, chunk_ns, bcast_bytes),
-            channel=channel, clock_mode="virtual", progress=mode,
+            channel="sock", clock_mode="virtual", progress=mode,
         )
         out.add(f"{mode}-elapsed-ms", {r: o["elapsed_ms"] for r, o in enumerate(per_mode[mode])})
         out.add(f"{mode}-wait-ms", {r: o["wait_ms"] for r, o in enumerate(per_mode[mode])})
@@ -753,16 +415,10 @@ def ablate_progress(quick: bool = True, channel: str = "sock") -> SeriesSet:
             for r in range(2)
         },
     )
-    out.notes.append(
-        "async progress defers clock merges for packets handled during "
-        "compute (the arrival lands when the data is consumed), so the "
-        "rendezvous stream's wire time hides under the charges instead of "
-        "serialising after them"
-    )
     return out
 
 
-def ablate_rma(quick: bool = True, channel: str = "shm") -> SeriesSet:
+def ablate_rma(exp: Experiment, quick: bool) -> SeriesSet:
     """A17: one-sided windows — native channel RMA vs packet emulation.
 
     The same halo-exchange rank main runs twice: once over the channel's
@@ -781,14 +437,9 @@ def ablate_rma(quick: bool = True, channel: str = "shm") -> SeriesSet:
     for arm, force in (("native", False), ("emulated", True)):
         arms[arm] = run_halo(
             2, rows=rows, cols=cols, iterations=iterations,
-            force_emulation=force, channel=channel,
+            force_emulation=force, channel="shm",
         )
-    out = SeriesSet(
-        experiment="ablate-rma",
-        title="One-sided windows: native channel RMA vs emulation",
-        x_label="rank",
-        y_label="virtual comm ms, copied bytes and op counts",
-    )
+    out = exp.series_set("rank", "virtual comm ms, copied bytes and op counts")
     for arm, res in arms.items():
         out.add(f"{arm}-comm-ms", {r: o["comm_ns"] / 1e6 for r, o in enumerate(res)})
         out.add(f"{arm}-rma-copied-bytes", {r: float(o["rma_copied"]) for r, o in enumerate(res)})
@@ -812,27 +463,3 @@ def ablate_rma(quick: bool = True, channel: str = "shm") -> SeriesSet:
         "byte on the target while the native arm's ledger shows zero"
     )
     return out
-
-
-#: experiment registry: id -> (title, callable)
-EXPERIMENTS = {
-    "fig9": ("Figure 9: regular MPI ping-pong", figure9),
-    "fig10": ("Figure 10: object-tree ping-pong", figure10),
-    "ablate-calls": ("A1: call mechanisms", ablate_calls),
-    "ablate-pinning": ("A2: pinning policy", ablate_pinning),
-    "ablate-buildtype": ("A3: build-type pinning cost", ablate_buildtype),
-    "ablate-visited": ("A4: visited structure", ablate_visited),
-    "ablate-split": ("A5: split vs atomic serialization", ablate_split),
-    "ablate-protocol": ("A6: eager/rendezvous crossover", ablate_protocol),
-    "ablate-pure-managed": ("A7: pure managed MPI", ablate_pure_managed),
-    "ablate-pal": ("A8: PAL backend thickness", ablate_pal),
-    "ablate-interconnect": ("A9: interconnect port (future work)", ablate_interconnect),
-    "ablate-reliability": ("A10: reliability sublayer overhead", ablate_reliability),
-    "ablate-obs": ("A11: observability layer overhead", ablate_obs),
-    "ablate-sanitize": ("A12: runtime sanitizer overhead", ablate_sanitize),
-    "ablate-spine": ("A13: hook spine residue", ablate_spine),
-    "ablate-copies": ("A14: copy accounting per delivery path", ablate_copies),
-    "ablate-checkpoint": ("A15: coordinated checkpoint overhead", ablate_checkpoint),
-    "ablate-progress": ("A16: polled vs. async progress overlap", ablate_progress),
-    "ablate-rma": ("A17: one-sided windows native vs emulated", ablate_rma),
-}

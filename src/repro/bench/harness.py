@@ -71,16 +71,6 @@ class SeriesSet:
         return "\n".join(lines) + "\n"
 
 
-def geometric_mean(values) -> float:
-    vals = [v for v in values if v is not None and v > 0]
-    if not vals:
-        return float("nan")
-    prod = 1.0
-    for v in vals:
-        prod *= v
-    return prod ** (1.0 / len(vals))
-
-
 def mean(values) -> float:
     vals = [v for v in values if v is not None]
     return sum(vals) / len(vals) if vals else float("nan")

@@ -22,13 +22,7 @@ pingpong on real processes from the command line.
 """
 
 from repro.cluster.substrate import InprocSubstrate, Substrate, make_substrate
-from repro.cluster.world import (
-    RankContext,
-    World,
-    mpiexec,
-    mpiexec_observed,
-    mpiexec_sanitized,
-)
+from repro.cluster.world import RankContext, World, mpiexec
 
 __all__ = [
     "World",
@@ -37,6 +31,4 @@ __all__ = [
     "InprocSubstrate",
     "make_substrate",
     "mpiexec",
-    "mpiexec_observed",
-    "mpiexec_sanitized",
 ]

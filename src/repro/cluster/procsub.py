@@ -37,12 +37,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cluster.substrate import (
-    Substrate,
-    draining,
-    observe_session,
-    sanitize_session,
-)
+from repro.cluster.substrate import Substrate, draining, open_session
 from repro.mp.channels.base import ChannelStack
 from repro.mp.errors import MpiErrProcFailed
 from repro.simtime import CostModel
@@ -317,10 +312,7 @@ def _worker_entry(spec: WorldSpec, address, rank: int, main, session_factory) ->
         ch = _proc_channel(ctx.engine)
         # barrier-at-boot: no main starts until every rank is reachable
         ch.wait_ready(spec.boot_timeout)
-        if session_factory is not None:
-            ctx.session = session_factory(ctx)
-            observe_session(ctx)
-            sanitize_session(ctx)
+        open_session(ctx, session_factory)
         result = draining(world, main)(ctx)
         ch.send_result(result)
         ch.send_bye()

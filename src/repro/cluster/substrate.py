@@ -29,7 +29,7 @@ the decisions that differ between a simulated and a real deployment:
 :class:`repro.cluster.procsub.ProcSubstrate` boots real worker
 processes over the same seam.  ``make_substrate`` resolves the
 ``substrate=`` mode flag threaded through :class:`~repro.cluster.world.
-World` and the ``mpiexec`` family.
+World` and ``mpiexec``.
 """
 
 from __future__ import annotations
@@ -58,21 +58,19 @@ class _RankThread(threading.Thread):
             self.error = exc
 
 
-def observe_session(ctx) -> None:
-    """Extend a rank's instrumentation over its session layer (Motor VM)."""
-    if ctx.obs is None or ctx.session is None:
+def open_session(ctx, session_factory: Callable | None) -> None:
+    """Build a rank's session layer and, when it is a Motor VM, extend the
+    rank's instrumentation and sanitizer over it."""
+    if session_factory is None:
         return
-    if hasattr(ctx.session, "runtime") and hasattr(ctx.session, "policy"):
+    ctx.session = session_factory(ctx)
+    if not (hasattr(ctx.session, "runtime") and hasattr(ctx.session, "policy")):
+        return
+    if ctx.obs is not None:
         from repro.obs import attach_vm
 
         attach_vm(ctx.obs, ctx.session)
-
-
-def sanitize_session(ctx) -> None:
-    """Extend a rank's sanitizer over its session layer (Motor VM)."""
-    if ctx.san is None or ctx.session is None:
-        return
-    if hasattr(ctx.session, "runtime") and hasattr(ctx.session, "policy"):
+    if ctx.san is not None:
         from repro.analyze import attach_vm as san_attach_vm
 
         san_attach_vm(ctx.san, ctx.session)
@@ -209,10 +207,7 @@ class InprocSubstrate(Substrate):
         try:
             for rank in range(n):
                 ctx = world.context_for(rank)
-                if session_factory is not None:
-                    ctx.session = session_factory(ctx)
-                    observe_session(ctx)
-                    sanitize_session(ctx)
+                open_session(ctx, session_factory)
                 threads.append(self.host(f"rank-{rank}", main, ctx))
             for t in threads:
                 t.start()

@@ -16,12 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cluster.substrate import (
-    _RankThread,
-    make_substrate,
-    observe_session,
-    sanitize_session,
-)
+from repro.cluster.substrate import _RankThread, make_substrate, open_session
 from repro.mp.channels import FABRICS, FaultPlan
 from repro.mp.channels.base import ChannelStack
 from repro.mp.communicator import Communicator, Group
@@ -179,11 +174,15 @@ class World:
             base.on_peer_dead = eng.device._peer_failed
 
     def context_for(self, rank: int, yield_fn: Callable[[], None] | None = None) -> RankContext:
+        return self._context(rank, self.engine_for(rank, yield_fn))
+
+    def _context(
+        self, rank: int, engine: MpiEngine, parent_comm: Communicator | None = None
+    ) -> RankContext:
+        """A rank's context, the world's observer and sanitizer attached."""
         ctx = RankContext(
-            world=self,
-            rank=rank,
-            engine=self.engine_for(rank, yield_fn),
-            clock=self.clock_for(rank),
+            world=self, rank=rank, engine=engine, clock=self.clock_for(rank),
+            parent_comm=parent_comm,
         )
         self._attach_obs(ctx)
         self._attach_san(ctx)
@@ -235,8 +234,9 @@ class World:
         if not self._insts:
             raise RuntimeError(
                 "no in-process rank snapshots to merge (the proc substrate "
-                "hosts ranks in worker processes; use mpiexec_observed or "
-                "repro.obs.cluster_snapshot, which gather over the wire)"
+                "hosts ranks in worker processes; use mpiexec(observe="
+                "\"enabled\").snapshot or repro.obs.cluster_snapshot, which "
+                "gather over the wire)"
             )
         from repro.obs import merge_snapshots
 
@@ -269,11 +269,7 @@ class World:
         parent_comm = parent_ctx.comm_world
         # Agree on child ranks and a context id (rank 0 decides, bcasts).
         if parent_comm.rank == 0:
-            with self._spawn_lock:
-                base = self._next_rank
-                self._next_rank += nprocs
-                ctx_id = self._spawn_contexts
-                self._spawn_contexts += 4
+            base, ctx_id = self._allocate_ranks(nprocs)
             info = f"{base},{ctx_id}".encode()
         else:
             info = None
@@ -295,28 +291,17 @@ class World:
             for r in child_ranks:
                 self.fabric.add_rank(r)
             for i, r in enumerate(child_ranks):
-                ctx = RankContext(
-                    world=self,
-                    rank=r,
-                    engine=self._child_engine(r, child_group, i),
-                    clock=self.clock_for(r),
-                )
-                ctx.parent_comm = Communicator(
-                    engine=ctx.engine,
+                engine = self._child_engine(r, child_group, i)
+                parent_side = Communicator(
+                    engine=engine,
                     context_id=ctx_id,
                     group=child_group,
                     rank=i,
                     remote_group=parent_group,
                 )
-                self._attach_obs(ctx)
-                self._attach_san(ctx)
-                if session_factory is not None:
-                    ctx.session = session_factory(ctx)
-                    observe_session(ctx)
-                    sanitize_session(ctx)
-                t = self.substrate.host(f"spawned-{r}", child_main, ctx)
-                self._spawned_threads.append(t)
-                t.start()
+                self._host_late_rank(
+                    f"spawned-{r}", child_main, r, engine, session_factory, parent_side
+                )
 
         return Communicator(
             engine=parent_ctx.engine,
@@ -361,11 +346,7 @@ class World:
                     f"{self.channel_name} fabric cannot add replacement "
                     "ranks; use the shm or ib channel"
                 )
-            with self._spawn_lock:
-                base = self._next_rank
-                self._next_rank += nprocs
-                ctx_id = self._spawn_contexts
-                self._spawn_contexts += 4
+            base, ctx_id = self._allocate_ranks(nprocs)
             # endpoints must exist before any survivor can learn the new
             # rank ids (a send to an unknown rank has no mailbox)
             for i in range(nprocs):
@@ -381,23 +362,12 @@ class World:
             for w in lost:
                 slot = old_comm.group.local_rank(w)
                 rank = replaced[w]
-                rctx = RankContext(
-                    world=self,
-                    rank=rank,
-                    engine=self._replacement_engine(
-                        rank, full_group, slot, ctx_id, old_comm.errhandler
-                    ),
-                    clock=self.clock_for(rank),
+                engine = self._replacement_engine(
+                    rank, full_group, slot, ctx_id, old_comm.errhandler
                 )
-                self._attach_obs(rctx)
-                self._attach_san(rctx)
-                if session_factory is not None:
-                    rctx.session = session_factory(rctx)
-                    observe_session(rctx)
-                    sanitize_session(rctx)
-                t = self.substrate.host(f"replacement-{rank}", replacement_main, rctx)
-                self._spawned_threads.append(t)
-                t.start()
+                self._host_late_rank(
+                    f"replacement-{rank}", replacement_main, rank, engine, session_factory
+                )
         return Communicator(
             engine=parent_ctx.engine,
             context_id=ctx_id,
@@ -405,6 +375,32 @@ class World:
             rank=old_comm.rank,
             errhandler=old_comm.errhandler,
         )
+
+    def _allocate_ranks(self, nprocs: int) -> tuple[int, int]:
+        """Fresh world ranks ``base .. base+nprocs-1`` and a context id."""
+        with self._spawn_lock:
+            base = self._next_rank
+            self._next_rank += nprocs
+            ctx_id = self._spawn_contexts
+            self._spawn_contexts += 4
+        return base, ctx_id
+
+    def _host_late_rank(
+        self,
+        name: str,
+        main: Callable[[RankContext], Any],
+        rank: int,
+        engine: MpiEngine,
+        session_factory: Callable[[RankContext], Any] | None,
+        parent_comm: Communicator | None = None,
+    ) -> None:
+        """Start a rank born after boot (spawned child or replacement):
+        context, session, a seat on the substrate."""
+        ctx = self._context(rank, engine, parent_comm)
+        open_session(ctx, session_factory)
+        t = self.substrate.host(name, main, ctx)
+        self._spawned_threads.append(t)
+        t.start()
 
     def _replacement_engine(
         self, rank: int, full_group: Group, slot: int, ctx_id: int, errhandler: str
@@ -500,6 +496,19 @@ class World:
         self.substrate.shutdown()
 
 
+class RankResults(list):
+    """What :func:`mpiexec` returns: the ranks' results, indexed by rank,
+    plus what the world recorded about the run."""
+
+    #: the world's sanitizer report (``sanitize=`` set), else ``None``
+    report: Any = None
+    #: the merged obs snapshot gathered to rank 0 (``observe="enabled"``), else ``None``
+    snapshot: dict | None = None
+    #: True when the sanitizer confirmed a deadlock and halted the run;
+    #: the list is then empty
+    deadlocked = False
+
+
 def mpiexec(
     n: int,
     main: Callable[[RankContext], Any],
@@ -518,7 +527,7 @@ def mpiexec(
     progress: str = "polled",
     substrate: Any = "inproc",
     substrate_opts: dict | None = None,
-) -> list[Any]:
+) -> RankResults:
     """Launch ``n`` ranks running ``main`` and return their results by rank.
 
     ``session_factory`` builds the per-rank programming environment (a
@@ -530,14 +539,23 @@ def mpiexec(
 
     ``observe`` attaches the repro.obs instrumentation to every rank:
     ``"enabled"`` records, ``"disabled"`` attaches inert hooks (the A11
-    overhead configuration), ``None`` leaves the stack untouched.
+    overhead configuration), ``None`` leaves the stack untouched.  When
+    recording, after every rank's ``main`` returns the ranks join a
+    collective gather (``collectives.gather_bytes``) of their local
+    snapshots and rank 0 merges them — the cluster-wide aggregation path,
+    exercising the wire rather than peeking across threads; the merged
+    snapshot is the result's ``.snapshot`` (render with
+    ``repro.obs.render_report``).
 
     ``sanitize`` attaches the repro.analyze runtime sanitizer the same
     way: ``"enabled"`` checks, ``"disabled"`` attaches inert hooks (the
-    A12 overhead configuration), ``None`` leaves the stack untouched.
-    When a deadlock knot is confirmed the blocked ranks raise
-    :class:`repro.analyze.DeadlockError` (unless ``halt_on_deadlock`` is
-    False, in which case the finding is recorded and the wait continues).
+    A12 overhead configuration), ``None`` leaves the stack untouched; the
+    findings are the result's ``.report``.  A confirmed deadlock knot
+    makes the blocked ranks raise :class:`repro.analyze.DeadlockError`
+    (unless ``halt_on_deadlock`` is False, in which case the finding is
+    recorded and the wait continues); it does not propagate: the result
+    comes back empty with ``.deadlocked`` set and the MA-R01 finding in
+    the report.  Other rank errors re-raise.
 
     ``substrate`` picks the execution substrate: ``"inproc"`` (default,
     thread-per-rank in this process) or ``"proc"`` (one OS process per
@@ -551,56 +569,29 @@ def mpiexec(
                   observe=observe, sanitize=sanitize,
                   halt_on_deadlock=halt_on_deadlock, progress=progress,
                   substrate=substrate, substrate_opts=substrate_opts)
-    return world.launch(n, main, session_factory, timeout)
+    out = RankResults()
+    deadlock: tuple = ()
+    if world.sanitizer is not None:
+        from repro.analyze import DeadlockError
 
-
-def mpiexec_sanitized(
-    n: int,
-    main: Callable[[RankContext], Any],
-    sanitize: str = "enabled",
-    halt_on_deadlock: bool = True,
-    timeout: float = 120.0,
-    session_factory: Callable[[RankContext], Any] | None = None,
-    **kw: Any,
-) -> tuple[list[Any] | None, Any]:
-    """Run ``main`` under the runtime sanitizer; returns ``(results, report)``.
-
-    A confirmed deadlock does not propagate: the blocked ranks' raises are
-    swallowed, ``results`` comes back as ``None`` and the MA-R01 finding
-    (plus anything else recorded) is in the report.  Other rank errors
-    re-raise as with :func:`mpiexec`.
-    """
-    from repro.analyze import DeadlockError
-
-    world = World(n, sanitize=sanitize, halt_on_deadlock=halt_on_deadlock, **kw)
+        deadlock = (DeadlockError,)
+        out.report = world.sanitizer.report
+    gather = observe == "enabled"
     try:
-        results = world.launch(n, main, session_factory, timeout)
-    except DeadlockError:
-        results = None
-    return results, world.sanitizer.report
-
-
-def mpiexec_observed(
-    n: int,
-    main: Callable[[RankContext], Any],
-    observe: str = "enabled",
-    **kw: Any,
-) -> tuple[list[Any], dict | None]:
-    """Run ``main`` under instrumentation and gather one merged snapshot.
-
-    After every rank's ``main`` returns, the ranks join a collective
-    gather (``collectives.gather_bytes``) of their local snapshots and
-    rank 0 merges them — the cluster-wide aggregation path, exercising
-    the wire rather than peeking across threads.  Returns
-    ``(results, merged_snapshot)``; render with ``repro.obs.render_report``.
-    """
-    pairs = mpiexec(n, _ObservedMain(main), observe=observe, **kw)
-    snapshot = next((m for _r, m in pairs if m is not None), None)
-    return [r for r, _m in pairs], snapshot
+        results = world.launch(n, _ObservedMain(main) if gather else main,
+                               session_factory, timeout)
+    except deadlock:
+        out.deadlocked = True
+        return out
+    if gather:
+        out.snapshot = next((m for _r, m in results if m is not None), None)
+        results = [r for r, _m in results]
+    out.extend(results)
+    return out
 
 
 class _ObservedMain:
-    """Picklable rank-main wrapper for :func:`mpiexec_observed`.
+    """Picklable rank-main wrapper: ``main``, then the snapshot gather.
 
     A module-level class (not a closure) so the proc substrate can ship
     it to worker processes; the merged snapshot travels back inside each

@@ -87,11 +87,6 @@ class BufferPingPong:
         return results if me == 0 else None
 
 
-def _buffer_main(flavor: str, sizes, iterations: int, timed: int, runs: int, verify: bool):
-    """Factory kept for existing callers; returns a picklable rank main."""
-    return BufferPingPong(flavor, sizes, iterations, timed, runs, verify)
-
-
 def sweep_buffer_pingpong(
     flavor: str,
     sizes=FIG9_SIZES,
@@ -128,7 +123,7 @@ def sweep_buffer_pingpong(
     over the simulated channel) or ``"proc"`` (real OS processes over the
     packet router).
     """
-    main = _buffer_main(flavor, list(sizes), iterations, timed, runs, verify)
+    main = BufferPingPong(flavor, sizes, iterations, timed, runs, verify)
     results = mpiexec(
         2, main, channel=channel, clock_mode=clock_mode, costs=costs,
         eager_threshold=eager_threshold, timeout=timeout,
@@ -193,11 +188,6 @@ class TreePingPong:
         return results if me == 0 else None
 
 
-def _tree_main(flavor: str, counts, total_bytes, iterations, timed, runs, verify):
-    """Factory kept for existing callers; returns a picklable rank main."""
-    return TreePingPong(flavor, counts, total_bytes, iterations, timed, runs, verify)
-
-
 def sweep_tree_pingpong(
     flavor: str,
     object_counts=FIG10_OBJECT_COUNTS,
@@ -217,9 +207,7 @@ def sweep_tree_pingpong(
     ``None`` marks points the system could not produce (mpiJava's stack
     overflow past 1024 objects).
     """
-    main = _tree_main(
-        flavor, list(object_counts), total_bytes, iterations, timed, runs, verify
-    )
+    main = TreePingPong(flavor, object_counts, total_bytes, iterations, timed, runs, verify)
     results = mpiexec(
         2, main, channel=channel, clock_mode=clock_mode, costs=costs,
         timeout=timeout, substrate=substrate,

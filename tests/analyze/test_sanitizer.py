@@ -1,13 +1,13 @@
 """Runtime sanitizer: deadlock knots, races, buffer bugs, pin leaks.
 
-Everything runs through :func:`mpiexec_sanitized` — the same integration
+Everything runs through ``mpiexec(sanitize=...)`` — the same integration
 surface users get — so these tests also pin down the hook wiring in the
 device, matching queues, progress engine, collector and pin policy.
 """
 
 import pytest
 
-from repro.cluster.world import mpiexec_sanitized
+from repro.cluster.world import mpiexec
 from repro.motor import motor_session
 
 pytestmark = pytest.mark.analyze
@@ -15,7 +15,9 @@ pytestmark = pytest.mark.analyze
 
 def _run(n, main, **kw):
     kw.setdefault("session_factory", motor_session)
-    return mpiexec_sanitized(n, main, **kw)
+    kw.setdefault("sanitize", "enabled")
+    results = mpiexec(n, main, **kw)
+    return (None if results.deadlocked else results), results.report
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ must return to zero.
 import pytest
 
 from repro.cluster import mpiexec
-from repro.cluster.world import mpiexec_sanitized
+from repro.cluster.world import mpiexec
 from repro.motor import motor_session
 
 pytestmark = pytest.mark.analyze
@@ -18,7 +18,9 @@ pytestmark = pytest.mark.analyze
 
 def _run(n, main, **kw):
     kw.setdefault("session_factory", motor_session)
-    return mpiexec_sanitized(n, main, **kw)
+    kw.setdefault("sanitize", "enabled")
+    results = mpiexec(n, main, **kw)
+    return (None if results.deadlocked else results), results.report
 
 
 def _fence_program(ctx):

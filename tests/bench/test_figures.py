@@ -5,71 +5,113 @@ the cheap ablations completely and the figure claims on reduced axes so
 the suite stays fast while still asserting each paper claim's direction.
 """
 
+import inspect
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.bench.figures import (
-    EXPERIMENTS,
-    ablate_buildtype,
-    ablate_calls,
-    ablate_copies,
-    ablate_split,
-)
-from repro.bench.report import CHECKS
+from repro.bench.figures import Sweep
+from repro.bench.report import EXPERIMENTS, run_experiment
+from repro.workloads.adapters import ADAPTERS
 from repro.workloads.pingpong import sweep_buffer_pingpong, sweep_tree_pingpong
 
 QUICK = {"iterations": 6, "timed": 3, "runs": 1}
+ROOT = Path(__file__).resolve().parents[2]
+SWEEPS = [e for e in EXPERIMENTS.values() if isinstance(e.runner, Sweep)]
 
 
-class TestRegistry:
-    def test_every_figure_and_ablation_present(self):
-        assert {
-            "fig9",
-            "fig10",
-            "ablate-calls",
-            "ablate-pinning",
-            "ablate-buildtype",
-            "ablate-visited",
-            "ablate-split",
-            "ablate-protocol",
-            "ablate-pure-managed",
-            "ablate-pal",
-            "ablate-interconnect",
-            "ablate-reliability",
-            "ablate-obs",
-            "ablate-sanitize",
-            "ablate-spine",
-            "ablate-copies",
-            "ablate-checkpoint",
-            "ablate-progress",
-            "ablate-rma",
-        } == set(EXPERIMENTS)
+class TestTable:
+    """The experiment table, checked without running it."""
 
-    def test_every_experiment_has_a_claim_check(self):
-        assert set(CHECKS) == set(EXPERIMENTS)
+    def test_ids_and_headings_in_order(self):
+        rows = list(EXPERIMENTS.values())
+        assert [e.id for e in rows[:2]] == ["fig9", "fig10"]
+        assert [e.heading.split(":")[0] for e in rows] == ["Figure 9", "Figure 10"] + [
+            f"A{i}" for i in range(1, 18)
+        ]
+        assert all(e.id.startswith("ablate-") for e in rows[2:])
+        assert list(EXPERIMENTS) == [e.id for e in rows]
+        for e in rows:
+            assert callable(e.runner) and callable(e.check), e.id
+            assert e.title and e.section, e.id
+
+    @pytest.mark.parametrize("exp", SWEEPS, ids=lambda e: e.id)
+    def test_sweep_rows_name_real_things(self, exp):
+        """The typo net: flavors, keyword arguments and axes exist."""
+        sweep = exp.runner
+        params = inspect.signature(sweep.kind.sweep).parameters
+        for label, flavor, kwargs in sweep.arms:
+            assert flavor in ADAPTERS, (exp.id, label)
+            assert set(kwargs) <= set(params), (exp.id, label)
+        labels = [label for label, _flavor, _kw in sweep.arms]
+        assert len(set(labels)) == len(labels)
+        for xs in (sweep.quick, sweep.full):
+            assert xs is None or (xs and set(xs) <= set(sweep.kind.axis)), exp.id
+
+    def test_pal_axis_is_what_the_loop_varies(self):
+        """A8 has one point per distinct input: a backend prices every PAL
+        call alike, so that is a single row, the calls one round makes."""
+        s = EXPERIMENTS["ablate-pal"].run(quick=True)
+        assert s.xs() == [3]
+        assert s.series == {"windows": {3: 80.0}, "unix": {3: 260.0}}
+
+
+class TestDocsMatchTable:
+    """Docs <-> table <-> committed artifacts: none can drift silently."""
+
+    experiments_md = (ROOT / "EXPERIMENTS.md").read_text()
+
+    def test_every_row_has_its_section_in_experiments_md(self):
+        data = self.experiments_md.partition("# Regenerated series and claim checks")[2]
+        assert re.findall(r"^## (.+)$", data, re.M) == [
+            e.heading for e in EXPERIMENTS.values()
+        ]
+
+    def test_summary_lists_every_claim_of_the_data_section(self):
+        summary, _, data = self.experiments_md.partition(
+            "# Regenerated series and claim checks"
+        )
+        blocks = re.findall(r"^\[(HOLDS|DIFFERS)\] ", data, re.M)
+        held, total = map(int, re.search(r"\*\*(\d+) of (\d+) claims hold", summary).groups())
+        assert (held, total) == (blocks.count("HOLDS"), len(blocks))
+        rows = re.findall(r"^\| (Figure \d+|A\d+) \(.*\| (HOLDS|DIFFERS) \|$", summary, re.M)
+        assert [v for _tag, v in rows] == blocks
+        tags = [e.heading.split(":")[0] for e in EXPERIMENTS.values()]
+        assert list(dict.fromkeys(tag for tag, _v in rows)) == tags
+
+    def test_every_row_is_in_the_design_index(self):
+        design = (ROOT / "DESIGN.md").read_text()
+        index = design.partition("## 4. Experiment index")[2].partition("\n## 5.")[0]
+        targets = re.findall(r"^\| \*\*.*`python -m repro\.bench ([\w-]+)`", index, re.M)
+        assert targets == list(EXPERIMENTS)
+
+    def test_committed_smoke_json_is_the_smoke_rows(self):
+        committed = json.loads((ROOT / "BENCH_smoke.json").read_text())
+        smoke = [e for e in EXPERIMENTS.values() if e.smoke]
+        assert [x["id"] for x in committed["experiments"]] == [e.id for e in smoke]
+        assert [x["title"] for x in committed["experiments"]] == [e.heading for e in smoke]
 
 
 class TestCheapAblations:
     def test_calls(self):
-        s = ablate_calls(quick=True)
-        claims = CHECKS["ablate-calls"](s)
+        s, claims = run_experiment("ablate-calls")
         assert all(c.holds for c in claims), [c.measured for c in claims]
 
     def test_buildtype(self):
-        s = ablate_buildtype(quick=True)
-        claims = CHECKS["ablate-buildtype"](s)
+        s, claims = run_experiment("ablate-buildtype")
         assert all(c.holds for c in claims)
         # size-proportional pin cost shows in the series
         free = s.series["sscli-free"]
         assert free[262144] > free[64]
 
     def test_split(self):
-        s = ablate_split(quick=True)
-        claims = CHECKS["ablate-split"](s)
+        s, claims = run_experiment("ablate-split")
         assert all(c.holds for c in claims)
 
     def test_copies(self):
-        s = ablate_copies(quick=True)
-        claims = CHECKS["ablate-copies"](s)
+        s, claims = run_experiment("ablate-copies")
         assert all(c.holds for c in claims), [c.measured for c in claims]
         # the ratios are exact, not merely bounded
         assert all(v == 1.0 for v in s.series["eager-matched"].values())

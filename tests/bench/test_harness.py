@@ -2,7 +2,7 @@
 
 import math
 
-from repro.bench.harness import SeriesSet, geometric_mean, mean
+from repro.bench.harness import SeriesSet, mean
 
 
 def sample() -> SeriesSet:
@@ -48,7 +48,3 @@ class TestStats:
     def test_mean_skips_none(self):
         assert mean([1.0, None, 3.0]) == 2.0
         assert math.isnan(mean([]))
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == 2.0
-        assert math.isnan(geometric_mean([None, 0]))

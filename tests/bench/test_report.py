@@ -1,13 +1,20 @@
 """Claim checking and the report/CLI plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import SeriesSet
 from repro.bench.report import (
+    DATA_HEADING,
+    EXPERIMENTS,
+    SUMMARY_BEGIN,
+    SUMMARY_END,
     ClaimResult,
     check_ablate_calls,
     check_fig9,
     render_claims,
+    rewrite_experiments_md,
     run_experiment,
 )
 
@@ -82,6 +89,36 @@ class TestRendering:
         assert "paper says" in text and "we measured" in text
 
 
+class TestExperimentsMd:
+    """The two generated parts of EXPERIMENTS.md come from the same results."""
+
+    def results(self, holds):
+        row = EXPERIMENTS["ablate-pal"]
+        series = row.series_set("x", "y")
+        series.add("a", {1: 2.0})
+        return [(row, series, [ClaimResult("a claim", "paper | says", "measured", holds)])]
+
+    def test_summary_and_data_are_replaced_and_prose_kept(self):
+        old = (
+            "# title\n\nintro\n\n" + SUMMARY_BEGIN + "stale summary\n" + SUMMARY_END
+            + "\n## Notes\n\nprose\n\n" + DATA_HEADING + "\nstale data\n"
+        )
+        new = rewrite_experiments_md(old, self.results(True))
+        assert "stale" not in new
+        assert new.startswith("# title\n\nintro\n\n" + SUMMARY_BEGIN)
+        assert "\n## Notes\n\nprose\n\n" + DATA_HEADING in new
+        assert "Summary: **1 of 1 claims hold.**" in new
+        assert "| A8 (§5.4) | a claim | paper \\| says | measured | HOLDS |" in new
+        assert "## A8: PAL backend thickness" in new and "[HOLDS] a claim" in new
+        assert rewrite_experiments_md(new, self.results(True)) == new
+
+    def test_a_differing_claim_shows_in_both_parts(self):
+        new = rewrite_experiments_md("# title\n\n", self.results(False))
+        assert "Summary: **0 of 1 claims hold.**" in new
+        assert "| DIFFERS |" in new and "[DIFFERS] a claim" in new
+        assert new.index(SUMMARY_END) < new.index(DATA_HEADING)
+
+
 class TestRunExperiment:
     def test_cheap_experiment_end_to_end(self):
         series, claims = run_experiment("ablate-calls", quick=True)
@@ -103,6 +140,17 @@ class TestCli:
         assert "Pin/unpin pair cost" in out
         assert "[HOLDS]" in out
         assert (tmp_path / "ablate-buildtype.csv").exists()
+
+    def test_cli_exits_nonzero_when_a_claim_differs(self, monkeypatch, capsys):
+        from repro.bench.cli import main
+
+        row = EXPERIMENTS["ablate-buildtype"]
+        differs = dataclasses.replace(
+            row, check=lambda s: [ClaimResult("a claim", "paper", "measured", False)]
+        )
+        monkeypatch.setitem(EXPERIMENTS, row.id, differs)
+        assert main([row.id]) == 1
+        assert "[DIFFERS] a claim" in capsys.readouterr().out
 
     def test_cli_rejects_unknown(self):
         from repro.bench.cli import main

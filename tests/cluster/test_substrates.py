@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.cluster.world import mpiexec, mpiexec_observed
+from repro.cluster.world import mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
@@ -124,9 +124,10 @@ class TestConformance:
         assert all(us > 0 for us in lead.values())
 
     def test_observed_snapshot(self, substrate):
-        results, snapshot = mpiexec_observed(
-            2, PingMain(64), substrate=substrate, timeout=LAUNCH_TIMEOUT
+        results = mpiexec(
+            2, PingMain(64), observe="enabled", substrate=substrate, timeout=LAUNCH_TIMEOUT
         )
+        snapshot = results.snapshot
         assert results[1] == _payload(64)
         assert snapshot is not None
         assert sorted(snapshot["ranks"]) == [0, 1]

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.cluster import mpiexec
-from repro.cluster.world import World, mpiexec_sanitized
+from repro.cluster.world import World
 from repro.mp import MpiEngine
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.channels import FaultPlan, FaultyFabric, ShmFabric
@@ -236,11 +236,12 @@ class TestAsyncMode:
             ctx.engine.wait(req)
             return read_ints(buf)
 
-        results, report = mpiexec_sanitized(
-            2, main, channel="sock", clock_mode="virtual", progress="async"
+        results = mpiexec(
+            2, main, channel="sock", clock_mode="virtual", progress="async",
+            sanitize="enabled",
         )
         assert results == [list(range(16))] * 2
-        assert not report.findings, report.render_text()
+        assert not results.report.findings, results.report.render_text()
 
 
 # ------------------------------------------- wait/test family regressions

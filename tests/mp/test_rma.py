@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.cluster import mpiexec
-from repro.cluster.world import mpiexec_sanitized
 from repro.mp.buffers import BufferDesc
 from repro.mp.errors import MpiErrRma
 
@@ -362,18 +361,18 @@ def _clean_main(ctx):
 
 class TestSanitizerRma:
     def test_ma_r06_op_outside_epoch(self):
-        _res, report = mpiexec_sanitized(2, _no_epoch_main, channel="shm",
-                                         timeout=120)
+        report = mpiexec(2, _no_epoch_main, channel="shm", sanitize="enabled",
+                         timeout=120).report
         r06 = report.by_rule("MA-R06")
         assert len(r06) == 1 and r06[0].rank == 0, report.render_text()
 
     def test_ma_r07_overlapping_puts(self):
-        _res, report = mpiexec_sanitized(2, _overlap_main, channel="shm",
-                                         timeout=120)
+        report = mpiexec(2, _overlap_main, channel="shm", sanitize="enabled",
+                         timeout=120).report
         r07 = report.by_rule("MA-R07")
         assert len(r07) == 1 and r07[0].rank == 0, report.render_text()
 
     def test_clean_epochs_produce_no_findings(self):
-        _res, report = mpiexec_sanitized(2, _clean_main, channel="shm",
-                                         timeout=120)
+        report = mpiexec(2, _clean_main, channel="shm", sanitize="enabled",
+                         timeout=120).report
         assert not report.findings, report.render_text()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import mpiexec, mpiexec_observed
+from repro.cluster import mpiexec
 from repro.cluster.world import World
 from repro.motor import motor_session
 from repro.mp.buffers import BufferDesc, NativeMemory
@@ -159,7 +159,8 @@ class TestClusterIntegration:
                 ctx.engine.recv(buf, 0, 1)
             return ctx.rank
 
-        results, merged = mpiexec_observed(2, main, clock_mode="virtual")
+        results = mpiexec(2, main, clock_mode="virtual", observe="enabled")
+        merged = results.snapshot
         assert results == [0, 1]
         assert merged["ranks"] == [0, 1]
         sends = merged["counters"]["mp.ch3.eager_sends"]
