@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress analyze-gate analyze-baseline lint bench-smoke smoke-determinism bench-perf bench-perf-compare chaos figures report experiments experiments-check examples clean
+.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress test-realproc analyze-gate analyze-baseline lint bench-smoke smoke-determinism bench-perf bench-perf-compare chaos figures report experiments experiments-check examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -28,6 +28,9 @@ analyze-baseline:
 
 test-progress:
 	$(PYTHON) -m pytest tests/ -m progress
+
+test-realproc:
+	$(PYTHON) -m pytest -q -m realproc tests/
 
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \

@@ -54,6 +54,7 @@ COUNTERS = (
     "motor.serialization.calls_per_op",
     "motor.serialization.bytes_per_op",
     "runtime.gcollector.gen0_per_kop",
+    "cluster.router.frames_forwarded_per_op",
 )
 
 

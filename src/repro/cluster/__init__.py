@@ -10,9 +10,10 @@ behind the same seam:
   Isolated per-rank heaps keep the GC/pinning semantics honest: a peer's
   in-flight data lands in *my* heap while *my* collector may be moving
   objects — the exact interplay the paper studies.
-* ``substrate="proc"`` — one real OS process per rank, wired through a
-  loopback packet router (:mod:`repro.cluster.procsub`): the same MPI
-  stack, with the bytes genuinely crossing address spaces.
+* ``substrate="proc"`` — one real OS process per rank
+  (:mod:`repro.cluster.procsub`): packets cross shared-memory rings rank
+  to rank, the launcher's router keeps boot, results and death notices —
+  the same MPI stack, with the bytes genuinely crossing address spaces.
 
 :func:`mpiexec` is the launcher; :meth:`World.spawn` provides the MPI-2
 dynamic process management Motor implemented (paper §7: "selected MPI-2

@@ -1,7 +1,7 @@
 """``python -m repro.cluster``: run a pingpong on an execution substrate.
 
 The acceptance driver for real multi-process execution: by default boots
-N worker OS processes through the packet router and runs the Figure
+N worker OS processes talking over shared-memory rings and runs the Figure
 9-style pairwise pingpong on them, printing a per-size latency table.
 ``--substrate inproc`` runs the identical workload on the simulated
 thread-per-rank substrate for comparison.
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         timed=max(1, args.iterations // 2),
     )
     kind = (
-        f"{args.n} worker processes (router transport)"
+        f"{args.n} worker processes (shared-memory ring transport)"
         if args.substrate == "proc"
         else f"{args.n} rank threads ({args.channel} fabric)"
     )

@@ -1,14 +1,15 @@
 """The proc substrate: one real OS process per rank.
 
-The launcher side (:class:`ProcSubstrate`) starts a
-:class:`~repro.cluster.router.PacketRouter`, forks/spawns ``n`` worker
-processes running :func:`_worker_entry`, and collects their pickled
-results (or failures) off the router's control plane.  Each worker
-builds its *own* single-rank :class:`~repro.cluster.world.World` bound
-to a :class:`_WorkerSubstrate`, whose fabric is a one-endpoint
-:class:`~repro.mp.channels.proc.ProcFabric` dialling the launcher's
-router — so the entire MPI stack above the channel seam runs unmodified
-in a genuinely separate address space.
+The launcher side (:class:`ProcSubstrate`) creates the world's shared
+ring mapping, starts a :class:`~repro.cluster.router.PacketRouter`, forks
+``n`` worker processes running :func:`_worker_entry`, and collects their
+pickled results (or failures) off the router's control plane.  Each
+worker builds its *own* single-rank :class:`~repro.cluster.world.World`
+bound to a :class:`_WorkerSubstrate`, whose fabric is a one-endpoint
+:class:`~repro.mp.channels.proc.ProcFabric` over the inherited mapping,
+dialling the launcher's router for control — so the entire MPI stack
+above the channel seam runs unmodified in a genuinely separate address
+space, and packets never pass through the launcher.
 
 What changes relative to ``inproc``, and only this:
 
@@ -25,7 +26,7 @@ What changes relative to ``inproc``, and only this:
   :class:`~repro.mp.errors.MpiErrProcFailed` on every peer and at the
   launcher);
 * dynamic ranks (``spawn``/``replace_failed``) are unavailable — the
-  star fabric is fixed at boot.
+  rings and star are fixed at boot.
 """
 
 from __future__ import annotations
@@ -95,20 +96,14 @@ class ProcSubstrate(Substrate):
     hosting = "process"
     supports_dynamic_ranks = False
 
-    def __init__(
-        self,
-        world,
-        start_method: str = "fork",
-        boot_timeout: float = 30.0,
-        result_grace: float = 5.0,
-    ) -> None:
+    def __init__(self, world, boot_timeout: float = 30.0, result_grace: float = 5.0) -> None:
         super().__init__(world)
-        self.start_method = start_method
         self.boot_timeout = boot_timeout
         #: how long after the last worker exits to wait for the router
         #: thread to drain its RESULT/ERROR frames
         self.result_grace = result_grace
         self.router = None
+        self.mapping = None
 
     def validate(self) -> None:
         w = self.world
@@ -128,7 +123,10 @@ class ProcSubstrate(Substrate):
 
     def build_fabric(self):
         from repro.cluster.router import PacketRouter
+        from repro.mp.channels.proc import ring_mapping
 
+        # the rings exist before any worker does: an early packet just waits
+        self.mapping = ring_mapping(self.world.size)
         self.router = PacketRouter(self.world.size)
         self.router.start()
         return _LauncherFabric(self.router)
@@ -152,14 +150,15 @@ class ProcSubstrate(Substrate):
             progress=w.progress,
             boot_timeout=self.boot_timeout,
         )
-        ctx = multiprocessing.get_context(self.start_method)
+        # fork, the one start method: the mapping has no name to reopen
+        ctx = multiprocessing.get_context("fork")
         procs: list = []
         exitcodes: dict[int, int | None] = {}
         try:
             for rank in range(n):
                 p = ctx.Process(
                     target=_worker_entry,
-                    args=(spec, self.router.address, rank, main, session_factory),
+                    args=(spec, self.router.address, self.mapping, rank, main, session_factory),
                     name=f"rank-{rank}",
                     daemon=True,
                 )
@@ -262,9 +261,10 @@ class _WorkerSubstrate(Substrate):
     hosting = "process"
     supports_dynamic_ranks = False
 
-    def __init__(self, world, address) -> None:
+    def __init__(self, world, address, mapping) -> None:
         super().__init__(world)
         self.address = address
+        self.mapping = mapping
 
     def validate(self) -> None:
         return None
@@ -272,7 +272,7 @@ class _WorkerSubstrate(Substrate):
     def build_fabric(self):
         from repro.mp.channels.proc import ProcFabric
 
-        return ProcFabric(self.world.size, address=self.address)
+        return ProcFabric(self.world.size, address=self.address, mapping=self.mapping)
 
     def launch(self, n, main, session_factory, timeout):
         raise RuntimeError(
@@ -289,7 +289,7 @@ def _proc_channel(engine):
     return ch
 
 
-def _worker_entry(spec: WorldSpec, address, rank: int, main, session_factory) -> None:
+def _worker_entry(spec: WorldSpec, address, mapping, rank: int, main, session_factory) -> None:
     """One worker process's whole life: connect, barrier, run, report."""
     from repro.cluster.world import World
 
@@ -306,7 +306,7 @@ def _worker_entry(spec: WorldSpec, address, rank: int, main, session_factory) ->
             reliability_opts=spec.reliability_opts,
             observe=spec.observe,
             progress=spec.progress,
-            substrate=lambda w: _WorkerSubstrate(w, address),
+            substrate=lambda w: _WorkerSubstrate(w, address, mapping),
         )
         ctx = world.context_for(rank)
         ch = _proc_channel(ctx.engine)

@@ -1,15 +1,16 @@
-"""The proc substrate's rendezvous point and packet router.
+"""The proc substrate's rendezvous point: boot, results and death notices.
 
 MatlabMPI demonstrated that real MPI programs run fine over a pure
-userspace transport built on ordinary OS facilities; the proc substrate
-follows the same philosophy with a loopback TCP star: every worker
-process holds exactly one stream socket to the launcher's
-:class:`PacketRouter`, which forwards ``PKT`` frames by destination rank.
-One connection per worker keeps the boot handshake trivial (no O(N^2)
-mesh wiring, no port exchange) and gives the launcher a transport-level
-failure detector for free — a worker socket reaching EOF before its
-``BYE`` means the OS process died, and the router gossips a ``DEAD``
-frame to every survivor, which their channels surface as
+userspace transport built on ordinary OS facilities, the fabric a passive
+shared medium.  The proc substrate follows it: packets move between
+workers over shared-memory rings (:mod:`repro.mp.channels.proc`), and the
+launcher's :class:`PacketRouter` keeps only the **control plane**, a
+loopback TCP star with one stream socket per worker.  One connection per
+worker keeps the boot handshake trivial (no O(N^2) mesh wiring, no port
+exchange) and gives the launcher a transport-level failure detector for
+free — a worker socket reaching EOF before its ``BYE`` means the OS
+process died, and the router gossips a ``DEAD`` frame to every survivor,
+which their channels surface as
 :class:`~repro.mp.errors.MpiErrProcFailed`.
 
 The router owns:
@@ -17,15 +18,13 @@ The router owns:
 * the **boot barrier**: ``GO`` is broadcast only once all ``world_size``
   ranks have said ``HELLO``, so no rank's main starts until every rank
   is reachable;
-* **forwarding**: ``PKT`` frames are re-framed verbatim toward
-  ``arg`` (the destination rank, kept outside the packet body exactly so
-  the router never decodes MPI headers);
-* the **control plane**: ``RESULT``/``ERROR`` frames are collected for
-  the launcher, ``DEAD`` verdicts are broadcast to survivors.
+* **results**: ``RESULT``/``ERROR`` frames are collected for the launcher;
+* **liveness**: ``DEAD`` verdicts are broadcast to survivors.
 
-Everything runs on one daemon thread multiplexed with ``selectors``;
-writes are queued per connection and flushed on writability, so one
-slow worker cannot stall forwarding to the others.
+It relays no data: a packet frame arriving here is a protocol violation,
+handled like a corrupt stream (the connection is closed, its rank
+declared dead).  Everything runs on one daemon thread multiplexed with
+``selectors``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.mp.channels.wire import (
     ERROR,
     GO,
     HELLO,
-    PKT,
     RESULT,
     FrameReader,
     encode_frame,
@@ -52,18 +50,17 @@ _RECV_CHUNK = 1 << 18
 class _Conn:
     """One worker connection's router-side state."""
 
-    __slots__ = ("sock", "reader", "out", "rank", "bye")
+    __slots__ = ("sock", "reader", "rank", "bye")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.reader = FrameReader()
-        self.out = bytearray()
         self.rank: int | None = None
         self.bye = False
 
 
 class PacketRouter:
-    """Forward frames between worker processes; collect results.
+    """Boot barrier, result collection and death gossip for a world.
 
     ``start()`` spins the selector thread; ``stop()`` is idempotent and
     joins it.  All public accessors are safe from other threads.
@@ -81,8 +78,6 @@ class PacketRouter:
         self._sel = selectors.DefaultSelector()
         self._conns: dict[socket.socket, _Conn] = {}
         self._by_rank: dict[int, _Conn] = {}
-        #: PKT frames for ranks that have not said HELLO yet
-        self._undelivered: dict[int, list[bytes]] = {}
         self._lock = threading.Lock()
         #: rank -> ("result" | "error", body bytes)
         self._results: dict[int, tuple[str, bytes]] = {}
@@ -92,6 +87,7 @@ class PacketRouter:
         self._stop_rd.setblocking(False)
         self._stopping = False
         self._thread: threading.Thread | None = None
+        #: PKT frames relayed; 0 since the data plane moved to the rings
         self.frames_forwarded = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -134,28 +130,19 @@ class PacketRouter:
         with self._lock:
             return set(self._dead)
 
-    @property
-    def all_connected(self) -> bool:
-        with self._lock:
-            return self._go_sent
-
     # -- selector thread ---------------------------------------------------------
 
     def _run(self) -> None:
         self._sel.register(self._listener, selectors.EVENT_READ, "accept")
         self._sel.register(self._stop_rd, selectors.EVENT_READ, "stop")
         while not self._stopping:
-            for key, events in self._sel.select(timeout=0.5):
+            for key, _events in self._sel.select(timeout=0.5):
                 if key.data == "stop":
                     return
                 if key.data == "accept":
                     self._accept()
                     continue
-                conn = key.data
-                if events & selectors.EVENT_WRITE:
-                    self._flush(conn)
-                if events & selectors.EVENT_READ:
-                    self._readable(conn)
+                self._readable(key.data)
 
     def _accept(self) -> None:
         try:
@@ -183,31 +170,18 @@ class PacketRouter:
             for ftype, arg, body in conn.reader.feed(data):
                 self._dispatch(conn, ftype, arg, body)
         except ValueError:
-            # corrupted stream: treat the worker as gone
+            # corrupted stream or a non-control frame: treat the worker as gone
             self._close_conn(conn)
 
     def _dispatch(self, conn: _Conn, ftype: int, arg: int, body: bytes) -> None:
-        if ftype == PKT:
-            self.frames_forwarded += 1
-            dst = self._by_rank.get(arg)
-            if dst is not None:
-                self._enqueue(dst, encode_frame(PKT, arg, body))
-            elif arg not in self._dead:
-                # destination has not completed HELLO yet: hold the frame
-                self._undelivered.setdefault(arg, []).append(
-                    encode_frame(PKT, arg, body)
-                )
-        elif ftype == HELLO:
+        if ftype == HELLO:
             conn.rank = arg
             self._by_rank[arg] = conn
-            for frame in self._undelivered.pop(arg, []):
-                self._enqueue(conn, frame)
             if not self._go_sent and len(self._by_rank) >= self.world_size:
-                with self._lock:
-                    self._go_sent = True
+                self._go_sent = True
                 go = encode_frame(GO, self.world_size)
                 for c in self._by_rank.values():
-                    self._enqueue(c, go)
+                    self._send(c, go)
         elif ftype in (RESULT, ERROR):
             with self._lock:
                 self._results[arg] = (
@@ -216,35 +190,18 @@ class PacketRouter:
                 )
         elif ftype == BYE:
             conn.bye = True
+        else:
+            # PKT above all: packets cross the rings, never the launcher
+            raise ValueError(f"frame type {ftype} is not a control frame")
 
-    def _enqueue(self, conn: _Conn, frame: bytes) -> None:
-        conn.out += frame
-        self._flush(conn)
-        if conn.out and conn.sock in self._conns:
-            try:
-                self._sel.modify(
-                    conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-                )
-            except (KeyError, ValueError, OSError):
-                pass
-
-    def _flush(self, conn: _Conn) -> None:
-        while conn.out:
-            try:
-                n = conn.sock.send(conn.out)
-            except BlockingIOError:
-                return
-            except OSError:
-                self._close_conn(conn)
-                return
-            if n <= 0:
-                return
-            del conn.out[:n]
-        if conn.sock in self._conns:
-            try:
-                self._sel.modify(conn.sock, selectors.EVENT_READ, conn)
-            except (KeyError, ValueError, OSError):
-                pass
+    def _send(self, conn: _Conn, frame: bytes) -> None:
+        # a connection carries one GO and a DEAD per peer, nine bytes each:
+        # far below any socket buffer, so a write that cannot complete at
+        # once means the worker is gone
+        try:
+            conn.sock.sendall(frame)
+        except OSError:
+            self._close_conn(conn)
 
     def _close_conn(self, conn: _Conn, announce: bool = True) -> None:
         sock = conn.sock
@@ -274,4 +231,4 @@ class PacketRouter:
                     self._dead.add(rank)
                 verdict = encode_frame(DEAD, rank)
                 for c in list(self._by_rank.values()):
-                    self._enqueue(c, verdict)
+                    self._send(c, verdict)

@@ -9,8 +9,8 @@ the decisions that differ between a simulated and a real deployment:
   process per rank (``proc``); the ``hosting`` fact every engine is
   told, from which the idle-wait policy and the async driver follow;
 * **fabric construction** — an in-memory fabric built from
-  ``FABRICS[channel]`` versus a packet router plus per-worker socket
-  endpoints;
+  ``FABRICS[channel]`` versus shared-memory rings plus a control router
+  the worker endpoints dial;
 * **clock selection** — which :class:`~repro.simtime.Clock` each rank
   gets (both substrates honour ``clock_mode``; packets carry their
   virtual timestamps across the real wire too);
@@ -231,8 +231,7 @@ def make_substrate(spec, world, opts: dict | None = None) -> Substrate:
     ``spec`` is ``"inproc"``, ``"proc"``, a Substrate subclass, or a
     callable ``(world) -> Substrate`` (how worker processes bind their
     single-rank substrate).  ``opts`` are keyword arguments for the
-    substrate's constructor (e.g. ``start_method``/``boot_timeout`` for
-    ``proc``).
+    substrate's constructor (e.g. ``boot_timeout`` for ``proc``).
     """
     opts = opts or {}
     if isinstance(spec, str):

@@ -4,7 +4,7 @@ Where ranks actually *live* is delegated to an execution substrate
 (:mod:`repro.cluster.substrate`): ``substrate="inproc"`` hosts every rank
 as a thread of this process over a simulated fabric (the default, and
 the original behaviour), ``substrate="proc"`` boots one real OS process
-per rank wired through a packet router
+per rank talking over shared-memory rings
 (:mod:`repro.cluster.procsub`).  Everything above the channel seam —
 matching, protocol, collectives, observation — is identical either way.
 """

@@ -16,9 +16,9 @@ Channel` is that five-function interface.  Three mechanisms implement it:
   configuration Motor shipped with, and the mechanism the pinning
   ablations need.  ``ssm`` composes the two (shm for peers on the same
   node, sock across nodes) and adds no mechanism of its own;
-* one **real-socket** transport, ``proc``: the same frames over an OS
-  socket through the packet router — what the proc execution substrate
-  runs worker processes on; see :mod:`repro.cluster.substrate`.
+* one **real shared-memory** transport, ``proc``: the same frames over a
+  byte ring per pair of ranks in a mapping worker processes share — what
+  the proc execution substrate runs on; see :mod:`repro.cluster.substrate`.
 
 :class:`FaultyChannel` is a wrapper, not a transport: it composes over
 any of the concrete channels and injects the failures described by a

@@ -1,29 +1,27 @@
-"""Proc channel: framed packets over a real OS socket, via the router.
+"""Proc channel: packets over shared-memory rings, control over one socket.
 
-The first channel whose wire genuinely leaves the Python process: each
-endpoint holds one nonblocking loopback TCP socket to the substrate's
-:class:`~repro.cluster.router.PacketRouter`, which forwards frames by
-destination rank.  The five functions map exactly as they do for the
-simulated ``sock`` channel — ``send_packet`` frames and writes (the wire
-crossing, where any :class:`~repro.mp.buffers.WireView` lease ends),
-``recv_packets`` drains whatever frames have arrived, partial frames are
-kept across polls — but the bytes cross a real kernel socket buffer and
-can land in a different address space.
+The first channel whose wire genuinely leaves the Python process, in two
+planes.  **Data**: one anonymous shared mapping carved into ``n x n``
+single-producer/single-consumer byte :class:`Ring` s (``src -> dst``; the
+diagonal carries self-sends).  ``send_packet`` charges and stamps as the
+simulated ``sock`` channel does, then writes the frame into the ring to
+``pkt.dst`` as a byte stream — the wire crossing, where any
+:class:`~repro.mp.buffers.WireView` lease ends.  What does not fit waits on
+a per-destination backlog that every ``recv_packets`` (and, with a
+deadline, teardown) pushes on, so a frame larger than a ring arrives in
+pieces; ``recv_packets`` drains each inbound ring through a per-peer
+:class:`~repro.mp.channels.wire.FrameReader`.  Ranks talk to each other,
+not through the launcher.  **Control**: one nonblocking loopback TCP socket
+to the substrate's :class:`~repro.cluster.router.PacketRouter`, for
+``HELLO``/``GO`` (the boot barrier), ``RESULT``/``ERROR``/``BYE`` and
+``DEAD`` verdicts.  Nothing blocks on a ring: a waiting rank polls.
 
-Failure surfaces here too: a ``DEAD`` control frame (the router's
-verdict that a peer's OS process died) and a router-side EOF both feed
-``on_peer_dead``, which the world wires to the device's
-``_peer_failed`` so waiters raise
+Failure surfaces here: a ``DEAD`` frame (the router's verdict that a peer's
+OS process died), a router-side EOF, and a malformed frame on a peer's ring
+(each ring names its producer, so that peer alone is declared dead and its
+ring read no more) all feed ``on_peer_dead``, which the world wires to the
+device's ``_peer_failed`` so waiters raise
 :class:`~repro.mp.errors.MpiErrProcFailed` instead of spinning forever.
-
-Constructed two ways:
-
-* :class:`ProcFabric` with no address — starts and owns a private router,
-  so ``FABRICS["proc"]`` composes like any other fabric (the conformance
-  suite, or an inproc world whose threads talk over real sockets);
-* :class:`ProcFabric` with the launcher's router address — each worker
-  process builds a one-endpoint fabric that dials in (the proc
-  substrate's per-rank wiring).
 """
 
 from __future__ import annotations
@@ -34,30 +32,98 @@ import socket
 import time
 from collections import deque
 
-from repro.mp.channels.wire import (
-    BYE,
-    DEAD,
-    GO,
-    RESULT,
-    ERROR,
-    HELLO,
-    PKT,
-    FrameReader,
-    decode_packet_body,
-    encode_frame,
-    encode_packet_frame,
-)
 from repro.mp.channels.base import Channel, ChannelFabric
+from repro.mp.channels.wire import (
+    BYE, DEAD, ERROR, GO, HELLO, PKT, RESULT, FrameReader, decode_packet_body, encode_frame,
+)
 from repro.mp.packets import Packet
 from repro.simtime import Clock, CostModel
 
-_RECV_CHUNK = 1 << 18
+_RECV_CHUNK = 1 << 16
+
+#: data bytes per ring (a power of two; 64 KiB measured, not an option)
+RING_CAPACITY = 1 << 16
+#: two cache lines ahead of the data, so the cursors never share one
+RING_HEADER = 128
+#: u64 slots in the header: the consumer alone writes ``head``, the
+#: producer alone ``tail``
+HEAD_SLOT, TAIL_SLOT = 0, 8
+_RING_STRIDE = RING_HEADER + RING_CAPACITY
+
+
+class Ring:
+    """One single-producer/single-consumer byte ring inside a shared buffer.
+
+    ``head`` and ``tail`` count bytes consumed and produced since creation
+    (``tail - head <= capacity``; a position is the count masked).  Both go
+    through one ``cast("Q")`` view: an aligned native 8-byte access the peer
+    process never sees torn (``struct``'s ``<`` codec moves a u64 a byte at
+    a time, and did).  Data is copied *then* ``tail`` published, and copied
+    out *then* ``head`` published, which relies on the host keeping stores
+    in order (x86 does); a violation shows up as a malformed frame — a dead
+    peer to the channel — not as corrupt data.
+    """
+
+    __slots__ = ("capacity", "_cur", "_data")
+
+    def __init__(self, buf, offset: int = 0, capacity: int = RING_CAPACITY) -> None:
+        if capacity <= 0 or capacity & (capacity - 1):
+            raise ValueError(f"ring capacity {capacity} is not a power of two")
+        mv = memoryview(buf)
+        self.capacity = capacity
+        self._cur = mv[offset:offset + RING_HEADER].cast("Q")
+        self._data = mv[offset + RING_HEADER:offset + RING_HEADER + capacity]
+
+    def __len__(self) -> int:
+        """Bytes published and not yet consumed."""
+        return self._cur[TAIL_SLOT] - self._cur[HEAD_SLOT]
+
+    def write(self, data: memoryview) -> int:
+        """Copy in as much of ``data`` as fits now; the count written."""
+        cur, cap = self._cur, self.capacity
+        tail = cur[TAIL_SLOT]
+        n = min(len(data), cap - (tail - cur[HEAD_SLOT]))
+        if n:
+            pos = tail & (cap - 1)
+            first = min(n, cap - pos)
+            self._data[pos:pos + first] = data[:first]
+            if first < n:
+                self._data[:n - first] = data[first:n]
+            cur[TAIL_SLOT] = tail + n
+        return n
+
+    def read(self) -> bytes:
+        """Every byte published so far (``b""`` when there is none)."""
+        cur, cap = self._cur, self.capacity
+        head = cur[HEAD_SLOT]
+        n = cur[TAIL_SLOT] - head
+        if not n:
+            return b""
+        pos = head & (cap - 1)
+        first = min(n, cap - pos)
+        out = bytes(self._data[pos:pos + first])
+        if first < n:
+            out += self._data[:n - first]
+        cur[HEAD_SLOT] = head + n
+        return out
+
+
+def ring_mapping(world_size: int):
+    """A world's ``n x n`` rings: anonymous shared memory, inherited by
+    forked workers and freed with its last reference — no name, no unlink,
+    no resource tracker (the stdlib's named segments would also cost ~4 MiB
+    of imports in launcher and worker alike)."""
+    import mmap  # here, not at module level: inproc worlds load this file too
+
+    return mmap.mmap(-1, world_size * world_size * _RING_STRIDE)
 
 
 class ProcChannel(Channel):
     name = "proc"
 
-    def __init__(self, rank: int, clock: Clock, costs: CostModel, sock: socket.socket) -> None:
+    def __init__(
+        self, rank: int, clock: Clock, costs: CostModel, sock: socket.socket, mapping, size: int
+    ) -> None:
         super().__init__(rank, clock, costs)
         self._sock = sock
         sock.setblocking(False)
@@ -65,16 +131,26 @@ class ProcChannel(Channel):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # AF_UNIX socketpair etc.
+        #: by peer: the ring this rank produces into, and the one it consumes
+        #: (None once its producer wrote a malformed frame) with its decoder
+        self._tx = [Ring(mapping, (rank * size + p) * _RING_STRIDE) for p in range(size)]
+        self._rx: list[Ring | None] = [
+            Ring(mapping, (p * size + rank) * _RING_STRIDE) for p in range(size)
+        ]
+        self._readers = [FrameReader() for _ in range(size)]
+        #: by peer: frame bytes its ring had no room for, in order
+        self._backlog = [bytearray() for _ in range(size)]
+        #: the control socket's decoder, receive buffer (reused for the
+        #: channel's life) and unsent bytes
         self._reader = FrameReader()
-        #: reused for the channel's life: with a fresh 256 KiB ``recv`` buffer
-        #: per poll, latency hinges on malloc returning its pages in between
         self._rxbuf = memoryview(bytearray(_RECV_CHUNK))
-        self._inbox: deque[Packet] = deque()
         self._txbuf = bytearray()
+        self._inbox: deque[Packet] = deque()
         self._closed = False
         #: GO received: every rank of the world said HELLO to the router
         self.ready = False
-        #: ranks the router declared dead (their OS process exited)
+        #: ranks declared dead: by the router (their OS process exited) or
+        #: here (a malformed frame on their ring)
         self.dead_ranks: set[int] = set()
         #: wired by the world to ``device._peer_failed`` — the seam where a
         #: transport-level death becomes MPI_ERR_PROC_FAILED
@@ -84,29 +160,48 @@ class ProcChannel(Channel):
 
     def init(self, world_size: int) -> None:
         self.world_size = world_size
-        self._send_frame(encode_frame(HELLO, self.rank))
+        self._send_control(encode_frame(HELLO, self.rank))
 
     def send_packet(self, pkt: Packet) -> bool:
         # same cost shape as the simulated sock channel: full socket
         # latency and bandwidth terms on the virtual clock
         self._stamp_and_charge(pkt)
-        frame = encode_packet_frame(pkt)
+        dst = pkt.dst
+        frame = memoryview(encode_frame(PKT, dst, pkt.encode()))
         pkt.release_payload()  # the frame write is the wire crossing
-        self._send_frame(frame)
+        if dst in self.dead_ranks:
+            return True  # nobody will ever drain that ring
+        n = 0 if self._backlog[dst] else self._tx[dst].write(frame)
+        if n < len(frame):
+            self._backlog[dst] += frame[n:]
         return True
 
     def recv_packets(self, limit: int | None = None) -> list[Packet]:
         self._flush()
         self._pump()
-        out: list[Packet] = []
         inbox = self._inbox
+        for src, ring in enumerate(self._rx):
+            data = ring.read() if ring is not None else b""
+            if not data:
+                continue
+            try:
+                for ftype, arg, body in self._readers[src].feed(data):
+                    if ftype != PKT or arg != self.rank:
+                        raise ValueError(f"frame type {ftype} for rank {arg} on a ring")
+                    inbox.append(decode_packet_body(body))
+            except ValueError:
+                # src's stream cannot be resynchronised: read it no more, and
+                # fail what waits on src rather than whoever polls next
+                self._rx[src] = None
+                self._peer_dead(src)
+        out: list[Packet] = []
         while inbox and (limit is None or len(out) < limit):
             out.append(inbox.popleft())
         self.packets_received += len(out)
         return out
 
     def has_incoming(self) -> bool:
-        if self._inbox:
+        if self._inbox or any(self._rx):  # a ring is true when it holds bytes
             return True
         if self._closed:
             return False
@@ -129,8 +224,8 @@ class ProcChannel(Channel):
     def wait_ready(self, timeout: float = 30.0) -> None:
         """Block until the router's GO arrives (barrier-at-boot).
 
-        Frames that race ahead of GO (a peer released earlier) are queued
-        normally; only the GO itself releases this rank.
+        Packets that race ahead of GO (a peer released earlier) wait in
+        their ring; only the GO itself releases this rank.
         """
         deadline = time.monotonic() + timeout
         while not self.ready:
@@ -148,62 +243,63 @@ class ProcChannel(Channel):
 
     def send_result(self, value) -> None:
         """Ship the rank's main() return value to the launcher."""
-        self._send_frame(encode_frame(RESULT, self.rank, pickle.dumps(value)))
+        self._send_control(encode_frame(RESULT, self.rank, pickle.dumps(value)))
 
     def send_error(self, payload: bytes) -> None:
         """Ship a pickled failure report to the launcher."""
-        self._send_frame(encode_frame(ERROR, self.rank, payload))
+        self._send_control(encode_frame(ERROR, self.rank, payload))
 
     def send_bye(self) -> None:
-        """Announce a clean exit, then force the backlog out."""
-        self._send_frame(encode_frame(BYE, self.rank))
+        """Announce a clean exit, then force both backlogs out: a peer may
+        still be waiting for the tail of this rank's last frame."""
+        self._send_control(encode_frame(BYE, self.rank))
         self._flush(deadline=time.monotonic() + 5.0)
 
-    # -- socket plumbing ----------------------------------------------------------
+    # -- plumbing -----------------------------------------------------------------
 
-    def _send_frame(self, frame: bytes) -> None:
-        if self._closed:
-            return
-        self._txbuf += frame
-        self._flush()
+    def _send_control(self, frame: bytes) -> None:
+        if not self._closed:
+            self._txbuf += frame
+            self._flush()
 
     def _flush(self, deadline: float | None = None) -> None:
-        """Push the tx backlog; with a deadline, block until drained."""
+        """Push the ring backlogs and the control socket's unsent bytes;
+        with a deadline, keep at it until both are empty."""
         buf = self._txbuf
-        while buf and not self._closed:
+        while True:
+            for dst, backlog in enumerate(self._backlog):
+                if backlog:
+                    with memoryview(backlog) as mv:
+                        n = self._tx[dst].write(mv)
+                    del backlog[:n]
             try:
-                n = self._sock.send(buf)
+                while buf and not self._closed:
+                    del buf[:self._sock.send(buf)]
             except BlockingIOError:
-                if deadline is None:
-                    return
-                if time.monotonic() >= deadline:
-                    return
-                select.select([], [self._sock], [], 0.05)
-                continue
+                pass
             except OSError:
                 self._router_lost()
+            if self._closed:
+                buf.clear()
+            if deadline is None or time.monotonic() >= deadline or not (buf or any(self._backlog)):
                 return
-            if n <= 0:
-                return
-            del buf[:n]
+            time.sleep(0.0005)  # the peer drains its ring by polling
 
     def _pump(self) -> None:
-        """Drain the socket and dispatch every complete frame."""
+        """Drain the control socket and dispatch every complete frame."""
         while not self._closed:
             try:
                 n = self._sock.recv_into(self._rxbuf)
+                frames = list(self._reader.feed(self._rxbuf[:n]))
             except BlockingIOError:
                 return
-            except OSError:
+            except (OSError, ValueError):
+                n = 0
+            if not n:  # EOF, a socket error or a corrupt stream
                 self._router_lost()
                 return
-            if not n:
-                self._router_lost()
-                return
-            for ftype, arg, body in self._reader.feed(self._rxbuf[:n]):
-                if ftype == PKT:
-                    self._inbox.append(decode_packet_body(body))
-                elif ftype == GO:
+            for ftype, arg, _body in frames:
+                if ftype == GO:
                     self.ready = True
                     self.world_size = arg
                 elif ftype == DEAD:
@@ -214,6 +310,7 @@ class ProcChannel(Channel):
         if rank in self.dead_ranks or rank == self.rank:
             return
         self.dead_ranks.add(rank)
+        self._backlog[rank].clear()
         cb = self.on_peer_dead
         if cb is not None:
             cb(rank)
@@ -233,13 +330,15 @@ class ProcChannel(Channel):
 
 
 class ProcFabric(ChannelFabric):
-    """Endpoints over real sockets, wired through a packet router.
+    """Endpoints over shared-memory rings, booted through a packet router.
 
     With no ``address`` the fabric starts and owns a private
-    :class:`~repro.cluster.router.PacketRouter` (in-process use: the
-    conformance suite, inproc worlds on a real wire).  With an
-    ``address`` it dials an external router — the per-worker fabric the
-    proc substrate builds, hosting exactly one rank per process.
+    :class:`~repro.cluster.router.PacketRouter` and its own ring mapping, so
+    ``FABRICS["proc"]`` composes like any other fabric (the conformance
+    suite, inproc worlds on a real wire).  With an ``address`` and the
+    ``mapping`` the launcher created before forking it dials an external
+    router — the per-worker fabric the proc substrate builds, hosting
+    exactly one rank per process.
     """
 
     channel_cls = ProcChannel
@@ -249,6 +348,7 @@ class ProcFabric(ChannelFabric):
         self,
         world_size: int,
         address: tuple[str, int] | None = None,
+        mapping=None,
         connect_timeout: float = 10.0,
     ) -> None:
         super().__init__(world_size)
@@ -259,12 +359,13 @@ class ProcFabric(ChannelFabric):
 
             self._router = PacketRouter(world_size)
             self._router.start()
-            address = self._router.address
+            address, mapping = self._router.address, ring_mapping(world_size)
         self.address = address
+        self.mapping = mapping
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> ProcChannel:
         sock = socket.create_connection(self.address, timeout=self.connect_timeout)
-        return ProcChannel(rank, clock, costs, sock)
+        return ProcChannel(rank, clock, costs, sock, self.mapping, self.world_size)
 
     def shutdown(self) -> None:
         try:

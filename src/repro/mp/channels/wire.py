@@ -1,21 +1,21 @@
 """The proc substrate's wire format: length-framed control + packet frames.
 
 Everything that crosses a real process boundary — MPI packets, the boot
-handshake, results, failure notices — travels as one frame stream over a
-stream socket:
+handshake, results, failure notices — travels as a frame stream, packets
+over a shared-memory ring per peer and the rest over the router socket:
 
     [u32 length] [u8 ftype] [i32 arg] [body ...]
 
 ``length`` covers ``ftype + arg + body``.  ``PKT`` bodies reuse the
 split-frame packet serializer from the sock channel
 (:meth:`repro.mp.packets.Packet.encode` /
-:meth:`~repro.mp.packets.Packet.decode_header`): the header packs in one
-struct and the payload view streams in behind it without an intermediate
-copy, so a leased :class:`~repro.mp.buffers.WireView` payload is consumed
-at the frame write — the same wire-crossing discipline the simulated
-channels follow.  Keeping ``arg`` (the destination rank for ``PKT``)
-outside the body lets the router forward frames verbatim, without
-decoding the MPI packet header at all.
+:meth:`~repro.mp.packets.Packet.decode_header`), so a leased
+:class:`~repro.mp.buffers.WireView` payload is consumed at the frame
+write — the wire-crossing discipline the simulated channels follow.
+``arg`` is the destination rank for ``PKT``, which a ring's consumer
+checks against its own.  Every defect a decoder here can meet — an
+impossible length, a short header, a torn payload — is a ``ValueError``:
+the one type the channel and the router act on.
 
 Control frames:
 
@@ -47,18 +47,9 @@ ERROR = 5
 DEAD = 6
 BYE = 7
 
-FRAME_NAMES = {
-    PKT: "PKT",
-    HELLO: "HELLO",
-    GO: "GO",
-    RESULT: "RESULT",
-    ERROR: "ERROR",
-    DEAD: "DEAD",
-    BYE: "BYE",
-}
-
-_PREFIX = struct.Struct("<I")
-_HEAD = struct.Struct("<Bi")
+_FRAME = struct.Struct("<IBi")
+_PREFIX_SIZE = 4
+_HEAD_SIZE = _FRAME.size - _PREFIX_SIZE
 
 #: refuse frames beyond this size (a corrupted length prefix must not
 #: allocate gigabytes); generous for 256 KiB rendezvous chunks
@@ -66,47 +57,26 @@ MAX_FRAME = 64 << 20
 
 
 def encode_frame(ftype: int, arg: int, body: bytes | bytearray | memoryview = b"") -> bytes:
-    """One wire-ready frame.  ``body`` is appended without re-copying
-    when already contiguous (the split-frame discipline)."""
-    head = _HEAD.pack(ftype, arg)
-    frame = bytearray(_PREFIX.pack(_HEAD.size + len(body)))
-    frame += head
-    frame += body
-    return bytes(frame)
-
-
-def encode_packet_frame(pkt: Packet) -> bytes:
-    """Frame one MPI packet for the router (``arg`` carries ``pkt.dst``).
-
-    ``Packet.encode`` streams the payload view straight into the frame;
-    the caller releases the payload lease afterwards, exactly as the sock
-    channel does at its wire write.
-    """
-    body = pkt.encode()
-    head = _HEAD.pack(PKT, pkt.dst)
-    frame = bytearray(_PREFIX.pack(_HEAD.size + len(body)))
-    frame += head
-    frame += body
-    return bytes(frame)
+    """One wire-ready frame; ``body`` is copied once, straight into it."""
+    return b"".join((_FRAME.pack(_HEAD_SIZE + len(body), ftype, arg), body))
 
 
 def decode_packet_body(body: bytes) -> Packet:
     """Rebuild a :class:`Packet` from a PKT frame body."""
+    if len(body) < HEADER_SIZE:
+        raise ValueError(f"torn packet frame: {len(body)}-byte body, no header")
     pkt, plen = Packet.decode_header(body[:HEADER_SIZE])
-    payload = body[HEADER_SIZE:HEADER_SIZE + plen]
-    if len(payload) != plen:
-        raise ValueError(
-            f"torn packet frame: payload {len(payload)} of {plen} bytes"
-        )
-    pkt.payload = bytes(payload)
+    if len(body) != HEADER_SIZE + plen:
+        raise ValueError(f"torn packet frame: payload {len(body) - HEADER_SIZE} of {plen} bytes")
+    pkt.payload = body[HEADER_SIZE:]
     return pkt
 
 
 class FrameReader:
     """Incremental frame decoder over a byte stream.
 
-    Feed it whatever ``recv`` returned; it yields every complete frame
-    and keeps the tail of a torn frame for the next feed — the proc
+    Feed it whatever the socket or the ring gave; it yields every complete
+    frame and keeps the tail of a torn frame for the next feed — the proc
     analogue of the sock channel's partial-frame decode state.
     """
 
@@ -119,21 +89,14 @@ class FrameReader:
         """Yield ``(ftype, arg, body)`` for each completed frame."""
         buf = self._buf
         buf += data
-        while True:
-            if len(buf) < _PREFIX.size:
-                return
-            (length,) = _PREFIX.unpack_from(buf)
-            if length > MAX_FRAME:
-                raise ValueError(f"frame of {length} bytes exceeds MAX_FRAME")
-            end = _PREFIX.size + length
+        while len(buf) >= _FRAME.size:
+            length, ftype, arg = _FRAME.unpack_from(buf)
+            if not _HEAD_SIZE <= length <= MAX_FRAME:
+                raise ValueError(f"frame length {length} outside [{_HEAD_SIZE}, MAX_FRAME]")
+            end = _PREFIX_SIZE + length
             if len(buf) < end:
                 return
-            ftype, arg = _HEAD.unpack_from(buf, _PREFIX.size)
-            body = bytes(buf[_PREFIX.size + _HEAD.size:end])
+            with memoryview(buf) as mv:
+                body = bytes(mv[_FRAME.size:end])
             del buf[:end]
             yield ftype, arg, body
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buf)
