@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress test-realproc analyze-gate analyze-baseline lint bench-smoke smoke-determinism bench-perf bench-perf-compare chaos figures report experiments experiments-check examples clean
+.PHONY: install test test-faults test-obs test-analyze test-recovery test-progress test-realproc analyze-gate analyze-baseline lint bench-smoke smoke-determinism bench-perf bench-perf-compare census chaos figures report experiments experiments-check examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -56,6 +56,10 @@ bench-perf:
 # make bench-perf-compare A=base.json B=new.json
 bench-perf-compare:
 	python3 benchmarks/perf/run.py --compare $(A) $(B)
+
+# every function of src/repro x the five things that run it -> docs/CENSUS.md (~20 min)
+census:
+	$(PYTHON) benchmarks/census.py
 
 chaos:
 	$(PYTHON) -m repro.bench chaos

@@ -22,8 +22,8 @@ Motor's restricted MPI bindings (§4.2/§4.3):
   operation is in flight (MA-R03/MA-R04) and pin leaks (MA-R05).
 
 Both passes emit :class:`~repro.analyze.findings.Finding` records into a
-:class:`~repro.analyze.findings.Report`, exportable as text, JSON or
-SARIF 2.1.0 (:mod:`repro.analyze.sarif`); ``python -m repro.analyze``
+:class:`~repro.analyze.findings.Report`, exportable as text or JSON;
+``python -m repro.analyze``
 (or ``python -m repro.bench analyze``) runs them from the command line,
 and ``python -m repro.analyze gate`` sweeps the repository's IL against
 the checked-in baseline (:mod:`repro.analyze.gate`).
@@ -41,7 +41,6 @@ from repro.analyze.findings import (
 )
 from repro.analyze.gate import discover_il_units, run_gate
 from repro.analyze.rankflow import RankFlow, run_rankflow
-from repro.analyze.sarif import render_sarif, to_sarif
 from repro.analyze.sanitizer import (
     DeadlockError,
     RankSanitizer,
@@ -68,8 +67,6 @@ __all__ = [
     "solve",
     "RankFlow",
     "run_rankflow",
-    "to_sarif",
-    "render_sarif",
     "discover_il_units",
     "run_gate",
     "Sanitizer",

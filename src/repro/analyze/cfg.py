@@ -45,11 +45,6 @@ class CFG:
     blocks: dict[int, BasicBlock] = field(default_factory=dict)
     entry: int = 0
 
-    @property
-    def order(self) -> list[int]:
-        """Block start pcs in ascending code order."""
-        return sorted(self.blocks)
-
     def block_of(self, pc: int) -> BasicBlock:
         """The block containing instruction *pc*."""
         starts = [s for s in self.blocks if s <= pc]

@@ -1,30 +1,30 @@
 """``python -m repro.analyze`` — run the Motor analyzer from the shell.
 
-Four subcommands::
+Three subcommands::
 
     python -m repro.analyze static app.il --world-size 2   # static pass
-    python -m repro.analyze run deadlock --json            # sanitized demo
     python -m repro.analyze gate                           # repo CI gate
     python -m repro.analyze ablate                         # A12 overhead
 
 ``static`` assembles each IL file and runs the full static analyzer —
 the call-site checks (MA-S00..MA-S04) and the rank-symbolic
-message-flow rules (MA-S05..MA-S10); ``run`` executes a built-in
-scenario under the runtime sanitizer (rules MA-R01..MA-R05) and prints
-the findings; ``gate`` sweeps every IL program under ``examples/`` and
-``src/repro/baselines/`` and diffs the findings against the checked-in
+message-flow rules (MA-S05..MA-S10); ``gate`` sweeps every IL program
+under ``examples/`` and ``src/repro/baselines/`` and diffs the findings
+against the checked-in
 ``analyze-baseline.json`` (see :mod:`repro.analyze.gate`); ``ablate``
 runs the experiment table's A12 row (the three-way ping-pong: baseline /
 sanitizer disabled / sanitizer enabled): it is
 ``python -m repro.bench ablate-sanitize``, same claims, same exit status.
+The runtime sanitizer (rules MA-R01..MA-R05) has no subcommand: it is
+``mpiexec(..., sanitize="enabled")``, demonstrated by the self-checking
+programs under ``examples/analyze/``.
 
-Reports render as ``--format text`` (default), ``json``, or ``sarif``
-(SARIF 2.1.0, for code-scanning UIs); ``--json`` remains an alias.
+Reports render as ``--format text`` (default) or ``json``; ``--json``
+remains an alias.
 
 Exit status: **2** on usage errors, unassemblable IL, or IL that fails
 baseline verification (MA-S00); **1** when any finding is at least
-``--severity-threshold`` (default ``warning``); **0** otherwise.  The
-buggy demos therefore exit 1 on purpose.
+``--severity-threshold`` (default ``warning``); **0** otherwise.
 """
 
 from __future__ import annotations
@@ -33,100 +33,6 @@ import argparse
 import sys
 
 from repro.analyze.findings import Report, meets_threshold
-
-
-# --------------------------------------------------------------------------
-# Built-in sanitized scenarios (fuller, commented versions of the same bugs
-# live under examples/analyze/).
-# --------------------------------------------------------------------------
-
-def _clean_main(ctx):
-    """Two ranks exchange arrays both ways; nothing to report."""
-    vm = ctx.session
-    comm = vm.comm_world
-    me, peer = comm.Rank, 1 - comm.Rank
-    for tag in (1, 2, 3):
-        if me == 0:
-            buf = vm.new_array("int32", 64, values=list(range(64)))
-            comm.Send(buf, peer, tag)
-            echo = vm.new_array("int32", 64)
-            comm.Recv(echo, peer, tag)
-        else:
-            buf = vm.new_array("int32", 64)
-            comm.Recv(buf, peer, tag)
-            comm.Send(buf, peer, tag)
-    comm.Barrier()
-    return "ok"
-
-
-def _deadlock_main(ctx):
-    """Both ranks post a blocking receive first: a 2-cycle knot (MA-R01)."""
-    vm = ctx.session
-    comm = vm.comm_world
-    me, peer = comm.Rank, 1 - comm.Rank
-    buf = vm.new_array("int32", 16)
-    comm.Recv(buf, peer, tag=7)   # neither side ever sends
-    comm.Send(buf, peer, tag=7)   # unreachable
-    return "unreachable"
-
-
-def _wildcard_main(ctx):
-    """Ranks 1 and 2 race into rank 0's ANY_SOURCE receives (MA-R02)."""
-    vm = ctx.session
-    comm = vm.comm_world
-    me = comm.Rank
-    if me == 0:
-        comm.Barrier()  # both senders have staged before we look
-        got = []
-        for _ in range(2):
-            buf = vm.new_array("int32", 4)
-            st = comm.Recv(buf, comm.ANY_SOURCE, tag=5)
-            got.append(st.source)
-        return sorted(got)
-    buf = vm.new_array("int32", 4, values=[me] * 4)
-    comm.Send(buf, 0, tag=5)
-    comm.Barrier()
-    return me
-
-
-def _buffer_reuse_main(ctx):
-    """Rank 0 scribbles on a buffer while its Isend is in flight (MA-R03)."""
-    vm = ctx.session
-    comm = vm.comm_world
-    me = comm.Rank
-    n = 64 * 1024  # rendezvous-sized with the demo's 4 KiB eager threshold
-    if me == 0:
-        buf = vm.new_array("int32", n // 4, values=[1] * (n // 4))
-        req = comm.Isend(buf, 1, tag=9)
-        buf[0] = 999          # the bug: write while the send is posted
-        comm.Barrier()        # peer only posts its receive after this
-        req.Wait()
-    else:
-        comm.Barrier()
-        buf = vm.new_array("int32", n // 4)
-        comm.Recv(buf, 0, tag=9)
-    return "done"
-
-
-#: scenario name -> (ranks, main, mpiexec kwargs)
-SCENARIOS: dict[str, tuple[int, object, dict]] = {
-    "clean": (2, _clean_main, {}),
-    "deadlock": (2, _deadlock_main, {"timeout": 60.0}),
-    "wildcard-race": (3, _wildcard_main, {}),
-    "buffer-reuse": (2, _buffer_reuse_main, {"eager_threshold": 4096}),
-}
-
-
-def run_scenario(name: str) -> tuple[list, Report]:
-    """Run one built-in scenario under the sanitizer; (results, report)."""
-    from repro.cluster.world import mpiexec
-    from repro.motor import motor_session
-
-    ranks, main, kw = SCENARIOS[name]
-    results = mpiexec(
-        ranks, main, sanitize="enabled", session_factory=motor_session, **kw
-    )
-    return results, results.report
 
 
 # --------------------------------------------------------------------------
@@ -140,13 +46,7 @@ def _format_of(args: argparse.Namespace) -> str:
 
 
 def _render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "sarif":
-        from repro.analyze.sarif import render_sarif
-
-        return render_sarif(report)
-    return report.render_text()
+    return report.to_json() if fmt == "json" else report.render_text()
 
 
 def _exit_code(report: Report, threshold: str) -> int:
@@ -183,14 +83,6 @@ def _cmd_static(args: argparse.Namespace) -> int:
             return 2
         analyze_assembly(asm, world_size=args.world_size, report=report)
     return _emit(report, args)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    results, report = run_scenario(args.scenario)
-    code = _emit(report, args)
-    if results.deadlocked and _format_of(args) == "text":
-        print("(run halted by the sanitizer)", file=sys.stderr)
-    return code
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
@@ -236,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def add_output_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--format", choices=("text", "json", "sarif"), default="text",
+            "--format", choices=("text", "json"), default="text",
             help="report format (default: text)",
         )
         p.add_argument(
@@ -259,13 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_output_options(p_static)
     p_static.set_defaults(func=_cmd_static)
-
-    p_run = sub.add_parser(
-        "run", help="run a built-in scenario under the runtime sanitizer"
-    )
-    p_run.add_argument("scenario", choices=sorted(SCENARIOS))
-    add_output_options(p_run)
-    p_run.set_defaults(func=_cmd_run)
 
     p_gate = sub.add_parser(
         "gate", help="analyze all repo IL and diff against the baseline"

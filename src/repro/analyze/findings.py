@@ -308,10 +308,6 @@ class Report:
         self.findings.append(finding)
         return True
 
-    def extend(self, findings) -> None:
-        for f in findings:
-            self.add(f)
-
     def by_rule(self, rule: str) -> list[Finding]:
         return [f for f in self.findings if f.rule == rule]
 

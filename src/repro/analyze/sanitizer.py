@@ -546,10 +546,6 @@ class RankSanitizer:
         self.costs = costs
         self.enabled = enabled
 
-    @property
-    def report(self) -> Report:
-        return self.core.report
-
     def _charge(self, ns: float) -> None:
         if self.clock is not None:
             self.clock.charge(ns)

@@ -61,8 +61,3 @@ class IndianaComm(ManagedBinding):
 
 def indiana_session(ctx: RankContext, profile: str = "sscli-free") -> IndianaComm:
     return IndianaComm(ctx, profile)
-
-
-def indiana_session_factory(profile: str):
-    """Session factory bound to a host profile (for mpiexec)."""
-    return partial(indiana_session, profile=profile)

@@ -40,10 +40,6 @@ class ManagedBinding:
     def rank(self) -> int:
         return self.comm.rank
 
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
     # -- buffers (managed byte[]) ---------------------------------------------------
 
     def alloc_buffer(self, nbytes: int) -> ObjRef:

@@ -27,10 +27,6 @@ class NativeComm:
     def rank(self) -> int:
         return self.comm.rank
 
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
     # -- buffers ---------------------------------------------------------------
 
     def alloc_buffer(self, nbytes: int) -> NativeMemory:

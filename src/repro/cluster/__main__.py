@@ -51,7 +51,8 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--progress", choices=("polled", "async"), default="polled",
-        help="progress mode (async = progress thread under proc)",
+        help="progress mode (async needs --substrate inproc: it is a task "
+        "on the simulated clock, and proc has no progress thread)",
     )
     ap.add_argument("--timeout", type=float, default=300.0)
     args = ap.parse_args(argv)

@@ -15,13 +15,12 @@ What changes relative to ``inproc``, and only this:
 
 * ``main``, ``session_factory`` and every rank's result must be
   picklable (module-level functions/classes — the spawn-safety rule);
-* ranks are process-hosted (``hosting="process"``): ``progress="async"``
-  is realized by a real progress thread instead of a simulated-clock
-  task, and an idle wait spins before it yields the CPU instead of
-  ceding the interpreter at once;
-* ``sanitize=`` and ``fault_plan=`` are rejected: the sanitizer's
-  cross-rank graphs and the fault injector's shared plan are
-  single-address-space constructs (transport failures are *detected*
+* ranks are process-hosted (``hosting="process"``): an idle wait spins
+  before it yields the CPU instead of ceding the interpreter at once;
+* ``sanitize=``, ``fault_plan=`` and ``progress="async"`` are rejected:
+  the sanitizer's cross-rank graphs and the fault injector's shared plan
+  are single-address-space constructs, and async progress is a task on
+  the rank's *simulated* clock (transport failures are *detected*
   instead: a worker that dies surfaces as
   :class:`~repro.mp.errors.MpiErrProcFailed` on every peer and at the
   launcher);
@@ -64,7 +63,6 @@ class WorldSpec:
     reliable: bool
     reliability_opts: dict | None
     observe: str | None
-    progress: str
     boot_timeout: float
 
 
@@ -81,12 +79,6 @@ class _LauncherFabric:
             "the proc launcher hosts no ranks; endpoints live in the "
             "worker processes"
         )
-
-    def endpoints(self):
-        return ()
-
-    def shutdown(self) -> None:
-        self.router.stop()
 
 
 class ProcSubstrate(Substrate):
@@ -120,6 +112,13 @@ class ProcSubstrate(Substrate):
                 "substrate='inproc'; real process death is detected "
                 "instead — kill a worker and peers raise MpiErrProcFailed)"
             )
+        if w.progress == "async":
+            raise ValueError(
+                "progress='async' is not available on the proc substrate: "
+                "it is a recurring task on the rank's simulated clock, and "
+                "process-hosted ranks have no progress thread (use "
+                "substrate='inproc')"
+            )
 
     def build_fabric(self):
         from repro.cluster.router import PacketRouter
@@ -147,7 +146,6 @@ class ProcSubstrate(Substrate):
             reliable=w.reliable,
             reliability_opts=w.reliability_opts,
             observe=w.observe,
-            progress=w.progress,
             boot_timeout=self.boot_timeout,
         )
         # fork, the one start method: the mapping has no name to reopen
@@ -305,7 +303,6 @@ def _worker_entry(spec: WorldSpec, address, mapping, rank: int, main, session_fa
             reliable=spec.reliable,
             reliability_opts=spec.reliability_opts,
             observe=spec.observe,
-            progress=spec.progress,
             substrate=lambda w: _WorkerSubstrate(w, address, mapping),
         )
         ctx = world.context_for(rank)

@@ -7,7 +7,7 @@ the decisions that differ between a simulated and a real deployment:
 
 * **rank hosting** — threads in one process (``inproc``) or one OS
   process per rank (``proc``); the ``hosting`` fact every engine is
-  told, from which the idle-wait policy and the async driver follow;
+  told, which decides the idle-wait policy and nothing else;
 * **fabric construction** — an in-memory fabric built from
   ``FABRICS[channel]`` versus shared-memory rings plus a control router
   the worker endpoints dial;
@@ -17,9 +17,9 @@ the decisions that differ between a simulated and a real deployment:
 * **the boot barrier** — inproc ranks are born connected, proc ranks
   block on the router's ``GO`` before their mains run;
 * **what follows from hosting** — an idle wait cedes the shared
-  interpreter at once versus spinning before it yields a CPU of its own;
-  async progress is a recurring task on the rank's clock (simulated
-  time) versus a real progress thread on a wall cadence;
+  interpreter at once versus spinning before it yields a CPU of its own
+  (``progress="async"`` is a recurring task on the rank's simulated
+  clock and so an inproc mode: the proc substrate rejects it);
 * **who runs** — the inproc substrate owns the world's one scheduler, a
   :class:`~repro.simtime.sched.Baton`: exactly one of the rank threads
   it hosts is runnable, and ceding wakes the next one directly.  Process
@@ -100,8 +100,7 @@ class Substrate(abc.ABC):
     #: what hosts a rank: ``"thread"`` (ranks share one interpreter) or
     #: ``"process"`` (one OS process each).  Each engine derives from it
     #: what an idle wait does (cede the interpreter at once / spin, then
-    #: yield the CPU) and how ``progress="async"`` is realized (recurring
-    #: task on the rank's clock / real daemon thread on a wall cadence)
+    #: yield the CPU)
     hosting = "thread"
 
     #: True when the substrate can host extra ranks after boot

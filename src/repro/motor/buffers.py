@@ -38,10 +38,6 @@ class _PooledBuffer:
         self.native = native
         self.last_used_gc = gc_epoch
 
-    @property
-    def size(self) -> int:
-        return len(self.native)
-
 
 class BufferPool:
     """Size-class bins of reusable native buffers, swept by the collector."""

@@ -322,9 +322,6 @@ class MotorCommunicator:
         """MPI_Comm_set_errhandler: ERRORS_ARE_FATAL or ERRORS_RETURN."""
         self._comm.set_errhandler(handler)
 
-    def GetErrhandler(self) -> str:
-        return self._comm.errhandler
-
     def Shrink(self) -> "MotorCommunicator":
         """ULFM MPI_Comm_shrink: a survivors-only communicator after a
         rank failure; collective over the survivors."""
@@ -361,24 +358,6 @@ class MotorCommunicator:
         """Rank-local state from the last committed checkpoint epoch
         (or an explicit earlier ``epoch``)."""
         return self._fcall(self._comm.restore, epoch)
-
-    # -- data-plane introspection ---------------------------------------------------
-
-    @property
-    def CopyStats(self) -> dict:
-        """This rank's data-plane copy accounting (device-level).
-
-        ``bytes_moved`` counts payload bytes accepted off the wire;
-        ``bytes_copied`` counts payload memcpys above the channel (matched
-        eager and rendezvous land at <=1 copy per byte, unexpected eager
-        at exactly 2); ``outbox_owned`` counts flow-control snapshots.
-        """
-        stats = self._vm.engine.device.stats
-        return {
-            "bytes_moved": stats["bytes_moved"],
-            "bytes_copied": stats["bytes_copied"],
-            "outbox_owned": stats["outbox_owned"],
-        }
 
     def __repr__(self) -> str:
         return f"<System.MP.Communicator rank={self.Rank} size={self.Size}>"

@@ -96,19 +96,6 @@ class WireView:
     def __len__(self) -> int:
         return self.mv.nbytes
 
-    def __bytes__(self) -> bytes:
-        return bytes(self.mv)
-
-    def tobytes(self) -> bytes:
-        return bytes(self.mv)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WireView):
-            return self.mv == other.mv
-        if isinstance(other, (bytes, bytearray, memoryview)):
-            return self.mv == other
-        return NotImplemented
-
     def __repr__(self) -> str:
         own = type(self.owner).__name__ if self.owner is not None else "self"
         state = "released" if self.released else "live"

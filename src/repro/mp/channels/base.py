@@ -18,7 +18,6 @@ layer of a stack shares the rank's spine.
 from __future__ import annotations
 
 import abc
-from typing import Iterable
 
 from repro.mp.hooks import NULL_SPINE
 from repro.mp.packets import Packet
@@ -153,10 +152,9 @@ class Channel(abc.ABC):
 class ChannelStack(Channel):
     """Base for stacking layers that wrap a concrete channel endpoint.
 
-    Default behaviour is pure delegation to ``inner``; a layer overrides
-    only the functions it perturbs (the fault injector overrides all of
-    them, a future compression layer might override just ``send_packet``
-    and ``recv_packets``).  ``init`` deliberately does not re-init the
+    A layer implements the packet plane itself (the fault injector, the
+    one layer there is, perturbs all of it); the window seam delegates to
+    ``inner`` by default.  ``init`` deliberately does not re-init the
     inner endpoint — the inner fabric already did.
     """
 
@@ -168,27 +166,6 @@ class ChannelStack(Channel):
 
     def init(self, world_size: int) -> None:
         self.world_size = world_size
-
-    def send_packet(self, pkt: Packet) -> bool:
-        ok = self.inner.send_packet(pkt)
-        if ok:
-            self.packets_sent += 1
-            self.bytes_sent += len(pkt.payload)
-        return ok
-
-    def recv_packets(self, limit: int | None = None) -> list[Packet]:
-        pkts = self.inner.recv_packets(limit)
-        self.packets_received += len(pkts)
-        return pkts
-
-    def has_incoming(self) -> bool:
-        return self.inner.has_incoming()
-
-    def finalize(self) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
-        self.inner.finalize()
 
     def unwrap(self) -> Channel:
         """The innermost concrete channel under this stack."""
@@ -248,9 +225,6 @@ class ChannelFabric:
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> Channel:
         raise NotImplementedError
-
-    def endpoints(self) -> Iterable[Channel]:
-        return self._endpoints.values()
 
     def shutdown(self) -> None:
         """Finalize every endpoint; idempotent and best-effort.

@@ -105,13 +105,6 @@ class FaultPlan:
     def is_partitioned(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self._partitions
 
-    @property
-    def any_faults(self) -> bool:
-        return bool(
-            self.drop or self.duplicate or self.corrupt or self.reorder
-            or self.delay or self.forced
-        )
-
 
 class _Held:
     """A packet held back by a reorder/delay fault."""

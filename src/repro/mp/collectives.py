@@ -247,14 +247,6 @@ def scatterv(engine, comm, sendbuf, counts, displs, recvbuf: BufferDesc, root: i
     _run_inline(engine, _sched_scatterv(engine, comm, sendbuf, counts, displs, recvbuf, root))
 
 
-def iscatterv(engine, comm, sendbuf, counts, displs, recvbuf: BufferDesc, root: int = 0):
-    _check_root(comm, root)
-    return _start(
-        engine, "coll.scatterv", comm,
-        _sched_scatterv(engine, comm, sendbuf, counts, displs, recvbuf, root),
-    )
-
-
 def _sched_gather(engine, comm, sendbuf, recvbuf, root):
     """Equal-slice gather into the root's buffer."""
     n = comm.size
@@ -309,14 +301,6 @@ def _sched_gatherv(engine, comm, sendbuf, recvbuf, counts, displs, root):
 def gatherv(engine, comm, sendbuf: BufferDesc, recvbuf, counts, displs, root: int = 0) -> None:
     _check_root(comm, root)
     _run_inline(engine, _sched_gatherv(engine, comm, sendbuf, recvbuf, counts, displs, root))
-
-
-def igatherv(engine, comm, sendbuf: BufferDesc, recvbuf, counts, displs, root: int = 0):
-    _check_root(comm, root)
-    return _start(
-        engine, "coll.gatherv", comm,
-        _sched_gatherv(engine, comm, sendbuf, recvbuf, counts, displs, root),
-    )
 
 
 def _sched_allgather(engine, comm, sendbuf, recvbuf):

@@ -2,8 +2,7 @@
 
 The native C-like API keeps MPI's classic ``(buffer, count, datatype)``
 triple; Motor's managed bindings drop both count and datatype because the
-object itself carries its type and size (paper §4.2.1).  Derived types are
-supported to the extent the native baseline and MPI_Pack need them.
+object itself carries its type and size (paper §4.2.1).
 """
 
 from __future__ import annotations
@@ -34,47 +33,6 @@ class Datatype:
     def contiguous(self, count: int) -> "Datatype":
         """MPI_Type_contiguous."""
         return Datatype(f"{self.name}x{count}", self.size * count)
-
-    def vector(self, count: int, blocklength: int, stride: int) -> "VectorType":
-        """MPI_Type_vector (used by the pack/unpack tests)."""
-        return VectorType(
-            name=f"vec({self.name},{count},{blocklength},{stride})",
-            size=self.size * count * blocklength,
-            base=self,
-            count=count,
-            blocklength=blocklength,
-            stride=stride,
-        )
-
-
-@dataclass(frozen=True)
-class VectorType(Datatype):
-    """A strided vector derived type."""
-
-    base: Datatype = None  # type: ignore[assignment]
-    count: int = 0
-    blocklength: int = 0
-    stride: int = 0
-
-    def gather_from(self, raw: bytes | bytearray | memoryview, offset: int = 0) -> bytes:
-        """Collect the strided blocks into one contiguous buffer."""
-        out = bytearray()
-        bl = self.blocklength * self.base.size
-        st = self.stride * self.base.size
-        mv = memoryview(raw)
-        for i in range(self.count):
-            start = offset + i * st
-            out += mv[start : start + bl]
-        return bytes(out)
-
-    def scatter_to(self, raw: bytearray | memoryview, data: bytes, offset: int = 0) -> None:
-        """Spread a contiguous buffer back out into the strided blocks."""
-        bl = self.blocklength * self.base.size
-        st = self.stride * self.base.size
-        mv = memoryview(raw)
-        for i in range(self.count):
-            start = offset + i * st
-            mv[start : start + bl] = data[i * bl : (i + 1) * bl]
 
 
 BYTE = Datatype("MPI_BYTE", 1, "B")

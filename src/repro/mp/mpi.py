@@ -28,7 +28,7 @@ from repro.mp.errors import (
 )
 from repro.mp.hooks import wire_engine
 from repro.mp.matching import ANY_SOURCE, ANY_TAG
-from repro.mp.progress import AsyncProgressDriver, ProgressEngine, ThreadAsyncProgressDriver
+from repro.mp.progress import AsyncProgressDriver, ProgressEngine
 from repro.mp.request import RECV, SEND, Request
 from repro.mp.schedule import Schedule
 from repro.mp.status import Status
@@ -78,27 +78,19 @@ class MpiEngine:
             reliability_opts=reliability_opts,
         )
         self.progress = ProgressEngine(self.device, yield_fn)
-        #: hosting is the substrate's one fact; two things follow from it.
-        #: "thread": ranks share one interpreter — an idle wait cedes it at
-        #: once, and async progress is a recurring task on the rank's clock
-        #: (keyed, so a rebuilt engine on that clock takes over).
-        #: "process": the rank owns an OS process — an idle wait spins
-        #: before yielding, and async progress is a real daemon thread on a
-        #: wall cadence, serialised against this rank's calls by the core's lock.
+        #: hosting is the substrate's one fact, and decides the idle policy
+        #: only.  "thread": ranks share one interpreter — an idle wait cedes
+        #: it at once.  "process": the rank owns an OS process — an idle
+        #: wait spins before yielding.
         self.progress.thread_hosted = hosting == "thread"
         self.progress_mode = progress
+        #: async progress is a recurring task on the rank's clock (keyed, so
+        #: a rebuilt engine on that clock takes over)
         self.async_driver = None
-        #: the progress core's lock when a progress *thread* exists; every
-        #: device mutation below must hold it (None costs one check)
-        self._plock = None
         if progress == "async":
-            if hosting == "process":
-                self.async_driver = ThreadAsyncProgressDriver(self.progress.core)
-                self._plock = self.progress.core.lock
-            else:
-                self.async_driver = AsyncProgressDriver(
-                    self.progress.core, self.clock, self.costs.async_poll_period_ns
-                )
+            self.async_driver = AsyncProgressDriver(
+                self.progress.core, self.clock, self.costs.async_poll_period_ns
+            )
             self.async_driver.start()
         #: the rank's hook spine, shared by every layer of this stack;
         #: observers (repro.obs, repro.analyze) attach here
@@ -164,11 +156,7 @@ class MpiEngine:
         req = Request(
             SEND, buf, dest, tag, ctx, total=buf.nbytes, sync=sync, hooks=self.hooks
         )
-        if self._plock is None:
-            self.device.start_send(req, comm.world_rank_of(dest))
-        else:
-            with self._plock:
-                self.device.start_send(req, comm.world_rank_of(dest))
+        self.device.start_send(req, comm.world_rank_of(dest))
         return req
 
     def irecv(
@@ -190,11 +178,7 @@ class MpiEngine:
             ANY_SOURCE if source == ANY_SOURCE else comm.world_rank_of(source)
         )
         req = Request(RECV, buf, src_world, tag, ctx, total=buf.nbytes, hooks=self.hooks)
-        if self._plock is None:
-            self.device.post_recv(req)
-        else:
-            with self._plock:
-                self.device.post_recv(req)
+        self.device.post_recv(req)
         return req
 
     def _guarded_wait(
@@ -317,11 +301,7 @@ class MpiEngine:
     def _iprobe_queued(self, source: int, tag: int, comm: Communicator) -> Status | None:
         """The unexpected queue's answer, without a progress step."""
         src_world = ANY_SOURCE if source == ANY_SOURCE else comm.world_rank_of(source)
-        if self._plock is None:
-            st = self.device.iprobe(src_world, tag, comm.context_id)
-        else:
-            with self._plock:
-                st = self.device.iprobe(src_world, tag, comm.context_id)
+        st = self.device.iprobe(src_world, tag, comm.context_id)
         if st is not None and st.source >= 0:
             st.source = comm.local_rank_of_world(st.source)
         return st
@@ -346,10 +326,7 @@ class MpiEngine:
         return st
 
     def cancel(self, req: Request) -> bool:
-        if self._plock is None:
-            return self.device.cancel_recv(req)
-        with self._plock:
-            return self.device.cancel_recv(req)
+        return self.device.cancel_recv(req)
 
     # ------------------------------------------------------------- one-sided
 
@@ -378,15 +355,9 @@ class MpiEngine:
         win_id = self._next_win_id
         self._next_win_id += 1
         win = Win(self, win_id, buf, comm, dtype=dtype, force_emulation=force_emulation)
-        if self._plock is None:
-            self.device.add_window(win)
-            if not force_emulation:
-                self.device.channel.rma_register(win_id, self.rank, buf)
-        else:
-            with self._plock:
-                self.device.add_window(win)
-                if not force_emulation:
-                    self.device.channel.rma_register(win_id, self.rank, buf)
+        self.device.add_window(win)
+        if not force_emulation:
+            self.device.channel.rma_register(win_id, self.rank, buf)
         self.barrier(comm)
         return win
 

@@ -128,10 +128,6 @@ class Packet:
         p = self.payload
         return p.mv if type(p) is WireView else memoryview(p)
 
-    @property
-    def payload_nbytes(self) -> int:
-        return len(self.payload)
-
     def freeze_payload(self) -> bytes:
         """Materialize the payload into owned bytes and drop any lease.
 

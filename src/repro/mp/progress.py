@@ -32,8 +32,9 @@ The layering here is MPICH's progress split made explicit:
 :class:`AsyncProgressDriver`
     Progress mode ``"async"``: a recurring task on the rank's clock
     (:mod:`repro.simtime.sched`) steps the core whenever simulated time
-    advances — during application *compute*, not just library calls.  The
-    driver is the seam where a real progress thread plugs in later.
+    advances — during application *compute*, not just library calls.
+    There is no progress thread: async is a simulated-clock mode, and the
+    proc substrate rejects it (docs/ARCHITECTURE.md "Progress modes").
 
 The wait is bounded two ways ("MPI Progress For All"): an optional wall
 ``timeout`` raises :class:`MpiErrTimeout`, and a request completed with
@@ -44,7 +45,6 @@ peer can never wedge the polling loop.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Iterable
 
@@ -78,10 +78,6 @@ class ProgressCore:
     def __init__(self, device: CH3Device, yield_fn: Callable[[], None] | None = None) -> None:
         self.device = device
         self.yield_fn = yield_fn
-        #: None on simulated substrates (single-threaded per rank, zero
-        #: overhead); a threading.RLock when a ThreadAsyncProgressDriver
-        #: steps this core concurrently with the owning rank
-        self.lock = None
         #: the rank's hook spine (wait enter/tick/exit feed the sanitizer's
         #: cross-rank wait-for graph; polls are exported as pull-model pvars)
         self.hooks = NULL_SPINE
@@ -113,13 +109,6 @@ class ProgressCore:
         floor back in — entering the library is a consumption point, which
         is exactly when polled mode would have merged.
         """
-        lock = self.lock
-        if lock is None:
-            return self._step(from_async)
-        with lock:
-            return self._step(from_async)
-
-    def _step(self, from_async: bool) -> int:
         if self._in_step:
             return 0
         clock = self.device.clock
@@ -168,9 +157,7 @@ class AsyncProgressDriver:
     Registers a recurring task (period ``async_poll_period_ns``) on the
     rank clock's :class:`~repro.simtime.sched.TaskScheduler`, so the core
     is stepped whenever the rank charges simulated work — decoupling
-    progression from library entry.  A future real-execution mode replaces
-    this with a thread calling ``core.step(from_async=True)`` on a wall
-    cadence; nothing above this class would change.
+    progression from library entry.
     """
 
     def __init__(self, core: ProgressCore, clock, period_ns: float) -> None:
@@ -190,68 +177,8 @@ class AsyncProgressDriver:
                 sched.cancel(ASYNC_TASK_KEY)
         self.task = None
 
-    @property
-    def running(self) -> bool:
-        return self.task is not None and not self.task.cancelled
-
     def _tick(self) -> None:
         self.core.step(from_async=True)
-
-
-class ThreadAsyncProgressDriver:
-    """Progress mode ``"async"`` on a real substrate: a daemon thread.
-
-    The seam :class:`AsyncProgressDriver` documents, filled in: where
-    the simulated substrate steps the core whenever the rank's *clock*
-    advances, a real multi-process world has no simulated clock driving
-    anything — so a daemon thread calls ``core.step(from_async=True)``
-    on a wall cadence instead.  Construction installs ``core.lock`` (an
-    RLock), which serialises the thread's steps against the owning
-    rank's device calls; on simulated substrates the lock stays ``None``
-    and the hot path pays a single ``is None`` test.
-    """
-
-    def __init__(self, core: ProgressCore, period_s: float = 50e-6) -> None:
-        self.core = core
-        self.period_s = max(float(period_s), 10e-6)
-        if core.lock is None:
-            core.lock = threading.RLock()
-        self._stop = threading.Event()
-        self._thread: "threading.Thread | None" = None
-        #: set if the progress loop died; surfaced instead of silence
-        self.error: BaseException | None = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="mp-progress", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        t = self._thread
-        if t is not None:
-            t.join(timeout=2.0)
-            self._thread = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _run(self) -> None:
-        step = self.core.step
-        wait = self._stop.wait
-        period = self.period_s
-        while not self._stop.is_set():
-            try:
-                step(from_async=True)
-            except BaseException as exc:  # keep the verdict, stop spinning
-                self.error = exc
-                return
-            wait(period)
 
 
 class ProgressEngine:
@@ -272,10 +199,6 @@ class ProgressEngine:
         self._idle_run = 0
 
     # -- façade over the core (existing call sites keep working) ----------
-
-    @property
-    def device(self) -> CH3Device:
-        return self.core.device
 
     @property
     def yield_fn(self):
@@ -308,10 +231,6 @@ class ProgressEngine:
     @property
     def overlap_ratio(self) -> float:
         return self.core.overlap_ratio
-
-    @property
-    def _schedules(self) -> list:
-        return self.core._schedules
 
     def add_schedule(self, sched) -> None:
         self.core.add_schedule(sched)

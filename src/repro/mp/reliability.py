@@ -280,10 +280,6 @@ class ReliabilityLayer:
 
     # ------------------------------------------------------------------ misc
 
-    @property
-    def quiescent(self) -> bool:
-        return not any(self._unacked.values()) and not any(self._ooo.values())
-
     def __repr__(self) -> str:
         pending = sum(len(v) for v in self._unacked.values())
         return f"<ReliabilityLayer rank={self.rank} unacked={pending} failed={sorted(self.failed)}>"

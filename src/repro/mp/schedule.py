@@ -32,9 +32,6 @@ class CollRequest(Request):
         super().__init__(COLL, None, -1, -1, comm_id, 0, hooks=hooks)
         self.coll_name = name
 
-    def describe(self) -> str:
-        return f"{self.coll_name}()"
-
 
 class Schedule:
     """One in-flight collective, advanced by the progress core."""

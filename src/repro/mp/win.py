@@ -134,23 +134,6 @@ class Win:
 
     # ------------------------------------------------------------ plumbing
 
-    def _emit(self, pkt: Packet) -> None:
-        lk = self.engine._plock
-        if lk is None:
-            self.device._emit(pkt)
-        else:
-            with lk:
-                self.device._emit(pkt)
-
-    def _native(self, fn, *args) -> bool:
-        """Run a channel native-RMA entry point, serialized against a
-        progress *thread* the same way device mutations are."""
-        lk = self.engine._plock
-        if lk is None:
-            return fn(*args)
-        with lk:
-            return fn(*args)
-
     def _check_usable(self) -> None:
         if self.freed:
             raise MpiErrRma(f"window {self.id} already freed")
@@ -251,8 +234,8 @@ class Win:
         # per-window negotiation: the capability is the channel's, but the
         # *target* must have registered native memory — a miss degrades
         # this one op to the packet plane, never raises
-        native = "put" in self.caps and self._native(
-            self.device.channel.rma_put, self.id, wtarget, target_offset, src.view()
+        native = "put" in self.caps and self.device.channel.rma_put(
+            self.id, wtarget, target_offset, src.view()
         )
         self._pre_op("put", wtarget, target_offset, n, native)
         if native:
@@ -267,8 +250,8 @@ class Win:
         wtarget = self._world_target(target)
         n = dst.nbytes
         self._check_range(target_offset, n, target)
-        native = "get" in self.caps and self._native(
-            self.device.channel.rma_get, self.id, wtarget, target_offset, dst.view()
+        native = "get" in self.caps and self.device.channel.rma_get(
+            self.id, wtarget, target_offset, dst.view()
         )
         self._pre_op("get", wtarget, target_offset, n, native)
         if native:
@@ -286,7 +269,7 @@ class Win:
         self._reqs.append(req)
         self._sent[wtarget] += 1
         self.device.stats["rma_emulated_ops"] += 1
-        self._emit(
+        self.device._emit(
             Packet(
                 ptype=GET,
                 src=self.rank,
@@ -311,8 +294,7 @@ class Win:
                 f"accumulate not aligned to {self.dtype} elements "
                 f"(offset {target_offset}, {n} bytes)"
             )
-        native = "accumulate" in self.caps and self._native(
-            self.device.channel.rma_accumulate,
+        native = "accumulate" in self.caps and self.device.channel.rma_accumulate(
             self.id, wtarget, target_offset, src.view(), self.dtype,
         )
         self._pre_op("acc", wtarget, target_offset, n, native)
@@ -338,7 +320,7 @@ class Win:
         self.device.stats["rma_emulated_ops"] += 1
         for t_off, s_off, size in self._chunks(target_offset, n):
             self._sent[wtarget] += 1
-            self._emit(
+            self.device._emit(
                 Packet(
                     ptype=ptype,
                     src=self.rank,
@@ -376,7 +358,7 @@ class Win:
         for peer in self.peers:
             if peer == self.rank:
                 continue
-            self._emit(
+            self.device._emit(
                 Packet(
                     ptype=WSYNC,
                     src=self.rank,
@@ -412,7 +394,7 @@ class Win:
         self._exposure_group = worigins
         self._epoch_event("pscw-exposure", "open")
         for o in worigins:
-            self._emit(
+            self.device._emit(
                 Packet(
                     ptype=WPOST, src=self.rank, dst=o, tag=self.id,
                     comm_id=self.comm.context_id,
@@ -443,7 +425,7 @@ class Win:
             raise MpiErrRma(f"window {self.id}: complete() without start()")
         self._flush_local()
         for t in self._access_group:
-            self._emit(
+            self.device._emit(
                 Packet(
                     ptype=WCOMPLETE,
                     src=self.rank,
@@ -486,7 +468,7 @@ class Win:
         wtarget = self._world_target(target)
         if wtarget in self._lock_held:
             raise MpiErrRma(f"window {self.id}: lock({target}) already held")
-        self._emit(
+        self.device._emit(
             Packet(
                 ptype=WLOCK,
                 src=self.rank,
@@ -514,7 +496,7 @@ class Win:
         if wtarget not in self._lock_held:
             raise MpiErrRma(f"window {self.id}: unlock({target}) without lock")
         self._flush_local()
-        self._emit(
+        self.device._emit(
             Packet(
                 ptype=WUNLOCK,
                 src=self.rank,

@@ -30,13 +30,12 @@ from repro.obs.instrument import (
     detach_all,
     instrument,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.spans import EventRecord, SpanRecord, SpanRecorder
 
 __all__ = [
     "Counter",
     "EventRecord",
-    "Gauge",
     "Histogram",
     "Instrumentation",
     "MetricsRegistry",

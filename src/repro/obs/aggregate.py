@@ -27,7 +27,6 @@ def merge_snapshots(snaps: list[dict]) -> dict:
     """Merge per-rank snapshots into one cluster report."""
     ranks = sorted(s.get("rank", i) for i, s in enumerate(snaps))
     counters: dict[str, dict] = {}
-    gauges: dict[str, dict] = {}
     hists: dict[str, dict] = {}
     spans: list[dict] = []
     events: list[dict] = []
@@ -37,8 +36,6 @@ def merge_snapshots(snaps: list[dict]) -> dict:
             entry = counters.setdefault(name, {"total": 0, "by_rank": {}})
             entry["total"] += value
             entry["by_rank"][rank] = value
-        for name, g in snap.get("gauges", {}).items():
-            gauges.setdefault(name, {})[rank] = g
         for name, h in snap.get("hists", {}).items():
             entry = hists.setdefault(
                 name,
@@ -61,7 +58,6 @@ def merge_snapshots(snaps: list[dict]) -> dict:
     return {
         "ranks": ranks,
         "counters": counters,
-        "gauges": gauges,
         "hists": hists,
         "spans": spans,
         "events": events,

@@ -194,13 +194,6 @@ class Instrumentation:
         self.clock.charge(self.costs.obs_counter_ns)
         self.metrics.counter(name).inc(n)
 
-    def gauge(self, name: str, value: float) -> None:
-        if not self.enabled:
-            self.clock.charge(self.costs.obs_hook_ns)
-            return
-        self.clock.charge(self.costs.obs_counter_ns)
-        self.metrics.gauge(name).set(value)
-
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             self.clock.charge(self.costs.obs_hook_ns)

@@ -1,4 +1,4 @@
-"""MPI_T-style performance variables: counters, gauges and histograms.
+"""MPI_T-style performance variables: counters and histograms.
 
 "MPI Progress For All" (Zhou et al.) argues that progress behaviour must
 be *observable without being perturbed*; MPI_T does this with performance
@@ -7,7 +7,6 @@ This module is that idea for the whole Motor stack:
 
 * **Counter** — monotonically increasing event count
   (``mp.ch3.eager_sends``, ``rel.retransmits``);
-* **Gauge** — last-written level (``gc.pins.active``);
 * **Histogram** — power-of-two bucketed distribution
   (``mp.ch3.msg_bytes``).
 
@@ -41,22 +40,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """A last-written level (also tracks the high-water mark)."""
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.peak = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = v
-        if v > self.peak:
-            self.peak = v
 
 
 class Histogram:
@@ -93,7 +76,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._hists: dict[str, Histogram] = {}
         self._providers: list[Callable[[], dict[str, float]]] = []
 
@@ -104,12 +86,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str) -> Histogram:
         h = self._hists.get(name)
@@ -135,9 +111,6 @@ class MetricsRegistry:
                 counters[name] = counters.get(name, 0) + value
         return {
             "counters": counters,
-            "gauges": {
-                n: {"value": g.value, "peak": g.peak} for n, g in self._gauges.items()
-            },
             "hists": {
                 n: {
                     "count": h.count,

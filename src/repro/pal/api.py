@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
 
 from repro.pal.events import Event
 from repro.simtime import Clock, CostModel, WallClock
@@ -36,7 +35,6 @@ _BASE_API = frozenset(
         "Sleep",
         "GetTickCount",
         "QueryPerformanceCounter",
-        "CreateThread",
         "EnterCriticalSection",
         "LeaveCriticalSection",
         "VirtualAlloc",
@@ -50,8 +48,6 @@ _BASE_API = frozenset(
 _MOTOR_EXTENSIONS = frozenset(
     {
         "InterlockedExchange",
-        "GetSystemInfo",
-        "DuplicateHandle",
     }
 )
 
@@ -146,13 +142,7 @@ class PAL:
         self._enter("QueryPerformanceCounter")
         return self.clock.now()
 
-    # -- threads / sync ----------------------------------------------------------
-
-    def create_thread(self, fn: Callable, name: str = "") -> threading.Thread:
-        self._enter("CreateThread")
-        t = threading.Thread(target=fn, name=name or "pal-thread", daemon=True)
-        t.start()
-        return t
+    # -- sync --------------------------------------------------------------------
 
     def create_critical_section(self) -> threading.RLock:
         # CRITICAL_SECTION init has no dedicated PAL entry; Enter/Leave do.
@@ -185,11 +175,3 @@ class PAL:
         old = cell[0]
         cell[0] = value
         return old
-
-    def get_system_info(self) -> dict:
-        self._enter("GetSystemInfo")
-        return {"page_size": 4096, "backend": self.backend}
-
-    def duplicate_handle(self, handle: object) -> object:
-        self._enter("DuplicateHandle")
-        return handle

@@ -109,9 +109,5 @@ class ObjRef:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ObjRef) and self.addr == other.addr
 
-    def __hash__(self) -> int:
-        # Hash by slot: stable across moves (addresses are not).
-        return hash((id(self._table), self._slot))
-
     def __repr__(self) -> str:
         return f"<ObjRef slot={self._slot} addr={self.addr:#x}>"

@@ -79,7 +79,3 @@ class ManagedProxy:
 
     def __repr__(self) -> str:
         return f"<managed {self.type_name} @{self.ref.addr:#x}>"
-
-
-def proxy(rt: ManagedRuntime, ref: ObjRef) -> ManagedProxy:
-    return ManagedProxy(rt, ref)

@@ -46,10 +46,6 @@ class PrimitiveType:
     size: int
     fmt: str  # struct format, little-endian
 
-    @property
-    def is_ref(self) -> bool:
-        return False
-
     def pack_into(self, buf, offset: int, value) -> None:
         struct.pack_into(self.fmt, buf, offset, value)
 
@@ -186,9 +182,6 @@ class MethodTable:
     def element_is_ref(self) -> bool:
         return self.is_array and isinstance(self.element_type, MethodTable)
 
-    def ref_fields(self) -> list[FieldDesc]:
-        return [fd for fd in self.fields if fd.is_ref]
-
     def is_subclass_of(self, other: "MethodTable") -> bool:
         mt: MethodTable | None = self
         while mt is not None:
@@ -312,6 +305,3 @@ class TypeRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name or name in PRIMITIVES
-
-    def all_classes(self) -> list[MethodTable]:
-        return list(self._by_name.values())

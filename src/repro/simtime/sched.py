@@ -12,9 +12,7 @@ point in its virtual timeline.
 
 A :class:`TaskScheduler` is deliberately *not* a discrete-event scheduler
 across ranks; each rank owns one clock and one scheduler, preserving the
-Lamport-clock design (single writer, no locks).  The seam for a real
-progress thread later is exactly :meth:`TaskScheduler.drive`: a thread
-would call it on a wall-time cadence instead of piggybacking on charges.
+Lamport-clock design (single writer, no locks).
 
 Across ranks the schedulable entity is the rank itself: a :class:`Baton`
 lets exactly one rank thread of an in-process world run at a time and
@@ -101,8 +99,7 @@ class TaskScheduler:
     def drive(self) -> int:
         """Fire every task due as of now; returns the number of fires.
 
-        Called from ``Clock.charge`` after time advances (and, in a future
-        real mode, from a progress thread on a wall cadence).  Fires are
+        Called from ``Clock.charge`` after time advances.  Fires are
         bounded by the entry-time horizon and per-task catch-up cap, and
         nested drives (a task charging its own clock) are no-ops.
         """

@@ -103,11 +103,6 @@ class ChaosSchedule:
                     return ev
         return None
 
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._events)
-
 
 # -- framing -------------------------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""The analyzer CLI: static files, sanitized scenarios, bench forwarding."""
+"""The analyzer CLI: static files, the ablation alias, bench forwarding."""
 
 import json
 
 import pytest
 
-from repro.analyze.cli import SCENARIOS, main, run_scenario
+from repro.analyze.cli import main
 
 pytestmark = pytest.mark.analyze
 
@@ -76,24 +76,22 @@ class TestStatic:
         assert main(["static", str(tmp_path / "nope.il")]) == 2
 
 
-class TestRun:
-    def test_scenario_inventory(self):
-        assert set(SCENARIOS) == {
-            "clean", "deadlock", "wildcard-race", "buffer-reuse",
-        }
+class TestAblate:
+    def test_ablate_is_bench_ablate_sanitize(self, monkeypatch, capsys):
+        """Same runner, same claims, same exit status — both ways."""
+        import dataclasses
 
-    def test_clean_scenario_exits_zero(self, capsys):
-        assert main(["run", "clean"]) == 0
-        assert "no findings" in capsys.readouterr().out
+        from repro.bench.report import EXPERIMENTS, ClaimResult
 
-    def test_deadlock_scenario_reports_and_exits_nonzero(self, capsys):
-        assert main(["run", "deadlock", "--json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert "MA-R01" in data["counts"]
-
-    def test_run_scenario_returns_report(self):
-        _results, report = run_scenario("wildcard-race")
-        assert report.by_rule("MA-R02")
+        assert main(["ablate"]) == 0
+        assert "# ablate-sanitize" in capsys.readouterr().out
+        row = EXPERIMENTS["ablate-sanitize"]
+        differs = dataclasses.replace(
+            row, check=lambda s: [ClaimResult("a claim", "paper", "measured", False)]
+        )
+        monkeypatch.setitem(EXPERIMENTS, row.id, differs)
+        assert main(["ablate"]) == 1
+        assert "[DIFFERS] a claim" in capsys.readouterr().out
 
 
 class TestBenchForwarding:
@@ -126,13 +124,6 @@ UNVERIFIABLE_IL = """
 
 
 class TestOutputOptions:
-    def test_sarif_output_parses(self, buggy_il, capsys):
-        assert main(["static", buggy_il, "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        rules = {r["ruleId"] for r in log["runs"][0]["results"]}
-        assert "MA-S01" in rules
-
     def test_severity_threshold_gates_the_exit_code(self, tmp_path, capsys):
         path = tmp_path / "warn.il"
         path.write_text(WARNING_ONLY_IL)

@@ -154,17 +154,6 @@ class TestGateCli:
         assert main(argv) == 0
         assert "gate OK" in capsys.readouterr().out
 
-    def test_sarif_output(self, repo, tmp_path, capsys):
-        argv = [
-            "gate", "--root", str(repo),
-            "--baseline", str(tmp_path / "absent.json"),
-            "--format", "sarif",
-        ]
-        assert main(argv) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        assert {r["ruleId"] for r in log["runs"][0]["results"]} == {"MA-S08"}
-
 
 class TestRepositoryGate:
     """The real tree must pass its own gate — and quickly."""

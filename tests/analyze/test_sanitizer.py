@@ -441,3 +441,61 @@ class TestNoFalsePositivesUnderFaults:
         )
         assert results == [2, 2]
         assert not report.findings, report.render_text()
+
+    def test_recv_from_a_killed_rank_is_proc_failed_not_a_knot(self):
+        """The ``peer_failed`` subscriber: a wait on a dead rank is the
+        failure path's to finish, not an edge of a deadlock knot."""
+        from repro.mp.channels import FaultPlan
+        from repro.mp.errors import MpiErrProcFailed
+
+        plan = FaultPlan(seed=1)
+
+        def main(ctx):
+            vm = ctx.session
+            comm = vm.comm_world
+            comm.SetErrhandler(comm.ERRORS_RETURN)
+            arr = vm.new_array("int32", 8)
+            if comm.Rank == 1:
+                comm.Recv(arr, 0, tag=1)
+                plan.kill(1)  # mid-exchange: the reply below never comes
+                return "crashed"
+            comm.Send(arr, 1, tag=1)
+            with pytest.raises(MpiErrProcFailed):
+                comm.Recv(arr, 1, tag=2)
+            return sorted(ctx.san.core._dead)
+
+        results, report = _run(2, main, fault_plan=plan, reliability_opts=self.OPTS)
+        assert results == [[1], "crashed"]
+        assert not report.by_rule("MA-R01"), report.render_text()
+
+
+class TestConditionalPinDrop:
+    def test_completed_irecv_pin_dropped_at_mark_is_not_a_leak(self):
+        """The ``cond_drop`` subscriber: the collector disregards a
+        conditional pin whose request completed (§7.4), the sanitizer
+        hears it, and nothing is left to report at finalize."""
+        from repro.runtime.safepoint import EveryNStressor
+
+        def main(ctx):
+            vm = ctx.session
+            comm = vm.comm_world
+            if comm.Rank == 0:
+                comm.Barrier()  # the receive is posted (and pinned) first
+                comm.Send(vm.new_array("int32", 64, values=list(range(64))), 1, tag=3)
+                comm.Barrier()
+                return None
+            arr = vm.new_array("int32", 64)
+            req = comm.Irecv(arr, 0, tag=3)
+            comm.Barrier()
+            req.Wait()
+            # a collection at the next poll: its mark finds the request done
+            vm.runtime.safepoint.stressor = EveryNStressor(1)
+            comm.Barrier()
+            pins = ctx.san.core._pins[comm.Rank].values()
+            return (vm.runtime.gc.stats.conditional_pins_dropped,
+                    [p.kind for p in pins if not p.released], arr[63])
+
+        results, report = _run(2, main)
+        dropped, unreleased, last = results[1]
+        assert dropped >= 1 and unreleased == [] and last == 63
+        assert not report.by_rule("MA-R05"), report.render_text()

@@ -157,3 +157,16 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["figure-nine"])
+
+    def test_cli_metrics_prints_the_merged_report_and_a_chrome_trace(self, capsys, tmp_path):
+        import json
+
+        from repro.bench.cli import main
+
+        trace = tmp_path / "trace.json"
+        assert main(["metrics", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# cluster report: ranks [0, 1]")
+        assert "mp.ch3.eager_sends" in out and "mp.recv.complete" in out
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert {e["pid"] for e in events} == {0, 1}

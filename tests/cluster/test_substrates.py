@@ -161,3 +161,18 @@ class TestProcOnly:
         )
         assert proc.returncode == 0, proc.stderr
         assert "1024" in proc.stdout
+
+
+def test_async_progress_rejected_under_proc_before_any_fork(monkeypatch):
+    """``progress="async"`` is a task on the simulated clock; process-hosted
+    ranks have no progress thread, and proc says so before it builds or
+    forks anything (tier-1: no ``realproc`` marker needed)."""
+    from repro.cluster.procsub import ProcSubstrate
+
+    def unreachable(self, *args, **kwargs):
+        raise AssertionError("the proc substrate got past validate()")
+
+    monkeypatch.setattr(ProcSubstrate, "build_fabric", unreachable)
+    monkeypatch.setattr(ProcSubstrate, "launch", unreachable)
+    with pytest.raises(ValueError, match="substrate='inproc'"):
+        mpiexec(2, BarrierMain(), substrate="proc", progress="async")

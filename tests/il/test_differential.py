@@ -136,3 +136,29 @@ def test_verifier_consistency_with_engines(seq):
         raise AssertionError(f"verified method faulted in jit: {exc}") from exc
     r2 = interp.call("m")
     assert r1 == r2
+
+
+def test_conversions_and_wide_division_agree():
+    """``conv.r8``/``conv.i8`` and ``div`` past 2**52, where a float
+    quotient would round: both engines truncate toward zero, exactly."""
+    src = """
+    .method m(a, b) returns {
+        ldarg 0
+        ldarg 1
+        div
+        ldarg 0
+        conv.r8
+        conv.i8
+        ldarg 0
+        sub
+        add
+        ret
+    }
+    """
+    asm = assemble(src)
+    jit = ExecutionEngine(ManagedRuntime(), asm, mode="jit")
+    interp = ExecutionEngine(ManagedRuntime(), asm, mode="interp")
+    for a, b in (((1 << 60) + 1, 3), (-(1 << 60) - 1, 3), ((1 << 60) + 1, -3), (7, -2)):
+        quotient = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+        want = quotient + int(float(a)) - a
+        assert jit.call("m", a, b) == interp.call("m", a, b) == want

@@ -1,8 +1,9 @@
 """System.MP end-to-end: the managed bindings over full Motor worlds."""
 
+import pytest
 
 from repro.cluster import mpiexec
-from repro.motor import motor_session
+from repro.motor import motor_session, register_mp_internals
 from repro.motor.system_mp import MPStatus
 from repro.mp.datatypes import INT
 from repro.workloads.linkedlist import build_linked_list, verify_linked_list
@@ -326,3 +327,32 @@ class TestCommManagement:
             return None
 
         assert motor2(main)[0] == 105
+
+
+class TestRecoverySurface:
+    def test_agree_checkpoint_restore_managed_and_callintern(self):
+        """Agree/Checkpoint/Restore through the managed communicator and
+        through the ``callintern`` rows managed IL reaches them by."""
+
+        def main(ctx):
+            vm = ctx.session
+            comm = vm.comm_world
+            internals = register_mp_internals(vm)
+            me = comm.Rank
+            folded, failed = comm.Agree(0b110 | me)
+            il_folded = internals["MP.Agree"](0b110 | me)
+            state = {"rank": me, "units": [me, me + 1], "note": "x" * me}
+            epochs = [comm.Checkpoint(state)]
+            restored = comm.Restore()
+            epochs.append(internals["MP.Checkpoint"]((me, b"blob")))
+            il_restored = internals["MP.Restore"]()
+            # §4.2.1: a reference-bearing managed object is not plain data
+            head = vm.proxy(build_linked_list(vm.runtime, 3, total_bytes=96))
+            with pytest.raises(TypeError, match="cannot encode"):
+                comm.Checkpoint(head)
+            return (folded, sorted(failed), il_folded, epochs,
+                    restored == state, il_restored == (me, b"blob"))
+
+        results = mpiexec(3, main, channel="shm", session_factory=motor_session,
+                          reliability_opts=dict(retransmit_after=16, max_retries=10))
+        assert results == [(0b110, [], 0b110, [1, 2], True, True)] * 3

@@ -154,6 +154,21 @@ class TestAsyncMode:
         with pytest.raises(ValueError):
             World(1, progress="eager")
 
+    def test_finalize_stops_the_progress_task(self):
+        """The driver's teardown: after ``finalize`` the rank's clock no
+        longer steps the core, however much it is charged."""
+        fab = ShmFabric(1)
+        clock, cm = VirtualClock(), CostModel()
+        eng = MpiEngine(0, 1, fab.endpoint(0, clock, cm), clock=clock, costs=cm,
+                        progress="async")
+        clock.charge(10 * cm.async_poll_period_ns)
+        stepped = eng.progress.async_polls
+        assert stepped > 0
+        eng.finalize()
+        clock.charge(10 * cm.async_poll_period_ns)
+        assert eng.progress.async_polls == stepped
+        assert eng.async_driver.task is None
+
     def test_async_completes_without_caller_polls(self):
         """The tentpole property: a rank that only computes (charges) still
         makes progress — the recurring task completes its collective."""

@@ -1,4 +1,4 @@
-"""MPI datatypes: basic, contiguous and vector."""
+"""MPI datatypes: basic and contiguous."""
 
 import pytest
 
@@ -34,28 +34,3 @@ class TestBasic:
 class TestContiguous:
     def test_size(self):
         assert INT.contiguous(5).size == 20
-
-
-class TestVector:
-    def test_gather_scatter_roundtrip(self):
-        # a 4x4 int matrix, column extraction via vector type
-        vec = INT.vector(count=4, blocklength=1, stride=4)
-        matrix = INT.pack_values(tuple(range(16)))
-        col0 = vec.gather_from(matrix, 0)
-        assert INT.unpack_values(col0) == (0, 4, 8, 12)
-        col1 = vec.gather_from(matrix, INT.size)
-        assert INT.unpack_values(col1) == (1, 5, 9, 13)
-
-        out = bytearray(64)
-        vec.scatter_to(out, col0, 0)
-        vals = INT.unpack_values(bytes(out))
-        assert vals[0] == 0 and vals[4] == 4 and vals[8] == 8 and vals[12] == 12
-
-    def test_blocklength(self):
-        vec = INT.vector(count=2, blocklength=2, stride=4)
-        data = INT.pack_values(tuple(range(8)))
-        got = vec.gather_from(data, 0)
-        assert INT.unpack_values(got) == (0, 1, 4, 5)
-
-    def test_size(self):
-        assert INT.vector(3, 2, 5).size == 24

@@ -294,6 +294,30 @@ def test_router_closes_a_connection_that_sends_it_a_packet():
         router.stop()
 
 
+class RouterLostMain:
+    """Rank 0 loses the router under a posted receive: every peer becomes
+    unreachable, so the wait ends typed instead of spinning or leaking the
+    socket's ``OSError``."""
+
+    def __call__(self, ctx):
+        eng = ctx.engine
+        ctx.comm_world.errhandler = ERRORS_RETURN
+        if ctx.rank == 1:
+            return "idle"
+        req = eng.irecv(BufferDesc.from_bytes(bytearray(8)), 1, TAG)
+        ctx.world.fabric._router.stop()
+        with pytest.raises(MpiErrProcFailed) as err:
+            eng.wait(req, timeout=DRAIN_TIMEOUT)
+        ch = eng.device.channel
+        ch.finalize()
+        return sorted(err.value.failed), sorted(ch.dead_ranks), ch._closed
+
+
+def test_losing_the_router_is_proc_failed_for_every_peer():
+    results = mpiexec(2, RouterLostMain(), channel="proc", timeout=LAUNCH_TIMEOUT)
+    assert results == [([1], [1], True), "idle"]
+
+
 # -- real processes ------------------------------------------------------------------
 
 

@@ -121,6 +121,21 @@ class TestAttachDetach:
         assert ev1.count("mp.rma.epoch") >= 2
         assert "mp.rma.violation" not in ev0 + ev1
 
+    def test_rma_op_outside_an_epoch_is_an_event(self):
+        def main(ctx):
+            inst = instrument(ctx)
+            win = ctx.engine.win_create(
+                BufferDesc.from_native(NativeMemory(16)), dtype="int32"
+            )
+            if ctx.rank == 0:
+                win.put(BufferDesc.from_native(NativeMemory(8)), 1, 0)  # no epoch
+            ctx.engine.barrier()
+            win.free()
+            return [e for e in inst.snapshot()["events"] if e["name"] == "mp.rma.violation"]
+
+        ev0, ev1 = mpiexec(2, main, channel="shm")
+        assert [e["args"]["rule"] for e in ev0] == ["MA-R06"] and ev1 == []
+
 
 class TestMotorAttach:
     def test_vm_pvars_and_gc_events(self):
@@ -147,6 +162,26 @@ class TestMotorAttach:
             return True
 
         assert all(mpiexec(2, main, session_factory=motor_session))
+
+    def test_conditional_pin_registration_is_an_event(self):
+        """A young buffer under a nonblocking receive is protected by a
+        conditional pin (§7.4); the registration shows on the timeline."""
+
+        def main(ctx):
+            vm = ctx.session
+            inst = instrument(vm)
+            comm = vm.comm_world
+            arr = vm.new_array("int32", 16)
+            if comm.Rank == 0:
+                comm.Barrier()
+                comm.Send(arr, 1, 4)
+                return 0
+            req = comm.Irecv(arr, 0, 4)
+            comm.Barrier()
+            req.Wait()
+            return [e["name"] for e in inst.snapshot()["events"]].count("gc.pin.conditional")
+
+        assert mpiexec(2, main, session_factory=motor_session) == [0, 1]
 
 
 class TestClusterIntegration:

@@ -1,4 +1,4 @@
-"""The pvar registry: counters, gauges, histograms, pull providers."""
+"""The pvar registry: counters, histograms, pull providers."""
 
 import pytest
 
@@ -20,18 +20,6 @@ class TestCounters:
         reg.counter("b").inc(3)
         snap = reg.snapshot()
         assert snap["counters"] == {"a": 2, "b": 3}
-
-
-class TestGauges:
-    def test_value_and_peak(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("gc.pins.active")
-        g.set(3)
-        g.set(7)
-        g.set(2)
-        snap = reg.snapshot()["gauges"]["gc.pins.active"]
-        assert snap["value"] == 2
-        assert snap["peak"] == 7
 
 
 class TestHistograms:
