@@ -46,6 +46,7 @@ COUNTERS = (
     "mp.ch3.unexpected_share",
     "mp.ch3.rndv_per_op",
     "mp.ch3.copies_per_byte",
+    "mp.ch3.bytes_moved_per_op",
     "mp.reliability.retransmits_per_kop",
     "mp.reliability.dup_dropped_per_kop",
     "mp.channels.packets_per_op",

@@ -270,20 +270,23 @@ def ablate_copies(exp: Experiment, quick: bool) -> SeriesSet:
     matched eager message delivers straight from the packet's wire view
     into the posted buffer (1 copy per byte); rendezvous DATA chunks land
     directly in the posted buffer (1); an unexpected eager message must
-    be staged into native memory and delivered later (exactly 2).  The
+    be staged into native memory and delivered later (exactly 2); on a
+    channel that grants (shm) the sender's put writes a rendezvous into
+    the posted buffer and the receive path copies nothing (0).  The
     barrier traffic threading the driver is all zero-byte, so the ratios
     are exact.
     """
     eager_sizes = [4096, 65536] if quick else [1024, 4096, 16384, 65536, 131072]
     rndv_sizes = [262144, 524288] if quick else [262144, 524288, 1048576]
     out = exp.series_set("bytes", "bytes_copied / bytes_moved (receiver)")
-    for label, mode, sizes in (
-        ("eager-matched", "matched", eager_sizes),
-        ("rendezvous", "matched", rndv_sizes),
-        ("eager-unexpected", "unexpected", eager_sizes),
+    for label, mode, sizes, channel in (
+        ("eager-matched", "matched", eager_sizes, "sock"),
+        ("rendezvous", "matched", rndv_sizes, "sock"),
+        ("eager-unexpected", "unexpected", eager_sizes, "sock"),
+        ("rendezvous / shm", "matched", rndv_sizes, "shm"),
     ):
         ratios = mpiexec(
-            2, _copy_accounting_main(mode, sizes), channel="sock",
+            2, _copy_accounting_main(mode, sizes), channel=channel,
             clock_mode="virtual",
         )[1]
         out.add(label, ratios)

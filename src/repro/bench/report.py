@@ -310,6 +310,7 @@ def check_ablate_copies(s: SeriesSet) -> list[ClaimResult]:
     eager = s.series["eager-matched"]
     rndv = s.series["rendezvous"]
     unexp = s.series["eager-unexpected"]
+    granted = s.series["rendezvous / shm"]
     e_peak = max(eager.values())
     r_peak = max(rndv.values())
     u_exact = all(abs(v - 2.0) < 1e-9 for v in unexp.values())
@@ -331,6 +332,15 @@ def check_ablate_copies(s: SeriesSet) -> list[ClaimResult]:
             paper="zero-copy data plane: stage + deliver = exactly 2 copies per byte",
             measured=", ".join(f"{v:.3f}" for v in unexp.values()) + " copies/byte",
             holds=u_exact,
+        ),
+        ClaimResult(
+            claim="a put-capable channel lands a rendezvous with 0.0 copies per "
+                  "byte; the packet plane pays exactly 1.0",
+            paper="rendezvous by grant (Liu et al.): the CTS names the posted "
+                  "buffer and the sender writes it",
+            measured=f"copies/byte: shm peak {max(granted.values()):.3f}, "
+                     f"sock floor {min(rndv.values()):.3f}",
+            holds=max(granted.values()) == 0.0 and min(rndv.values()) == r_peak == 1.0,
         ),
     ]
 
@@ -718,7 +728,8 @@ EXPERIMENTS: dict[str, Experiment] = {e.id: e for e in (
         figures.ablate_copies, check_ablate_copies,
         notes=("matched eager and rendezvous land at <=1 copy per byte (the wire "
                "view windows the latched source buffer); unexpected eager pays "
-               "exactly one extra staging copy (stage + deliver = 2)",),
+               "exactly one extra staging copy (stage + deliver = 2); over shm "
+               "the sender's granted put lands a rendezvous with no copy at all",),
         smoke=True,
     ),
     Experiment(

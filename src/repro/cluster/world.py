@@ -438,6 +438,8 @@ class World:
                 return False
             if eng.device._outbox:
                 return False
+            if eng.device._grant and eng.device._rndv_recvs:
+                return False  # an open grant: the put or its notice is owed
             if getattr(eng.device.channel, "_held", None):
                 return False
         return True

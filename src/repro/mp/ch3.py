@@ -17,6 +17,15 @@ Protocol:
   of ``packet_size`` bytes, a bounded number per progress poll, and
   completes when the last chunk is handed off.  The receive completes when
   every byte has landed.
+* larger, on a channel whose ``rndv_caps()`` has ``"grant"`` (``shm``,
+  ``ib``; never under a ``FaultyChannel``) — *rendezvous by grant* (Liu et
+  al., MPICH2 over InfiniBand): the receiver registers its latched buffer
+  as a transient grant and the CTS names it (``tag`` = grant id, ``total``
+  = ``min(message, buffer)`` writable bytes); the sender lands exactly
+  that many bytes with one ``channel.rma_put`` — no DATA packet, no copy,
+  a truncated tail never leaves the sender — completes, and sends a FIN
+  *toward the receiver* (``tag`` = grant id), on which the receiver closes
+  the grant and completes with the status the DATA path would produce.
 
 All protocol state lives in the unified :class:`~repro.mp.request.Request`
 state machine — a rendezvous send is simply a QUEUED request whose
@@ -27,7 +36,9 @@ see the device exclusively through the hook spine (:mod:`repro.mp.hooks`).
 The bounded per-poll pump on both sides means a large transfer spans many
 progress polls; a garbage collection at any intervening safepoint will
 move an unpinned buffer and the remaining chunks will hit a stale address
-— the corruption scenario of paper §2.3, reproduced for real.
+— the corruption scenario of paper §2.3, reproduced for real.  A grant has
+the same window in one piece: a collection between the match and the put
+leaves the registered descriptor stale, and the put lands there.
 """
 
 from __future__ import annotations
@@ -103,6 +114,8 @@ class CH3Device:
         # sync (Ssend) requests awaiting FIN, by op_id
         self._awaiting_fin: dict[int, Request] = {}
         self._outbox: list[Packet] = []
+        #: rendezvous by grant, negotiated once: no packet path asks again
+        self._grant = "grant" in channel.rndv_caps()
         self.stats = {
             "eager": 0,
             "rndv": 0,
@@ -112,8 +125,9 @@ class CH3Device:
             # payload bytes accepted off the wire ...
             "bytes_moved": 0,
             # ... vs. payload bytes the receive path copied.  Matched
-            # eager and rendezvous land straight in the posted buffer
-            # (ratio 1.0); unexpected eager stages then delivers (2.0).
+            # eager and rendezvous DATA land straight in the posted buffer
+            # (ratio 1.0); unexpected eager stages then delivers (2.0); a
+            # granted rendezvous is written by the sender's put (0.0).
             "bytes_copied": 0,
             # sender-side flow control: payloads materialized because the
             # channel refused a packet and the view could not stay live
@@ -292,9 +306,14 @@ class CH3Device:
         # remember real source/tag for the final status
         req.status.source = src
         req.status.tag = tag
-        self._emit(
-            Packet(ptype=CTS, src=self.rank, dst=src, op_id=send_op_id)
-        )
+        cts = Packet(ptype=CTS, src=self.rank, dst=src, op_id=send_op_id)
+        if self._grant:
+            # expose the latched destination for this one transfer; the
+            # grant is open exactly as long as the ``_rndv_recvs`` entry
+            cts.tag = -req.op_id
+            cts.total = min(total, req.buf.nbytes)
+            self.channel.rma_register(cts.tag, self.rank, req.buf, transient=True)
+        self._emit(cts)
 
     # ------------------------------------------------------------------ probe
 
@@ -526,16 +545,44 @@ class CH3Device:
             if self.rel is not None:
                 return  # stale packet after a failure cleanup
             raise MpiErrInternal(f"CTS for unknown send op {pkt.op_id}")
-        req.cleared = True
         req.activate()
+        if not pkt.tag:
+            req.cleared = True  # _pump_streams streams DATA from here
+            return
+        # Granted: one direct write of what the receiver can take, straight
+        # from the latched source, then the notice that closes the grant.
+        del self._rndv_sends[pkt.op_id]
+        if not self.channel.rma_put(pkt.tag, req.wdst, 0, req.buf.read(0, pkt.total)):
+            self._fail_request(req)  # withdrawn: the receiver gave us up for dead
+            return
+        req.bytes_moved = pkt.total
+        self._emit(
+            Packet(ptype=FIN, src=self.rank, dst=req.wdst, tag=pkt.tag,
+                   op_id=pkt.op_id, total=pkt.total)
+        )
+        req.complete()
+
+    def _rndv_recv_for(self, pkt: Packet) -> Request | None:
+        req = self._rndv_recvs.get((pkt.src, pkt.op_id))
+        if req is None and self.rel is None:
+            raise MpiErrInternal(f"{pkt.kind} for unknown recv {(pkt.src, pkt.op_id)}")
+        return req  # None: stale packet after a failure cleanup
+
+    def _rndv_landed(self, pkt: Packet, req: Request) -> None:
+        del self._rndv_recvs[(pkt.src, pkt.op_id)]
+        status = Status(
+            source=req.status.source,
+            tag=req.status.tag,
+            count=min(req.total, req.buf.nbytes),
+            error=req.status.error,
+        )
+        req.complete(status)
+        self._recv_complete(status)
 
     def _on_data(self, pkt: Packet) -> None:
-        key = (pkt.src, pkt.op_id)
-        req = self._rndv_recvs.get(key)
+        req = self._rndv_recv_for(pkt)
         if req is None:
-            if self.rel is not None:
-                return  # stale packet after a failure cleanup
-            raise MpiErrInternal(f"DATA for unknown recv {key}")
+            return
         # Single-copy landing: write straight into the latched destination
         # (no virtual-clock charge — this models the NIC's RDMA placement,
         # but the byte accounting still records it as the path's one copy).
@@ -546,17 +593,19 @@ class CH3Device:
             req.buf.write(pkt.offset, pkt.payload_mv()[:writable])
         req.bytes_moved += len(pkt.payload)
         if req.bytes_moved >= req.total:
-            del self._rndv_recvs[key]
-            status = Status(
-                source=req.status.source,
-                tag=req.status.tag,
-                count=min(req.total, req.buf.nbytes),
-                error=req.status.error,
-            )
-            req.complete(status)
-            self._recv_complete(status)
+            self._rndv_landed(pkt, req)
 
     def _on_fin(self, pkt: Packet) -> None:
+        if pkt.tag:
+            # sender -> receiver: the granted put of ``total`` bytes landed
+            req = self._rndv_recv_for(pkt)
+            if req is not None:
+                self.channel.rma_deregister(pkt.tag, self.rank)
+                self.stats["bytes_moved"] += pkt.total
+                req.bytes_moved = pkt.total
+                self._rndv_landed(pkt, req)
+            return
+        # receiver -> sender: a synchronous send was matched
         req = self._awaiting_fin.pop(pkt.op_id, None)
         if req is not None:
             req.complete()
@@ -628,6 +677,8 @@ class CH3Device:
         for (src, op_id), req in list(self._rndv_recvs.items()):
             if src == peer:
                 del self._rndv_recvs[(src, op_id)]
+                if self._grant:
+                    self.channel.rma_deregister(-req.op_id, self.rank)
                 self._fail_request(req)
         for req in [r for r in self.queues.posted if r.peer == peer]:
             self.queues.cancel_posted(req)
@@ -639,7 +690,8 @@ class CH3Device:
     @property
     def quiescent(self) -> bool:
         """Nothing queued or in flight in the device itself (a reliability
-        sublayer's unacked windows are the world's drain check, not this)."""
+        sublayer's unacked windows are the world's drain check, not this).
+        An open grant is a ``_rndv_recvs`` entry, so it counts here too."""
         return (
             not self._rndv_sends
             and not self._rndv_recvs

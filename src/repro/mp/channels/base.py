@@ -88,15 +88,30 @@ class Channel(abc.ABC):
     # emulation (PUT/GET/ACC packets through the CH3 device).  The
     # defaults below are that graceful fallback — a transport that cannot
     # do RMA reports no caps and every native entry point returns False.
+    #
+    # The same engine can carry a *rendezvous*: ``rndv_caps()`` is the
+    # sibling negotiation for message payloads.  A channel advertising
+    # ``"grant"`` lets the CH3 device expose a matched receive's buffer for
+    # one transfer (``rma_register(..., transient=True)``) and the sender
+    # land the payload with a single ``rma_put``.  It is a separate query
+    # because ``rma_caps()`` is the *window* contract (exactly the three
+    # one-sided ops) and the two answers differ under a stacking layer:
+    # windows reach through a ``ChannelStack``, message payloads do not.
 
     def rma_caps(self) -> frozenset[str]:
         """The ops this transport can complete natively ("put", "get",
         "accumulate").  Empty set == emulation only; never raises."""
         return frozenset()
 
-    def rma_register(self, win_id: int, rank: int, desc) -> None:
+    def rndv_caps(self) -> frozenset[str]:
+        """How this transport can land a rendezvous payload besides DATA
+        packets (``"grant"``); empty == the packet plane only."""
+        return frozenset()
+
+    def rma_register(self, win_id: int, rank: int, desc, transient: bool = False) -> None:
         """Expose ``desc`` (a BufferDesc) as window ``win_id``'s memory on
-        ``rank``.  No-op on transports without a native path."""
+        ``rank``; ``transient`` marks a rendezvous grant (ids < 0, one
+        transfer long).  No-op on transports without a native path."""
 
     def rma_deregister(self, win_id: int, rank: int) -> None:
         """Withdraw a window exposure; idempotent, never raises."""
@@ -179,13 +194,14 @@ class ChannelStack(Channel):
     # over an RMA-capable channel keeps the native path (faults perturb
     # the *packet* plane; the direct-memory plane models a different NIC
     # engine).  A layer that wants to disable or perturb RMA overrides
-    # these.
+    # these.  ``rndv_caps`` is deliberately NOT delegated: a layer that
+    # owns the packet plane keeps message payloads on it.
 
     def rma_caps(self) -> frozenset[str]:
         return self.inner.rma_caps()
 
-    def rma_register(self, win_id: int, rank: int, desc) -> None:
-        self.inner.rma_register(win_id, rank, desc)
+    def rma_register(self, win_id: int, rank: int, desc, transient: bool = False) -> None:
+        self.inner.rma_register(win_id, rank, desc, transient)
 
     def rma_deregister(self, win_id: int, rank: int) -> None:
         self.inner.rma_deregister(win_id, rank)

@@ -20,6 +20,13 @@ sequence numbers and CRC32 seals detect loss/duplication/reorder/
 corruption, and ack/retransmit with backoff recovers — or, when a rank
 is crashed via :meth:`FaultPlan.kill`, converts silence into
 ``MPI_ERR_PROC_FAILED``.
+
+The fault rule for large messages: a wire that drops, duplicates and
+corrupts is not a direct-memory fabric for the *data plane*.  The wrapper
+inherits ``rndv_caps() == {}`` (:class:`ChannelStack` does not delegate
+it), so under a plan a rendezvous payload still crosses the perturbed wire
+as sequenced, CRC-sealed DATA even over ``shm``/``ib``; one-sided *windows*
+keep the native path (the carve-out documented on ``ChannelStack``).
 """
 
 from __future__ import annotations

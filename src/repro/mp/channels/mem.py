@@ -73,7 +73,9 @@ class _WindowRegistry:
     memory directly; the registry is the "registered memory" table:
     ``(win_id, rank) -> BufferDesc``.  An origin's channel looks the
     target's descriptor up and lands bytes with one direct write — no
-    packet, no target-side message path.
+    packet, no target-side message path.  Negative ids are *transient
+    grants*: a matched rendezvous receive's buffer, exposed by the CH3
+    device for exactly one put (``-op_id`` of the receive request).
     """
 
     def __init__(self) -> None:
@@ -91,6 +93,12 @@ class _WindowRegistry:
     def lookup(self, win_id: int, rank: int):
         with self._lock:
             return self._map.get((win_id, rank))
+
+    def withdraw_rank(self, rank: int) -> None:
+        """Drop everything ``rank`` still exposes (its endpoint is closing)."""
+        with self._lock:
+            for key in [k for k in self._map if k[1] == rank]:
+                del self._map[key]
 
 
 class MemChannel(Channel):
@@ -166,17 +174,26 @@ class MemChannel(Channel):
     def has_incoming(self) -> bool:
         return len(self._queues[self.rank]) > 0
 
+    def finalize(self) -> None:
+        super().finalize()
+        self._windows.withdraw_rank(self.rank)
+
     # -- native one-sided path -------------------------------------------------
 
     def rma_caps(self) -> frozenset[str]:
         return frozenset({"put", "get", "accumulate"})
 
-    def rma_register(self, win_id: int, rank: int, desc) -> None:
+    def rndv_caps(self) -> frozenset[str]:
+        return frozenset({"grant"})
+
+    def rma_register(self, win_id: int, rank: int, desc, transient: bool = False) -> None:
         if self.link.registration_ns:
             # window memory is registered with the HCA once, up front — the
             # classic RDMA deal: pay registration here, then every one-sided
-            # op is pure wire time
-            self.clock.charge(self._register(len(desc)))
+            # op is pure wire time.  A transient grant recurs per message,
+            # so it goes through the size-class cache like any send buffer.
+            reg = self._registration_cost if transient else self._register
+            self.clock.charge(reg(len(desc)))
         self._windows.register(win_id, rank, desc)
 
     def rma_deregister(self, win_id: int, rank: int) -> None:

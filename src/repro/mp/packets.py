@@ -4,9 +4,17 @@ CH3 moves five packet kinds:
 
 * ``EAGER``   — small message, header + full payload in one packet;
 * ``RTS``     — request-to-send, announces a large message (rendezvous);
-* ``CTS``     — clear-to-send, the receiver matched and is ready;
-* ``DATA``    — one packetized chunk of a rendezvous payload;
-* ``FIN``     — sender-side completion notice for synchronous sends.
+* ``CTS``     — clear-to-send, the receiver matched and is ready.  On a
+  channel that grants (``rndv_caps()``: shm, ib) it also names the
+  receiver's latched buffer: ``tag`` is the grant id (negative, a key in
+  the fabric's window registry) and ``total`` the bytes that may be
+  written, ``min(message, buffer)``; both are 0 on every other channel;
+* ``DATA``    — one packetized chunk of a rendezvous payload (channels that
+  do not grant, and every channel under a ``FaultyChannel``);
+* ``FIN``     — a completion notice, in one of two directions told apart by
+  ``tag``: receiver → sender with ``tag == 0`` says a synchronous send was
+  matched; sender → receiver with ``tag`` = the grant id says the granted
+  put of ``total`` bytes has landed (``op_id`` is the send's, as on DATA).
 
 The reliability sublayer (``repro.mp.reliability``) adds two more:
 
@@ -104,12 +112,12 @@ class Packet:
     ptype: int
     src: int
     dst: int
-    tag: int = 0
+    tag: int = 0  # RMA: window id; CTS/FIN: grant id (0: none)
     comm_id: int = 0
     op_id: int = 0  # sender-side request id (rendezvous correlation)
     offset: int = 0  # DATA: byte offset into the destination buffer
-    total: int = 0  # message length in bytes
-    sync: bool = False  # EAGER/RTS: sender wants a FIN (MPI_Ssend)
+    total: int = 0  # message length in bytes (granted CTS/FIN: writable/landed)
+    sync: bool = False  # EAGER/RTS: sender wants a FIN back (MPI_Ssend)
     ts: float = 0.0  # virtual-clock arrival time
     seq: int = -1  # per-link sequence number (-1: unsequenced)
     crc: int = 0  # CRC32 seal (0: unsealed)

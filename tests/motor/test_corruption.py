@@ -5,6 +5,11 @@ collector moves the unpinned destination object between packets, the rest
 of the message lands on stale memory and the object's contents are
 corrupted — "the result would be an environment crash at the next garbage
 collection".  Motor's conditional pin prevents exactly this.
+
+The hazard has two shapes.  On a packet channel (``sock``) the payload is a
+DATA stream and the collection strikes *mid-stream*.  On a channel that
+grants (``shm``) the payload is one put, and the window is between the
+match — when the latched address goes into the CTS's grant — and the put.
 """
 
 from repro.cluster import mpiexec
@@ -43,6 +48,34 @@ def _run_transfer(protect: bool) -> bytes:
         eng.progress.wait(req)
         return rt.array_bytes(arr)
 
+    return mpiexec(2, main, channel="sock")[1]
+
+
+def _run_granted_transfer(protect: bool):
+    """The shm shape: rank 1 collects after its receive matched (the grant
+    on the latched address is out) and before the sender's put lands."""
+
+    def main(ctx):
+        eng = ctx.engine
+        if ctx.rank == 0:
+            eng.send(BufferDesc.from_bytes(PATTERN), 1, 1)
+            return None
+        rt = ManagedRuntime(
+            RuntimeConfig(heap_capacity=16 << 20, nursery_size=1 << 20)
+        )
+        arr = rt.new_array("byte", SIZE)
+        data_addr, nbytes = rt.om.array_data_range(arr.addr)
+        req = eng.irecv(BufferDesc.from_heap(rt.heap, data_addr, nbytes), 0, 1)
+        if protect:
+            rt.gc.register_conditional_pin(arr, req.in_flight)
+        while not req.started:  # matched: the CTS and its grant are out
+            eng.progress.poll()
+        assert not req.completed and req.bytes_moved == 0
+        rt.collect(0)
+        eng.progress.wait(req)
+        rt.collect(0)  # complete: a conditional pin must be dropped now
+        return rt.array_bytes(arr), rt.gc.pending_conditional_count
+
     return mpiexec(2, main, channel="shm")[1]
 
 
@@ -63,6 +96,19 @@ class TestCorruptionHazard:
         """Same schedule, Motor's status-dependent pin: intact payload."""
         got = _run_transfer(protect=True)
         assert got == PATTERN
+
+    def test_granted_put_lands_on_the_stale_address(self):
+        """shm: the object moved between match and landing; the whole put
+        went to the old address, so the array holds none of the payload."""
+        got, _ = _run_granted_transfer(protect=False)
+        assert got != PATTERN
+        assert got == bytes(SIZE)
+
+    def test_conditional_pin_covers_the_grant(self):
+        """Pinned exactly while the grant is open; dropped afterwards."""
+        got, pending = _run_granted_transfer(protect=True)
+        assert got == PATTERN
+        assert pending == 0
 
     def test_conditional_pin_is_dropped_after_completion(self):
         def main(ctx):

@@ -223,3 +223,24 @@ class TestInMemoryLinks:
         )
         assert clock.charges == 1
         assert bytes(target.mem) == bytes(src)
+
+    def test_transient_grant_registers_through_the_size_class_cache(self, name):
+        """A rendezvous grant recurs per message: on ib the first grant of a
+        size class pays registration and the next ten do not (a window pays
+        afresh every time); shm never charges at all."""
+        cm = CostModel()
+        clock = VirtualClock()
+        ch = FABRICS[name](2).endpoint(0, clock, cm)
+        desc = BufferDesc.from_native(NativeMemory(256 * 1024))
+        first = {"shm": 0.0, "ib": 18_000.0 * (1 + 256 * 1024 // (256 * 4096))}[name]
+        for i in range(11):
+            ch.rma_register(-(i + 1), 0, desc, transient=True)
+            assert clock.now() == first
+            ch.rma_deregister(-(i + 1), 0)
+        assert ch.registrations == (1 if first else 0)
+        assert clock.charges == (11 if first else 0)  # ten of them zero
+        other = BufferDesc.from_native(NativeMemory(512 * 1024))  # a new class
+        ch.rma_register(-12, 0, other, transient=True)
+        assert clock.now() == first * 2 and ch.registrations == (2 if first else 0)
+        ch.rma_register(7, 0, desc)  # a window: registered afresh, uncached
+        assert ch.registrations == (3 if first else 0)

@@ -8,9 +8,11 @@ from repro.mp.buffers import BufferDesc, NativeMemory
 
 
 class TestRendezvousTruncation:
-    def test_rndv_message_larger_than_buffer(self):
+    @staticmethod
+    def _truncated(channel):
         """A 200 KiB rendezvous into a 64 KiB buffer: error surfaces, the
-        buffer holds the prefix, nothing past the descriptor is written."""
+        buffer holds the prefix, nothing past the descriptor is written.
+        Returns (size, cap, bytes moved, bytes copied) at the receiver."""
         size = 200 * 1024
         cap = 64 * 1024
         payload = bytes(i % 251 for i in range(size))
@@ -32,11 +34,22 @@ class TestRendezvousTruncation:
                 eng.device.stats["bytes_copied"],
             )
 
-        prefix_ok, canary_ok, moved, copied = mpiexec(2, main, channel="shm")[1]
+        prefix_ok, canary_ok, moved, copied = mpiexec(2, main, channel=channel)[1]
         assert prefix_ok, "received prefix differs"
         assert canary_ok, "transport wrote past the descriptor"
-        # every streamed byte is accepted (moved) but only the landing
-        # prefix is ever copied — truncated tail bytes touch no memory
+        return size, cap, moved, copied
+
+    def test_rndv_message_larger_than_buffer(self):
+        """On shm the CTS grants exactly the buffer: the sender puts the
+        prefix, the truncated tail never leaves it, nothing is copied."""
+        _size, cap, moved, copied = self._truncated("shm")
+        assert moved == cap
+        assert copied == 0
+
+    def test_rndv_message_larger_than_buffer_on_sock(self):
+        """The DATA stream: every streamed byte is accepted (moved) but only
+        the landing prefix is ever copied — tail bytes touch no memory."""
+        size, cap, moved, copied = self._truncated("sock")
         assert moved == size
         assert copied == cap
 
