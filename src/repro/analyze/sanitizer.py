@@ -21,7 +21,7 @@ What it checks:
   ranks whose every dependency lies inside the set — ranks waiting on a
   peer that can still run are pruned, so fault-injected and merely slow
   runs stay clean.  On detection every blocked rank raises
-  :class:`DeadlockError` (when ``halt_on_deadlock``), naming the cycle.
+  :class:`DeadlockError`, naming the cycle.
 * **MA-R02 wildcard race** — an ``ANY_SOURCE`` receive that had more
   than one candidate send in flight (or staged) from distinct sources:
   the match order is timing, not program order.
@@ -145,9 +145,8 @@ class _PinRecord:
 class Sanitizer:
     """Shared cross-rank state and the checking core."""
 
-    def __init__(self, world_size: int, halt_on_deadlock: bool = True) -> None:
+    def __init__(self, world_size: int) -> None:
         self.world_size = world_size
-        self.halt_on_deadlock = halt_on_deadlock
         self.report = Report()
         self._lock = threading.RLock()
         self._seq = 0
@@ -319,7 +318,7 @@ class Sanitizer:
             self._blocked.pop(rank, None)
 
     def _raise_if_halted(self, rank: int) -> None:
-        if self._deadlock is not None and self.halt_on_deadlock:
+        if self._deadlock is not None:
             raise DeadlockError(
                 f"rank {rank}: halted by deadlock detector: "
                 f"{self._deadlock.message}",

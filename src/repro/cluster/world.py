@@ -66,7 +66,6 @@ class World:
         reliability_opts: dict | None = None,
         observe: str | None = None,
         sanitize: str | None = None,
-        halt_on_deadlock: bool = True,
         progress: str = "polled",
         substrate: Any = "inproc",
         substrate_opts: dict | None = None,
@@ -110,7 +109,7 @@ class World:
         if sanitize is not None:
             from repro.analyze import Sanitizer
 
-            self.sanitizer = Sanitizer(size, halt_on_deadlock=halt_on_deadlock)
+            self.sanitizer = Sanitizer(size)
         #: the execution substrate: owns rank hosting, fabric construction,
         #: clock selection and the boot barrier (see repro.cluster.substrate)
         self.substrate = make_substrate(substrate, self, substrate_opts)
@@ -164,9 +163,10 @@ class World:
     def _wire_peer_death(ch, eng: MpiEngine) -> None:
         """Route transport-level death verdicts into the device.
 
-        Channels with a failure detector of their own (the proc channel's
-        router gossips DEAD frames) expose ``on_peer_dead``; wiring it to
-        ``device._peer_failed`` turns a dead OS process into ordinary
+        Channels with a failure detector of their own expose
+        ``on_peer_dead`` (sock and proc: a malformed frame on a peer's
+        ring; proc also: the router's DEAD frames); wiring it to
+        ``device._peer_failed`` turns a dead peer into ordinary
         ``MPI_ERR_PROC_FAILED`` completions for every waiter.
         """
         base = ch.unwrap() if isinstance(ch, ChannelStack) else ch
@@ -525,7 +525,6 @@ def mpiexec(
     reliability_opts: dict | None = None,
     observe: str | None = None,
     sanitize: str | None = None,
-    halt_on_deadlock: bool = True,
     progress: str = "polled",
     substrate: Any = "inproc",
     substrate_opts: dict | None = None,
@@ -553,11 +552,10 @@ def mpiexec(
     way: ``"enabled"`` checks, ``"disabled"`` attaches inert hooks (the
     A12 overhead configuration), ``None`` leaves the stack untouched; the
     findings are the result's ``.report``.  A confirmed deadlock knot
-    makes the blocked ranks raise :class:`repro.analyze.DeadlockError`
-    (unless ``halt_on_deadlock`` is False, in which case the finding is
-    recorded and the wait continues); it does not propagate: the result
-    comes back empty with ``.deadlocked`` set and the MA-R01 finding in
-    the report.  Other rank errors re-raise.
+    makes the blocked ranks raise :class:`repro.analyze.DeadlockError`;
+    it does not propagate: the result comes back empty with
+    ``.deadlocked`` set and the MA-R01 finding in the report.  Other rank
+    errors re-raise.
 
     ``substrate`` picks the execution substrate: ``"inproc"`` (default,
     thread-per-rank in this process) or ``"proc"`` (one OS process per
@@ -568,8 +566,7 @@ def mpiexec(
     world = World(n, channel=channel, clock_mode=clock_mode, costs=costs,
                   eager_threshold=eager_threshold, fault_plan=fault_plan,
                   reliable=reliable, reliability_opts=reliability_opts,
-                  observe=observe, sanitize=sanitize,
-                  halt_on_deadlock=halt_on_deadlock, progress=progress,
+                  observe=observe, sanitize=sanitize, progress=progress,
                   substrate=substrate, substrate_opts=substrate_opts)
     out = RankResults()
     deadlock: tuple = ()

@@ -11,12 +11,13 @@ Reproduces the structure of MPICH2 the paper relies on (§6, Figure 6):
   eager/rendezvous protocol (:mod:`repro.mp.packets`);
 * the **channel layer** (:mod:`repro.mp.channels`) — the five-function
   transport interface of Gropp & Lusk's channel device: ``sock`` (framed
-  packets over bounded loopback byte pipes, polled for readiness — the
-  shape of MPICH2's Windows sock channel without the completion port a
-  polled model never reads), ``shm``/``ib`` (one in-memory transport, two
-  link profiles; they can also *put*, so windows and large messages land
-  with one direct write), ``ssm`` (sockets + shared memory combined) and
-  ``proc`` (shared-memory rings between real processes);
+  packets over bounded byte rings, polled for readiness — the shape of
+  MPICH2's Windows sock channel without the completion port a polled
+  model never reads), ``shm``/``ib`` (one in-memory transport, two link
+  profiles; they can also *put*, so windows and large messages land with
+  one direct write), ``ssm`` (sockets + shared memory combined) and
+  ``proc`` (sock's rings shared between real processes, plus a control
+  socket);
 * a **progress engine** (:mod:`repro.mp.progress`) whose polling-wait
   accepts a yield hook — the place where Motor's FCalls poll the garbage
   collector (paper §7.1/§7.4).

@@ -11,14 +11,14 @@ Channel` is that five-function interface.  Three mechanisms implement it:
   ``shm`` (MPICH2's shared-memory channel) and ``ib`` (the RDMA-style
   port of paper §9) are the same code over two rows of
   :data:`repro.simtime.LINK_PROFILES` — they differ only in constants;
-* one **framed** transport, ``sock``: packets encoded onto bounded byte
-  pipes, so a large message genuinely arrives over several polls — the
-  configuration Motor shipped with, and the mechanism the pinning
-  ablations need.  ``ssm`` composes the two (shm for peers on the same
-  node, sock across nodes) and adds no mechanism of its own;
-* one **real shared-memory** transport, ``proc``: the same frames over a
-  byte ring per pair of ranks in a mapping worker processes share — what
-  the proc execution substrate runs on; see :mod:`repro.cluster.substrate`.
+* one **framed** transport, ``sock``: packets framed onto a bounded byte
+  ring per ordered pair of ranks, so a large message genuinely arrives
+  over several polls — the configuration Motor shipped with, and the
+  mechanism the pinning ablations need.  ``ssm`` composes the two (shm
+  for peers on the same node, sock across nodes) and adds no mechanism of
+  its own; ``proc`` is sock with its rings in a mapping worker processes
+  share, plus a control socket to the launcher's router — what the proc
+  execution substrate runs on; see :mod:`repro.cluster.substrate`.
 
 :class:`FaultyChannel` is a wrapper, not a transport: it composes over
 any of the concrete channels and injects the failures described by a

@@ -223,7 +223,7 @@ class ChannelFabric:
 
     channel_cls: type[Channel] = Channel
     #: True when ranks can be added after endpoints exist (the shared-queue
-    #: fabrics); pipe-snapshot fabrics like sock cannot retrofit peers
+    #: fabrics); ring fabrics like sock, carved at boot, cannot retrofit peers
     supports_dynamic_ranks: bool = False
 
     def __init__(self, world_size: int) -> None:

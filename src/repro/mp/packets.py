@@ -36,7 +36,7 @@ lock/unlock).  Target-side handling of all of these lives in the CH3
 device's poll path, so the async progress core — not the target
 application — drives completion.
 
-The sock channel frames these over a byte pipe; the shm channel passes
+The sock channel frames these onto a byte ring; the shm channel passes
 them as objects through a shared queue.  ``ts`` carries the virtual-clock
 arrival timestamp (ignored in wall-clock mode).  ``seq`` is the per-link
 (src, dst) sequence number (-1 when the packet is unsequenced) and ``crc``

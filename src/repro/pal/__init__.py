@@ -9,27 +9,23 @@ expose; paper §7.1).
 
 This package reproduces that structure:
 
-* kernel objects (:mod:`repro.pal.events`, :mod:`repro.pal.pipes`) are
-  process-wide primitives shared between rank threads, standing in for
-  the host OS;
+* kernel objects (:mod:`repro.pal.events`) are process-wide primitives
+  shared between rank threads, standing in for the host OS;
 * :class:`repro.pal.api.PAL` is the per-rank facade the runtime and the
   ported MPI core call through.  Two backends exist: ``windows`` (thin —
   the PAL is almost a pass-through, as in the real SSCLI) and ``unix``
   (thick — every call pays an emulation surcharge, reproducing the
   Windows-vs-UNIX PAL asymmetry the paper describes);
-* completion ports live *below* the PAL, as in Motor: the facade refuses
-  ``CreateIoCompletionPort``, and the sock channel — the one user Motor
-  had — polls its pipes directly (see :mod:`repro.mp.channels.sock`).
+* the sock channel's transport lives *below* the PAL, as in Motor: the
+  facade refuses ``CreateIoCompletionPort``, and the channel polls its
+  byte rings directly (see :mod:`repro.mp.channels.sock`).
 """
 
 from repro.pal.api import PAL, PalError
 from repro.pal.events import Event
-from repro.pal.pipes import BytePipe, PipeClosed
 
 __all__ = [
     "PAL",
     "PalError",
     "Event",
-    "BytePipe",
-    "PipeClosed",
 ]

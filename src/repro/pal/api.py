@@ -1,7 +1,7 @@
 """The PAL facade — the virtual subset-Windows API the runtime calls.
 
 Each rank owns one :class:`PAL` instance wrapping the shared kernel objects
-(events, pipes).  The two backends reproduce the asymmetry the paper notes
+(events).  The two backends reproduce the asymmetry the paper notes
 in §5.4: the Windows PAL is a thin pass-through, while the UNIX PAL has to
 emulate Win32 semantics and is therefore thicker (every call pays a larger
 surcharge on the virtual clock).

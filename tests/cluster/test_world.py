@@ -112,7 +112,7 @@ class TestSpawn:
 
 class TestSpawnGating:
     def test_sock_fabric_refuses_dynamic_spawn(self):
-        """Sock endpoints snapshot their pipe maps: spawning later ranks
+        """Sock's rings are carved for the boot-time world: spawning later ranks
         would leave them unreachable, so the world refuses cleanly."""
 
         def main(ctx):

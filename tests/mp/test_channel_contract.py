@@ -20,11 +20,11 @@ from repro.mp.packets import EAGER, Packet
 from repro.simtime import CostModel, WallClock
 
 
-def _fabric(name):
+def _fabric(name, size=2):
     if name.startswith("faulty-"):
-        inner = FABRICS[name.removeprefix("faulty-")](2)
+        inner = FABRICS[name.removeprefix("faulty-")](size)
         return FaultyFabric(inner, FaultPlan())
-    return FABRICS[name](2)
+    return FABRICS[name](size)
 
 
 IMPLS = sorted(FABRICS) + ["faulty-shm", "faulty-sock"]
@@ -115,6 +115,25 @@ class TestContract:
     def test_endpoint_cached_per_rank(self, pair):
         fab, c0, _ = pair
         assert fab.endpoint(0, WallClock(), CostModel()) is c0
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_limit_bounds_one_poll_across_sources(impl):
+    """``limit`` caps a whole poll, not each source: the device's
+    ``max_packets_per_poll`` must mean the same on every fabric."""
+    fab = _fabric(impl, 3)
+    c0, c1, c2 = (fab.endpoint(r, WallClock(), CostModel()) for r in range(3))
+    try:
+        for i in range(6):
+            for src, ch in ((0, c0), (1, c1)):
+                assert ch.send_packet(Packet(ptype=EAGER, src=src, dst=2, tag=i, op_id=i))
+        first = c2.recv_packets(limit=8)
+        second = c2.recv_packets(limit=8)
+        assert (len(first), len(second)) == (8, 4)
+        for src in (0, 1):
+            assert [p.tag for p in first + second if p.src == src] == list(range(6))
+    finally:
+        fab.shutdown()
 
 
 class _Owner:

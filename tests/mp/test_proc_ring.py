@@ -1,12 +1,13 @@
-"""The proc channel's shared-memory data plane: the ring, then the channel.
+"""The ring data plane sock and proc share: the ring, then the channels.
 
-First the :class:`~repro.mp.channels.proc.Ring` alone, over a plain
+First the :class:`~repro.mp.channels.sock.Ring` alone, over a plain
 ``bytearray`` (no process, no mapping): its cursor layout — the torn-cursor
 finding pinned as a unit test — and its byte-stream contract under the
-channel's own write / backlog / drain discipline.  Then the channel over an
-address-less fabric (frames larger than a ring, the teardown flush, a
-malformed frame attributed to its sender, the router refusing data), and
-last, behind ``-m realproc``, real worker processes.
+channel's own write / backlog / drain discipline.  Then the channels (a
+malformed frame attributed to its sender on both ring fabrics; on proc's
+address-less fabric, frames larger than a ring, the teardown flush and the
+router refusing data), and last, behind ``-m realproc``, real worker
+processes.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ from repro.cluster.router import PacketRouter
 from repro.cluster.world import mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.channels import FABRICS
-from repro.mp.channels.proc import (
-    HEAD_SLOT,
-    RING_CAPACITY,
-    RING_HEADER,
-    TAIL_SLOT,
-    Ring,
-)
+from repro.mp.channels.proc import RING_CAPACITY
+from repro.mp.channels.sock import HEAD_SLOT, RING_HEADER, TAIL_SLOT, Ring
 from repro.mp.channels.wire import PKT, FrameReader, decode_packet_body, encode_frame
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
@@ -90,7 +86,7 @@ class TestRingLayout:
 
 class _Pipe:
     """One direction of the channel in miniature: a ring, the sender's
-    backlog, the receiver's decoder — ``ProcChannel``'s own discipline."""
+    backlog, the receiver's decoder — ``SockChannel``'s own discipline."""
 
     def __init__(self, capacity: int) -> None:
         self.ring = _ring(capacity)
@@ -175,12 +171,25 @@ def _drain(ch, want, also_poll=()):
     return got
 
 
+def _trio(name):
+    fab = FABRICS[name](3)
+    return fab, [fab.endpoint(r, WallClock(), CostModel()) for r in range(3)]
+
+
 @pytest.fixture
 def trio():
-    fab = FABRICS["proc"](3)
-    chans = [fab.endpoint(r, WallClock(), CostModel()) for r in range(3)]
+    fab, chans = _trio("proc")
     yield chans
     fab.shutdown()
+
+
+@pytest.fixture
+def ring_trios():
+    """Three ranks on each fabric the ring data plane carries."""
+    fabs, trios = zip(*(_trio(name) for name in ("sock", "proc")))
+    yield trios
+    for fab in fabs:
+        fab.shutdown()
 
 
 class TestChannelOverRings:
@@ -223,28 +232,28 @@ class TestChannelOverRings:
         assert not peer.is_alive()
         assert bytes(got[0].payload_mv()) == body
 
-    def test_malformed_frame_kills_its_sender_only(self, trio):
-        c0, c1, c2 = trio
-        dead = []
-        c0.on_peer_dead = dead.append
-        c1.send_packet(_pkt(1, 0, 1))
-        assert [p.tag for p in _drain(c0, 1)] == [1]
-        c1._tx[0].write(memoryview(b"\xff" * 16))  # a garbage length prefix
-        c1.send_packet(_pkt(1, 0, 2))
-        c2.send_packet(_pkt(2, 0, 3))
-        assert [(p.src, p.tag) for p in _drain(c0, 1)] == [(2, 3)]
-        assert dead == [1] and c0.dead_ranks == {1}
-        assert c0.recv_packets() == []  # rank 1's ring is read no more
-        c0.send_packet(_pkt(0, 1, 4))  # dropped: nobody will drain that ring
-        assert len(c0._tx[1]) == 0 and not c0._backlog[1]
+    def test_malformed_frame_kills_its_sender_only(self, ring_trios):
+        for c0, c1, c2 in ring_trios:
+            dead = []
+            c0.on_peer_dead = dead.append
+            c1.send_packet(_pkt(1, 0, 1))
+            assert [p.tag for p in _drain(c0, 1)] == [1]
+            c1._tx[0].write(memoryview(b"\xff" * 16))  # a garbage length prefix
+            c1.send_packet(_pkt(1, 0, 2))
+            c2.send_packet(_pkt(2, 0, 3))
+            assert [(p.src, p.tag) for p in _drain(c0, 1)] == [(2, 3)]
+            assert dead == [1] and c0.dead_ranks == {1}, c0.name
+            assert c0.recv_packets() == []  # rank 1's ring is read no more
+            c0.send_packet(_pkt(0, 1, 4))  # dropped: nobody will drain that ring
+            assert len(c0._tx[1]) == 0 and not c0._backlog[1]
 
-    def test_frame_for_another_rank_is_malformed(self, trio):
-        c0, c1, _ = trio
-        dead = []
-        c0.on_peer_dead = dead.append
-        c1._tx[0].write(memoryview(encode_frame(PKT, 2, _pkt(1, 2, 1).encode())))
-        assert c0.recv_packets() == []
-        assert dead == [1]
+    def test_frame_for_another_rank_is_malformed(self, ring_trios):
+        for c0, c1, _ in ring_trios:
+            dead = []
+            c0.on_peer_dead = dead.append
+            c1._tx[0].write(memoryview(encode_frame(PKT, 2, _pkt(1, 2, 1).encode())))
+            assert c0.recv_packets() == []
+            assert dead == [1], c0.name
 
 
 def _drain_control(ch):
