@@ -122,11 +122,10 @@ class ProcSubstrate(Substrate):
 
     def build_fabric(self):
         from repro.cluster.router import PacketRouter
-        from repro.mp.channels.proc import RING_CAPACITY
         from repro.mp.channels.sock import ring_mapping
 
         # the rings exist before any worker does: an early packet just waits
-        self.mapping = ring_mapping(self.world.size, RING_CAPACITY)
+        self.mapping = ring_mapping(self.world.size)
         self.router = PacketRouter(self.world.size)
         self.router.start()
         return _LauncherFabric(self.router)

@@ -2,11 +2,12 @@
 
 The first channel whose wire genuinely leaves the Python process, in two
 planes.  **Data** is the sock channel's, unchanged
-(:class:`~repro.mp.channels.sock.SockChannel`): ``n x n`` byte rings,
-per-destination backlogs and per-peer frame decoders — only the mapping is
-one the launcher created before forking, so ranks talk to each other, not
-through the launcher.  **Control**: one nonblocking loopback TCP socket to
-the substrate's :class:`~repro.cluster.router.PacketRouter`, for
+(:class:`~repro.mp.channels.sock.SockChannel`): ``n x n`` byte rings of
+sock's one size (``RING_CAPACITY``), per-destination backlogs and per-peer
+ring decoders, a payload copied into a ring once and out once — only the
+mapping is one the launcher created before forking, so ranks talk to each
+other, not through the launcher.  **Control**: one nonblocking loopback
+TCP socket to the substrate's :class:`~repro.cluster.router.PacketRouter`, for
 ``HELLO``/``GO`` (the boot barrier), ``RESULT``/``ERROR``/``BYE`` and
 ``DEAD`` verdicts.  Nothing blocks on a ring: a waiting rank polls.  A
 peer drains its ring only by polling, so teardown pushes the backlogs
@@ -33,9 +34,6 @@ from repro.mp.packets import Packet
 from repro.simtime import Clock, CostModel
 
 _RECV_CHUNK = 1 << 16
-
-#: data bytes per ring (a power of two; 64 KiB measured, not an option)
-RING_CAPACITY = 1 << 16
 
 
 class ProcChannel(SockChannel):
@@ -216,7 +214,7 @@ class ProcFabric(ChannelFabric):
 
             self._router = PacketRouter(world_size)
             self._router.start()
-            address, mapping = self._router.address, ring_mapping(world_size, RING_CAPACITY)
+            address, mapping = self._router.address, ring_mapping(world_size)
         self.address = address
         self.mapping = mapping
 

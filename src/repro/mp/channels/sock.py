@@ -6,14 +6,17 @@ within the CH3 device" (paper §7, Figure 7).  Each ordered pair of ranks
 single-producer/single-consumer byte :class:`Ring`, the 'socket', and
 packets cross it as :mod:`~repro.mp.channels.wire` ``PKT`` frames.  The
 frame write is the wire crossing, where any
-:class:`~repro.mp.buffers.WireView` lease ends; what does not fit waits on
-a per-destination backlog that every ``recv_packets`` pushes on, and each
-inbound ring is drained through a per-peer
-:class:`~repro.mp.channels.wire.FrameReader`.
+:class:`~repro.mp.buffers.WireView` lease ends: the frame prefix and the
+packet header go into the ring, then the payload straight from its view,
+and only what does not fit is copied onto a per-destination backlog that
+every ``recv_packets`` pushes on.  Each inbound ring is drained by a
+per-peer :class:`RingReader`, which copies a whole payload out of the ring
+as one ``bytes`` — once in, once out, the ring being the eager buffer.
 
-Framing means a large message genuinely streams: a frame larger than the
-ring's free space arrives in pieces, the remainder on a later poll — the
-multi-poll window in which an unpinned buffer can move.
+One ring size serves every world (:data:`RING_CAPACITY`), large enough
+that no eager frame at the default threshold is ever split.  A frame
+larger than the ring still works: it arrives in pieces, the remainder on
+a later poll.
 
 All ``n x n`` rings live in one anonymous mapping (:func:`ring_mapping`):
 private to this process here, inherited by forked workers under the proc
@@ -37,8 +40,8 @@ import mmap
 from collections import deque
 
 from repro.mp.channels.base import Channel, ChannelFabric
-from repro.mp.channels.wire import PKT, FrameReader, decode_packet_body, encode_frame
-from repro.mp.packets import Packet
+from repro.mp.channels.wire import LENGTH_SIZE, MAX_FRAME, PKT, PREFIX
+from repro.mp.packets import HEADER_SIZE, Packet
 from repro.simtime import Clock, CostModel
 
 #: two cache lines ahead of the data, so the cursors never share one
@@ -46,6 +49,15 @@ RING_HEADER = 128
 #: u64 slots in the header: the consumer alone writes ``head``, the
 #: producer alone ``tail``
 HEAD_SLOT, TAIL_SLOT = 0, 8
+#: data bytes per ring, for sock and proc worlds alike: 256 KiB, the power
+#: of two above the most any experiment has in flight toward one receiver
+#: (197 508 B) and above a default-threshold (128 KiB) eager frame, so no
+#: committed run ever splits a frame across polls
+RING_CAPACITY = 1 << 18
+#: a PKT frame's lead: the frame prefix, then the packet header
+LEAD = PREFIX.size + HEADER_SIZE
+#: the least a PKT frame's ``length`` can say: a lead and no payload
+MIN_LENGTH = LEAD - LENGTH_SIZE
 
 
 class Ring:
@@ -75,37 +87,111 @@ class Ring:
         """Bytes published and not yet consumed."""
         return self._cur[TAIL_SLOT] - self._cur[HEAD_SLOT]
 
-    def write(self, data: memoryview) -> int:
-        """Copy in as much of ``data`` as fits now; the count written."""
-        cur, cap = self._cur, self.capacity
-        tail = cur[TAIL_SLOT]
-        n = min(len(data), cap - (tail - cur[HEAD_SLOT]))
-        if n:
+    def write(self, *parts) -> int:
+        """Copy in as much of ``parts``, in order, as fits now, and publish
+        it at once; the count written."""
+        cur, cap, data = self._cur, self.capacity, self._data
+        start = tail = cur[TAIL_SLOT]
+        end = cur[HEAD_SLOT] + cap
+        for part in parts:
+            n = min(len(part), end - tail)
             pos = tail & (cap - 1)
             first = min(n, cap - pos)
-            self._data[pos:pos + first] = data[:first]
+            data[pos:pos + first] = part[:first]
             if first < n:
-                self._data[:n - first] = data[first:n]
-            cur[TAIL_SLOT] = tail + n
+                data[:n - first] = part[first:n]
+            tail += n
+        cur[TAIL_SLOT] = tail
+        return tail - start
+
+    def view(self, at: int, n: int) -> memoryview | bytes:
+        """The ``n`` bytes at stream position ``at`` (published, not yet
+        consumed): a view of the ring, or one joined copy where they wrap."""
+        cap = self.capacity
+        pos = at & (cap - 1)
+        if pos + n <= cap:
+            return self._data[pos:pos + n]
+        return b"".join((self._data[pos:], self._data[:pos + n - cap]))
+
+    def readinto(self, buf: memoryview) -> int:
+        """Consume as much as is published into ``buf``; the count read."""
+        head = self._cur[HEAD_SLOT]
+        n = min(len(buf), len(self))
+        buf[:n] = self.view(head, n)
+        self._cur[HEAD_SLOT] = head + n
         return n
 
-    def read(self) -> bytes:
-        """Every byte published so far (``b""`` when there is none)."""
-        cur, cap = self._cur, self.capacity
-        head = cur[HEAD_SLOT]
-        n = cur[TAIL_SLOT] - head
-        if not n:
-            return b""
-        pos = head & (cap - 1)
-        first = min(n, cap - pos)
-        out = bytes(self._data[pos:pos + first])
-        if first < n:
-            out += self._data[:n - first]
-        cur[HEAD_SLOT] = head + n
-        return out
+
+class RingReader:
+    """Decodes the PKT frames on one inbound ring, straight out of it.
+
+    As soon as a frame's 9-byte prefix is published it is checked —
+    at least a lead and at most ``MAX_FRAME``, type ``PKT``, destination this
+    rank — so a garbage stream fails on the poll that sees it, not after
+    more bytes that may never come.  A frame that fits the ring is left
+    there until all of it is published, then decoded in place: the header
+    unpacked from the ring, the payload copied out once as ``bytes``.  A
+    larger one (it can never be whole in the ring) is consumed as it
+    arrives, into a ``bytearray`` of the payload's size.  Every defect is a
+    ``ValueError``: the stream cannot be resynchronised.
+    """
+
+    __slots__ = ("ring", "rank", "_pkt", "_buf", "_got")
+
+    def __init__(self, ring: Ring, rank: int) -> None:
+        self.ring = ring
+        self.rank = rank
+        #: a frame larger than the ring, mid-payload: its packet, the
+        #: payload so far and how much of it has arrived
+        self._pkt: Packet | None = None
+        self._buf = bytearray()
+        self._got = 0
+
+    def drain(self, out: deque[Packet]) -> None:
+        """Append every packet the ring now completes to ``out``."""
+        ring = self.ring
+        cur = ring._cur
+        while True:
+            pkt = self._pkt
+            if pkt is not None:
+                with memoryview(self._buf) as mv:
+                    self._got += ring.readinto(mv[self._got:])
+                if self._got < len(self._buf):
+                    return
+                pkt.payload = bytes(self._buf)
+                out.append(pkt)
+                self._pkt, self._buf = None, bytearray()
+                continue
+            head = cur[HEAD_SLOT]
+            avail = cur[TAIL_SLOT] - head
+            if avail < PREFIX.size:
+                return
+            length, ftype, arg = PREFIX.unpack(ring.view(head, PREFIX.size))
+            if not MIN_LENGTH <= length <= MAX_FRAME:
+                raise ValueError(f"PKT frame length {length} outside [{MIN_LENGTH}, MAX_FRAME]")
+            if ftype != PKT or arg != self.rank:
+                raise ValueError(f"frame type {ftype} for rank {arg} on rank {self.rank}'s ring")
+            size = LENGTH_SIZE + length
+            if avail < size and (size <= ring.capacity or avail < LEAD):
+                return  # the rest is on its way
+            pkt, plen = Packet.unpack_header(ring.view(head + PREFIX.size, HEADER_SIZE))
+            if plen != size - LEAD:
+                raise ValueError(f"torn packet frame: payload {size - LEAD} of {plen} bytes")
+            if avail < size:
+                cur[HEAD_SLOT] = head + LEAD
+                self._pkt, self._buf, self._got = pkt, bytearray(plen), 0
+                continue
+            pkt.payload = bytes(ring.view(head + LEAD, plen))
+            cur[HEAD_SLOT] = head + size
+            out.append(pkt)
 
 
-def ring_mapping(world_size: int, capacity: int) -> mmap.mmap:
+def packet_lead(pkt: Packet) -> bytes:
+    """A PKT frame's prefix and packet header; the payload follows it."""
+    return PREFIX.pack(MIN_LENGTH + len(pkt.payload), PKT, pkt.dst) + pkt.pack_header()
+
+
+def ring_mapping(world_size: int, capacity: int = RING_CAPACITY) -> mmap.mmap:
     """A world's ``n x n`` rings: anonymous shared memory, inherited by
     forked workers and freed with its last reference — no name, no unlink,
     no resource tracker (the stdlib's named segments would also cost ~4 MiB
@@ -120,13 +206,15 @@ class SockChannel(Channel):
         super().__init__(rank, clock, costs)
         stride = len(mapping) // (size * size)  # the ring size is the mapping's
         capacity = stride - RING_HEADER
-        #: by peer: the ring this rank produces into, and the one it consumes
-        #: (None once its producer wrote a malformed frame) with its decoder
+        if capacity < LEAD:
+            raise ValueError(f"ring capacity {capacity} cannot hold a {LEAD}-byte frame lead")
+        #: by peer: the ring this rank produces into, and the decoder of the
+        #: one it consumes (None once its producer wrote a malformed frame)
         self._tx = [Ring(mapping, capacity, (rank * size + p) * stride) for p in range(size)]
-        self._rx: list[Ring | None] = [
-            Ring(mapping, capacity, (p * size + rank) * stride) for p in range(size)
+        self._rx: list[RingReader | None] = [
+            RingReader(Ring(mapping, capacity, (p * size + rank) * stride), rank)
+            for p in range(size)
         ]
-        self._readers = [FrameReader() for _ in range(size)]
         #: by peer: frame bytes its ring had no room for, in order
         self._backlog = [bytearray() for _ in range(size)]
         #: decoded packets an earlier poll's limit left behind
@@ -145,27 +233,24 @@ class SockChannel(Channel):
     def send_packet(self, pkt: Packet) -> bool:
         self._stamp_and_charge(pkt)
         dst = pkt.dst
-        frame = memoryview(encode_frame(PKT, dst, pkt.encode()))
+        if dst not in self.dead_ranks:  # nobody will ever drain a dead peer's ring
+            lead, payload = packet_lead(pkt), pkt.payload_mv()
+            backlog = self._backlog[dst]
+            n = 0 if backlog else self._tx[dst].write(lead, payload)
+            if n < LEAD + len(payload):  # the ring is full: the rest waits, copied
+                backlog += lead[n:]
+                backlog += payload[max(n - LEAD, 0):]
         pkt.release_payload()  # the frame write is the wire crossing
-        if dst in self.dead_ranks:
-            return True  # nobody will ever drain that ring
-        n = 0 if self._backlog[dst] else self._tx[dst].write(frame)
-        if n < len(frame):
-            self._backlog[dst] += frame[n:]
         return True
 
     def recv_packets(self, limit: int | None = None) -> list[Packet]:
         self.flush_all()
         inbox = self._inbox
-        for src, ring in enumerate(self._rx):
-            data = ring.read() if ring is not None else b""
-            if not data:
+        for src, reader in enumerate(self._rx):
+            if reader is None:  # dead
                 continue
             try:
-                for ftype, arg, body in self._readers[src].feed(data):
-                    if ftype != PKT or arg != self.rank:
-                        raise ValueError(f"frame type {ftype} for rank {arg} on a ring")
-                    inbox.append(decode_packet_body(body))
+                reader.drain(inbox)
             except ValueError:
                 # src's stream cannot be resynchronised: read it no more, and
                 # fail what waits on src rather than whoever polls next
@@ -178,7 +263,7 @@ class SockChannel(Channel):
         return out
 
     def has_incoming(self) -> bool:
-        return bool(self._inbox) or any(self._rx)  # a ring is true when it holds bytes
+        return bool(self._inbox) or any(r is not None and len(r.ring) for r in self._rx)
 
     # -- flow control -------------------------------------------------------------
 
@@ -207,11 +292,8 @@ class SockChannel(Channel):
 class SockFabric(ChannelFabric):
     channel_cls = SockChannel
 
-    def __init__(self, world_size: int, pipe_capacity: int = 1 << 18) -> None:
+    def __init__(self, world_size: int, pipe_capacity: int = RING_CAPACITY) -> None:
         super().__init__(world_size)
-        # data bytes per ring: 256 KiB, the power of two above the most any
-        # experiment has in flight toward one receiver (197 508 B), so no
-        # committed run ever splits a frame across polls
         self.mapping = ring_mapping(world_size, pipe_capacity)
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> SockChannel:

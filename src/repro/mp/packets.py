@@ -206,10 +206,11 @@ class Packet:
             payload=self.payload,
         )
 
-    # -- framing (sock channel) ------------------------------------------------
+    # -- header codec (sock channel) -----------------------------------------
 
-    def encode(self) -> bytes:
-        head = _HEADER.pack(
+    def pack_header(self) -> bytes:
+        """The fixed-size wire header; the payload travels after it."""
+        return _HEADER.pack(
             self.ptype,
             self.src,
             self.dst,
@@ -224,15 +225,11 @@ class Packet:
             self.crc,
             len(self.payload),
         )
-        p = self.payload
-        if type(p) is bytes:
-            return head + p
-        frame = bytearray(head)
-        frame += self.payload_mv()  # one append straight from the view
-        return bytes(frame)
 
     @classmethod
-    def decode_header(cls, head: bytes) -> tuple["Packet", int]:
+    def unpack_header(cls, head) -> tuple["Packet", int]:
+        """A payload-less packet and its payload length, from the header
+        :meth:`pack_header` made."""
         (ptype, src, dst, tag, comm_id, op_id, offset, total, sync, ts, seq, crc, plen) = _HEADER.unpack(head)
         return (
             cls(

@@ -1,4 +1,4 @@
-"""Packet framing for the sock channel."""
+"""The packet header codec the sock channel frames with."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,20 +12,19 @@ class TestFraming:
             ptype=EAGER, src=0, dst=1, tag=7, comm_id=2, op_id=33,
             offset=0, total=5, sync=True, ts=123.5, payload=b"hello",
         )
-        frame = pkt.encode()
-        decoded, plen = Packet.decode_header(frame[:HEADER_SIZE])
+        head = pkt.pack_header()
+        assert len(head) == HEADER_SIZE
+        decoded, plen = Packet.unpack_header(memoryview(head))
         assert plen == 5
-        decoded.payload = frame[HEADER_SIZE : HEADER_SIZE + plen]
+        decoded.payload = pkt.payload
         for attr in ("ptype", "src", "dst", "tag", "comm_id", "op_id", "offset", "total", "sync", "ts"):
             assert getattr(decoded, attr) == getattr(pkt, attr)
         assert decoded.payload == b"hello"
 
     def test_empty_payload(self):
         pkt = Packet(ptype=CTS, src=1, dst=0, op_id=9)
-        frame = pkt.encode()
-        assert len(frame) == HEADER_SIZE
-        decoded, plen = Packet.decode_header(frame)
-        assert plen == 0 and decoded.op_id == 9
+        decoded, plen = Packet.unpack_header(pkt.pack_header())
+        assert plen == 0 and decoded.op_id == 9 and decoded.payload == b""
 
     def test_kind_names(self):
         assert Packet(ptype=RTS, src=0, dst=1).kind == "RTS"
@@ -51,10 +50,10 @@ def test_framing_roundtrip_property(ptype, src, dst, tag, op_id, offset, sync, t
         ptype=ptype, src=src, dst=dst, tag=tag, op_id=op_id, offset=offset,
         total=len(payload), sync=sync, ts=ts, payload=payload,
     )
-    frame = pkt.encode()
-    decoded, plen = Packet.decode_header(frame[:HEADER_SIZE])
+    head = pkt.pack_header()
+    assert len(head) == HEADER_SIZE
+    decoded, plen = Packet.unpack_header(head)
     assert plen == len(payload)
-    assert frame[HEADER_SIZE:] == payload
     assert decoded.ptype == ptype
     assert decoded.src == src and decoded.dst == dst
     assert decoded.tag == tag and decoded.op_id == op_id

@@ -2,12 +2,12 @@
 
 First the :class:`~repro.mp.channels.sock.Ring` alone, over a plain
 ``bytearray`` (no process, no mapping): its cursor layout — the torn-cursor
-finding pinned as a unit test — and its byte-stream contract under the
-channel's own write / backlog / drain discipline.  Then the channels (a
-malformed frame attributed to its sender on both ring fabrics; on proc's
-address-less fabric, frames larger than a ring, the teardown flush and the
-router refusing data), and last, behind ``-m realproc``, real worker
-processes.
+finding pinned as a unit test.  Then the frame stream through the channel's
+own sender and :class:`~repro.mp.channels.sock.RingReader` (FIFO and byte
+identity, wrap points, frame defects); then the channels (a malformed frame
+attributed to its sender on both ring fabrics; on proc's address-less
+fabric, frames larger than a ring, the teardown flush and the router
+refusing data), and last, behind ``-m realproc``, real worker processes.
 """
 
 from __future__ import annotations
@@ -25,9 +25,20 @@ from repro.cluster.router import PacketRouter
 from repro.cluster.world import mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.channels import FABRICS
-from repro.mp.channels.proc import RING_CAPACITY
-from repro.mp.channels.sock import HEAD_SLOT, RING_HEADER, TAIL_SLOT, Ring
-from repro.mp.channels.wire import PKT, FrameReader, decode_packet_body, encode_frame
+from repro.mp.channels.sock import (
+    HEAD_SLOT,
+    LEAD,
+    RING_CAPACITY,
+    RING_HEADER,
+    TAIL_SLOT,
+    Ring,
+    RingReader,
+    SockChannel,
+    SockFabric,
+    packet_lead,
+    ring_mapping,
+)
+from repro.mp.channels.wire import LENGTH_SIZE, MAX_FRAME, PKT, PREFIX, FrameReader
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
 from repro.mp.packets import EAGER, HEADER_SIZE, Packet
@@ -40,6 +51,12 @@ TAG = 11
 
 def _ring(capacity: int) -> Ring:
     return Ring(bytearray(RING_HEADER + capacity), capacity=capacity)
+
+
+def _read(ring: Ring, n: int) -> bytes:
+    buf = bytearray(n)
+    assert ring.readinto(memoryview(buf)) == n
+    return bytes(buf)
 
 
 def _pattern(nbytes: int, salt: int = 0) -> bytes:
@@ -64,100 +81,206 @@ class TestRingLayout:
         with pytest.raises(ValueError):
             _ring(capacity)
 
+    def test_a_channel_refuses_a_ring_smaller_than_a_lead(self):
+        with pytest.raises(ValueError, match="lead"):
+            _pair(64)
+
     def test_a_full_ring_refuses_without_clobbering(self):
         ring = _ring(64)
         assert ring.write(memoryview(_pattern(100))) == 64
         assert ring.write(memoryview(b"late")) == 0
         assert len(ring) == 64
-        assert ring.read() == _pattern(100)[:64]
-        assert ring.read() == b"" and len(ring) == 0
+        assert _read(ring, 64) == _pattern(100)[:64]
+        assert len(ring) == 0
 
     def test_wrap_at_every_offset(self):
         cap = 64
         for pos in range(cap):
             ring = _ring(cap)
             ring.write(memoryview(bytes(pos)))
-            ring.read()  # both cursors now sit at pos
+            _read(ring, pos)  # both cursors now sit at pos
             chunk = _pattern(cap, salt=pos)
             assert ring.write(memoryview(chunk)) == cap  # wraps unless pos == 0
             assert len(ring) == cap
-            assert ring.read() == chunk
+            assert _read(ring, cap) == chunk
 
+    def test_parts_are_written_in_order_and_published_together(self):
+        ring = _ring(64)
+        _read(ring, ring.write(memoryview(bytes(60))))
+        assert ring.write(b"lead", memoryview(_pattern(100))) == 64
+        assert len(ring) == 64
+        assert _read(ring, 64) == b"lead" + _pattern(60)
 
-class _Pipe:
-    """One direction of the channel in miniature: a ring, the sender's
-    backlog, the receiver's decoder — ``SockChannel``'s own discipline."""
-
-    def __init__(self, capacity: int) -> None:
-        self.ring = _ring(capacity)
-        self.backlog = bytearray()
-        self.reader = FrameReader()
-        self.got: list[bytes] = []
-
-    def send(self, body: bytes) -> None:
-        frame = memoryview(encode_frame(PKT, 0, body))
-        n = 0 if self.backlog else self.ring.write(frame)
-        self.backlog += frame[n:]
-
-    def flush(self) -> None:
-        with memoryview(self.backlog) as mv:
-            n = self.ring.write(mv)
-        del self.backlog[:n]
-
-    def drain(self) -> None:
-        self.got += [body for _t, _a, body in self.reader.feed(self.ring.read())]
-
-
-@st.composite
-def _ring_scripts(draw):
-    cap = draw(st.sampled_from([64, 256, 4096]))
-    size = st.one_of(
-        st.sampled_from([0, cap - 4, cap, 3 * cap]), st.integers(0, 2 * cap)
-    )
-    op = st.one_of(size, st.sampled_from(["flush", "drain"]))
-    return cap, draw(st.lists(op, max_size=40))
-
-
-class TestRingStream:
-    @settings(max_examples=150, deadline=None)
-    @given(_ring_scripts())
-    def test_frames_arrive_fifo_and_byte_identical(self, script):
-        cap, ops = script
-        pipe, sent = _Pipe(cap), []
-        for op in ops:
-            if op == "flush":
-                pipe.flush()
-            elif op == "drain":
-                pipe.drain()  # mid-frame whenever the ring held only a piece
-            else:
-                sent.append(_pattern(op, salt=len(sent)))
-                pipe.send(sent[-1])
-            assert 0 <= len(pipe.ring) <= cap
-        for _ in range(len(pipe.backlog) // cap + 2):
-            pipe.flush()
-            pipe.drain()
-        assert not pipe.backlog and len(pipe.ring) == 0
-        assert pipe.got == sent
-
-
-class TestDecodeDefectsAreValueErrors:
-    def test_short_packet_body(self):
-        with pytest.raises(ValueError):
-            decode_packet_body(b"\0" * 10)
-
-    def test_torn_payload(self):
-        body = Packet(ptype=EAGER, src=0, dst=1, payload=b"abcdef").encode()
-        with pytest.raises(ValueError):
-            decode_packet_body(body[:-2])
-
-    @pytest.mark.parametrize("length", [0, 4, 0xFFFFFFFF])
-    def test_impossible_frame_length(self, length):
-        with pytest.raises(ValueError):
-            list(FrameReader().feed(length.to_bytes(4, "little") + b"\0" * 8))
+    def test_readinto_spans_the_wrap(self):
+        ring = _ring(64)
+        ring.write(memoryview(bytes(60)))
+        _read(ring, 60)
+        ring.write(memoryview(_pattern(10)))
+        buf = bytearray(16)
+        assert ring.readinto(memoryview(buf)) == 10
+        assert buf[:10] == _pattern(10) and len(ring) == 0
 
 
 def _pkt(src, dst, tag, payload=b"x"):
     return Packet(ptype=EAGER, src=src, dst=dst, tag=tag, op_id=tag, payload=payload)
+
+
+def _frame(pkt: Packet) -> bytes:
+    """The bytes ``send_packet`` puts on the wire for ``pkt``."""
+    return packet_lead(pkt) + bytes(pkt.payload_mv())
+
+
+def _pair(capacity: int) -> tuple[SockChannel, SockChannel]:
+    """Ranks 0 and 1 over one mapping of ``capacity``-byte rings."""
+    mapping = ring_mapping(2, capacity)
+    return tuple(SockChannel(r, WallClock(), CostModel(), mapping, 2) for r in range(2))
+
+
+def _align(c0: SockChannel, c1: SockChannel, pos: int) -> None:
+    """Move both cursors of the ring 0 -> 1 to ``pos``."""
+    c0._tx[1].write(memoryview(bytes(pos)))
+    _read(c1._rx[0].ring, pos)
+
+
+@st.composite
+def _ring_scripts(draw):
+    cap = draw(st.sampled_from([128, 256, 4096]))
+    # payload sizes: empty, a frame of exactly 1x and 3x the ring, one
+    # that overflows it by a byte, anything up to twice the ring
+    size = st.one_of(
+        st.sampled_from([0, cap - LEAD, cap - LEAD + 1, 3 * cap - LEAD]), st.integers(0, 2 * cap)
+    )
+    op = st.one_of(size, st.sampled_from(["flush", "drain"]))
+    return cap, draw(st.integers(0, cap - 1)), draw(st.lists(op, max_size=40))
+
+
+class TestRingStream:
+    """The channel's sender and its :class:`RingReader`, over one ring."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ring_scripts())
+    def test_frames_arrive_fifo_and_byte_identical(self, script):
+        cap, start, ops = script
+        c0, c1 = _pair(cap)
+        _align(c0, c1, start)
+        sent, got = [], []
+        for op in ops:
+            if op == "flush":
+                c0.flush_all()
+            elif op == "drain":
+                got += c1.recv_packets()  # mid-frame whenever the ring held only a piece
+            else:
+                sent.append(_pattern(op, salt=len(sent)))
+                c0.send_packet(_pkt(0, 1, len(sent), sent[-1]))
+            assert 0 <= len(c0._tx[1]) <= cap
+        # each poll completes a frame or consumes a ring's worth of one
+        for _ in range(len(sent) + c0.tx_backlog // cap + 2):
+            c0.flush_all()
+            got += c1.recv_packets()
+        assert c0.tx_backlog == 0 and len(c0._tx[1]) == 0
+        assert [p.tag for p in got] == list(range(1, len(sent) + 1))
+        assert [p.payload for p in got] == sent
+        assert all(type(p.payload) is bytes for p in got)
+
+    @pytest.mark.parametrize("plen", [0, 1, 100], ids=lambda n: f"payload{n}")
+    def test_every_wrap_offset(self, plen):
+        """From every start offset: the lead straddles the wrap point, then
+        the payload does, then neither."""
+        cap = 256
+        for pos in range(cap):
+            c0, c1 = _pair(cap)
+            _align(c0, c1, pos)
+            body = _pattern(plen, salt=pos)
+            c0.send_packet(_pkt(0, 1, 7, body))
+            assert c0.tx_backlog == 0
+            (got,) = c1.recv_packets()
+            assert (got.tag, got.payload) == (7, body)
+            assert len(c1._rx[0].ring) == 0
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_frame_of_a_multiple_of_the_ring(self, frames):
+        cap = 256
+        c0, c1 = _pair(cap)
+        body = _pattern(frames * cap - LEAD)
+        c0.send_packet(_pkt(0, 1, 1, body))
+        c0.send_packet(_pkt(0, 1, 2, b""))
+        got = []
+        for _ in range(frames + 2):
+            got += c1.recv_packets()
+            c0.flush_all()
+        assert [(p.tag, p.payload) for p in got] == [(1, body), (2, b"")]
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [lambda: SockFabric(2).mapping, lambda: ring_mapping(2)],
+    ids=["sock-fabric", "proc-launcher"],
+)
+def test_an_eager_threshold_frame_lands_whole(mapping):
+    """Both fabrics' rings hold the largest eager frame: it is written in
+    one go, nothing waits on the backlog, and one poll delivers it."""
+    m = mapping()
+    c0, c1 = (SockChannel(r, WallClock(), CostModel(), m, 2) for r in range(2))
+    assert c0._tx[1].capacity == RING_CAPACITY
+    body = _pattern(CostModel().eager_threshold)
+    c0.send_packet(_pkt(0, 1, 1, body))
+    assert c0.tx_backlog == 0
+    (got,) = c1.recv_packets()
+    assert got.payload == body
+
+
+#: a lone frame prefix for each defect it alone reveals
+BAD_PREFIXES = {
+    "length-zero": PREFIX.pack(0, PKT, 0),
+    "shorter-than-a-lead": PREFIX.pack(LEAD - LENGTH_SIZE - 1, PKT, 0),
+    "over-max-frame": PREFIX.pack(MAX_FRAME + 1, PKT, 0),
+    "garbage": b"\xff" * PREFIX.size,
+    "wrong-type": PREFIX.pack(LEAD - LENGTH_SIZE, PKT + 1, 0),
+    "wrong-rank": PREFIX.pack(LEAD - LENGTH_SIZE, PKT, 1),
+}
+
+
+def _torn_frame() -> bytes:
+    """A frame whose prefix counts 2 payload bytes fewer than its header."""
+    frame = _frame(_pkt(1, 0, 1, b"abcdef"))
+    return PREFIX.pack(len(frame) - 2 - LENGTH_SIZE, PKT, 0) + frame[PREFIX.size:-2]
+
+
+class TestDecodeDefectsAreValueErrors:
+    @pytest.mark.parametrize("prefix", BAD_PREFIXES.values(), ids=BAD_PREFIXES.keys())
+    def test_a_lone_bad_prefix(self, prefix):
+        """Nine bytes are enough: no wait for a lead that may never come."""
+        reader = RingReader(_ring(256), rank=0)
+        reader.ring.write(memoryview(prefix))
+        with pytest.raises(ValueError):
+            reader.drain([])
+
+    def test_short_packet_body(self):
+        reader = RingReader(_ring(256), rank=0)
+        reader.ring.write(PREFIX.pack(PREFIX.size - LENGTH_SIZE + 10, PKT, 0), b"\0" * 10)
+        with pytest.raises(ValueError):
+            reader.drain([])
+
+    def test_torn_payload(self):
+        reader = RingReader(_ring(256), rank=0)
+        reader.ring.write(memoryview(_torn_frame()))
+        with pytest.raises(ValueError):
+            reader.drain([])
+
+    def test_a_valid_prefix_waits_for_its_frame(self):
+        reader, out = RingReader(_ring(256), rank=0), []
+        frame = _frame(_pkt(1, 0, 1, b"abcdef"))
+        reader.ring.write(memoryview(frame[:PREFIX.size]))
+        reader.drain(out)
+        reader.ring.write(memoryview(frame[PREFIX.size:]))
+        reader.drain(out)
+        assert [p.payload for p in out] == [b"abcdef"]
+
+    @pytest.mark.parametrize("length", [0, 4, 0xFFFFFFFF])
+    def test_impossible_frame_length(self, length):
+        """The control socket's decoder refuses the same lengths."""
+        with pytest.raises(ValueError):
+            list(FrameReader().feed(length.to_bytes(4, "little") + b"\0" * 8))
 
 
 def _drain(ch, want, also_poll=()):
@@ -221,7 +344,7 @@ class TestChannelOverRings:
         must not die with its sender."""
         c0, c1, _ = trio
         body = _pattern(RING_CAPACITY)  # + header + frame head = capacity + 75
-        assert HEADER_SIZE + 9 == 75
+        assert LEAD == HEADER_SIZE + PREFIX.size == 75
         c0.send_packet(_pkt(0, 1, 1, body))
         assert c0._backlog[1]
         got = []
@@ -251,9 +374,20 @@ class TestChannelOverRings:
         for c0, c1, _ in ring_trios:
             dead = []
             c0.on_peer_dead = dead.append
-            c1._tx[0].write(memoryview(encode_frame(PKT, 2, _pkt(1, 2, 1).encode())))
+            c1._tx[0].write(memoryview(_frame(_pkt(1, 2, 1))))
             assert c0.recv_packets() == []
             assert dead == [1], c0.name
+
+    @pytest.mark.parametrize(
+        "garbage", [*BAD_PREFIXES.values(), _torn_frame()], ids=[*BAD_PREFIXES, "torn-payload"]
+    )
+    def test_each_frame_defect_is_its_sender_dead_on_the_next_poll(self, ring_trios, garbage):
+        for c0, c1, _ in ring_trios:
+            dead = []
+            c0.on_peer_dead = dead.append
+            c1._tx[0].write(memoryview(garbage))
+            assert c0.recv_packets() == []
+            assert dead == [1] and c0._rx[1] is None, c0.name
 
 
 def _drain_control(ch):
@@ -296,7 +430,7 @@ def test_router_closes_a_connection_that_sends_it_a_packet():
     router.start()
     try:
         with socket.create_connection(router.address, timeout=5.0) as conn:
-            conn.sendall(encode_frame(PKT, 1, _pkt(0, 1, 1).encode()))
+            conn.sendall(_frame(_pkt(0, 1, 1)))
             assert conn.recv(64) == b""  # closed on us: nothing was relayed
         assert router.frames_forwarded == 0
     finally:
@@ -331,11 +465,11 @@ def test_losing_the_router_is_proc_failed_for_every_peer():
 
 
 class ExchangeMain:
-    """pp_small's and pp_large's frames, back to back: 20 000 round trips
-    of 139-byte frames, then 200 of (capacity + 75)-byte ones.  Rank 1's
-    last act is a send whose tail sits on its backlog when main returns."""
+    """Small and eager-threshold frames, back to back: 20 000 round trips
+    of 139-byte frames, then 200 of the largest eager frame, each written
+    whole into the peer's ring."""
 
-    ROUNDS = ((20_000, 64), (200, RING_CAPACITY))
+    ROUNDS = ((20_000, 64), (200, CostModel().eager_threshold))
 
     def __call__(self, ctx):
         eng, peer = ctx.engine, 1 - ctx.rank
@@ -383,7 +517,7 @@ class DyingMidStreamMain:
         if ctx.rank == 1:
             for _ in range(5):
                 eng.send(BufferDesc.from_bytes(b"complete"), 0, TAG)
-            frame = encode_frame(PKT, 0, _pkt(1, 0, TAG, b"never finished").encode())
+            frame = _frame(_pkt(1, 0, TAG, b"never finished"))
             eng.device.channel._tx[0].write(memoryview(frame)[:40])
             os._exit(1)
         buf = BufferDesc.from_bytes(bytearray(8))
