@@ -12,8 +12,9 @@ behind the same seam:
   objects — the exact interplay the paper studies.
 * ``substrate="proc"`` — one real OS process per rank
   (:mod:`repro.cluster.procsub`): packets cross shared-memory rings rank
-  to rank, the launcher's router keeps boot, results and death notices —
-  the same MPI stack, with the bytes genuinely crossing address spaces.
+  to rank, and the launcher only forks the workers, collects their
+  results and relays the kernel's word that one died — the same MPI
+  stack, with the bytes genuinely crossing address spaces.
 
 :func:`mpiexec` is the launcher; :meth:`World.spawn` provides the MPI-2
 dynamic process management Motor implemented (paper §7: "selected MPI-2

@@ -1,15 +1,24 @@
 """The proc substrate: one real OS process per rank.
 
-The launcher side (:class:`ProcSubstrate`) creates the world's shared
-ring mapping, starts a :class:`~repro.cluster.router.PacketRouter`, forks
-``n`` worker processes running :func:`_worker_entry`, and collects their
-pickled results (or failures) off the router's control plane.  Each
-worker builds its *own* single-rank :class:`~repro.cluster.world.World`
-bound to a :class:`_WorkerSubstrate`, whose fabric is a one-endpoint
-:class:`~repro.mp.channels.proc.ProcFabric` over the inherited mapping,
-dialling the launcher's router for control — so the entire MPI stack
-above the channel seam runs unmodified in a genuinely separate address
-space, and packets never pass through the launcher.
+The launcher side (:class:`ProcSubstrate`) builds the world's
+:class:`~repro.mp.channels.sock.SockFabric` — its shared ring mapping —
+forks ``n`` worker processes running :func:`_worker_entry`, and waits on
+two things per worker with :func:`multiprocessing.connection.wait`: the
+read end of a one-way pipe carrying its pickled result (or failure), and
+its process sentinel.  Each worker builds its *own* single-rank
+:class:`~repro.cluster.world.World` bound to a :class:`_WorkerSubstrate`,
+whose fabric is a plain ``SockFabric`` over the inherited mapping — so the
+entire MPI stack above the channel seam runs unmodified in a genuinely
+separate address space, packets never pass through the launcher, and the
+launcher runs no thread and keeps no socket.
+
+Control lives in the mapping's control block
+(:func:`~repro.mp.channels.sock.control_block`): each worker sets its
+``ready`` word and waits until every rank's is set (the boot barrier), and
+when the kernel reports a worker's process gone without a result the
+launcher sets its ``dead`` word and bumps ``deaths``, which every peer's
+channel reads on each poll.  A worker whose launcher dies is ended by the
+kernel (``PR_SET_PDEATHSIG``).
 
 What changes relative to ``inproc``, and only this:
 
@@ -24,23 +33,31 @@ What changes relative to ``inproc``, and only this:
   instead: a worker that dies surfaces as
   :class:`~repro.mp.errors.MpiErrProcFailed` on every peer and at the
   launcher);
+* ``channel=`` is ignored: the workers always run sock;
 * dynamic ranks (``spawn``/``replace_failed``) are unavailable — the
-  rings and star are fixed at boot.
+  rings are fixed at boot.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
+import os
 import pickle
+import signal
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.cluster.substrate import Substrate, draining, open_session
-from repro.mp.channels.base import ChannelStack
-from repro.mp.errors import MpiErrProcFailed
+from repro.mp.channels.sock import SockFabric, control_block
+from repro.mp.errors import MpiErrProcFailed, MpiFatalError
 from repro.simtime import CostModel
+
+#: prctl(2) option: the signal a process gets when its parent dies
+PR_SET_PDEATHSIG = 1
 
 
 class WorkerFailure(RuntimeError):
@@ -66,21 +83,6 @@ class WorldSpec:
     boot_timeout: float
 
 
-class _LauncherFabric:
-    """The launcher's stand-in fabric: it owns the router, hosts no ranks."""
-
-    supports_dynamic_ranks = False
-
-    def __init__(self, router) -> None:
-        self.router = router
-
-    def endpoint(self, *args, **kwargs):
-        raise RuntimeError(
-            "the proc launcher hosts no ranks; endpoints live in the "
-            "worker processes"
-        )
-
-
 class ProcSubstrate(Substrate):
     """Real multi-process execution behind the same World seam."""
 
@@ -88,14 +90,9 @@ class ProcSubstrate(Substrate):
     hosting = "process"
     supports_dynamic_ranks = False
 
-    def __init__(self, world, boot_timeout: float = 30.0, result_grace: float = 5.0) -> None:
+    def __init__(self, world, boot_timeout: float = 30.0) -> None:
         super().__init__(world)
         self.boot_timeout = boot_timeout
-        #: how long after the last worker exits to wait for the router
-        #: thread to drain its RESULT/ERROR frames
-        self.result_grace = result_grace
-        self.router = None
-        self.mapping = None
 
     def validate(self) -> None:
         w = self.world
@@ -121,14 +118,9 @@ class ProcSubstrate(Substrate):
             )
 
     def build_fabric(self):
-        from repro.cluster.router import PacketRouter
-        from repro.mp.channels.sock import ring_mapping
-
-        # the rings exist before any worker does: an early packet just waits
-        self.mapping = ring_mapping(self.world.size)
-        self.router = PacketRouter(self.world.size)
-        self.router.start()
-        return _LauncherFabric(self.router)
+        # the rings exist before any worker does: an early packet just waits;
+        # the endpoints are the workers', one each
+        return SockFabric(self.world.size)
 
     def launch(
         self,
@@ -148,78 +140,63 @@ class ProcSubstrate(Substrate):
             observe=w.observe,
             boot_timeout=self.boot_timeout,
         )
+        mapping = w.fabric.mapping
+        _, dead, deaths = control_block(mapping, w.size)
         # fork, the one start method: the mapping has no name to reopen
         ctx = multiprocessing.get_context("fork")
-        procs: list = []
-        exitcodes: dict[int, int | None] = {}
+        procs, pipes = [], []
+        #: by rank, what the launch has not heard yet: a report pipe not yet
+        #: read, a worker not yet exited
+        unread: dict = {}
+        live: dict = {}
+        #: rank -> ("result" | "error", pickled body)
+        reports: dict[int, tuple[str, bytes]] = {}
         try:
             for rank in range(n):
+                rd, wr = ctx.Pipe(duplex=False)
                 p = ctx.Process(
                     target=_worker_entry,
-                    args=(spec, self.router.address, self.mapping, rank, main, session_factory),
+                    args=(spec, mapping, rank, main, session_factory, wr, os.getpid()),
                     name=f"rank-{rank}",
                     daemon=True,
                 )
                 p.start()
+                wr.close()
                 procs.append(p)
+                pipes.append(rd)
+                unread[rd] = live[p.sentinel] = rank
             deadline = time.monotonic() + timeout
-            for rank, p in enumerate(procs):
-                p.join(max(0.0, deadline - time.monotonic()))
-                if p.is_alive():
-                    raise TimeoutError(
-                        f"rank-{rank} did not finish within {timeout}s"
-                    )
-                exitcodes[rank] = p.exitcode
-            self._await_control_plane(n)
+            while live:
+                # a pipe is read the moment it is readable: a result larger
+                # than the pipe's buffer never leaves its worker blocked
+                ready = wait([*unread, *live], max(0.0, deadline - time.monotonic()))
+                if not ready:
+                    break
+                for obj in ready:
+                    if obj in unread:
+                        _read_report(unread.pop(obj), obj, reports)
+                for rank in [live.pop(obj) for obj in ready if obj in live]:
+                    if pipes[rank] in unread:  # exited: all it wrote is in the pipe
+                        _read_report(unread.pop(pipes[rank]), pipes[rank], reports)
+                    if reports.get(rank, ("",))[0] != "result":
+                        dead[rank] = 1
+                        deaths[0] += 1
         finally:
             self._reap(procs)
+            for rd in unread:
+                rd.close()
             w.shutdown()
-        return self._collect(n, exitcodes)
-
-    # -- result collection ---------------------------------------------------------
-
-    def _await_control_plane(self, n: int) -> None:
-        """The router thread may still be draining RESULT frames the
-        workers wrote just before exiting; give it a bounded moment."""
-        deadline = time.monotonic() + self.result_grace
-        while time.monotonic() < deadline:
-            results = self.router.results_snapshot()
-            dead = self.router.dead_snapshot()
-            if all(r in results or r in dead for r in range(n)):
-                return
-            time.sleep(0.005)
-
-    def _collect(self, n: int, exitcodes: dict[int, int | None]) -> list[Any]:
-        results = self.router.results_snapshot()
-        dead = self.router.dead_snapshot()
-        # worker-raised errors outrank transport verdicts, and among them a
-        # root-cause application error outranks the MpiErrProcFailed /
-        # MpiFatalError storms it set off on the surviving ranks
-        errors = [
-            _unpickle_failure(rank, results[rank][1])
-            for rank in range(n)
-            if rank in results and results[rank][0] == "error"
-        ]
-        if errors:
-            from repro.mp.errors import MpiFatalError
-
-            consequence = (MpiErrProcFailed, MpiFatalError)
-            for exc in errors:
-                if not isinstance(exc, consequence):
-                    raise exc
-            raise errors[0]
-        out: list[Any] = []
-        for rank in range(n):
-            kind_body = results.get(rank)
-            if kind_body is None:
-                code = exitcodes.get(rank)
-                raise MpiErrProcFailed(
-                    f"rank {rank} worker process exited (exitcode {code}) "
-                    "without a result",
-                    failed=frozenset(dead | {rank}),
-                )
-            out.append(pickle.loads(kind_body[1]))
-        return out
+        failure = _failure([r for r in range(n) if r not in live.values()], reports, procs)
+        if live:
+            hung = TimeoutError(
+                f"rank(s) {sorted(live.values())} did not finish within {timeout}s"
+            )
+            if failure is None:
+                raise hung
+            raise failure from hung
+        if failure is not None:
+            raise failure
+        return [pickle.loads(reports[rank][1]) for rank in range(n)]
 
     def _reap(self, procs: list) -> None:
         """No worker outlives the launch: terminate, then kill, stragglers."""
@@ -233,9 +210,40 @@ class ProcSubstrate(Substrate):
                     p.kill()
                     p.join(1.0)
 
-    def shutdown(self) -> None:
-        if self.router is not None:
-            self.router.stop()
+
+def _read_report(rank: int, conn, reports: dict) -> None:
+    """A worker's one report off its pipe; nothing when it closed unwritten."""
+    try:
+        reports[rank] = conn.recv()
+    except EOFError:
+        pass
+    finally:
+        conn.close()
+
+
+def _failure(ranks: list[int], reports: dict, procs: list) -> BaseException | None:
+    """What the launch raises for these finished ranks, if anything.
+
+    Worker-raised errors outrank a missing result, and among them a
+    root-cause application error outranks the MpiErrProcFailed /
+    MpiFatalError storms it set off on the surviving ranks.
+    """
+    errors = [
+        _unpickle_failure(rank, reports[rank][1])
+        for rank in ranks
+        if reports.get(rank, ("",))[0] == "error"
+    ]
+    if errors:
+        consequence = (MpiErrProcFailed, MpiFatalError)
+        return next((exc for exc in errors if not isinstance(exc, consequence)), errors[0])
+    lost = [rank for rank in ranks if rank not in reports]
+    if lost:
+        return MpiErrProcFailed(
+            f"rank {lost[0]} worker process exited (exitcode "
+            f"{procs[lost[0]].exitcode}) without a result",
+            failed=frozenset(lost),
+        )
+    return None
 
 
 def _unpickle_failure(rank: int, body: bytes) -> BaseException:
@@ -259,18 +267,15 @@ class _WorkerSubstrate(Substrate):
     hosting = "process"
     supports_dynamic_ranks = False
 
-    def __init__(self, world, address, mapping) -> None:
+    def __init__(self, world, mapping) -> None:
         super().__init__(world)
-        self.address = address
         self.mapping = mapping
 
     def validate(self) -> None:
         return None
 
     def build_fabric(self):
-        from repro.mp.channels.proc import ProcFabric
-
-        return ProcFabric(self.world.size, address=self.address, mapping=self.mapping)
+        return SockFabric(self.world.size, mapping=self.mapping)
 
     def launch(self, n, main, session_factory, timeout):
         raise RuntimeError(
@@ -279,53 +284,80 @@ class _WorkerSubstrate(Substrate):
         )
 
 
-def _proc_channel(engine):
-    """The engine's underlying ProcChannel (through any stacked layers)."""
-    ch = engine.device.channel
-    if isinstance(ch, ChannelStack):
-        ch = ch.unwrap()
-    return ch
+def _die_with(launcher: int) -> None:
+    """End this process when its launcher ends: the kernel's parent-death
+    signal, armed, then a check for a launcher that died before it was."""
+    prctl = getattr(ctypes.CDLL(None, use_errno=True), "prctl", None)  # Linux only
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        if prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != launcher:
+        os._exit(1)
 
 
-def _worker_entry(spec: WorldSpec, address, mapping, rank: int, main, session_factory) -> None:
-    """One worker process's whole life: connect, barrier, run, report."""
+def _meet(mapping, size: int, rank: int, timeout: float) -> None:
+    """The boot barrier, in the mapping: set this rank's ready word, then
+    wait until every rank's is set (or the launcher has declared it dead,
+    which the channel's first poll reads)."""
+    ready, dead, _ = control_block(mapping, size)
+    ready[rank] = 1
+    deadline = time.monotonic() + timeout
+    while not all(ready[p] or dead[p] for p in range(size)):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"rank {rank}: world did not assemble within {timeout}s")
+        time.sleep(0.0002)
+
+
+def _flush(ch, timeout: float = 5.0) -> None:
+    """Push the channel's backlogs out before the process ends: a peer may
+    still be waiting for the tail of this rank's last frame, and drains its
+    ring only by polling.  Each poll here also reads the death notices, so
+    a dead peer's backlog is dropped, not waited on."""
+    deadline = time.monotonic() + timeout
+    while ch.tx_backlog and time.monotonic() < deadline:
+        ch.recv_packets()
+        time.sleep(0.0005)
+
+
+def _worker_entry(
+    spec: WorldSpec, mapping, rank: int, main, session_factory, results, launcher: int
+) -> None:
+    """One worker process's whole life: barrier, run, flush, report."""
     from repro.cluster.world import World
 
     world = None
-    ch = None
     try:
+        _die_with(launcher)
         world = World(
             spec.size,
-            channel="proc",
+            channel="sock",
             clock_mode=spec.clock_mode,
             costs=spec.costs,
             eager_threshold=spec.eager_threshold,
             reliable=spec.reliable,
             reliability_opts=spec.reliability_opts,
             observe=spec.observe,
-            substrate=lambda w: _WorkerSubstrate(w, address, mapping),
+            substrate=lambda w: _WorkerSubstrate(w, mapping),
         )
         ctx = world.context_for(rank)
-        ch = _proc_channel(ctx.engine)
-        # barrier-at-boot: no main starts until every rank is reachable
-        ch.wait_ready(spec.boot_timeout)
+        # barrier-at-boot: no main starts until every rank is up
+        _meet(mapping, spec.size, rank, spec.boot_timeout)
         open_session(ctx, session_factory)
         result = draining(world, main)(ctx)
-        ch.send_result(result)
-        ch.send_bye()
+        _flush(ctx.engine.device.channel)
+        results.send(("result", pickle.dumps(result)))
     except BaseException as exc:
-        if ch is not None:
-            try:
-                payload = pickle.dumps(("raise", exc))
-            except Exception:
-                payload = pickle.dumps(
-                    ("info", (type(exc).__name__, str(exc), traceback.format_exc()))
-                )
-            try:
-                ch.send_error(payload)
-                ch.send_bye()
-            except Exception:
-                pass
+        try:
+            payload = pickle.dumps(("raise", exc))
+        except Exception:
+            payload = pickle.dumps(
+                ("info", (type(exc).__name__, str(exc), traceback.format_exc()))
+            )
+        try:
+            results.send(("error", payload))
+        except Exception:
+            pass
         raise SystemExit(1)
     finally:
         try:

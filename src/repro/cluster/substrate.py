@@ -9,13 +9,14 @@ the decisions that differ between a simulated and a real deployment:
   process per rank (``proc``); the ``hosting`` fact every engine is
   told, which decides the idle-wait policy and nothing else;
 * **fabric construction** — an in-memory fabric built from
-  ``FABRICS[channel]`` versus shared-memory rings plus a control router
-  the worker endpoints dial;
+  ``FABRICS[channel]`` versus the sock fabric's rings in a mapping the
+  forked workers inherit, one endpoint each;
 * **clock selection** — which :class:`~repro.simtime.Clock` each rank
   gets (both substrates honour ``clock_mode``; packets carry their
   virtual timestamps across the real wire too);
 * **the boot barrier** — inproc ranks are born connected, proc ranks
-  block on the router's ``GO`` before their mains run;
+  each set a ready word in the mapping and wait for every rank's before
+  their mains run;
 * **what follows from hosting** — an idle wait cedes the shared
   interpreter at once versus spinning before it yields a CPU of its own
   (``progress="async"`` is a recurring task on the rank's simulated

@@ -164,8 +164,8 @@ class World:
         """Route transport-level death verdicts into the device.
 
         Channels with a failure detector of their own expose
-        ``on_peer_dead`` (sock and proc: a malformed frame on a peer's
-        ring; proc also: the router's DEAD frames); wiring it to
+        ``on_peer_dead`` (sock: a malformed frame on a peer's ring, and
+        under the proc substrate the launcher's death notices); wiring it to
         ``device._peer_failed`` turns a dead peer into ordinary
         ``MPI_ERR_PROC_FAILED`` completions for every waiter.
         """

@@ -16,9 +16,8 @@ Channel` is that five-function interface.  Three mechanisms implement it:
   over several polls — the configuration Motor shipped with, and the
   mechanism the pinning ablations need.  ``ssm`` composes the two (shm
   for peers on the same node, sock across nodes) and adds no mechanism of
-  its own; ``proc`` is sock with its rings in a mapping worker processes
-  share, plus a control socket to the launcher's router — what the proc
-  execution substrate runs on; see :mod:`repro.cluster.substrate`.
+  its own.  The proc execution substrate runs sock unchanged, its rings in
+  a mapping the worker processes inherit; see :mod:`repro.cluster.procsub`.
 
 :class:`FaultyChannel` is a wrapper, not a transport: it composes over
 any of the concrete channels and injects the failures described by a
@@ -28,7 +27,6 @@ seeded :class:`FaultPlan` (see ``repro.mp.channels.faulty``).
 from repro.mp.channels.base import Channel, ChannelFabric
 from repro.mp.channels.faulty import FaultPlan, FaultyChannel, FaultyFabric
 from repro.mp.channels.mem import IbChannel, IbFabric, ShmChannel, ShmFabric
-from repro.mp.channels.proc import ProcChannel, ProcFabric
 from repro.mp.channels.sock import SockChannel, SockFabric
 from repro.mp.channels.ssm import SsmChannel, SsmFabric
 
@@ -37,7 +35,6 @@ FABRICS = {
     "sock": SockFabric,
     "ssm": SsmFabric,
     "ib": IbFabric,
-    "proc": ProcFabric,
 }
 
 __all__ = [
@@ -51,8 +48,6 @@ __all__ = [
     "SsmFabric",
     "IbChannel",
     "IbFabric",
-    "ProcChannel",
-    "ProcFabric",
     "FaultPlan",
     "FaultyChannel",
     "FaultyFabric",

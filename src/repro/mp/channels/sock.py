@@ -4,26 +4,32 @@ The configuration Motor shipped with: "the MPICH2 Windows sock channel
 within the CH3 device" (paper §7, Figure 7).  Each ordered pair of ranks
 (``src -> dst``; the diagonal carries self-sends) is joined by a bounded
 single-producer/single-consumer byte :class:`Ring`, the 'socket', and
-packets cross it as :mod:`~repro.mp.channels.wire` ``PKT`` frames.  The
-frame write is the wire crossing, where any
-:class:`~repro.mp.buffers.WireView` lease ends: the frame prefix and the
-packet header go into the ring, then the payload straight from its view,
-and only what does not fit is copied onto a per-destination backlog that
-every ``recv_packets`` pushes on.  Each inbound ring is drained by a
-per-peer :class:`RingReader`, which copies a whole payload out of the ring
-as one ``bytes`` — once in, once out, the ring being the eager buffer.
+packets cross it as frames::
+
+    [u32 length] [u8 ftype = PKT] [i32 dst] [packet header] [payload]
+
+``length`` counts everything after itself.  The frame write is the wire
+crossing, where any :class:`~repro.mp.buffers.WireView` lease ends: the
+frame prefix and the packet header go into the ring, then the payload
+straight from its view, and only what does not fit is copied onto a
+per-destination backlog that every ``recv_packets`` pushes on.  Each
+inbound ring is drained by a per-peer :class:`RingReader`, which copies a
+whole payload out of the ring as one ``bytes`` — once in, once out, the
+ring being the eager buffer.
 
 One ring size serves every world (:data:`RING_CAPACITY`), large enough
 that no eager frame at the default threshold is ever split.  A frame
 larger than the ring still works: it arrives in pieces, the remainder on
 a later poll.
 
-All ``n x n`` rings live in one anonymous mapping (:func:`ring_mapping`):
-private to this process here, inherited by forked workers under the proc
-channel (:mod:`repro.mp.channels.proc`), which adds only a control socket.
-A stream cannot be resynchronised after a malformed frame (an impossible
-length, a torn packet, a frame for another rank), and each ring names its
-producer: that peer alone is declared dead (``dead_ranks``,
+All ``n x n`` rings live in one anonymous mapping (:func:`ring_mapping`),
+followed by a small control block (:func:`control_block`): private to
+this process in an inproc world, inherited by the forked workers of the
+proc substrate, which meet in it at boot and learn of a peer's death from
+it (the launcher writes that, when the kernel reports the peer's process
+gone).  A stream cannot be resynchronised after a malformed frame (an
+impossible length, a torn packet, a frame for another rank), and each
+ring names its producer: that peer alone is declared dead (``dead_ranks``,
 ``on_peer_dead``) and its ring read no more.
 
 Motor's sock channel learnt which sockets had data from an I/O completion
@@ -37,13 +43,22 @@ read off the ring cursors and no port is simulated.
 from __future__ import annotations
 
 import mmap
+import struct
 from collections import deque
 
 from repro.mp.channels.base import Channel, ChannelFabric
-from repro.mp.channels.wire import LENGTH_SIZE, MAX_FRAME, PKT, PREFIX
 from repro.mp.packets import HEADER_SIZE, Packet
 from repro.simtime import Clock, CostModel
 
+#: a frame's fixed prefix: ``length``, ``ftype``, ``arg`` (the destination)
+PREFIX = struct.Struct("<IBi")
+#: the ``length`` field itself, which ``length`` does not count
+LENGTH_SIZE = 4
+#: the one frame type: a packet
+PKT = 1
+#: refuse frames beyond this size (a corrupted length prefix must not
+#: allocate gigabytes); generous for 256 KiB rendezvous chunks
+MAX_FRAME = 64 << 20
 #: two cache lines ahead of the data, so the cursors never share one
 RING_HEADER = 128
 #: u64 slots in the header: the consumer alone writes ``head``, the
@@ -191,12 +206,28 @@ def packet_lead(pkt: Packet) -> bytes:
     return PREFIX.pack(MIN_LENGTH + len(pkt.payload), PKT, pkt.dst) + pkt.pack_header()
 
 
+def _control_size(world_size: int) -> int:
+    return 8 * (2 * world_size + 1)
+
+
 def ring_mapping(world_size: int, capacity: int = RING_CAPACITY) -> mmap.mmap:
-    """A world's ``n x n`` rings: anonymous shared memory, inherited by
-    forked workers and freed with its last reference — no name, no unlink,
-    no resource tracker (the stdlib's named segments would also cost ~4 MiB
-    of imports in launcher and worker alike)."""
-    return mmap.mmap(-1, world_size * world_size * (RING_HEADER + capacity))
+    """A world's ``n x n`` rings and their control block: anonymous shared
+    memory, inherited by forked workers and freed with its last reference —
+    no name, no unlink, no resource tracker (the stdlib's named segments
+    would also cost ~4 MiB of imports in launcher and worker alike)."""
+    rings = world_size * world_size * (RING_HEADER + capacity)
+    return mmap.mmap(-1, rings + _control_size(world_size))
+
+
+def control_block(mapping, world_size: int) -> tuple[memoryview, memoryview, memoryview]:
+    """The u64 words after a mapping's rings, through the cursors' kind of
+    ``cast("Q")`` view: ``ready`` and ``dead`` by rank, then the one-word
+    ``deaths`` count.  Each word has one writer: ``ready[r]`` rank ``r``'s
+    process (the boot barrier), ``dead`` and ``deaths`` the launcher, which
+    sets ``dead[r]`` and *then* bumps ``deaths`` when rank ``r``'s process
+    ends without a result."""
+    words = memoryview(mapping)[len(mapping) - _control_size(world_size):].cast("Q")
+    return words[:world_size], words[world_size:2 * world_size], words[2 * world_size:]
 
 
 class SockChannel(Channel):
@@ -204,7 +235,8 @@ class SockChannel(Channel):
 
     def __init__(self, rank: int, clock: Clock, costs: CostModel, mapping, size: int) -> None:
         super().__init__(rank, clock, costs)
-        stride = len(mapping) // (size * size)  # the ring size is the mapping's
+        # the ring size is the mapping's, less its control block
+        stride = (len(mapping) - _control_size(size)) // (size * size)
         capacity = stride - RING_HEADER
         if capacity < LEAD:
             raise ValueError(f"ring capacity {capacity} cannot hold a {LEAD}-byte frame lead")
@@ -219,7 +251,13 @@ class SockChannel(Channel):
         self._backlog = [bytearray() for _ in range(size)]
         #: decoded packets an earlier poll's limit left behind
         self._inbox: deque[Packet] = deque()
-        #: ranks declared dead: here, by a malformed frame on their ring
+        #: the launcher's death notices: dead words by rank, the count of
+        #: them this endpoint has read, and the ranks last read as dead
+        _, self._dead, self._deaths = control_block(mapping, size)
+        self._deaths_seen = 0
+        self._dying: list[int] = []
+        #: ranks declared dead: by a malformed frame on their ring, or by
+        #: the launcher once their process ended
         self.dead_ranks: set[int] = set()
         #: wired by the world to ``device._peer_failed`` — the seam where a
         #: transport-level death becomes MPI_ERR_PROC_FAILED
@@ -244,8 +282,17 @@ class SockChannel(Channel):
         return True
 
     def recv_packets(self, limit: int | None = None) -> list[Packet]:
-        self.flush_all()
         inbox = self._inbox
+        if self._dying and not inbox:
+            # what they published before dying was drained by the poll that
+            # read of their death, and is delivered: only now do waits fail
+            for rank in self._dying:
+                self._peer_dead(rank)
+            self._dying = []
+        if self._deaths[0] != self._deaths_seen:  # one load per poll
+            self._deaths_seen = self._deaths[0]
+            self._dying = [rank for rank, dead in enumerate(self._dead) if dead]
+        self.flush_all()
         for src, reader in enumerate(self._rx):
             if reader is None:  # dead
                 continue
@@ -290,11 +337,15 @@ class SockChannel(Channel):
 
 
 class SockFabric(ChannelFabric):
+    """Endpoints over one :func:`ring_mapping`: a fresh one by default, or
+    ``mapping`` — how a proc worker builds its fabric over the one its
+    launcher made before forking, taking one endpoint of it."""
+
     channel_cls = SockChannel
 
-    def __init__(self, world_size: int, pipe_capacity: int = RING_CAPACITY) -> None:
+    def __init__(self, world_size: int, mapping=None) -> None:
         super().__init__(world_size)
-        self.mapping = ring_mapping(world_size, pipe_capacity)
+        self.mapping = ring_mapping(world_size) if mapping is None else mapping
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> SockChannel:
         return SockChannel(rank, clock, costs, self.mapping, self.world_size)

@@ -121,7 +121,7 @@ def sweep_buffer_pingpong(
 
     ``substrate`` picks where the two ranks live: ``"inproc"`` (threads
     over the simulated channel) or ``"proc"`` (real OS processes over the
-    packet router).
+    sock channel's shared-memory rings).
     """
     main = BufferPingPong(flavor, sizes, iterations, timed, runs, verify)
     results = mpiexec(

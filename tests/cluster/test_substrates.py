@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,6 +95,15 @@ class ErrorMain:
         return "survived"
 
 
+class SlowErrorMain:
+    """Rank 1 raises at once; rank 0 sleeps past the launch timeout."""
+
+    def __call__(self, ctx):
+        if ctx.rank == 1:
+            raise ValueError("boom before the timeout")
+        time.sleep(30)
+
+
 @pytest.mark.parametrize("substrate", SUBSTRATES)
 class TestConformance:
     def test_pt2pt_eager(self, substrate):
@@ -146,6 +156,28 @@ class TestProcOnly:
         """The app error wins over the consequential peer-failure storm."""
         with pytest.raises(ValueError, match="boom from rank 1"):
             mpiexec(2, ErrorMain(), substrate="proc", timeout=LAUNCH_TIMEOUT)
+
+    def test_launch_timeout_keeps_the_root_cause(self):
+        """An error one rank reported outranks the timeout another caused,
+        which names every unfinished rank as the cause."""
+        with pytest.raises(ValueError, match="boom before the timeout") as err:
+            mpiexec(2, SlowErrorMain(), substrate="proc", timeout=3.0)
+        assert isinstance(err.value.__cause__, TimeoutError)
+        assert "rank(s) [0] did not finish" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_modelled_figures_equal_inproc_socks(self, n):
+        """Hosting moves no modelled number: real processes referee the
+        baton-scheduled threads, pair by pair."""
+        main = PairPingPong(sizes=[4, 1024, 65536, 131072, 262144], iterations=8, timed=4)
+        runs = [
+            mpiexec(n, main, clock_mode="virtual", timeout=LAUNCH_TIMEOUT, **where)
+            for where in ({"substrate": "proc"}, {"substrate": "inproc", "channel": "sock"})
+        ]
+        assert list(runs[0]) == list(runs[1])
+        assert runs[0][0] == {
+            4: 56.48, 1024: 76.88, 65536: 1367.12, 131072: 2677.84, 262144: 5190.136
+        }
 
     def test_sanitize_rejected_under_proc(self):
         with pytest.raises(ValueError, match="sanitize"):

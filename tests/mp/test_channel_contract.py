@@ -5,7 +5,8 @@ implementation honours the same observable contract.  This suite runs
 each concrete fabric — and the fault wrapper with an *empty* FaultPlan,
 which must be indistinguishable from its inner channel — through the
 same checks: per-source FIFO ordering, partial reads, drain quiescence
-and idempotent teardown.
+and idempotent teardown.  ``proc`` is sock as the proc substrate's workers
+hold it: each rank's endpoint from a fabric of its own, over one mapping.
 """
 
 import abc
@@ -16,22 +17,41 @@ import pytest
 from repro.mp.buffers import WireView
 from repro.mp.channels import FABRICS, FaultPlan, FaultyFabric
 from repro.mp.channels.base import Channel, ChannelStack
+from repro.mp.channels.sock import SockFabric, ring_mapping
 from repro.mp.packets import EAGER, Packet
 from repro.simtime import CostModel, WallClock
+
+
+class WorkerFabrics:
+    """The proc substrate's layout in one process: a SockFabric per rank
+    (per worker), all over the one mapping their launcher made."""
+
+    def __init__(self, size):
+        mapping = ring_mapping(size)
+        self._fabs = [SockFabric(size, mapping=mapping) for _ in range(size)]
+
+    def endpoint(self, rank, clock, costs):
+        return self._fabs[rank].endpoint(rank, clock, costs)
+
+    def shutdown(self):
+        for fab in self._fabs:
+            fab.shutdown()
 
 
 def _fabric(name, size=2):
     if name.startswith("faulty-"):
         inner = FABRICS[name.removeprefix("faulty-")](size)
         return FaultyFabric(inner, FaultPlan())
+    if name == "proc":
+        return WorkerFabrics(size)
     return FABRICS[name](size)
 
 
-IMPLS = sorted(FABRICS) + ["faulty-shm", "faulty-sock"]
+IMPLS = sorted(FABRICS) + ["proc", "faulty-shm", "faulty-sock"]
 
 #: hard per-loop bound: every receive loop in this suite must finish well
-#: inside it on any healthy transport (the proc channel crosses a real
-#: kernel socket, so "eventually" needs a wall deadline, not faith)
+#: inside it on any healthy transport ("eventually" needs a wall deadline,
+#: not faith)
 DRAIN_TIMEOUT = 10.0
 
 
@@ -289,7 +309,7 @@ class TestRmaContract:
     A channel either implements the native one-sided surface (``shm``,
     ``ib``) or inherits the ABC defaults — an empty capability set and
     ``False`` from every fast-path entry.  Either way the calls must be
-    graceful on every fabric, including ``proc``: a miss means "fall
+    graceful on every fabric: a miss means "fall
     back to the packet plane", never an exception.
     """
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.mp.buffers import BufferDesc, NativeMemory
-from repro.mp.channels import FABRICS, ProcFabric, ShmFabric, SockFabric, SsmFabric
+from repro.mp.channels import FABRICS, ShmFabric, SockFabric, SsmFabric
+from repro.mp.channels.sock import ring_mapping
 from repro.mp.packets import DATA, EAGER, Packet
 from repro.simtime import LINK_PROFILES, CostModel, VirtualClock, WallClock
 
@@ -68,24 +69,22 @@ class TestDelivery:
 class TestSockSpecific:
     def test_large_payload_streams_across_polls(self):
         """A payload bigger than the ring arrives over multiple polls —
-        the flow control the GC-hazard window depends on — on both
-        fabrics the ring data plane carries."""
-        for fabric_cls, kw in ((SockFabric, {"pipe_capacity": 4096}), (ProcFabric, {})):
-            fab, c0, c1 = make_pair(fabric_cls, **kw)
-            try:
-                big = bytes(range(256)) * (c0._tx[1].capacity // 64)  # 4x the ring
-                c0.send_packet(Packet(ptype=EAGER, src=0, dst=1, payload=big))
-                assert c0.tx_backlog > 0
-                got = []
-                for _ in range(100):
-                    got = c1.recv_packets()
-                    if got:
-                        break
-                    c0.flush_all()
-                assert got and got[0].payload == big, c0.name
-                assert c0.tx_backlog == 0
-            finally:
-                fab.shutdown()
+        the flow control the GC-hazard window depends on."""
+        fab, c0, c1 = make_pair(SockFabric, mapping=ring_mapping(2, 4096))
+        try:
+            big = bytes(range(256)) * (c0._tx[1].capacity // 64)  # 4x the ring
+            c0.send_packet(Packet(ptype=EAGER, src=0, dst=1, payload=big))
+            assert c0.tx_backlog > 0
+            got = []
+            for _ in range(100):
+                got = c1.recv_packets()
+                if got:
+                    break
+                c0.flush_all()
+            assert got and got[0].payload == big
+            assert c0.tx_backlog == 0
+        finally:
+            fab.shutdown()
 
     def test_interleaved_sources(self):
         fab = SockFabric(3)
@@ -140,7 +139,7 @@ class TestSsm:
         assert c0._sock.packets_sent == 1
 
     def test_registry(self):
-        assert set(FABRICS) == {"shm", "sock", "ssm", "ib", "proc"}
+        assert set(FABRICS) == {"shm", "sock", "ssm", "ib"}
 
 
 def _observables(ch, dst):

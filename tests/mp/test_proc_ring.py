@@ -1,19 +1,21 @@
-"""The ring data plane sock and proc share: the ring, then the channels.
+"""The ring data plane: the ring, then the sock channel, then real processes.
 
 First the :class:`~repro.mp.channels.sock.Ring` alone, over a plain
 ``bytearray`` (no process, no mapping): its cursor layout — the torn-cursor
 finding pinned as a unit test.  Then the frame stream through the channel's
 own sender and :class:`~repro.mp.channels.sock.RingReader` (FIFO and byte
-identity, wrap points, frame defects); then the channels (a malformed frame
-attributed to its sender on both ring fabrics; on proc's address-less
-fabric, frames larger than a ring, the teardown flush and the router
-refusing data), and last, behind ``-m realproc``, real worker processes.
+identity, wrap points, frame defects); then the channel (a malformed frame
+attributed to its sender, frames larger than a ring, the exit flush), and
+last, behind ``-m realproc``, the proc substrate's worker processes, which
+run that channel over their launcher's mapping: boot, death and the
+launcher's own death.
 """
 
 from __future__ import annotations
 
 import os
-import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -21,13 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import PacketRouter
+import repro
+from repro.cluster.procsub import _flush
 from repro.cluster.world import mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.channels import FABRICS
 from repro.mp.channels.sock import (
     HEAD_SLOT,
     LEAD,
+    LENGTH_SIZE,
+    MAX_FRAME,
+    PKT,
+    PREFIX,
     RING_CAPACITY,
     RING_HEADER,
     TAIL_SLOT,
@@ -35,10 +42,10 @@ from repro.mp.channels.sock import (
     RingReader,
     SockChannel,
     SockFabric,
+    control_block,
     packet_lead,
     ring_mapping,
 )
-from repro.mp.channels.wire import LENGTH_SIZE, MAX_FRAME, PKT, PREFIX, FrameReader
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
 from repro.mp.packets import EAGER, HEADER_SIZE, Packet
@@ -278,9 +285,11 @@ class TestDecodeDefectsAreValueErrors:
 
     @pytest.mark.parametrize("length", [0, 4, 0xFFFFFFFF])
     def test_impossible_frame_length(self, length):
-        """The control socket's decoder refuses the same lengths."""
+        """Below a lead, or beyond any frame: refused from the prefix alone."""
+        reader = RingReader(_ring(256), rank=0)
+        reader.ring.write(PREFIX.pack(length, PKT, 0))
         with pytest.raises(ValueError):
-            list(FrameReader().feed(length.to_bytes(4, "little") + b"\0" * 8))
+            reader.drain([])
 
 
 def _drain(ch, want, also_poll=()):
@@ -301,18 +310,9 @@ def _trio(name):
 
 @pytest.fixture
 def trio():
-    fab, chans = _trio("proc")
+    fab, chans = _trio("sock")
     yield chans
     fab.shutdown()
-
-
-@pytest.fixture
-def ring_trios():
-    """Three ranks on each fabric the ring data plane carries."""
-    fabs, trios = zip(*(_trio(name) for name in ("sock", "proc")))
-    yield trios
-    for fab in fabs:
-        fab.shutdown()
 
 
 class TestChannelOverRings:
@@ -334,14 +334,13 @@ class TestChannelOverRings:
 
     def test_has_incoming_sees_the_ring_before_the_socket(self, trio):
         c0, c1, _ = trio
-        _drain_control(c1)
         assert not c1.has_incoming()
         c0.send_packet(_pkt(0, 1, 1))
         assert c1.has_incoming()  # no poll in between: the cursors say so
 
     def test_teardown_flushes_the_backlog(self, trio):
         """Finding 3: the tail of a frame one byte larger than the ring
-        must not die with its sender."""
+        must not die with its sender — a proc worker's exit flush."""
         c0, c1, _ = trio
         body = _pattern(RING_CAPACITY)  # + header + frame head = capacity + 75
         assert LEAD == HEADER_SIZE + PREFIX.size == 75
@@ -350,52 +349,61 @@ class TestChannelOverRings:
         got = []
         peer = threading.Thread(target=lambda: got.extend(_drain(c1, 1)), daemon=True)
         peer.start()
-        c0.finalize()  # no further poll from c0: finalize alone must deliver
+        _flush(c0)  # no further poll from c0's engine: the exit flush must deliver
         peer.join(DRAIN_TIMEOUT)
         assert not peer.is_alive()
         assert bytes(got[0].payload_mv()) == body
 
-    def test_malformed_frame_kills_its_sender_only(self, ring_trios):
-        for c0, c1, c2 in ring_trios:
-            dead = []
-            c0.on_peer_dead = dead.append
-            c1.send_packet(_pkt(1, 0, 1))
-            assert [p.tag for p in _drain(c0, 1)] == [1]
-            c1._tx[0].write(memoryview(b"\xff" * 16))  # a garbage length prefix
-            c1.send_packet(_pkt(1, 0, 2))
-            c2.send_packet(_pkt(2, 0, 3))
-            assert [(p.src, p.tag) for p in _drain(c0, 1)] == [(2, 3)]
-            assert dead == [1] and c0.dead_ranks == {1}, c0.name
-            assert c0.recv_packets() == []  # rank 1's ring is read no more
-            c0.send_packet(_pkt(0, 1, 4))  # dropped: nobody will drain that ring
-            assert len(c0._tx[1]) == 0 and not c0._backlog[1]
+    def test_malformed_frame_kills_its_sender_only(self, trio):
+        c0, c1, c2 = trio
+        dead = []
+        c0.on_peer_dead = dead.append
+        c1.send_packet(_pkt(1, 0, 1))
+        assert [p.tag for p in _drain(c0, 1)] == [1]
+        c1._tx[0].write(memoryview(b"\xff" * 16))  # a garbage length prefix
+        c1.send_packet(_pkt(1, 0, 2))
+        c2.send_packet(_pkt(2, 0, 3))
+        assert [(p.src, p.tag) for p in _drain(c0, 1)] == [(2, 3)]
+        assert dead == [1] and c0.dead_ranks == {1}
+        assert c0.recv_packets() == []  # rank 1's ring is read no more
+        c0.send_packet(_pkt(0, 1, 4))  # dropped: nobody will drain that ring
+        assert len(c0._tx[1]) == 0 and not c0._backlog[1]
 
-    def test_frame_for_another_rank_is_malformed(self, ring_trios):
-        for c0, c1, _ in ring_trios:
-            dead = []
-            c0.on_peer_dead = dead.append
-            c1._tx[0].write(memoryview(_frame(_pkt(1, 2, 1))))
-            assert c0.recv_packets() == []
-            assert dead == [1], c0.name
+    def test_frame_for_another_rank_is_malformed(self, trio):
+        c0, c1, _ = trio
+        dead = []
+        c0.on_peer_dead = dead.append
+        c1._tx[0].write(memoryview(_frame(_pkt(1, 2, 1))))
+        assert c0.recv_packets() == []
+        assert dead == [1]
 
     @pytest.mark.parametrize(
         "garbage", [*BAD_PREFIXES.values(), _torn_frame()], ids=[*BAD_PREFIXES, "torn-payload"]
     )
-    def test_each_frame_defect_is_its_sender_dead_on_the_next_poll(self, ring_trios, garbage):
-        for c0, c1, _ in ring_trios:
-            dead = []
-            c0.on_peer_dead = dead.append
-            c1._tx[0].write(memoryview(garbage))
-            assert c0.recv_packets() == []
-            assert dead == [1] and c0._rx[1] is None, c0.name
+    def test_each_frame_defect_is_its_sender_dead_on_the_next_poll(self, trio, garbage):
+        c0, c1, _ = trio
+        dead = []
+        c0.on_peer_dead = dead.append
+        c1._tx[0].write(memoryview(garbage))
+        assert c0.recv_packets() == []
+        assert dead == [1] and c0._rx[1] is None
 
 
-def _drain_control(ch):
-    """Let the boot-time GO land so the control socket is quiet."""
-    deadline = time.monotonic() + DRAIN_TIMEOUT
-    while not ch.ready:
-        ch.recv_packets()
-        assert time.monotonic() < deadline
+def test_a_death_notice_follows_what_the_dead_rank_published():
+    """The launcher's word that rank 1's process ended: the poll that reads
+    it still delivers the frames rank 1 published, and the next one fails
+    what waits on rank 1 — on every peer."""
+    fab, (c0, c1, c2) = _trio("sock")
+    _, dead_words, deaths = control_block(fab.mapping, 3)
+    dead = {0: [], 2: []}
+    c0.on_peer_dead, c2.on_peer_dead = dead[0].append, dead[2].append
+    c1.send_packet(_pkt(1, 0, 1))
+    dead_words[1] = 1
+    deaths[0] += 1
+    assert [p.tag for p in c0.recv_packets()] == [1] and dead[0] == []
+    assert c0.recv_packets() == [] and dead[0] == [1] and c0.dead_ranks == {1}
+    assert c2.recv_packets() == c2.recv_packets() == [] and dead[2] == [1]
+    fab.shutdown()
 
 
 class GarbageMain:
@@ -421,44 +429,8 @@ class GarbageMain:
 
 
 def test_garbage_on_a_ring_is_proc_failed_for_that_peer():
-    results = mpiexec(3, GarbageMain(), channel="proc", timeout=LAUNCH_TIMEOUT)
+    results = mpiexec(3, GarbageMain(), channel="sock", timeout=LAUNCH_TIMEOUT)
     assert results == [b"rank-two", "corrupted", b"rank-nil"]
-
-
-def test_router_closes_a_connection_that_sends_it_a_packet():
-    router = PacketRouter(2)
-    router.start()
-    try:
-        with socket.create_connection(router.address, timeout=5.0) as conn:
-            conn.sendall(_frame(_pkt(0, 1, 1)))
-            assert conn.recv(64) == b""  # closed on us: nothing was relayed
-        assert router.frames_forwarded == 0
-    finally:
-        router.stop()
-
-
-class RouterLostMain:
-    """Rank 0 loses the router under a posted receive: every peer becomes
-    unreachable, so the wait ends typed instead of spinning or leaking the
-    socket's ``OSError``."""
-
-    def __call__(self, ctx):
-        eng = ctx.engine
-        ctx.comm_world.errhandler = ERRORS_RETURN
-        if ctx.rank == 1:
-            return "idle"
-        req = eng.irecv(BufferDesc.from_bytes(bytearray(8)), 1, TAG)
-        ctx.world.fabric._router.stop()
-        with pytest.raises(MpiErrProcFailed) as err:
-            eng.wait(req, timeout=DRAIN_TIMEOUT)
-        ch = eng.device.channel
-        ch.finalize()
-        return sorted(err.value.failed), sorted(ch.dead_ranks), ch._closed
-
-
-def test_losing_the_router_is_proc_failed_for_every_peer():
-    results = mpiexec(2, RouterLostMain(), channel="proc", timeout=LAUNCH_TIMEOUT)
-    assert results == [([1], [1], True), "idle"]
 
 
 # -- real processes ------------------------------------------------------------------
@@ -529,6 +501,55 @@ class DyingMidStreamMain:
         return "peer never died"
 
 
+class ThirdRankDiesMain:
+    """Rank 2 sends rank 0 one message, then its process dies; ranks 0 and 1
+    each wait on it, and rank 1 tells rank 0 what it saw."""
+
+    def __call__(self, ctx):
+        eng = ctx.engine
+        ctx.comm_world.errhandler = ERRORS_RETURN
+        if ctx.rank == 2:
+            eng.send(BufferDesc.from_bytes(b"last"), 0, TAG)
+            os._exit(1)
+        buf = BufferDesc.from_bytes(bytearray(4))
+        if ctx.rank == 0:
+            eng.recv(buf, 2, TAG)
+        try:
+            eng.recv(buf, 2, TAG)
+            saw = "nothing"
+        except MpiErrProcFailed as exc:
+            saw = f"failed={sorted(exc.failed)}"
+        if ctx.rank == 1:
+            eng.send(BufferDesc.from_bytes(saw.encode().ljust(32)), 0, TAG)
+            return saw
+        theirs = BufferDesc.from_bytes(bytearray(32))
+        eng.recv(theirs, 1, TAG)
+        raise SurvivorSaw(f"rank 0 {saw}, rank 1 {theirs.tobytes().decode().strip()}")
+
+
+#: a launcher whose two workers record their pids in the directory argv[1]
+#: and then outlive any test, unless something ends them
+SLEEPING_LAUNCHER = """
+import os, sys, time
+from repro.cluster import mpiexec
+
+def main(ctx):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+mpiexec(2, main, substrate="proc", timeout=120)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Exited: no process, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 @pytest.mark.realproc
 class TestRealProcesses:
     def test_small_and_ring_sized_frames_round_trip(self):
@@ -543,6 +564,34 @@ class TestRealProcesses:
         with pytest.raises(SurvivorSaw, match="MpiErrProcFailed after 5 messages"):
             mpiexec(2, DyingMidStreamMain(), substrate="proc", timeout=LAUNCH_TIMEOUT)
         assert time.monotonic() - t0 < 20.0
+
+    def test_a_death_is_proc_failed_on_every_survivor(self):
+        with pytest.raises(SurvivorSaw, match=r"rank 0 failed=\[2\], rank 1 failed=\[2\]"):
+            mpiexec(3, ThirdRankDiesMain(), substrate="proc", timeout=LAUNCH_TIMEOUT)
+
+    def test_losing_the_launcher_ends_its_workers(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        launcher = subprocess.Popen(
+            [sys.executable, "-c", SLEEPING_LAUNCHER, str(tmp_path)], env=env
+        )
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + LAUNCH_TIMEOUT
+            while len(pids) < 2:
+                assert time.monotonic() < deadline and launcher.poll() is None
+                time.sleep(0.05)
+                pids = [int(name) for name in os.listdir(tmp_path)]
+            launcher.kill()
+            launcher.wait()
+            deadline = time.monotonic() + 10.0
+            while not all(map(_gone, pids)):
+                assert time.monotonic() < deadline, "the workers outlived their launcher"
+                time.sleep(0.05)
+        finally:
+            launcher.kill()
+            for pid in pids:
+                if not _gone(pid):
+                    os.kill(pid, 9)
 
     def test_no_named_segment_is_left_behind(self):
         before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()

@@ -55,7 +55,7 @@ def start(d0, d1, payload, cap):
 
 class TestNegotiation:
     @pytest.mark.parametrize("name,granted", [
-        ("shm", True), ("ib", True), ("sock", False), ("ssm", False), ("proc", False),
+        ("shm", True), ("ib", True), ("sock", False), ("ssm", False),
     ])
     def test_only_the_in_memory_links_grant(self, name, granted):
         fab = FABRICS[name](2)
