@@ -55,6 +55,7 @@ COUNTERS = (
     "motor.serialization.calls_per_op",
     "motor.serialization.bytes_per_op",
     "runtime.gcollector.gen0_per_kop",
+    "runtime.gcollector.bytes_promoted_per_op",
     "cluster.router.frames_forwarded_per_op",
 )
 

@@ -26,11 +26,13 @@ primitive field and per primitive array, in walk order, never batched
 driven by charges).  The paper's own performance note — "at the time of
 writing we employ a linear structure to record objects visited.  This
 causes excessive search times with large numbers of objects and will be
-improved when we implement an efficient structure" — is such a charge:
-:class:`VisitedRecord` counts the comparisons a front-to-back scan makes
-and the serializer charges them (Motor's degradation above ~2048 objects
-in Figure 10; ``hashed`` is the announced fix, ablation A4).  How the host
-*finds* an address in the record is not modelled: it is a dict.
+improved when we implement an efficient structure" — is such a charge: the
+walk counts the comparisons a front-to-back scan of the visited record
+makes (``idx + 1`` on a hit, its length on a miss) and the probes a hashed
+one makes (one per lookup), and charges one of the two (Motor's
+degradation above ~2048 objects in Figure 10; ``hashed`` is the announced
+fix, ablation A4).  How the host *finds* an address in the record is not
+modelled: it is a dict.
 
 The **split representation** (one independently-deserializable part per
 array element) enables the OScatter/OGather operations no standard
@@ -38,23 +40,31 @@ serializer supports; see :meth:`MotorSerializer.serialize_array_split`.
 
 Safety: serialization touches raw heap addresses but never allocates
 managed memory or polls a safepoint, so no collection can move objects
-mid-walk.  Deserialization validates the whole representation before it
-allocates anything, then lands it in two passes: pass 1 allocates (and may
-therefore collect) holding only GC-updated handle slots; pass 2 allocates
-nothing, so it wires references between addresses read once.
+mid-walk.  Deserialization validates the whole representation — framing,
+object ids, that every non-Transportable reference is null and that every
+reference field can hold its target — before it allocates anything, then
+lands it in two passes.  Pass 1 lands *runs*: the
+records that fit the free nursery are bump-allocated with one heap call,
+and nothing in a run can move until the allocator is entered again (a
+charge never collects: async progress steps skip the safepoint yield).  The
+record that does not fit is where object-by-object allocation would
+collect, so the objects landed so far are rooted in GC-updated handle
+slots, it is allocated through the runtime, and the addresses are read
+back.  Pass 2 allocates nothing, so it wires references between addresses
+read once, and calls the write barrier only for slots outside the nursery
+— the only ones it can record.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import partial
 from typing import Iterable
 
 from repro.mp.buffers import BufferDesc
 from repro.mp.hooks import NULL_SPINE
-from repro.runtime.errors import ObjectModelViolation
+from repro.runtime.errors import ObjectModelViolation, TypeLoadError
 from repro.runtime.handles import ObjRef
-from repro.runtime.objectmodel import HDR_AUX, HDR_MT
+from repro.runtime.objectmodel import HDR_AUX, HDR_MT, HEADER
 from repro.runtime.typesys import (
     ARRAY_DATA_OFFSET,
     REF_SIZE,
@@ -81,61 +91,8 @@ class SerializationError(ObjectModelViolation):
     """Malformed representation or type-table mismatch at the receiver."""
 
 
-# ---------------------------------------------------------------------------
-# the visited-object record
-# ---------------------------------------------------------------------------
-
+#: how the visited record is priced: a front-to-back scan, or one probe
 VISITED_KINDS = ("linear", "hashed")
-
-
-class VisitedRecord:
-    """The objects visited so far, in visit order (their internal ids).
-
-    Modelled: ``comparisons`` is what the paper's linear structure spends
-    per lookup — a scan from the front, ``idx + 1`` compares on a hit and
-    ``len`` on a miss, so O(n^2) per serialization — and ``probes`` is one
-    per lookup, the "efficient structure" the paper promises.  ``kind``
-    selects which of the two :meth:`charge_ns` prices, and nothing else.
-
-    Host cost: ``_index`` finds an address in ``addrs`` without scanning.
-    It is bookkeeping of the simulator, charged to nobody.
-    """
-
-    def __init__(self, kind: str = "linear") -> None:
-        if kind not in VISITED_KINDS:
-            raise ValueError(f"unknown visited structure {kind!r}")
-        self.kind = kind
-        #: the record itself; the serializer walks it as its work queue
-        self.addrs: list[int] = []
-        self._index: dict[int, int] = {}
-        self.comparisons = 0
-        self.probes = 0
-
-    def lookup(self, addr: int) -> int | None:
-        idx = self._index.get(addr)
-        self.probes += 1
-        self.comparisons += len(self.addrs) if idx is None else idx + 1
-        return idx
-
-    def add(self, addr: int) -> int:
-        idx = self._index[addr] = len(self.addrs)
-        self.addrs.append(addr)
-        return idx
-
-    def visit(self, addr: int) -> int:
-        """The id ``addr`` is exchanged for, recording it on first sight."""
-        idx = self.lookup(addr)
-        return self.add(addr) if idx is None else idx
-
-    def charge_ns(self, costs) -> float:
-        """The modelled search cost of every lookup made so far."""
-        if self.kind == "linear":
-            return costs.visited_linear_cmp_ns * self.comparisons
-        return costs.visited_hash_probe_ns * self.probes
-
-
-LinearVisited = partial(VisitedRecord, "linear")
-HashedVisited = partial(VisitedRecord, "hashed")
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +224,21 @@ class _Plan:
 
     A class's record is one ``struct`` (``q`` per reference id, ``Ns`` per
     primitive, in layout order, no padding), so a field's place in the
-    record is its index in the packed tuple: ``refs`` holds ``(index,
-    transportable, heap offset, FieldDesc)`` and ``prims`` ``(index, heap
-    offset, size)``.  Reference fields are never charged and primitive
-    fields never visit, so walking the two in turn charges and numbers
-    exactly as walking the fields in layout order does.  An array's record
-    is a length and ``elem_size``-wide elements.
+    record is its index in the packed tuple: ``refs`` holds ``(index, heap
+    offset)`` of the Transportable references (``ref_index`` and
+    ``ref_fields`` the same references' indices and FieldDescs), ``opaque``
+    the index of every other reference (always null on the wire, §4.2.2),
+    and ``prims`` ``(index, heap offset, size)``.  Reference fields are never
+    charged and primitive fields never visit, so walking the two in turn
+    charges and numbers exactly as walking the fields in layout order does.
+    An array's record is a length and ``elem_size``-wide elements.
     """
 
-    __slots__ = ("mt", "kind", "elem_size", "instance_size", "refs", "prims", "record")
+    __slots__ = ("mt", "mt_id", "kind", "elem_size", "instance_size", "refs", "ref_index",
+                 "ref_fields", "ref_reader", "opaque", "prims", "record")
 
     def __init__(self, mt: MethodTable) -> None:
-        self.mt = mt
+        self.mt, self.mt_id = mt, mt.mt_id
         if mt.is_array:
             self.kind = _K_REF_ARRAY if mt.element_is_ref else _K_PRIM_ARRAY
             self.elem_size = mt.element_size
@@ -287,9 +247,16 @@ class _Plan:
             self.elem_size = 0
         self.instance_size = mt.instance_size
         fields = list(enumerate(mt.fields))  # none on an array
-        self.refs = tuple(
-            (i, fd.is_transportable, fd.offset, fd) for i, fd in fields if fd.is_ref
-        )
+        refs = [(i, fd) for i, fd in fields if fd.is_ref and fd.is_transportable]
+        self.refs = tuple((i, fd.offset) for i, fd in refs)
+        self.ref_index = tuple(i for i, _ in refs)
+        self.ref_fields = tuple(fd for _, fd in refs)
+        # The serializer reads every Transportable reference of an object
+        # with one struct call (offsets ascend in layout order).
+        ends = [0] + [fd.offset + REF_SIZE for _, fd in refs]
+        gaps = (f"{fd.offset - end}xQ" for (_, fd), end in zip(refs, ends))
+        self.ref_reader = struct.Struct("<" + "".join(gaps))
+        self.opaque = tuple(i for i, fd in fields if fd.is_ref and not fd.is_transportable)
         self.prims = tuple((i, fd.offset, fd.size) for i, fd in fields if not fd.is_ref)
         self.record = struct.Struct(
             "<" + "".join("q" if fd.is_ref else f"{fd.size}s" for _, fd in fields)
@@ -357,59 +324,78 @@ class MotorSerializer:
         charge = rt.clock.charge
         per_obj, per_byte = costs.motor_ser_per_obj_ns, costs.motor_ser_per_byte_ns
         plans = self._plans
-        u32_from, u64_from = _u32.unpack_from, _u64.unpack_from
+        u32_from = _u32.unpack_from
 
-        visited = VisitedRecord(self.visited_kind)
-        visit, queue = visited.visit, visited.addrs
+        # The visited record: ``queue`` is the objects in visit order (an
+        # object's internal id is its place in it) and doubles as the work
+        # queue; ``index`` finds an id without a scan, charged to nobody.
+        index: dict[int, int] = {}
+        queue: list[int] = []
+        probes = comparisons = 0
         type_refs: dict[int, int] = {}  # mt_id -> index in type table, in table order
         records = bytearray()
         if ref is not None and not ref.is_null:
-            visit(ref.addr)
-        done = 0
-        while done < len(queue):
-            addr = queue[done]
-            done += 1
+            index[ref.addr] = 0
+            queue.append(ref.addr)
+            probes = 1  # a lookup in the empty record: no comparisons
+        for addr in queue:  # grows as the walk finds objects
             charge(per_obj)
             (mt_id,) = u32_from(mem, addr + HDR_MT)
             plan = plans.get(mt_id) or self._plan(rt.om.method_table(addr))
             tidx = type_refs.setdefault(mt_id, len(type_refs))
             kind = plan.kind
             if kind == _K_CLASS:
+                # Only Transportable references propagate; others are
+                # swapped to null (§4.2.2).
                 values: list = [-1] * len(plan.mt.fields)
-                for i, transportable, offset, _ in plan.refs:
-                    # Only Transportable references propagate; others are
-                    # swapped to null (§4.2.2).
-                    if transportable:
-                        (child,) = u64_from(mem, addr + offset)
-                        if child:
-                            values[i] = visit(child)
+                children = zip(plan.ref_index, plan.ref_reader.unpack_from(mem, addr))
+            else:
+                (length,) = u32_from(mem, addr + HDR_AUX)
+                if kind == _K_PRIM_ARRAY:
+                    nbytes = length * plan.elem_size
+                    records += _u32x2.pack(tidx, length)
+                    records += heap.view(addr + ARRAY_DATA_OFFSET, nbytes)
+                    charge(per_byte * nbytes)
+                    continue
+                # Arrays are transported together with the array-entry
+                # objects they reference (paper §4.2.2).
+                values = [-1] * length
+                children = enumerate(
+                    struct.unpack_from(f"<{length}Q", mem, addr + ARRAY_DATA_OFFSET)
+                )
+            for i, child in children:
+                if child:
+                    # One lookup: a front-to-back scan compares idx + 1
+                    # entries on a hit and every entry on a miss.
+                    probes += 1
+                    idx = index.get(child)
+                    if idx is None:
+                        idx = index[child] = len(queue)
+                        queue.append(child)
+                        comparisons += idx
+                    else:
+                        comparisons += idx + 1
+                    values[i] = idx
+            if kind == _K_CLASS:
                 for i, offset, size in plan.prims:
                     values[i] = mem[addr + offset : addr + offset + size]
                     charge(per_byte * size)
                 records += _u32.pack(tidx)
                 records += plan.record.pack(*values)
-                continue
-            (length,) = u32_from(mem, addr + HDR_AUX)
-            if kind == _K_REF_ARRAY:
-                # Arrays are transported together with the array-entry
-                # objects they reference (paper §4.2.2).
-                children = struct.unpack_from(f"<{length}Q", mem, addr + ARRAY_DATA_OFFSET)
-                ids = [visit(child) if child else -1 for child in children]
-                records += struct.pack(f"<II{length}q", tidx, length, *ids)
             else:
-                nbytes = length * plan.elem_size
-                records += _u32x2.pack(tidx, length)
-                records += heap.view(addr + ARRAY_DATA_OFFSET, nbytes)
-                charge(per_byte * nbytes)
-        self.objects_serialized += done
+                records += struct.pack(f"<II{length}q", tidx, length, *values)
+        self.objects_serialized += len(queue)
 
-        charge(visited.charge_ns(costs))
+        if self.visited_kind == "linear":
+            charge(costs.visited_linear_cmp_ns * comparisons)
+        else:
+            charge(costs.visited_hash_probe_ns * probes)
 
         # Header + type table + object data.
         out += struct.pack("<III", MAGIC, 0, len(type_refs))
         for mt_id in type_refs:
             self._write_type_entry(out, plans[mt_id].mt)
-        out += _u32.pack(done)
+        out += _u32.pack(len(queue))
         out += records
 
     @staticmethod
@@ -456,11 +442,18 @@ class MotorSerializer:
         if rd.u32() != MAGIC:
             raise SerializationError("bad magic")
         rd.u32()  # flags
-        plans = [self._plan(self._read_type_entry(rd)) for _ in range(rd.u32())]
+        try:
+            plans = [self._plan(self._read_type_entry(rd)) for _ in range(rd.u32())]
+        except TypeLoadError as e:
+            raise SerializationError(f"type table: {e}") from None
         nrecords = rd.u32()
         pos, end = rd.pos, len(data)
         u32_from = _u32.unpack_from
         scanned = []
+        ids: list[int] = []  # every Transportable reference field's object id,
+        fields: list[FieldDesc] = []  # ... the field it fills,
+        elems: list[int] = []  # ... every reference array element's
+        nulls: list[int] = []  # ... and every other reference field's
         try:
             for _ in range(nrecords):
                 (tidx,) = u32_from(data, pos)
@@ -474,27 +467,41 @@ class MotorSerializer:
                 if kind == _K_CLASS:
                     values = plan.record.unpack_from(data, pos + 4)
                     pos += 4 + plan.record.size
-                    ids = [values[i] for i, _, _, _ in plan.refs]
+                    ids += [values[i] for i in plan.ref_index]
+                    fields += plan.ref_fields
+                    nulls += [values[i] for i in plan.opaque]
                     scanned.append((plan, 0, plan.instance_size, values))
+                    continue
+                (length,) = u32_from(data, pos + 4)
+                pos += 8
+                nbytes = length * plan.elem_size
+                if kind == _K_REF_ARRAY:
+                    values = struct.unpack_from(f"<{length}q", data, pos)
+                    elems += values
+                elif pos + nbytes > end:
+                    raise SerializationError("truncated representation")
                 else:
-                    (length,) = u32_from(data, pos + 4)
-                    pos += 8
-                    nbytes = length * plan.elem_size
-                    if kind == _K_REF_ARRAY:
-                        values = ids = struct.unpack_from(f"<{length}q", data, pos)
-                    elif pos + nbytes > end:
-                        raise SerializationError("truncated representation")
-                    else:
-                        values, ids = (pos, nbytes), ()
-                    pos += nbytes
-                    size = align8(ARRAY_DATA_OFFSET + nbytes)
-                    scanned.append((plan, length, size, values))
-                if ids and not (-1 <= min(ids) and max(ids) < nrecords):
-                    raise SerializationError(
-                        f"record {len(scanned) - 1}: object id outside [-1, {nrecords})"
-                    )
+                    values = (pos, nbytes)
+                pos += nbytes
+                scanned.append((plan, length, align8(ARRAY_DATA_OFFSET + nbytes), values))
         except struct.error:
             raise SerializationError("truncated representation") from None
+        for refs in (ids, elems):
+            if refs and not (-1 <= min(refs) and max(refs) < nrecords):
+                raise SerializationError(f"an object id outside [-1, {nrecords})")
+        if nulls.count(-1) != len(nulls):
+            raise SerializationError("an object id in a reference that is not Transportable")
+        # Every reference field can hold its target's type: the store rule,
+        # checked once per (field, target type) pair, in record order.
+        plan_of = [plan for plan, _, _, _ in scanned]
+        plan_of.append(None)  # id -1, null
+        for fd, target in dict.fromkeys(zip(fields, map(plan_of.__getitem__, ids))):
+            if target is not None and (fd, target.mt) not in self._storable:
+                try:
+                    self.runtime.check_storable(fd.declaring, fd, target.mt)
+                except ObjectModelViolation as e:
+                    raise SerializationError(str(e)) from None
+                self._storable.add((fd, target.mt))
         return scanned
 
     def _deserialize(self, data) -> ObjRef | None:
@@ -508,46 +515,69 @@ class MotorSerializer:
         charge = rt.clock.charge
         self.objects_deserialized += len(scanned)
 
-        # Pass 1: allocate every object.  Any allocation may collect, so
-        # each one is rooted in a handle slot the GC keeps current.
+        # Pass 1: land the objects in nursery runs (see the module
+        # docstring).  ``addrs`` holds every landed object's address;
+        # ``slots`` roots ``addrs[:len(slots)]`` across the collections.
+        addrs: list[int] = []
         slots: list[int] = []
         try:
-            alloc_object, root = rt.alloc_object, handles.alloc
-            per_obj = costs.motor_deser_per_obj_ns
-            for plan, length, size, _ in scanned:
+            per_obj, alloc_ns = costs.motor_deser_per_obj_ns, costs.alloc_ns
+            header, root, n, j = HEADER.pack_into, handles.alloc, len(scanned), 0
+            while True:
+                # The run: records j..k-1, which fit the free nursery (every
+                # size is 8-aligned), one bump.  Each object is still charged
+                # as allocating it alone would be.
+                room = free = heap.nursery.free
+                k = j
+                while k < n and scanned[k][2] <= room:
+                    room -= scanned[k][2]
+                    k += 1
+                addr = heap.alloc_gen0_run(free - room, k - j)
+                for plan, length, size, _ in scanned[j:k]:
+                    charge(per_obj)
+                    charge(alloc_ns)
+                    header(mem, addr, plan.mt_id, 0, size, length)
+                    addrs.append(addr)
+                    addr += size
+                if k == n:
+                    break
+                # Record k is where allocating object by object collects.
+                plan, length, size, _ = scanned[k]
                 charge(per_obj)
-                slots.append(root(alloc_object(plan.mt, size, length)))
+                slots += [root(a) for a in addrs[len(slots):]]
+                slots.append(root(rt.alloc_object(plan.mt, size, length)))
+                addrs = [handles.get(slot) for slot in slots]
+                j = k + 1
 
-            # Pass 2: fill payloads and wire references through the
-            # barrier.  Nothing from here to the last store allocates or
-            # polls a safepoint, so the addresses are read once.
-            addrs = [handles.get(slot) for slot in slots]
+            # Pass 2: fill payloads and wire references.  Nothing from here
+            # to the last store allocates or polls a safepoint, so the
+            # addresses are read once.  The barrier records only a slot
+            # outside the nursery, so a young object skips it.
             per_byte = costs.motor_ser_per_byte_ns
             record_write = rt.gc.record_write
-            storable = self._storable
+            young = range(heap.nursery.base, heap.nursery.end)
             u64_into = _u64.pack_into
             for (plan, length, _, values), addr in zip(scanned, addrs):
                 kind = plan.kind
                 if kind == _K_CLASS:
-                    for i, _, offset, fd in plan.refs:
+                    for i, offset in plan.refs:
                         rid = values[i]
                         if rid < 0:
                             continue  # null: the instance was zeroed
-                        target_mt = scanned[rid][0].mt
-                        if (fd, target_mt) not in storable:
-                            rt.check_storable(plan.mt, fd, target_mt)
-                            storable.add((fd, target_mt))
-                        u64_into(mem, addr + offset, addrs[rid])
-                        record_write(addr + offset, addrs[rid])
+                        target = addrs[rid]
+                        u64_into(mem, addr + offset, target)
+                        if addr not in young:
+                            record_write(addr + offset, target)
                     for i, offset, size in plan.prims:
                         mem[addr + offset : addr + offset + size] = values[i]
                 elif kind == _K_REF_ARRAY:
                     base = addr + ARRAY_DATA_OFFSET
                     targets = [addrs[rid] if rid >= 0 else 0 for rid in values]
                     struct.pack_into(f"<{length}Q", mem, base, *targets)
-                    for i, target in enumerate(targets):
-                        if target:
-                            record_write(base + REF_SIZE * i, target)
+                    if addr not in young:
+                        for i, target in enumerate(targets):
+                            if target:
+                                record_write(base + REF_SIZE * i, target)
                 else:
                     pos, nbytes = values
                     base = addr + ARRAY_DATA_OFFSET

@@ -122,14 +122,21 @@ class ManagedHeap:
     # -- allocation ---------------------------------------------------------------
 
     def alloc_gen0(self, size: int) -> int | None:
-        """Bump-allocate in the nursery; None signals 'collect and retry'."""
-        size = align8(size)
-        if self.nursery.free < size:
+        """Bump-allocate one zeroed object in the nursery; None signals
+        'collect and retry'."""
+        return self.alloc_gen0_run(align8(size), 1)
+
+    def alloc_gen0_run(self, nbytes: int, count: int) -> int | None:
+        """Bump ``count`` adjacent objects, ``nbytes`` in all (each 8-aligned),
+        into the nursery as one zeroed span; None signals 'collect and retry'."""
+        nursery = self.nursery
+        addr = nursery.alloc_ptr
+        if nursery.end - addr < nbytes:
             return None
-        addr = self.nursery.alloc_ptr
-        self.nursery.alloc_ptr += size
-        self.stats.bytes_allocated += size
-        self.stats.objects_allocated += 1
+        nursery.alloc_ptr = addr + nbytes
+        self.mem[addr : addr + nbytes] = bytes(nbytes)
+        self.stats.bytes_allocated += nbytes
+        self.stats.objects_allocated += count
         return addr
 
     def alloc_gen1(self, size: int) -> int:

@@ -38,7 +38,7 @@ HDR_FLAGS = 4
 HDR_SIZE = 8
 HDR_AUX = 12
 
-_HEADER = struct.Struct("<IIII")  # mt_id, flags, size, aux: the four words in order
+HEADER = struct.Struct("<IIII")  # mt_id, flags, size, aux: the four words in order
 
 
 class ObjectModel:
@@ -51,7 +51,7 @@ class ObjectModel:
     # -- headers ---------------------------------------------------------------
 
     def write_header(self, addr: int, mt: MethodTable, size: int, aux: int = 0) -> None:
-        _HEADER.pack_into(self.heap.mem, addr, mt.mt_id, 0, size, aux)
+        HEADER.pack_into(self.heap.mem, addr, mt.mt_id, 0, size, aux)
 
     def method_table(self, addr: int) -> MethodTable:
         if addr == 0:

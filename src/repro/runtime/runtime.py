@@ -101,7 +101,9 @@ class ManagedRuntime:
             # Larger than the nursery can ever hold: allocate directly in
             # the elder generation (large-object behaviour).
             if size > self.heap.nursery.size:
-                return self.heap.alloc_gen1(size)
+                addr = self.heap.alloc_gen1(size)
+                self.heap.zero(addr, size)
+                return addr
             raise OutOfManagedMemory(f"cannot allocate {size} bytes")
         return addr
 
@@ -111,7 +113,6 @@ class ManagedRuntime:
         The caller roots it (an ObjRef, a handle slot) before the next
         allocation, which may collect."""
         addr = self._alloc(size)
-        self.heap.zero(addr, size)
         self.om.write_header(addr, mt, size, aux)
         return addr
 

@@ -6,6 +6,7 @@ the integration-level proof that the pinning policy, the conditional
 pins, the handle discipline and the write barrier compose.
 """
 
+import pytest
 
 from repro.cluster import mpiexec
 from repro.motor import motor_session
@@ -17,13 +18,13 @@ from repro.workloads.linkedlist import (
 )
 
 
-def stressed_motor2(fn, every_n=3, channel="shm"):
+def stressed_motor2(fn, every_n=3, channel="shm", **kw):
     def factory(ctx):
         vm = motor_session(ctx)
         vm.runtime.safepoint.stressor = EveryNStressor(every_n)
         return vm
 
-    return mpiexec(2, fn, channel=channel, session_factory=factory)
+    return mpiexec(2, fn, channel=channel, session_factory=factory, **kw)
 
 
 class TestStressedTransfers:
@@ -105,6 +106,34 @@ class TestStressedTransfers:
             return True
 
         assert all(stressed_motor2(main))
+
+    @pytest.mark.progress
+    def test_oo_echo_under_async_progress_and_stress(self):
+        """The 256-element list out and back with a collection at every
+        safepoint and the progress core stepped from inside charges: the
+        deserializer's nursery runs land between collections, never across
+        one, so the echo verifies and no pin outlives the transfer."""
+
+        def main(ctx):
+            vm = ctx.session
+            comm = vm.comm_world
+            rt = vm.runtime
+            define_linked_array(rt)
+            if comm.Rank == 0:
+                comm.OSend(build_linked_list(rt, 256, 4096), 1, 3)
+                verify_linked_list(rt, comm.ORecv(1, 4), 256, 4096)
+            else:
+                got = comm.ORecv(0, 3)
+                verify_linked_list(rt, got, 256, 4096)
+                comm.OSend(got, 0, 4)
+            core = ctx.engine.progress.core
+            return rt.gc.active_pin_count, rt.gc.stats.gen0_collections, core.async_polls
+
+        for pins, collections, async_polls in stressed_motor2(
+            main, every_n=1, channel="sock", clock_mode="virtual", progress="async"
+        ):
+            assert pins == 0
+            assert collections > 0 and async_polls > 0
 
     def test_collectives_under_stress(self):
         def main(ctx):

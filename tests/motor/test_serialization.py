@@ -4,13 +4,9 @@ import struct
 
 import pytest
 
-from repro.motor.serialization import (
-    HashedVisited,
-    LinearVisited,
-    MotorSerializer,
-    SerializationError,
-)
+from repro.motor.serialization import MotorSerializer, SerializationError
 from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
+from repro.simtime import VirtualClock
 from repro.workloads.linkedlist import (
     build_linked_list,
     define_linked_array,
@@ -213,6 +209,8 @@ MALFORMED = {
     "bad type index": lambda d: _patched(d, _REC0, "<I", 2),
     "id >= nrecords": lambda d: _patched(d, _REC0 + 4, "<q", 2),
     "id < -1": lambda d: _patched(d, _REC0 + 12, "<q", -7),
+    "id in a non-Transportable field": lambda d: _patched(d, _REC0 + 20, "<q", 0),
+    "id of the wrong type": lambda d: _patched(d, _REC0 + 12, "<q", 1),
     "truncated in header": lambda d: d[:10],
     "truncated in type table": lambda d: d[:20],
     "truncated in records": lambda d: d[:-20],
@@ -241,25 +239,92 @@ class TestMalformedInput:
         arr = b.get_field(got, "array")
         assert [b.get_elem(arr, i) for i in range(2)] == [5, 6]
 
+    def test_a_non_transportable_reference_is_never_wired(self):
+        """Motor nulls references that are not Transportable (§4.2.2); a
+        representation naming an object in one is malformed.  Before the
+        check, this one landed with ``next2`` pointing at the root."""
+        a, b = pair()
+        data = bytearray(MotorSerializer(a).serialize(build_linked_list(a, 2, 16)))
+        at = bytes(data).find(struct.pack("<Iqqq", 0, 1, 2, -1))  # record 0
+        assert at > 0
+        struct.pack_into("<q", data, at + 20, 0)  # next2 := record 0
+        with pytest.raises(SerializationError, match="not Transportable"):
+            MotorSerializer(b).deserialize(bytes(data))
+
+
+class TestModelledFigures:
+    """Three receives of the 256-element list, pinned at the figures of
+    object-by-object landing (captured at 147469d): landing in nursery runs
+    moves no charge, collection, promotion or remembered slot."""
+
+    @pytest.mark.parametrize("visited", ["linear", "hashed"])
+    @pytest.mark.parametrize(
+        "nursery, now, charges, gen0, promoted, remembered",
+        [
+            (512 << 10, 1316659.199999988, 3840, 0, 0, 0),
+            (16 << 10, 1341231.199999988, 5205, 3, 49144, 2),  # every run overflows
+        ],
+    )
+    def test_three_receives(self, visited, nursery, now, charges, gen0, promoted, remembered):
+        a, b = (
+            ManagedRuntime(RuntimeConfig(nursery_size=nursery), clock=VirtualClock())
+            for _ in range(2)
+        )
+        define_linked_array(b)
+        head = build_linked_list(a, 256, 4096)
+        sa, sb = MotorSerializer(a, visited=visited), MotorSerializer(b, visited=visited)
+        sent = a.clock.charges
+        kept = [sb.deserialize(bytes(sa.serialize(head))) for _ in range(3)]
+        assert a.clock.charges - sent == 2307
+        assert (b.clock.now(), b.clock.charges) == (now, charges)
+        assert (b.gc.stats.gen0_collections, b.gc.stats.bytes_promoted) == (gen0, promoted)
+        assert len(b.gc._remembered) == remembered
+        for got in kept:
+            verify_linked_list(b, got, 256, 4096)
+
+
+class _Recording(VirtualClock):
+    """A virtual clock that keeps every charge, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[float] = []
+
+    def charge(self, ns: float) -> None:
+        self.log.append(ns)
+        super().charge(ns)
+
+
+def _tiny_graph_charges(visited: str) -> tuple[ManagedRuntime, list[float]]:
+    """The charges of serializing n1 -> {arr, n2}, n2 -> {arr, n1}.
+
+    The walk looks up n1 (the root: 1 probe into an empty record, 0
+    comparisons), then n1's arr (a miss: 1 comparison) and n2 (a miss: 2),
+    then n2's arr (a hit at id 1: 2) and n1 (a hit at id 0: 1) — 5 probes
+    and 6 comparisons, charged last."""
+    rt = ManagedRuntime(RuntimeConfig(heap_capacity=8 << 20, nursery_size=64 << 10),
+                        clock=_Recording())
+    define_linked_array(rt)
+    n1, n2 = rt.new("LinkedArray"), rt.new("LinkedArray")
+    arr = rt.new_array("int32", 1, values=[7])
+    for node, peer in ((n1, n2), (n2, n1)):
+        rt.set_ref(node, "array", arr)
+        rt.set_ref(node, "next", peer)
+    rt.clock.log.clear()
+    MotorSerializer(rt, visited=visited).serialize(n1)
+    return rt, rt.clock.log
+
 
 class TestVisitedStructures:
     def test_linear_counts_comparisons(self):
-        v = LinearVisited()
-        assert v.lookup(100) is None
-        assert v.comparisons == 0  # empty list: no comparisons
-        v.add(100)
-        v.add(200)
-        assert v.lookup(200) == 1
-        assert v.comparisons == 2  # scanned past 100 to find 200
-        assert v.lookup(999) is None
-        assert v.comparisons == 4  # full scan of 2 entries
+        rt, log = _tiny_graph_charges("linear")
+        assert log[-1] == rt.costs.visited_linear_cmp_ns * 6
 
     def test_hashed_counts_probes(self):
-        v = HashedVisited()
-        v.add(1)
-        v.lookup(1)
-        v.lookup(2)
-        assert v.probes == 2
+        rt, log = _tiny_graph_charges("hashed")
+        assert log[-1] == rt.costs.visited_hash_probe_ns * 5
+        # the kind prices the record and nothing else
+        assert log[:-1] == _tiny_graph_charges("linear")[1][:-1]
 
     def test_same_ids_both_structures(self):
         a, b = pair()
@@ -269,8 +334,6 @@ class TestVisitedStructures:
         assert bytes(d1) == bytes(d2)  # identical representation
 
     def test_linear_quadratic_charge(self):
-        from repro.simtime import VirtualClock
-
         rt = ManagedRuntime(
             RuntimeConfig(heap_capacity=8 << 20, nursery_size=64 << 10),
             clock=VirtualClock(),

@@ -1,12 +1,17 @@
-"""Property-based serializer tests: arbitrary graphs round-trip faithfully."""
+"""Property-based serializer tests: arbitrary graphs round-trip faithfully,
+and a damaged representation lands whole or not at all."""
 
 from __future__ import annotations
+
+import functools
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.motor.serialization import MotorSerializer
+from repro.motor.serialization import MotorSerializer, SerializationError
 from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
+from repro.workloads.linkedlist import build_linked_list, define_linked_array, verify_linked_list
 
 
 def make_rt() -> ManagedRuntime:
@@ -135,3 +140,90 @@ def test_split_concat_is_identity(lengths):
             assert b_rt.array_length(data) == ln
         else:
             assert data is None
+
+
+# -- validate before allocate -------------------------------------------------------
+
+
+@functools.cache
+def _three_elements() -> bytes:
+    """A 3-element list: records 0, 2, 4 are LinkedArray nodes (u32 type,
+    i64 array, next and next2 ids), records 1, 3, 5 their 2-int arrays (u32
+    type, u32 length, 8 payload bytes); the records are the last
+    ``_RECORDS_SIZE`` bytes."""
+    rt = ManagedRuntime(RuntimeConfig(heap_capacity=1 << 20, nursery_size=32 << 10))
+    return bytes(MotorSerializer(rt).serialize(build_linked_list(rt, 3, 24)))
+
+
+_RECORDS_SIZE = 3 * (28 + 16)
+
+
+def _described(rep: bytes) -> tuple[list, int | None]:
+    """The list ``rep``'s records describe, decoded here independently: each
+    node's payload (None with no array) from the root along ``next``, and
+    the position ``next`` loops back to (None when it ends in null)."""
+    records, pos = [], len(rep) - _RECORDS_SIZE
+    for _ in range(6):
+        (tidx,) = struct.unpack_from("<I", rep, pos)
+        if tidx == 0:
+            records.append(struct.unpack_from("<qqq", rep, pos + 4))
+            pos += 28
+        else:
+            (length,) = struct.unpack_from("<I", rep, pos + 4)
+            records.append(list(struct.unpack_from(f"<{length}i", rep, pos + 8)))
+            pos += 8 + 4 * length
+    out, seen, rid = [], [], 0
+    while rid != -1 and rid not in seen:
+        seen.append(rid)
+        array, rid, _ = records[rid]
+        out.append(None if array == -1 else records[array])
+    return out, None if rid == -1 else seen.index(rid)
+
+
+def _landed(rt: ManagedRuntime, root) -> tuple[list, int | None]:
+    """The same view of a landed list, read through the receiver's heap."""
+    out, seen, node = [], [], root
+    while node is not None and not any(node.same_object(s) for s in seen):
+        seen.append(node)
+        assert rt.get_field(node, "next2") is None
+        arr = rt.get_field(node, "array")
+        out.append(
+            None if arr is None else [rt.get_elem(arr, i) for i in range(rt.array_length(arr))]
+        )
+        node = rt.get_field(node, "next")
+    return out, None if node is None else next(i for i, s in enumerate(seen) if s == node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_damaged_representation_lands_whole_or_allocates_nothing(data):
+    """One byte or one object id of a valid representation overwritten: it
+    either lands exactly the list its records describe, or is refused with
+    a SerializationError before anything is allocated or rooted — the
+    guarantee a nursery run, landed with one bump, relies on."""
+    rep = bytearray(_three_elements())
+    if data.draw(st.booleans(), label="overwrite an object id"):
+        records = len(rep) - _RECORDS_SIZE
+        slots = [records + 44 * k + 4 + 8 * f for k in range(3) for f in range(3)]
+        at = data.draw(st.sampled_from(slots))
+        struct.pack_into("<q", rep, at, data.draw(st.integers(-3, 8)))
+    else:
+        rep[data.draw(st.integers(0, len(rep) - 1))] = data.draw(st.integers(0, 255))
+    b = ManagedRuntime(RuntimeConfig(heap_capacity=1 << 20, nursery_size=32 << 10))
+    define_linked_array(b)
+    heap = b.heap
+    before = (heap.nursery.alloc_ptr, heap.stats.objects_allocated, len(b.handles))
+    try:
+        got = MotorSerializer(b).deserialize(bytes(rep))
+    except SerializationError:
+        assert (heap.nursery.alloc_ptr, heap.stats.objects_allocated, len(b.handles)) == before
+        return
+    assert _landed(b, got) == _described(bytes(rep))
+
+
+def test_the_undamaged_representation_verifies():
+    b = ManagedRuntime(RuntimeConfig(heap_capacity=1 << 20, nursery_size=32 << 10))
+    define_linked_array(b)
+    got = MotorSerializer(b).deserialize(_three_elements())
+    verify_linked_list(b, got, 3, 24)
+    assert _landed(b, got) == _described(_three_elements())

@@ -20,6 +20,7 @@ from repro.mp import MpiEngine
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.channels import FaultPlan, FaultyFabric, ShmFabric
 from repro.mp.errors import MpiErrProcFailed, MpiErrTimeout
+from repro.mp.progress import AsyncProgressDriver, ProgressCore
 from repro.mp.status import Status
 from repro.simtime import CostModel, VirtualClock, WallClock, ensure_scheduler
 
@@ -149,7 +150,31 @@ class TestDeferredMerges:
 # ------------------------------------------------------------- async mode
 
 
+class _IdleDevice:
+    """Just enough of a CH3 device for a progress core: a clock, no packets."""
+
+    def __init__(self, clock):
+        self.clock = clock
+
+    def poll(self):
+        return 0
+
+
 class TestAsyncMode:
+    def test_an_async_step_never_reaches_the_safepoint(self):
+        """Async steps run inside ``clock.charge`` — possibly mid-allocation —
+        so they skip the safepoint yield; a charge therefore never collects,
+        and the deserializer's nursery runs cannot move under a charge."""
+        clock = VirtualClock()
+        yields = []
+        core = ProgressCore(_IdleDevice(clock), yield_fn=lambda: yields.append(clock.now()))
+        AsyncProgressDriver(core, clock, 1_000.0).start()
+        clock.charge(10_000.0)
+        assert core.async_polls > 0
+        assert yields == []
+        core.step()  # a caller-initiated step is a safepoint
+        assert yields == [clock.now()]
+
     def test_world_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             World(1, progress="eager")

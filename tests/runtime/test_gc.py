@@ -89,6 +89,17 @@ class TestAllocationTriggersGc:
         big = rt.new_array("byte", 16 << 10)  # 4x the nursery
         assert rt.heap.in_gen1(big.addr)
 
+    def test_large_object_reusing_a_hole_is_zeroed(self, tiny_runtime):
+        rt = tiny_runtime
+        big = rt.new_array("byte", 16 << 10)
+        rt.fill_array_bytes(big, b"\xff" * (16 << 10))
+        addr = big.addr
+        del big
+        rt.collect(1)  # the sweep frees it ...
+        again = rt.new_array("byte", 16 << 10)
+        assert again.addr == addr  # ... first fit hands the hole back ...
+        assert rt.array_bytes(again) == bytes(16 << 10)  # ... zeroed
+
     def test_periodic_full_gc(self, tiny_runtime):
         rt = tiny_runtime
         for _ in range(200):

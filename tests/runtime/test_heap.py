@@ -14,6 +14,16 @@ class TestAllocation:
         assert b == a + 64
         assert h.in_gen0(a) and h.in_gen0(b)
 
+    def test_gen0_run_is_one_zeroed_bump(self):
+        h = ManagedHeap(1 << 20, 4 << 10)
+        h.write_bytes(h.nursery.base, b"\xff" * 96)  # a dead nursery's leftovers
+        a = h.alloc_gen0_run(96, 3)
+        assert a == h.nursery.base and h.nursery.alloc_ptr == a + 96
+        assert h.read_bytes(a, 96) == bytes(96)
+        assert (h.stats.objects_allocated, h.stats.bytes_allocated) == (3, 96)
+        assert h.alloc_gen0_run(h.nursery.free + 8, 2) is None
+        assert h.stats.objects_allocated == 3
+
     def test_gen0_exhaustion_returns_none(self):
         h = ManagedHeap(1 << 20, 1 << 10)
         assert h.alloc_gen0(2 << 10) is None
