@@ -21,7 +21,8 @@ Motor's design depends on (paper §5):
 * slow metadata-based reflection vs. fast FieldDesc-bit lookups
   (:mod:`repro.runtime.reflection`).
 
-Objects really live in a ``bytearray`` heap, really move when collected,
+Objects really live in a byte-addressed heap (a private anonymous mapping
+whose pages are committed on first touch), really move when collected,
 and an unpinned in-flight transfer really corrupts memory — the hazards the
 paper's pinning policy exists to prevent are genuine in this simulator.
 """

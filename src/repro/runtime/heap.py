@@ -6,12 +6,16 @@ promoted — copied and compacted — into the elder generation (gen1); when a
 collection finds pinned nursery objects, the entire nursery block is
 reassigned to the elder generation and a fresh nursery is carved.
 
-Addresses are plain integers indexing one shared ``bytearray``; address 0
-is the null reference and the first 64 bytes are never allocated.
+Addresses are plain integers indexing one private anonymous mapping of the
+heap's capacity: it is reserved, not filled, so a page becomes resident only
+when the allocator first writes it (the SSCLI commits segments the same
+way).  Address 0 is the null reference and the first 64 bytes are never
+allocated.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -66,20 +70,24 @@ class ManagedHeap:
     RESERVED = 64  # never allocated; keeps address 0 == null honest
 
     def __init__(self, capacity: int = 32 << 20, nursery_size: int = 512 << 10) -> None:
-        if nursery_size * 2 > capacity:
-            raise ValueError("nursery too large for heap capacity")
+        nursery = align8(nursery_size)
+        self._gen1_segment_size = max(nursery, min(4 << 20, capacity // 4))
+        if self.RESERVED + self._gen1_segment_size + nursery > capacity:
+            raise ValueError(
+                f"heap capacity {capacity} cannot hold {self.RESERVED} reserved bytes, "
+                f"a {self._gen1_segment_size}-byte elder segment and a {nursery}-byte nursery"
+            )
         self.capacity = capacity
         self.nursery_size = nursery_size
-        self.mem = bytearray(capacity)
+        # MAP_PRIVATE: the default MAP_SHARED would alias the heap between
+        # the two sides of a fork.
+        self.mem = mmap.mmap(-1, capacity, flags=mmap.MAP_PRIVATE)
         self._view = memoryview(self.mem)
         self._carve_ptr = self.RESERVED
         self.stats = HeapStats()
 
         # Elder generation: list of segments, bump within the last, plus a
         # free list of (addr, size) holes produced by sweeps.
-        self._gen1_segment_size = max(
-            align8(nursery_size), min(4 << 20, capacity // 4)
-        )
         self.gen1_segments: list[Segment] = [
             self._carve(self._gen1_segment_size, GEN1)
         ]

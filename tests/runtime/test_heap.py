@@ -1,9 +1,14 @@
 """Heap segments, allocation and generation membership."""
 
+import os
+import sys
+
 import pytest
 
+from repro.runtime import ManagedRuntime
 from repro.runtime.errors import GcInvariantError, OutOfManagedMemory
 from repro.runtime.heap import GEN1, ManagedHeap
+from repro.runtime.typesys import ARRAY_DATA_OFFSET
 
 
 class TestAllocation:
@@ -59,6 +64,18 @@ class TestAllocation:
     def test_nursery_too_large_rejected(self):
         with pytest.raises(ValueError):
             ManagedHeap(1 << 20, 1 << 20)
+
+    def test_carving_check_counts_reserved_bytes_and_elder_segment(self):
+        # 2 x 512 KiB passes a "nursery * 2 <= capacity" test, but the 64
+        # reserved bytes leave no room for the nursery after the elder segment
+        with pytest.raises(ValueError, match="64 reserved bytes, a 524288-byte elder segment"):
+            ManagedHeap(1 << 20, 512 << 10)
+        largest = ((1 << 20) - ManagedHeap.RESERVED) // 2
+        h = ManagedHeap(1 << 20, largest)
+        assert h.nursery.end == 1 << 20
+        assert h.alloc_gen0(largest) == h.nursery.base
+        with pytest.raises(ValueError):
+            ManagedHeap(1 << 20, largest + 8)
 
 
 class TestFreeList:
@@ -133,3 +150,42 @@ class TestRawAccess:
         h.write_bytes(64, b"\xff" * 16)
         h.zero(64, 16)
         assert h.read_bytes(64, 16) == b"\x00" * 16
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+class TestReservedMemory:
+    def test_pages_are_committed_on_first_touch(self):
+        ManagedRuntime()  # warm: imports, type registry, first-use caches
+        before = _resident_bytes()
+        rt = ManagedRuntime()  # 32 MiB of capacity
+        built = _resident_bytes()
+        assert built - before < 4 << 20
+        kept = [rt.new_array("int32", 4096) for _ in range(256)]  # ~4 MiB, rooted
+        assert _resident_bytes() - built >= 3 << 20
+        assert len(kept) == 256
+
+    def test_the_heap_is_private_across_fork(self):
+        rt = ManagedRuntime()
+        sentinel = b"sentinel-before-fork"
+        ref = rt.new_byte_array(sentinel)
+        span = (ref.addr, ARRAY_DATA_OFFSET + len(sentinel))  # header and bytes
+        original = rt.heap.read_bytes(*span)
+        pid = os.fork()
+        if pid == 0:  # child: report through the exit status only
+            code = 1
+            try:
+                if rt.heap.read_bytes(*span) == original:
+                    code = 2
+                    rt.heap.write_bytes(span[0], b"\xee" * span[1])
+                    rt.new_array("int32", 1024)
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert rt.heap.read_bytes(*span) == original
