@@ -9,9 +9,9 @@ by construction.
 
 This demo is caught twice, once per analyzer pass:
 
-* **statically** (MA-S11): the dataflow pass threads a per-window epoch
-  abstraction through the same fixed point as the stack types and flags
-  the put site, which no ``WinFence`` dominates;
+* **statically** (MA-S11): the static pass carries a window-epoch cell
+  on every path it walks and flags the put site, which every path
+  reaches with the epoch closed (no ``WinFence`` dominates it);
 * **at run time** (MA-R06): the window itself sees the op arrive outside
   any access epoch and reports it through the ``rma_violation`` hook
   (the op is tolerated, like every runtime rule).

@@ -3,18 +3,17 @@
 Two coordinated passes over the same safety claims the paper makes for
 Motor's restricted MPI bindings (§4.2/§4.3):
 
-* the **static pass** (:mod:`repro.analyze.static_mp`) walks IL
-  assemblies and models what reaches every ``System.MP`` ``callintern``
-  — rejecting reference-bearing buffers on raw transfers (MA-S01),
+* the **static pass** (:mod:`repro.analyze.rankflow`) executes each IL
+  method once per rank predicate over its CFG (:mod:`repro.analyze.cfg`)
+  and models what reaches every ``System.MP`` ``callintern`` —
+  rejecting reference-bearing buffers on raw transfers (MA-S01),
   call-signature mismatches (MA-S02), statically unmatchable sends
-  (MA-S03) and unknown MP internals (MA-S04).  Its **rank-symbolic
-  message-flow pass** (:mod:`repro.analyze.rankflow`) then executes each
-  method once per rank predicate over a CFG
-  (:mod:`repro.analyze.cfg` / :mod:`repro.analyze.dataflow`) and checks
-  the whole program's communication structure: collective divergence
-  (MA-S05), matched-pair type/length mismatches (MA-S06), stores into
-  in-flight buffers (MA-S07), request leaks (MA-S08), cyclic blocking
-  dependencies (MA-S09) and ambiguous wildcard receives (MA-S10);
+  (MA-S03), unknown MP internals (MA-S04) and one-sided ops outside any
+  window epoch (MA-S11) — and the whole program's communication
+  structure: collective divergence (MA-S05), matched-pair type/length
+  mismatches (MA-S06), stores into in-flight buffers (MA-S07), request
+  leaks (MA-S08), cyclic blocking dependencies (MA-S09) and ambiguous
+  wildcard receives (MA-S10);
 * the **runtime pass** (:mod:`repro.analyze.sanitizer`) attaches through
   explicit ``san`` hook points on the progress engine, device, matching
   queues, collector and pin policy — detecting deadlock knots (MA-R01),
@@ -30,7 +29,6 @@ the checked-in baseline (:mod:`repro.analyze.gate`).
 """
 
 from repro.analyze.cfg import CFG, BasicBlock, build_cfg
-from repro.analyze.dataflow import FixpointDivergence, solve
 from repro.analyze.findings import (
     RULES,
     Finding,
@@ -40,7 +38,7 @@ from repro.analyze.findings import (
     meets_threshold,
 )
 from repro.analyze.gate import discover_il_units, run_gate
-from repro.analyze.rankflow import RankFlow, run_rankflow
+from repro.analyze.rankflow import RankFlow, analyze_assembly, run_rankflow
 from repro.analyze.sanitizer import (
     DeadlockError,
     RankSanitizer,
@@ -50,7 +48,6 @@ from repro.analyze.sanitizer import (
     attach_vm,
     detach_engine,
 )
-from repro.analyze.static_mp import analyze_assembly
 
 __all__ = [
     "Finding",
@@ -63,8 +60,6 @@ __all__ = [
     "BasicBlock",
     "CFG",
     "build_cfg",
-    "FixpointDivergence",
-    "solve",
     "RankFlow",
     "run_rankflow",
     "discover_il_units",

@@ -1,6 +1,6 @@
 """Control-flow graphs over :class:`~repro.il.assembly.ILMethod` bodies.
 
-The CFG is the substrate under the analyzer's dataflow passes: basic
+The CFG is the substrate under the analyzer's path walk: basic
 blocks are maximal straight-line instruction runs, edges come from the
 verifier's branch-target seam
 (:func:`repro.il.verifier.instruction_successors`), so the analyzer and
@@ -26,7 +26,6 @@ class BasicBlock:
     start: int
     end: int  # exclusive: pc of the first instruction NOT in the block
     succs: tuple[int, ...] = ()  # successor block start pcs
-    preds: tuple[int, ...] = ()
 
     @property
     def terminator(self) -> int:
@@ -44,31 +43,6 @@ class CFG:
     method: ILMethod
     blocks: dict[int, BasicBlock] = field(default_factory=dict)
     entry: int = 0
-
-    def block_of(self, pc: int) -> BasicBlock:
-        """The block containing instruction *pc*."""
-        starts = [s for s in self.blocks if s <= pc]
-        block = self.blocks[max(starts)]
-        if pc >= block.end:
-            raise KeyError(f"pc {pc} is not inside any block")
-        return block
-
-    def back_edges(self) -> list[tuple[int, int]]:
-        """Edges (from_block, to_block) that close a loop (DFS retreat)."""
-        edges: list[tuple[int, int]] = []
-        state: dict[int, int] = {}  # 0 absent, 1 on stack, 2 done
-
-        def visit(b: int) -> None:
-            state[b] = 1
-            for s in self.blocks[b].succs:
-                if state.get(s, 0) == 1:
-                    edges.append((b, s))
-                elif state.get(s, 0) == 0:
-                    visit(s)
-            state[b] = 2
-
-        visit(self.entry)
-        return edges
 
 
 def build_cfg(method: ILMethod) -> CFG:
@@ -92,14 +66,8 @@ def build_cfg(method: ILMethod) -> CFG:
         end = starts[i + 1] if i + 1 < len(starts) else n
         cfg.blocks[start] = BasicBlock(start, end)
 
-    preds: dict[int, list[int]] = {s: [] for s in starts}
     for block in cfg.blocks.values():
-        succs = tuple(
+        block.succs = tuple(
             s for s in instruction_successors(method, block.terminator) if s < n
         )
-        block.succs = succs
-        for s in succs:
-            preds[s].append(block.start)
-    for block in cfg.blocks.values():
-        block.preds = tuple(sorted(preds[block.start]))
     return cfg

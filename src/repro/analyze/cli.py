@@ -64,7 +64,7 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
 
 
 def _cmd_static(args: argparse.Namespace) -> int:
-    from repro.analyze.static_mp import analyze_assembly
+    from repro.analyze.rankflow import analyze_assembly
     from repro.il import AssembleError, assemble
 
     report = Report()

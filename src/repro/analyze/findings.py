@@ -40,7 +40,7 @@ def _rules(*rules: Rule) -> dict[str, Rule]:
 
 
 RULES: dict[str, Rule] = _rules(
-    # ---- static pass (repro.analyze.static_mp) ----------------------------
+    # ---- call-site rules (repro.analyze.rankflow) -------------------------
     Rule(
         "MA-S00",
         SEV_ERROR,

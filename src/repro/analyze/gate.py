@@ -193,7 +193,7 @@ def run_gate(
     assemble (or fail IL verification, MA-S00) are always failures —
     the tree's IL must at minimum be well-formed.
     """
-    from repro.analyze.static_mp import analyze_assembly
+    from repro.analyze.rankflow import analyze_assembly
     from repro.il import AssembleError, assemble
 
     units = discover_il_units(root)

@@ -1,10 +1,11 @@
-"""Rank-symbolic whole-program message-flow analysis (rules MA-S05..S10).
+"""The static pass: System.MP checks over IL assemblies (MA-S00..S11).
 
 The paper's safety claim is that Motor verifies message-passing programs
-*before* they run (§4).  The per-method value pass
-(:mod:`repro.analyze.static_mp`) checks individual call sites; this
-module checks the *communication structure* of the whole assembly by
-executing each method symbolically, once per **rank predicate**:
+*before* they run (§4).  This module is the analyzer's one IL
+interpreter: it executes each verified method symbolically, once per
+**rank predicate**, flowing *values* — affine integers, the class or
+element type behind a ``newobj``/``newarr`` reference, request handles,
+the window epoch — through stack, locals and args:
 
 * ``MP.Rank()`` / ``MP.Size()`` results are the symbols of an affine
   domain (``a*rank + b*size + c``), so peers like ``1 - rank`` or roots
@@ -15,9 +16,40 @@ executing each method symbolically, once per **rank predicate**:
   pruned against a small rank/size sample grid;
 * each surviving path yields a **communication summary**: the ordered
   collective sequence, pt2pt endpoints with affine peer+tag, buffer
-  stores, and request lifetimes (create → wait/test).
+  stores, and request lifetimes (create → wait/test);
+* every ``MP.*`` ``callintern`` keeps one **site entry** per method: its
+  argument values and window epoch, joined over every walk that reached
+  it (equal values stay, unequal ones keep only their verification
+  type).  Blocks no path enters — a rank branch pruned on the sample
+  grid, the dead side of a constant branch, a fork past the path budget
+  — are walked once for their sites alone, so every reachable site is
+  checked.
 
-Six rules consume the summaries:
+Five rules read the site entries:
+
+* **MA-S01** — a reference-bearing class (or reference-array) reaches a
+  raw transfer's buffer argument.  The binding would raise
+  ``ObjectModelViolation`` at run time (§4.2.1); the object transport
+  (``MP.OSend``/``MP.ORecv``) is the fix.
+* **MA-S02** — the site disagrees with the declared call-signature table
+  (:data:`repro.motor.system_mp.MP_CALLSIGS`): wrong arity, wrong use of
+  the return value, or an argument of the wrong kind.
+* **MA-S03** — a send whose tag (and peer, when a world size is given)
+  can never be matched by any receive in the assembly.
+* **MA-S04** — a ``callintern`` naming an ``MP.*`` internal that does not
+  exist.
+* **MA-S11** — a one-sided op (``MP.WinPut``/``WinGet``/``WinAccumulate``)
+  reachable with every window epoch *definitely closed*: ``MP.WinFence``
+  toggles the epoch, ``MP.WinFree`` closes it, and paths that disagree
+  join to unknown, so only sites no path opened an epoch for are
+  flagged — the static shadow of the runtime MA-R06.
+
+A statically unknown value (a join of disagreeing paths, a method
+parameter, a field load) is compatible with everything, so clean
+programs stay clean.  **MA-S00** marks a method that failed baseline IL
+verification; it is not interpreted.
+
+Six rules consume the path summaries:
 
 * **MA-S05** — rank-disjoint paths with different collective sequences
   (static deadlock at the first divergence);
@@ -46,15 +78,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.analyze.cfg import CFG, build_cfg
-from repro.analyze.findings import Finding, Report
+from repro.analyze.findings import Finding, Report, finding_from_diagnostic
 from repro.il.assembly import Assembly, ILMethod
 from repro.il.opcodes import OPCODES, T_FLOAT, T_INT, T_OBJ
-from repro.il.verifier import parse_intern
+from repro.il.verifier import VerifyError, parse_intern, verify_method
 from repro.motor.system_mp import (
     CAT_COLLECTIVE,
     CAT_PT2PT,
     CAT_RANKQUERY,
     CAT_REQUEST,
+    KIND_BUFFER,
+    KIND_INT,
     MP_CALLSIGS,
     ROLE_BUFFER,
     ROLE_HANDLE,
@@ -62,10 +96,21 @@ from repro.motor.system_mp import (
     ROLE_TAG,
 )
 from repro.mp.matching import ANY_SOURCE, ANY_TAG
+from repro.runtime.typesys import PRIMITIVES
 
 #: Raw (memory-layout) transports whose payload types must agree at a
 #: match; the O-prefixed object transport carries its own type metadata.
 _RAW_OPS = {"MP.Send", "MP.Ssend", "MP.Isend", "MP.Recv", "MP.Irecv"}
+_SEND_OPS = {"MP.Send", "MP.Ssend", "MP.Isend", "MP.OSend"}
+_RECV_OPS = {"MP.Recv", "MP.Irecv", "MP.ORecv"}
+#: Returning internals whose result is an object (the rest give an int,
+#: a request handle, or — Rank/Size — an affine symbol).
+_OBJ_RESULTS = {"MP.ORecv", "MP.OBcast", "MP.WinCreate"}
+
+#: Paths enumerated per method before forks are walked for coverage only.
+MAX_PATHS = 64
+#: Times one path may enter a block before it is cut (the loop bound).
+MAX_BLOCK_VISITS = 2
 
 # ---------------------------------------------------------------------------
 # The affine rank/size domain
@@ -168,13 +213,22 @@ def render_pred(pred: Predicate) -> str:
 #: Value = (tag, info).  Tags: "i" (info Affine | Cmp | None), "f",
 #: "o" (info Buf | None), "h" (info request uid | None), "?".
 _UNKNOWN = ("?", None)
+#: Each tag's verification type (a handle is a reference).
+_VTYPE = {"i": T_INT, "f": T_FLOAT, "o": T_OBJ, "h": T_OBJ, "?": "?"}
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """Equal values stay; unequal ones keep only a shared tag."""
+    if a == b:
+        return a
+    return (a[0] if a[0] == b[0] else "?", None)
 
 
 @dataclass(frozen=True)
 class Buf:
     """An allocation-site buffer identity flowing through the method."""
 
-    kind: str  # "array" | "obj"
+    kind: str  # "array" | "class"
     elem: str | None  # element type (arrays) / class name (objects)
     uid: int  # per-path serial: distinct allocations stay distinct
     site: int  # allocating pc
@@ -200,6 +254,29 @@ class Event:
 
 
 @dataclass
+class Site:
+    """One ``MP.*`` callintern, joined over every walk that reached it."""
+
+    name: str
+    arity: int
+    returns: bool
+    #: argument values; an allocation is kept as ("class"|"array", name)
+    args: tuple
+    epoch: str | None  # "closed" | "open" | None (walks disagree)
+
+
+@dataclass
+class MPSite:
+    """A send or receive site with its constant peer and tag (MA-S03)."""
+
+    method: str
+    pc: int
+    name: str
+    peer: int | None
+    tag: int | None
+
+
+@dataclass
 class Path:
     """One rank-predicated execution of a method, summarized."""
 
@@ -215,11 +292,12 @@ class Path:
 
 @dataclass
 class Summary:
-    """All explored paths of one method."""
+    """All explored paths of one method, and its call-site entries."""
 
     method: str
     paths: list[Path] = field(default_factory=list)
     complete: bool = True  # False when the path budget truncated the set
+    sites: dict[int, Site] = field(default_factory=dict)  # pc -> entry
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +315,14 @@ class RankFlow:
         report: Report,
         *,
         verified: set[str] | None = None,
-        max_paths: int = 64,
-        max_block_visits: int = 2,
     ) -> None:
         self.asm = asm
         self.report = report
+        self.world_size = world_size
         self.sizes = [world_size] if world_size else [2, 3]
         self.verified = verified if verified is not None else set(asm.methods)
-        self.max_paths = max_paths
-        self.max_block_visits = max_block_visits
         self._summaries: dict[str, Summary] = {}
-        self._in_progress: set[str] = set()
+        self._in_progress: dict[str, Summary] = {}
         self._cfgs: dict[str, CFG] = {}
 
     # -- plumbing -----------------------------------------------------------
@@ -282,11 +357,11 @@ class RankFlow:
         if method.name in self._in_progress:
             # recursion: contribute nothing, poison completeness
             return Summary(method.name, [Path((), (), truncated=True)], complete=False)
-        self._in_progress.add(method.name)
+        summary = self._in_progress[method.name] = Summary(method.name)
         try:
-            summary = self._explore(method)
+            self._explore(method, summary)
         finally:
-            self._in_progress.discard(method.name)
+            del self._in_progress[method.name]
         self._summaries[method.name] = summary
         return summary
 
@@ -296,9 +371,8 @@ class RankFlow:
             cfg = self._cfgs[method.name] = build_cfg(method)
         return cfg
 
-    def _explore(self, method: ILMethod) -> Summary:
+    def _explore(self, method: ILMethod, summary: Summary) -> None:
         cfg = self._cfg(method)
-        summary = Summary(method.name)
         init_state = _State(
             stack=[],
             locs=[_UNKNOWN] * method.nlocals,
@@ -306,27 +380,38 @@ class RankFlow:
             serial=0,
             escaped=set(),
         )
-        frames = [_Frame(cfg.entry, init_state, (), [], {})]
-        while frames:
-            frame = frames.pop()
-            self._run_path(method, cfg, frame, summary, frames)
-        return summary
+        walk = _Walk(summary, [_Frame(cfg.entry, init_state, (), [], {})])
+        while walk.frames:
+            self._run_path(method, cfg, walk.frames.pop(), walk)
+        self._cover(method, cfg, walk)
 
-    def _fork_budget_ok(self, summary: Summary, frames: list) -> bool:
-        if len(summary.paths) + len(frames) + 1 < self.max_paths:
-            return True
-        summary.complete = False
-        return False
+    def _cover(self, method: ILMethod, cfg: CFG, walk: "_Walk") -> None:
+        """Walk once each block no path entered, for its call sites only.
 
-    def _run_path(
-        self,
-        method: ILMethod,
-        cfg: CFG,
-        frame: "_Frame",
-        summary: Summary,
-        frames: list,
-    ) -> None:
-        """Drive one path until ret / loop cut, pushing forks onto *frames*."""
+        Not a :class:`Path`: it follows every CFG edge out of a block
+        (conditions unrefined), records site entries, and stops at any
+        block some walk has already entered.
+        """
+        while walk.pruned:
+            start, st = walk.pruned.pop()
+            while start not in walk.seen:
+                walk.seen.add(start)
+                block = cfg.blocks[start]
+                for pc in block.pcs():
+                    instr = method.code[pc]
+                    if instr.op in ("brtrue", "brfalse", "switch"):
+                        st.stack.pop()
+                    elif instr.op not in ("br", "ret"):
+                        self._step(method, pc, instr, st, [])
+                if not block.succs:
+                    break
+                for succ in block.succs[1:]:
+                    walk.prune(succ, st)
+                start = block.succs[0]
+
+    def _run_path(self, method: ILMethod, cfg: CFG, frame: "_Frame", walk: "_Walk") -> None:
+        """Drive one path until ret / loop cut, pushing forks onto the walk."""
+        summary = walk.summary
         block_start = frame.block
         st = frame.state
         pred = frame.pred
@@ -334,13 +419,14 @@ class RankFlow:
         visits = frame.visits
         while True:
             count = visits.get(block_start, 0)
-            if count >= self.max_block_visits:
+            if count >= MAX_BLOCK_VISITS:
                 summary.paths.append(
                     Path(pred, tuple(events), truncated=True,
                          escaped=frozenset(st.escaped), serials=st.serial)
                 )
                 return
             visits[block_start] = count + 1
+            walk.seen.add(block_start)
             block = cfg.blocks[block_start]
             for pc in block.pcs():
                 instr = method.code[pc]
@@ -363,31 +449,27 @@ class RankFlow:
                     split = self._branch_split(cond, op)
                     if split is None:
                         # data-dependent: fork both ways, same predicate
-                        if self._fork_budget_ok(summary, frames):
-                            frames.append(_Frame(
-                                taken, st.copy(), pred, list(events), dict(visits)
-                            ))
+                        walk.fork(taken, st, pred, events, visits)
                         block_start = fallthrough
                         break
                     if isinstance(split, bool):
-                        block_start = taken if split else fallthrough
+                        block_start, dead = (taken, fallthrough) if split else (fallthrough, taken)
+                        walk.prune(dead, st)
                         break
                     taken_pred = self._refine(pred, split)
                     fall_pred = self._refine(pred, split.negate())
                     take_ok = taken_pred is not None
                     fall_ok = fall_pred is not None
                     if take_ok and fall_ok:
-                        if self._fork_budget_ok(summary, frames):
-                            frames.append(_Frame(
-                                taken, st.copy(), taken_pred, list(events),
-                                dict(visits),
-                            ))
+                        walk.fork(taken, st, taken_pred, events, visits)
                         pred = fall_pred
                         block_start = fallthrough
                     elif take_ok:
+                        walk.prune(fallthrough, st)
                         pred = taken_pred
                         block_start = taken
                     elif fall_ok:
+                        walk.prune(taken, st)
                         pred = fall_pred
                         block_start = fallthrough
                     else:  # contradictory either way: drop the path
@@ -403,10 +485,7 @@ class RankFlow:
                         for label in str(instr.operand).split(",")
                     ]
                     for target in targets:
-                        if self._fork_budget_ok(summary, frames):
-                            frames.append(_Frame(
-                                target, st.copy(), pred, list(events), dict(visits)
-                            ))
+                        walk.fork(target, st, pred, events, visits)
                     block_start = pc + 1
                     break
                 self._step(method, pc, instr, st, events)
@@ -462,7 +541,7 @@ class RankFlow:
             stack.pop()
         elif op == "newobj":
             uid = st.new_serial()
-            stack.append(("o", Buf("obj", instr.operand, uid, pc)))
+            stack.append(("o", Buf("class", instr.operand, uid, pc)))
         elif op == "newarr":
             length = self._as_affine(stack.pop())
             uid = st.new_serial()
@@ -625,9 +704,16 @@ class RankFlow:
         vals = st.stack[len(st.stack) - arity:] if arity else []
         if arity:
             del st.stack[len(st.stack) - arity:]
-        sig = MP_CALLSIGS.get(name) if name.startswith("MP.") else None
+        sig = MP_CALLSIGS.get(name)
+        if name.startswith("MP."):
+            self._record_site(method, pc, name, arity, returns, vals, st.epoch)
+            rma = sig.rma if sig is not None else None
+            if rma == "fence":
+                st.epoch = "open" if st.epoch == "closed" else "closed"
+            elif rma == "free":
+                st.epoch = "closed"
         if sig is None or arity != len(sig.args) or returns != sig.returns:
-            # unknown or malformed (static_mp reports those): unknown result
+            # unknown or malformed (MA-S02/S04 report those): unknown result
             if returns:
                 st.stack.append(_UNKNOWN)
             return
@@ -636,10 +722,7 @@ class RankFlow:
             return
         if sig.category == CAT_COLLECTIVE:
             events.append(Event("coll", name, pc, method.name))
-            if returns:
-                st.stack.append(_UNKNOWN)
-            return
-        if sig.category == CAT_PT2PT:
+        elif sig.category == CAT_PT2PT:
             peer_i = sig.role_index(ROLE_PEER)
             tag_i = sig.role_index(ROLE_TAG)
             buf_i = sig.role_index(ROLE_BUFFER)
@@ -660,19 +743,137 @@ class RankFlow:
                 buf=buf, elem=elem, count=length, req=req,
                 sync=sig.sync, blocking=sig.blocking,
             ))
-            if returns and not sig.creates_request:
-                st.stack.append(("o", None) if name == "MP.ORecv" else ("i", None))
-            return
-        if sig.category == CAT_REQUEST:
+        elif sig.category == CAT_REQUEST:
             hval = vals[sig.role_index(ROLE_HANDLE)]
             req = hval[1] if hval[0] == "h" else None
             kind = "wait" if sig.completes_request else "test"
             events.append(Event(kind, name, pc, method.name, req=req))
-            if returns:
-                st.stack.append(("i", None))
+        if returns and not sig.creates_request:
+            st.stack.append(("o", None) if name in _OBJ_RESULTS else ("i", None))
+
+    def _record_site(self, method: ILMethod, pc: int, name: str, arity: int,
+                     returns: bool, vals: list, epoch: str) -> None:
+        """Join one walk's arguments and epoch into the site's entry."""
+        args = tuple(
+            (v[0], (v[1].kind, v[1].elem)) if isinstance(v[1], Buf) else v
+            for v in vals
+        )
+        sites = self._in_progress[method.name].sites
+        site = sites.get(pc)
+        if site is None:
+            sites[pc] = Site(name, arity, returns, args, epoch)
             return
-        if returns:
-            st.stack.append(_UNKNOWN)
+        site.args = tuple(_join(a, b) for a, b in zip(site.args, args))
+        if site.epoch != epoch:
+            site.epoch = None
+
+    # ------------------------------------------------------------------
+    # Per-site rules: MA-S01, MA-S02, MA-S04, MA-S11; MA-S03's matcher
+    # ------------------------------------------------------------------
+
+    def _buffer_violation(self, info) -> str | None:
+        """A human message if *info* names a reference-bearing buffer."""
+        if info is None:
+            return None
+        kind, elem = info
+        if kind == "array":
+            return f"array of reference type {elem!r}" if elem not in PRIMITIVES else None
+        cls = self.asm.classes.get(elem)
+        if cls is not None and any(ftype not in PRIMITIVES for _f, ftype, _t in cls.fields):
+            return f"instance of {elem!r} has reference fields"
+        return None
+
+    def check_sites(self, summary: Summary) -> list[MPSite]:
+        """Check each site entry once; returns its sends and receives."""
+        ends: list[MPSite] = []
+        for pc, site in sorted(summary.sites.items()):
+            name = site.name
+            sig = MP_CALLSIGS.get(name)
+            if sig is None:
+                self._finding("MA-S04", summary.method, pc,
+                              f"unknown System.MP internal {name!r}", name=name)
+                continue
+            if site.arity != len(sig.args) or site.returns != sig.returns:
+                declared = f"{name}/{site.arity}{':r' if site.returns else ''}"
+                self._finding(
+                    "MA-S02", summary.method, pc,
+                    f"{name} declared as {declared}, "
+                    f"signature is {sig.intern} ({sig.doc})",
+                    declared=declared, expected=sig.intern,
+                )
+            else:
+                self._check_args(summary.method, pc, site, sig)
+                if name in _SEND_OPS or name in _RECV_OPS:
+                    peer_at = 1 if name != "MP.ORecv" else 0
+                    peer, tag = (self._as_affine(v) for v in site.args[peer_at:peer_at + 2])
+                    ends.append(MPSite(
+                        summary.method, pc, name,
+                        peer.const if peer is not None else None,
+                        tag.const if tag is not None else None,
+                    ))
+            if sig.rma == "op" and site.epoch == "closed":
+                self._finding(
+                    "MA-S11", summary.method, pc,
+                    f"{name} reachable with every window epoch closed: no "
+                    "WinFence (or other epoch open) dominates this site — the "
+                    "runtime would report MA-R06 here",
+                    name=name,
+                )
+        return ends
+
+    def _check_args(self, method: str, pc: int, site: Site, sig) -> None:
+        for i, (kind, value) in enumerate(zip(sig.args, site.args)):
+            vt = _VTYPE[value[0]]
+            if vt != "?" and vt != (T_INT if kind == KIND_INT else T_OBJ):
+                # buffers, object-graph arguments and handles are references
+                self._finding(
+                    "MA-S02", method, pc,
+                    f"{site.name} argument {i} expects kind {kind!r}, "
+                    f"found verification type {vt!r}",
+                    argument=i, kind=kind,
+                )
+            elif kind == KIND_BUFFER and value[0] == "o":
+                why = self._buffer_violation(value[1])
+                if why is not None:
+                    self._finding(
+                        "MA-S01", method, pc,
+                        f"{site.name} buffer argument: {why}; use the O-prefixed "
+                        "object transport instead",
+                        buffer=str(value[1]),
+                    )
+
+    def match_sites(self, sites: list[MPSite]) -> None:
+        """MA-S03: sends no receive can match, and peers outside the world."""
+        world_size = self.world_size
+        sends = [s for s in sites if s.name in _SEND_OPS]
+        recvs = [s for s in sites if s.name in _RECV_OPS]
+        for s in sends:
+            if world_size is not None and s.peer is not None and not (
+                0 <= s.peer < world_size
+            ):
+                self._finding(
+                    "MA-S03", s.method, s.pc,
+                    f"{s.name} to peer {s.peer} outside world 0..{world_size - 1}",
+                )
+                continue
+            if not any(_tag_compatible(s.tag, r.tag) for r in recvs):
+                self._finding(
+                    "MA-S03", s.method, s.pc,
+                    f"{s.name} with tag {s.tag} has no receive in the assembly "
+                    "with a compatible tag",
+                    tag=s.tag,
+                )
+        for r in recvs:
+            if (
+                world_size is not None
+                and r.peer is not None
+                and r.peer != ANY_SOURCE
+                and not (0 <= r.peer < world_size)
+            ):
+                self._finding(
+                    "MA-S03", r.method, r.pc,
+                    f"{r.name} from peer {r.peer} outside world 0..{world_size - 1}",
+                )
 
     # ------------------------------------------------------------------
     # Path-local rules: MA-S07 (in-flight store), MA-S08 (request leak)
@@ -869,11 +1070,12 @@ class _State:
     args: list
     serial: int
     escaped: set
+    epoch: str = "closed"  # the window epoch: "closed" | "open"
 
     def copy(self) -> "_State":
         return _State(
             list(self.stack), list(self.locs), list(self.args),
-            self.serial, set(self.escaped),
+            self.serial, set(self.escaped), self.epoch,
         )
 
     def new_serial(self) -> int:
@@ -889,6 +1091,36 @@ class _Frame:
     pred: Predicate
     events: list
     visits: dict
+
+
+@dataclass
+class _Walk:
+    """One method's enumeration: pending forks and block coverage."""
+
+    summary: Summary
+    frames: list[_Frame]
+    seen: set = field(default_factory=set)  # blocks any walk entered
+    pruned: list = field(default_factory=list)  # (block, state) no path took
+
+    def fork(self, block: int, st: _State, pred: Predicate, events: list,
+             visits: dict) -> None:
+        """Queue a path from *block*, or past the budget a coverage walk."""
+        if len(self.summary.paths) + len(self.frames) + 1 < MAX_PATHS:
+            self.frames.append(_Frame(block, st.copy(), pred, list(events), dict(visits)))
+        else:
+            self.summary.complete = False
+            self.prune(block, st)
+
+    def prune(self, block: int, st: _State) -> None:
+        """An edge no path follows: walk its block later if none does."""
+        if block not in self.seen:
+            self.pruned.append((block, st.copy()))
+
+
+def _tag_compatible(send_tag: int | None, recv_tag: int | None) -> bool:
+    if send_tag is None or recv_tag is None:
+        return True
+    return recv_tag == ANY_TAG or recv_tag == send_tag
 
 
 # ---------------------------------------------------------------------------
@@ -1163,18 +1395,42 @@ def run_rankflow(
     world_size: int | None,
     report: Report,
 ) -> None:
-    """The MA-S05..S10 pass over the verified *methods* of *asm*.
+    """The MA-S01..S11 rules over the verified *methods* of *asm*.
 
-    Path-local rules (S07/S08) run on every method's own summary; the
-    whole-program rules (S05 divergence, the S06/S09/S10 matching
-    simulation) run on the program entry — ``main`` when present, else
-    each method treated as its own entry.
+    Site rules (S01/S02/S04/S11) and path-local rules (S07/S08) run on
+    every method's own summary, S03 on the sends and receives of all of
+    them; the whole-program rules (S05 divergence, the S06/S09/S10
+    matching simulation) run on the program entry — ``main`` when
+    present, else each method treated as its own entry.
     """
     rf = RankFlow(asm, world_size, report, verified={m.name for m in methods})
     summaries = {m.name: rf.summarize(m) for m in methods}
+    rf.match_sites([end for s in summaries.values() for end in rf.check_sites(s)])
     for summary in summaries.values():
         rf.check_path_local(summary)
     entries = ["main"] if "main" in summaries else list(summaries)
     for entry in entries:
         rf.check_divergence(summaries[entry])
         rf.simulate(summaries[entry])
+
+
+def analyze_assembly(
+    asm: Assembly, world_size: int | None = None, report: Report | None = None
+) -> Report:
+    """Run the static System.MP pass over every method of *asm*.
+
+    Methods failing baseline IL verification are reported as MA-S00 and
+    skipped.  When *world_size* is given, constant peers are also checked
+    against the world's rank range.
+    """
+    report = report if report is not None else Report()
+    verified: list[ILMethod] = []
+    for m in asm.methods.values():
+        try:
+            verify_method(asm, m)
+        except VerifyError as exc:
+            report.add(finding_from_diagnostic(exc.diagnostic, "MA-S00"))
+            continue
+        verified.append(m)
+    run_rankflow(asm, verified, world_size, report)
+    return report

@@ -366,7 +366,7 @@ class MotorCommunicator:
 # ---------------------------------------------------------------------------
 # The MPDirect InternalCall surface: what managed IL reaches through
 # ``callintern`` (Figure 8's FCall gate), plus the declared call-signature
-# table the static analyzer (repro.analyze.static_mp) checks sites against.
+# table the static analyzer (repro.analyze.rankflow) checks sites against.
 # ---------------------------------------------------------------------------
 
 #: Argument kind codes for :class:`MPCallSig`:

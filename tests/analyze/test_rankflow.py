@@ -13,6 +13,7 @@ import pytest
 from repro.analyze import analyze_assembly
 from repro.analyze.findings import Report
 from repro.analyze.rankflow import (
+    MAX_PATHS,
     RANK,
     SIZE,
     Affine,
@@ -428,7 +429,7 @@ class TestEngine:
         rf = RankFlow(asm, 2, Report())
         summary = rf.summarize(asm.methods["main"])
         assert not summary.complete
-        assert len(summary.paths) <= rf.max_paths
+        assert len(summary.paths) <= MAX_PATHS
         report = _analyze(il)
         assert not report.findings, report.render_text()
 
