@@ -23,12 +23,17 @@ above the substrate, which is exactly the experiment:
   (CLI binary, Java object serialization) that the wrapper bindings use
   for object trees; both read type information through the slow metadata
   path and neither can produce a split representation.
+
+Each binding class takes a rank's context, so it is its own
+``session_factory`` for :func:`repro.cluster.mpiexec` and its own entry in
+the flavor table (:mod:`repro.workloads.adapters`): the ping-pong drivers
+call its verbs directly.
 """
 
-from repro.baselines.indiana import IndianaComm, indiana_session
-from repro.baselines.jmpi import JmpiComm, jmpi_session
-from repro.baselines.mpijava import MpiJavaComm, mpijava_session
-from repro.baselines.native_cpp import NativeComm, native_session
+from repro.baselines.indiana import IndianaComm
+from repro.baselines.jmpi import JmpiComm
+from repro.baselines.mpijava import MpiJavaComm
+from repro.baselines.native_cpp import NativeComm
 from repro.baselines.serializers import (
     ClrBinarySerializer,
     JavaSerializer,
@@ -37,13 +42,9 @@ from repro.baselines.serializers import (
 
 __all__ = [
     "NativeComm",
-    "native_session",
     "IndianaComm",
-    "indiana_session",
     "MpiJavaComm",
-    "mpijava_session",
     "JmpiComm",
-    "jmpi_session",
     "ClrBinarySerializer",
     "JavaSerializer",
     "SerializationStackOverflow",

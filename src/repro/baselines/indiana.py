@@ -57,7 +57,3 @@ class IndianaComm(ManagedBinding):
 
     def barrier(self) -> None:
         self.gate.call(partial(self.engine.barrier, self.comm))
-
-
-def indiana_session(ctx: RankContext, profile: str = "sscli-free") -> IndianaComm:
-    return IndianaComm(ctx, profile)

@@ -19,6 +19,8 @@ from repro.baselines.managed import ManagedBinding
 from repro.baselines.serializers import ClrBinarySerializer
 from repro.cluster.world import RankContext
 from repro.mp.buffers import BufferDesc
+from repro.mp.errors import MpiErrTag, MpiErrTruncate
+from repro.mp.matching import ANY_TAG
 from repro.mp.status import Status
 from repro.runtime.handles import ObjRef
 
@@ -71,13 +73,25 @@ class JmpiComm(ManagedBinding):
         blob = self.serializer.serialize(buf)  # even byte[] gets serialized
         self._rmi_invoke(dest, f"MPI.recvFrom({self.rank},{tag})", blob)
 
+    @staticmethod
+    def _sent_tag(method: str, tag: int) -> int:
+        """The sender's tag, read off the envelope's ``MPI.<verb>(rank,tag)``
+        method string; a receive for another tag is MPI_ERR_TAG."""
+        sent = int(method[method.rindex(",") + 1 : -1])
+        if tag != ANY_TAG and sent != tag:
+            raise MpiErrTag(f"{method} reached a receive for tag {tag}")
+        return sent
+
     def recv(self, buf: ObjRef, source: int, tag: int) -> Status:
         method, payload, src = self._rmi_accept(source)
+        sent = self._sent_tag(method, tag)
         got = self.serializer.deserialize(payload)
         data = self.runtime.array_bytes(got)
-        n = min(len(data), self.runtime.om.array_data_range(buf.require())[1])
-        self.runtime.fill_array_bytes(buf, data[:n])
-        return Status(source=src, tag=tag, count=n)
+        room = self.runtime.om.array_data_range(buf.require())[1]
+        if len(data) > room:
+            raise MpiErrTruncate(f"message of {len(data)} bytes truncated to {room}")
+        self.runtime.fill_array_bytes(buf, data)
+        return Status(source=src, tag=sent, count=len(data))
 
     def barrier(self) -> None:
         self.engine.barrier(self.comm)
@@ -89,9 +103,6 @@ class JmpiComm(ManagedBinding):
         self._rmi_invoke(dest, f"MPI.recvObject({self.rank},{tag})", blob)
 
     def recv_tree(self, source: int, tag: int) -> ObjRef | None:
-        _method, payload, _src = self._rmi_accept(source)
+        method, payload, _src = self._rmi_accept(source)
+        self._sent_tag(method, tag)
         return self.serializer.deserialize(payload)
-
-
-def jmpi_session(ctx: RankContext) -> JmpiComm:
-    return JmpiComm(ctx)

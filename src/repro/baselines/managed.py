@@ -61,6 +61,10 @@ class ManagedBinding:
 
     # -- object trees through the host's standard serializer ----------------------
 
+    def tree_will_overflow(self, elements: int) -> bool:
+        """Predicts the serializer blowing its stack on a list this long."""
+        return False
+
     def send_tree(self, root: ObjRef, dest: int, tag: int) -> None:
         blob = self.serializer.serialize(root)
         # Stage the stream into a managed byte[], as the wrapper's user

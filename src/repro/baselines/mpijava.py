@@ -63,6 +63,6 @@ class MpiJavaComm(ManagedBinding):
     def barrier(self) -> None:
         self.gate.call(partial(self.engine.barrier, self.comm))
 
-
-def mpijava_session(ctx: RankContext) -> MpiJavaComm:
-    return MpiJavaComm(ctx)
+    def tree_will_overflow(self, elements: int) -> bool:
+        # writeObject recursion deepens once per list element.
+        return elements > self.runtime.costs.java_recursion_limit

@@ -33,6 +33,8 @@ class NativeComm:
         return NativeMemory(nbytes)
 
     def fill_buffer(self, buf: NativeMemory, data: bytes) -> None:
+        if len(data) > len(buf):  # a slice assignment would grow the "malloc'd" block
+            raise ValueError(f"{len(data)} bytes overflow a {len(buf)}-byte buffer")
         buf.mem[: len(data)] = data
 
     def buffer_bytes(self, buf: NativeMemory) -> bytes:
@@ -48,7 +50,3 @@ class NativeComm:
 
     def barrier(self) -> None:
         self.engine.barrier(self.comm)
-
-
-def native_session(ctx: RankContext) -> NativeComm:
-    return NativeComm(ctx)

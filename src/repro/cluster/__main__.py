@@ -39,7 +39,8 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--flavor", default="cpp",
-        help="workload adapter flavor (default cpp: raw native buffers)",
+        help="the system under test, by flavor-table name (default cpp: "
+        "raw native buffers)",
     )
     ap.add_argument(
         "--sizes", type=_parse_sizes, default=[4 << (2 * i) for i in range(8)],
@@ -61,13 +62,14 @@ def main(argv=None) -> int:
         ap.error("-n must be >= 2 (pingpong needs at least one pair)")
 
     from repro.cluster import mpiexec
-    from repro.workloads.pingpong import PairPingPong
+    from repro.workloads.pingpong import BufferPingPong
 
-    workload = PairPingPong(
+    workload = BufferPingPong(
         flavor=args.flavor,
         sizes=args.sizes,
         iterations=args.iterations,
         timed=max(1, args.iterations // 2),
+        runs=1,
     )
     kind = (
         f"{args.n} worker processes (shared-memory ring transport)"

@@ -309,21 +309,10 @@ def _meet(mapping, size: int, rank: int, timeout: float) -> None:
         time.sleep(0.0002)
 
 
-def _flush(ch, timeout: float = 5.0) -> None:
-    """Push the channel's backlogs out before the process ends: a peer may
-    still be waiting for the tail of this rank's last frame, and drains its
-    ring only by polling.  Each poll here also reads the death notices, so
-    a dead peer's backlog is dropped, not waited on."""
-    deadline = time.monotonic() + timeout
-    while ch.tx_backlog and time.monotonic() < deadline:
-        ch.recv_packets()
-        time.sleep(0.0005)
-
-
 def _worker_entry(
     spec: WorldSpec, mapping, rank: int, main, session_factory, results, launcher: int
 ) -> None:
-    """One worker process's whole life: barrier, run, flush, report."""
+    """One worker process's whole life: barrier, run (and drain), report."""
     from repro.cluster.world import World
 
     world = None
@@ -345,7 +334,6 @@ def _worker_entry(
         _meet(mapping, spec.size, rank, spec.boot_timeout)
         open_session(ctx, session_factory)
         result = draining(world, main)(ctx)
-        _flush(ctx.engine.device.channel)
         results.send(("result", pickle.dumps(result)))
     except BaseException as exc:
         try:

@@ -422,7 +422,7 @@ class World:
         )
         return eng
 
-    # -- reliable-exit drain -------------------------------------------------------
+    # -- the exit drain -----------------------------------------------------------
 
     def _dead(self) -> set[int]:
         return set(self.fault_plan.dead_ranks) if self.fault_plan is not None else set()
@@ -445,25 +445,36 @@ class World:
         return True
 
     def quiesce(self, rank: int, engine: MpiEngine, timeout: float = 30.0) -> None:
-        """Linger after a rank's main returns, until the world is quiet.
+        """Linger after a rank's main returns, until it owes the world nothing.
 
-        Under the reliability sublayer a rank cannot just stop polling: a
-        dropped packet it sent still needs retransmitting, and a peer's
-        retransmission still needs acking.  Every rank therefore keeps the
-        progress engine turning until all mains have returned and every
-        live rank's unacked window is empty (the simulated analogue of the
-        drain inside MPI_Finalize).  An expired ``timeout`` does not raise;
-        it is counted in :attr:`quiesce_expired` (pvar
-        ``cluster.quiesce_expired``).
+        The exit drain of both substrates; two debts keep a rank polling.
+        A byte-stream channel (sock, and so every proc worker) may still
+        hold the tail of the rank's last frames in its backlog, which only
+        the rank's own polls push into the ring: it polls until no peer
+        still reading is owed a byte — a dead peer, or one whose main has
+        returned (its channel is retired), is owed nothing.  Under the
+        reliability sublayer a dropped packet it sent still needs
+        retransmitting, and a peer's retransmission still needs acking:
+        every rank keeps the progress engine turning until all mains have
+        returned and every live rank's unacked window is empty (the
+        simulated analogue of the drain inside MPI_Finalize).  An expired
+        ``timeout`` does not raise; it is counted in :attr:`quiesce_expired`
+        (pvar ``cluster.quiesce_expired``).
         """
         with self._done_lock:
             self._mains_done.add(rank)
-        if not self.reliable:
-            return
+        channel = engine.device.channel
+        channel.retire()
         if self.fault_plan is not None and self.fault_plan.is_dead(rank):
             return  # a crashed rank does not get a graceful drain
+        if not (self.reliable or channel.owes()):
+            return
 
         def quiet() -> bool:
+            if channel.owes():
+                return False
+            if not self.reliable:
+                return True
             with self._done_lock:
                 expected = set(self._engines.keys()) - self._dead()
                 all_done = expected <= self._mains_done | self._dead()

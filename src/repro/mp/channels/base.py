@@ -78,6 +78,16 @@ class Channel(abc.ABC):
     def finalize(self) -> None:
         self._finalized = True
 
+    # -- the exit drain (``World.quiesce``) ------------------------------------
+
+    def retire(self) -> None:
+        """This rank's main has returned: it reads no more, and is owed nothing."""
+
+    def owes(self) -> bool:
+        """True while this endpoint holds back bytes (sock's ring backlog,
+        pushed only by its own polls) for a peer still reading."""
+        return False
+
     # -- one-sided (RMA) capability --------------------------------------------
     #
     # A channel may expose a *native* one-sided path: Put/Get/Accumulate
@@ -196,6 +206,12 @@ class ChannelStack(Channel):
     # engine).  A layer that wants to disable or perturb RMA overrides
     # these.  ``rndv_caps`` is deliberately NOT delegated: a layer that
     # owns the packet plane keeps message payloads on it.
+
+    def retire(self) -> None:
+        self.inner.retire()
+
+    def owes(self) -> bool:
+        return self.inner.owes()
 
     def rma_caps(self) -> frozenset[str]:
         return self.inner.rma_caps()

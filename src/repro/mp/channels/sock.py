@@ -206,6 +206,10 @@ def packet_lead(pkt: Packet) -> bytes:
     return PREFIX.pack(MIN_LENGTH + len(pkt.payload), PKT, pkt.dst) + pkt.pack_header()
 
 
+#: a rank's ``ready`` word once its main has returned: it reads no more
+RETIRED = 2
+
+
 def _control_size(world_size: int) -> int:
     return 8 * (2 * world_size + 1)
 
@@ -222,10 +226,11 @@ def ring_mapping(world_size: int, capacity: int = RING_CAPACITY) -> mmap.mmap:
 def control_block(mapping, world_size: int) -> tuple[memoryview, memoryview, memoryview]:
     """The u64 words after a mapping's rings, through the cursors' kind of
     ``cast("Q")`` view: ``ready`` and ``dead`` by rank, then the one-word
-    ``deaths`` count.  Each word has one writer: ``ready[r]`` rank ``r``'s
-    process (the boot barrier), ``dead`` and ``deaths`` the launcher, which
-    sets ``dead[r]`` and *then* bumps ``deaths`` when rank ``r``'s process
-    ends without a result."""
+    ``deaths`` count.  Each word has one writer: ``ready[r]`` rank ``r``
+    (1 at the proc substrate's boot barrier, :data:`RETIRED` once its main
+    has returned), ``dead`` and ``deaths`` the launcher, which sets
+    ``dead[r]`` and *then* bumps ``deaths`` when rank ``r``'s process ends
+    without a result."""
     words = memoryview(mapping)[len(mapping) - _control_size(world_size):].cast("Q")
     return words[:world_size], words[world_size:2 * world_size], words[2 * world_size:]
 
@@ -251,9 +256,10 @@ class SockChannel(Channel):
         self._backlog = [bytearray() for _ in range(size)]
         #: decoded packets an earlier poll's limit left behind
         self._inbox: deque[Packet] = deque()
+        #: ready words by rank (:data:`RETIRED` once a rank reads no more);
         #: the launcher's death notices: dead words by rank, the count of
         #: them this endpoint has read, and the ranks last read as dead
-        _, self._dead, self._deaths = control_block(mapping, size)
+        self._ready, self._dead, self._deaths = control_block(mapping, size)
         self._deaths_seen = 0
         self._dying: list[int] = []
         #: ranks declared dead: by a malformed frame on their ring, or by
@@ -322,9 +328,13 @@ class SockChannel(Channel):
                     n = self._tx[dst].write(mv)
                 del backlog[:n]
 
-    @property
-    def tx_backlog(self) -> int:
-        return sum(map(len, self._backlog))
+    def retire(self) -> None:
+        self._ready[self.rank] = RETIRED
+
+    def owes(self) -> bool:
+        # a dead peer's backlog was dropped when its death was read
+        ready = self._ready
+        return any(backlog and ready[p] != RETIRED for p, backlog in enumerate(self._backlog))
 
     def _peer_dead(self, rank: int) -> None:
         if rank in self.dead_ranks or rank == self.rank:

@@ -3,12 +3,15 @@
 * :mod:`repro.workloads.pingpong` — the §8 protocol: two processes take
   turns sending and receiving; one iteration is a round trip; 200
   iterations with the last 100 timed; each point is the mean of 3 runs.
+  One buffer rank main serves Figure 9 and the ``python -m repro.cluster``
+  pairs.
 * :mod:`repro.workloads.linkedlist` — the Figure 5/10 structure: a linked
   list whose elements each reference an int array, the 4096-byte payload
   evenly distributed; total objects = 2 × elements.
-* :mod:`repro.workloads.adapters` — a uniform five-verb interface
-  (alloc/fill/send/recv + tree variants) over Motor and every baseline, so
-  the same driver measures every system.
+* :mod:`repro.workloads.adapters` — the flavor table: each compared
+  system by name, built as the face the drivers call (a baseline's binding
+  itself; Motor's ``System.MP`` in the same verbs), so the same driver
+  measures every system.
 * :mod:`repro.workloads.elastic` — the self-healing runtime's acceptance
   workload: a sharded work queue with coordinated checkpoints that
   survives scheduled kills and partitions with an exactly-once ledger.

@@ -1,23 +1,30 @@
 """The wrapper baselines end-to-end: Indiana, mpiJava, JMPI, native."""
 
+from functools import partial
+
 import pytest
 
-from repro.baselines.indiana import indiana_session
-from repro.baselines.jmpi import jmpi_session
-from repro.baselines.mpijava import mpijava_session
-from repro.baselines.native_cpp import native_session
+from repro.baselines.indiana import IndianaComm
+from repro.baselines.jmpi import JmpiComm
+from repro.baselines.mpijava import MpiJavaComm
+from repro.baselines.native_cpp import NativeComm
 from repro.cluster import mpiexec
+from repro.mp.errors import MpiErrTag, MpiErrTruncate
+from repro.mp.matching import ANY_TAG
+from repro.workloads.adapters import ADAPTERS
 from repro.workloads.linkedlist import build_linked_list, verify_linked_list
 
-SESSIONS = {
-    "native": native_session,
-    "indiana": indiana_session,
-    "mpijava": mpijava_session,
-    "jmpi": jmpi_session,
-}
+#: each binding as the flavor table builds it (a binding class is its own
+#: session factory); the test ids keep the bindings' names
+BINDINGS = [
+    pytest.param("cpp", id="native"),
+    pytest.param("indiana-sscli", id="indiana"),
+    "mpijava",
+    "jmpi",
+]
 
 
-@pytest.mark.parametrize("flavor", list(SESSIONS))
+@pytest.mark.parametrize("flavor", BINDINGS)
 class TestBufferRoundtrip:
     def test_pingpong(self, flavor):
         def main(ctx):
@@ -35,7 +42,7 @@ class TestBufferRoundtrip:
             comm.send(buf, 0, 2)
             return None
 
-        res = mpiexec(2, main, session_factory=SESSIONS[flavor])
+        res = mpiexec(2, main, session_factory=ADAPTERS[flavor])
         assert res[0] == bytes(reversed(range(32)))
 
     def test_barrier(self, flavor):
@@ -43,10 +50,10 @@ class TestBufferRoundtrip:
             ctx.session.barrier()
             return True
 
-        assert all(mpiexec(2, main, session_factory=SESSIONS[flavor]))
+        assert all(mpiexec(2, main, session_factory=ADAPTERS[flavor]))
 
 
-@pytest.mark.parametrize("flavor", ["indiana", "mpijava", "jmpi"])
+@pytest.mark.parametrize("flavor", BINDINGS[1:])
 class TestTreeRoundtrip:
     def test_tree_transport(self, flavor):
         def main(ctx):
@@ -62,7 +69,7 @@ class TestTreeRoundtrip:
             verify_linked_list(comm.runtime, got, 5, 200)
             return True
 
-        res = mpiexec(2, main, session_factory=SESSIONS[flavor])
+        res = mpiexec(2, main, session_factory=ADAPTERS[flavor])
         assert res[1] is True
 
 
@@ -82,7 +89,7 @@ class TestIndianaArchitecture:
                 comm.recv(buf, 0, 2)
             return comm.runtime.gc.stats.pin_calls - pins_before
 
-        assert mpiexec(2, main, session_factory=indiana_session) == [2, 2]
+        assert mpiexec(2, main, session_factory=IndianaComm) == [2, 2]
 
     def test_pins_even_elder_objects(self):
         """No generation test: the wrapper cannot know, so it always pays."""
@@ -98,7 +105,7 @@ class TestIndianaArchitecture:
                 comm.recv(buf, 0, 1)
             return comm.runtime.gc.stats.pin_calls - pins_before
 
-        assert mpiexec(2, main, session_factory=indiana_session) == [1, 1]
+        assert mpiexec(2, main, session_factory=IndianaComm) == [1, 1]
 
     def test_crosses_pinvoke_per_call(self):
         def main(ctx):
@@ -111,19 +118,17 @@ class TestIndianaArchitecture:
                 comm.recv(buf, 0, 1)
             return comm.gate.stats.calls - before
 
-        assert mpiexec(2, main, session_factory=indiana_session) == [1, 1]
+        assert mpiexec(2, main, session_factory=IndianaComm) == [1, 1]
 
     def test_host_profiles(self):
         def main(ctx):
             return ctx.session.profile.name
 
-        from functools import partial
-
         for prof in ("sscli-free", "sscli-fastchecked", "dotnet"):
             res = mpiexec(
                 2,
                 main,
-                session_factory=partial(indiana_session, profile=prof),
+                session_factory=partial(IndianaComm, profile=prof),
             )
             assert res == [prof, prof]
 
@@ -140,7 +145,7 @@ class TestMpiJavaArchitecture:
                 comm.recv(buf, 0, 1)
             return comm.gate.stats.auto_pins - before
 
-        assert mpiexec(2, main, session_factory=mpijava_session) == [1, 1]
+        assert mpiexec(2, main, session_factory=MpiJavaComm) == [1, 1]
 
     def test_arrays_of_arrays_model(self):
         """Java int[2][3]: an object per row — many objects, not one."""
@@ -154,7 +159,7 @@ class TestMpiJavaArchitecture:
             assert rt.array_length(row) == 3
             return True
 
-        assert all(mpiexec(2, main, session_factory=mpijava_session))
+        assert all(mpiexec(2, main, session_factory=MpiJavaComm))
 
 
 class TestJmpiArchitecture:
@@ -170,7 +175,7 @@ class TestJmpiArchitecture:
                 comm.recv(buf, 0, 1)
             return comm.runtime.gc.stats.pin_calls
 
-        assert mpiexec(2, main, session_factory=jmpi_session) == [0, 0]
+        assert mpiexec(2, main, session_factory=JmpiComm) == [0, 0]
 
     def test_rmi_serializes_everything(self):
         def main(ctx):
@@ -183,7 +188,7 @@ class TestJmpiArchitecture:
             comm.recv(buf, 0, 1)
             return None
 
-        assert mpiexec(2, main, session_factory=jmpi_session)[0] >= 1
+        assert mpiexec(2, main, session_factory=JmpiComm)[0] >= 1
 
 
 class TestNativeArchitecture:
@@ -193,4 +198,47 @@ class TestNativeArchitecture:
             assert not hasattr(comm, "runtime")
             return True
 
-        assert all(mpiexec(2, main, session_factory=native_session))
+        assert all(mpiexec(2, main, session_factory=NativeComm))
+
+
+class TestJmpiReceive:
+    """JMPI's receive behaves like the other arms': the envelope's tag is
+    matched and reported, and an overlong message is MPI_ERR_TRUNCATE."""
+
+    @staticmethod
+    def _run(send_len: int, recv_len: int, recv_tag: int):
+        def main(ctx):
+            comm = ctx.session
+            if comm.rank == 0:
+                buf = comm.alloc_buffer(send_len)
+                comm.fill_buffer(buf, bytes(range(send_len)))
+                comm.send(buf, 1, 7)
+                return None
+            buf = comm.alloc_buffer(recv_len)
+            st = comm.recv(buf, 0, recv_tag)
+            return st.tag, st.count, comm.buffer_bytes(buf)
+
+        return mpiexec(2, main, session_factory=JmpiComm)[1]
+
+    @pytest.mark.parametrize("recv_tag", [7, ANY_TAG])
+    def test_status_reports_the_senders_tag(self, recv_tag):
+        assert self._run(8, 8, recv_tag) == (7, 8, bytes(range(8)))
+
+    def test_another_tag_is_refused(self):
+        with pytest.raises(MpiErrTag, match="tag 99"):
+            self._run(8, 8, 99)
+
+    def test_overlong_message_is_truncation(self):
+        with pytest.raises(MpiErrTruncate):
+            self._run(8, 4, 7)
+
+    def test_tree_receive_checks_the_tag(self):
+        def main(ctx):
+            comm = ctx.session
+            if comm.rank == 0:
+                comm.send_tree(build_linked_list(comm.runtime, 2, 16), 1, 3)
+                return None
+            comm.recv_tree(0, 4)
+
+        with pytest.raises(MpiErrTag, match="tag 4"):
+            mpiexec(2, main, session_factory=JmpiComm)

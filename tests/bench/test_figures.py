@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.figures import Sweep
 from repro.bench.report import EXPERIMENTS, run_experiment
+from repro.cluster.world import mpiexec
 from repro.workloads.adapters import ADAPTERS
 from repro.workloads.pingpong import sweep_buffer_pingpong, sweep_tree_pingpong
 
@@ -41,7 +42,9 @@ class TestTable:
     def test_sweep_rows_name_real_things(self, exp):
         """The typo net: flavors, keyword arguments and axes exist."""
         sweep = exp.runner
-        params = inspect.signature(sweep.kind.sweep).parameters
+        # a sweep forwards the keywords it does not name to mpiexec
+        params = {*inspect.signature(sweep.kind.sweep).parameters,
+                  *inspect.signature(mpiexec).parameters}
         for label, flavor, kwargs in sweep.arms:
             assert flavor in ADAPTERS, (exp.id, label)
             assert set(kwargs) <= set(params), (exp.id, label)

@@ -211,6 +211,48 @@ class TestLeavingHandsOn:
         assert baton.ranks == frozenset() and baton.holder is None
 
 
+# ------------------------------------------------------------- exit drain
+
+STREAM = 512 * 1024  # twice the sock ring: the sender's last DATA backs up
+
+
+def _stream_main(ctx):
+    """Each pair 2k -> 2k+1 moves one rendezvous stream and returns."""
+    eng = ctx.engine
+    if ctx.rank % 2 == 0:
+        eng.send(BufferDesc.from_bytes(bytes(STREAM)), ctx.rank + 1, 1)
+    else:
+        eng.recv(BufferDesc.from_native(NativeMemory(STREAM)), ctx.rank - 1, 1)
+    return ctx.clock.now()
+
+
+def _unreceived_main(ctx):
+    """Rank 0's eager frame outgrows the ring; rank 1 never receives it."""
+    if ctx.rank == 0:
+        ctx.engine.send(BufferDesc.from_bytes(bytes(STREAM)), 1, 1)
+        return ctx.engine.device.channel.owes()
+    for _ in range(5):  # still running when rank 0's drain starts
+        ctx.engine.progress.cede()
+    return None
+
+
+class TestExitDrain:
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_every_pair_finishes_with_the_two_rank_clocks(self, pairs):
+        """A sender's main returns with its stream's tail in the backlog;
+        its exit drain pushes it, so the receiver is not stranded."""
+        clocks = mpiexec(2 * pairs, _stream_main, channel="sock",
+                         clock_mode="virtual", timeout=60.0)
+        assert clocks == [103200.0, 5109436.0] * pairs
+
+    def test_an_unreceived_stream_does_not_hold_the_drain(self):
+        """What is owed to a rank whose main has returned is owed to nobody:
+        the drain ends when the peer retires, not at its timeout."""
+        world = World(2, channel="sock", clock_mode="virtual", eager_threshold=2 * STREAM)
+        assert world.launch(2, _unreceived_main, timeout=60.0) == [True, None]
+        assert sum(world.quiesce_expired.values()) == 0
+
+
 # ------------------------------------------------------------ late joiners
 
 

@@ -70,14 +70,13 @@ def test_examples_have_no_nested_rank_mains():
 def test_workload_mains_pickle_round_trip():
     """The shipped workload mains survive pickle (what proc launch needs)."""
     from repro.cluster.world import _ObservedMain
-    from repro.workloads.pingpong import BufferPingPong, PairPingPong, TreePingPong
+    from repro.workloads.pingpong import BufferPingPong, TreePingPong
 
     mains = [
         BufferPingPong("cpp", [4, 64], iterations=2, timed=1, runs=1, verify=True),
-        TreePingPong("cpp", [1, 4], total_bytes=64, iterations=2, timed=1,
+        TreePingPong("motor", [1, 4], total_bytes=64, iterations=2, timed=1,
                      runs=1, verify=True),
-        PairPingPong(sizes=[4], iterations=2),
-        _ObservedMain(PairPingPong(sizes=[4], iterations=2)),
+        _ObservedMain(BufferPingPong(sizes=[4], iterations=2)),
     ]
     for main in mains:
         clone = pickle.loads(pickle.dumps(main))

@@ -21,7 +21,7 @@ from repro.cluster.world import mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
-from repro.workloads.pingpong import PairPingPong
+from repro.workloads.pingpong import BufferPingPong
 
 SUBSTRATES = ["inproc", pytest.param("proc", marks=pytest.mark.realproc)]
 LAUNCH_TIMEOUT = 60.0
@@ -126,7 +126,7 @@ class TestConformance:
         assert results == [10, 10, 10, 10]  # 1+2+3+4 on every rank
 
     def test_pingpong_workload(self, substrate):
-        main = PairPingPong(sizes=[4, 1024], iterations=4, timed=2)
+        main = BufferPingPong(sizes=[4, 1024], iterations=4, timed=2, runs=1)
         results = mpiexec(2, main, substrate=substrate, timeout=LAUNCH_TIMEOUT)
         lead, idle = results
         assert idle is None  # odd rank of the pair reports nothing
@@ -169,7 +169,9 @@ class TestProcOnly:
     def test_modelled_figures_equal_inproc_socks(self, n):
         """Hosting moves no modelled number: real processes referee the
         baton-scheduled threads, pair by pair."""
-        main = PairPingPong(sizes=[4, 1024, 65536, 131072, 262144], iterations=8, timed=4)
+        main = BufferPingPong(
+            sizes=[4, 1024, 65536, 131072, 262144], iterations=8, timed=4, runs=1
+        )
         runs = [
             mpiexec(n, main, clock_mode="virtual", timeout=LAUNCH_TIMEOUT, **where)
             for where in ({"substrate": "proc"}, {"substrate": "inproc", "channel": "sock"})

@@ -74,7 +74,7 @@ class TestSockSpecific:
         try:
             big = bytes(range(256)) * (c0._tx[1].capacity // 64)  # 4x the ring
             c0.send_packet(Packet(ptype=EAGER, src=0, dst=1, payload=big))
-            assert c0.tx_backlog > 0
+            assert c0.owes()
             got = []
             for _ in range(100):
                 got = c1.recv_packets()
@@ -82,7 +82,7 @@ class TestSockSpecific:
                     break
                 c0.flush_all()
             assert got and got[0].payload == big
-            assert c0.tx_backlog == 0
+            assert not c0.owes()
         finally:
             fab.shutdown()
 

@@ -5,7 +5,7 @@ First the :class:`~repro.mp.channels.sock.Ring` alone, over a plain
 finding pinned as a unit test.  Then the frame stream through the channel's
 own sender and :class:`~repro.mp.channels.sock.RingReader` (FIFO and byte
 identity, wrap points, frame defects); then the channel (a malformed frame
-attributed to its sender, frames larger than a ring, the exit flush), and
+attributed to its sender, frames larger than a ring, the exit drain), and
 last, behind ``-m realproc``, the proc substrate's worker processes, which
 run that channel over their launcher's mapping: boot, death and the
 launcher's own death.
@@ -24,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.cluster.procsub import _flush
-from repro.cluster.world import mpiexec
+from repro.cluster.world import World, mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.channels import FABRICS
 from repro.mp.channels.sock import (
@@ -181,10 +180,10 @@ class TestRingStream:
                 c0.send_packet(_pkt(0, 1, len(sent), sent[-1]))
             assert 0 <= len(c0._tx[1]) <= cap
         # each poll completes a frame or consumes a ring's worth of one
-        for _ in range(len(sent) + c0.tx_backlog // cap + 2):
+        for _ in range(len(sent) + len(c0._backlog[1]) // cap + 2):
             c0.flush_all()
             got += c1.recv_packets()
-        assert c0.tx_backlog == 0 and len(c0._tx[1]) == 0
+        assert not c0.owes() and len(c0._tx[1]) == 0
         assert [p.tag for p in got] == list(range(1, len(sent) + 1))
         assert [p.payload for p in got] == sent
         assert all(type(p.payload) is bytes for p in got)
@@ -199,7 +198,7 @@ class TestRingStream:
             _align(c0, c1, pos)
             body = _pattern(plen, salt=pos)
             c0.send_packet(_pkt(0, 1, 7, body))
-            assert c0.tx_backlog == 0
+            assert not c0.owes()
             (got,) = c1.recv_packets()
             assert (got.tag, got.payload) == (7, body)
             assert len(c1._rx[0].ring) == 0
@@ -231,7 +230,7 @@ def test_an_eager_threshold_frame_lands_whole(mapping):
     assert c0._tx[1].capacity == RING_CAPACITY
     body = _pattern(CostModel().eager_threshold)
     c0.send_packet(_pkt(0, 1, 1, body))
-    assert c0.tx_backlog == 0
+    assert not c0.owes()
     (got,) = c1.recv_packets()
     assert got.payload == body
 
@@ -338,21 +337,27 @@ class TestChannelOverRings:
         c0.send_packet(_pkt(0, 1, 1))
         assert c1.has_incoming()  # no poll in between: the cursors say so
 
-    def test_teardown_flushes_the_backlog(self, trio):
+    def test_teardown_flushes_the_backlog(self):
         """Finding 3: the tail of a frame one byte larger than the ring
-        must not die with its sender — a proc worker's exit flush."""
-        c0, c1, _ = trio
-        body = _pattern(RING_CAPACITY)  # + header + frame head = capacity + 75
-        assert LEAD == HEADER_SIZE + PREFIX.size == 75
-        c0.send_packet(_pkt(0, 1, 1, body))
-        assert c0._backlog[1]
-        got = []
-        peer = threading.Thread(target=lambda: got.extend(_drain(c1, 1)), daemon=True)
-        peer.start()
-        _flush(c0)  # no further poll from c0's engine: the exit flush must deliver
-        peer.join(DRAIN_TIMEOUT)
-        assert not peer.is_alive()
-        assert bytes(got[0].payload_mv()) == body
+        must not die with its sender — the exit drain of both substrates."""
+        world = World(3, channel="sock")
+        try:
+            sender = world.context_for(0).engine
+            c0, c1 = sender.device.channel, world.context_for(1).engine.device.channel
+            body = _pattern(RING_CAPACITY)  # + header + frame head = capacity + 75
+            assert LEAD == HEADER_SIZE + PREFIX.size == 75
+            c0.send_packet(_pkt(0, 1, 1, body))
+            assert c0._backlog[1]
+            got = []
+            peer = threading.Thread(target=lambda: got.extend(_drain(c1, 1)), daemon=True)
+            peer.start()
+            # rank 0's main has returned: only its exit drain polls c0 now
+            world.quiesce(0, sender, timeout=DRAIN_TIMEOUT)
+            peer.join(DRAIN_TIMEOUT)
+            assert not peer.is_alive()
+            assert bytes(got[0].payload_mv()) == body
+        finally:
+            world.shutdown()
 
     def test_malformed_frame_kills_its_sender_only(self, trio):
         c0, c1, c2 = trio

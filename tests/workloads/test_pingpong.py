@@ -1,8 +1,11 @@
-"""The ping-pong drivers and adapter uniformity."""
+"""The ping-pong drivers and the faces of the flavor table."""
 
 import pytest
 
+from repro.baselines.native_cpp import NativeComm
 from repro.cluster import mpiexec
+from repro.runtime.errors import ObjectModelViolation
+from repro.workloads import linkedlist
 from repro.workloads.adapters import ADAPTERS, make_adapter
 from repro.workloads.pingpong import (
     FIG9_SIZES,
@@ -48,52 +51,67 @@ class TestAdapters:
 
     @pytest.mark.parametrize("flavor", sorted(ADAPTERS))
     def test_buffer_verbs_uniform(self, flavor):
-        """Every adapter satisfies the five-verb contract for fig9."""
+        """Every face satisfies the fig9 verbs, barrier included."""
 
         def main(ctx):
-            ad = make_adapter(flavor, ctx)
-            buf = ad.alloc(16)
+            face = make_adapter(flavor, ctx)
+            buf = face.alloc_buffer(16)
+            face.barrier()
             if ctx.rank == 0:
-                ad.fill(buf, bytes(range(16)))
-                ad.send(buf, 1, 1)
-                ad.recv(buf, 1, 2)
-                return ad.read(buf)
-            ad.recv(buf, 0, 1)
-            ad.send(buf, 0, 2)
-            ad.barrier() if False else None
+                face.fill_buffer(buf, bytes(range(16)))
+                face.send(buf, 1, 1)
+                face.recv(buf, 1, 2)
+                return face.buffer_bytes(buf)
+            face.recv(buf, 0, 1)
+            face.send(buf, 0, 2)
             return None
 
         assert mpiexec(2, main)[0] == bytes(range(16))
+
+    @pytest.mark.parametrize("flavor", sorted(ADAPTERS))
+    def test_fill_refuses_an_overlong_payload(self, flavor):
+        """Six bytes do not fit a four-byte buffer, native or managed, and
+        the refused fill leaves the buffer as it was."""
+
+        def main(ctx):
+            face = make_adapter(flavor, ctx)
+            buf = face.alloc_buffer(4)
+            face.fill_buffer(buf, b"abcd")
+            with pytest.raises((ValueError, ObjectModelViolation), match="4"):
+                face.fill_buffer(buf, b"012345")
+            return face.buffer_bytes(buf)
+
+        assert mpiexec(2, main) == [b"abcd", b"abcd"]
 
     @pytest.mark.parametrize(
         "flavor", ["motor", "motor-hashed", "indiana-sscli", "indiana-dotnet", "mpijava", "jmpi"]
     )
     def test_tree_verbs_uniform(self, flavor):
         def main(ctx):
-            ad = make_adapter(flavor, ctx)
+            face = make_adapter(flavor, ctx)
+            linkedlist.define_linked_array(face.runtime)
             if ctx.rank == 0:
-                tree = ad.build_tree(4, 160)
-                ad.send_tree(tree, 1, 1)
+                tree = linkedlist.build_linked_list(face.runtime, 4, 160)
+                face.send_tree(tree, 1, 1)
                 return None
-            got = ad.recv_tree(0, 1)
-            ad.verify_tree(got, 4, 160)
+            got = face.recv_tree(0, 1)
+            linkedlist.verify_linked_list(face.runtime, got, 4, 160)
             return True
 
         assert mpiexec(2, main)[1] is True
 
     def test_native_has_no_trees(self):
-        assert not ADAPTERS["cpp"].supports_trees
+        assert not hasattr(NativeComm, "send_tree")
 
     def test_overflow_prediction_only_for_mpijava(self):
         def main(ctx):
-            ad = make_adapter("mpijava", ctx)
-            limit = ad.comm.runtime.costs.java_recursion_limit
-            return (
-                ad.tree_will_overflow(limit + 1),
-                ad.tree_will_overflow(limit - 1),
-            )
+            faces = {f: make_adapter(f, ctx) for f in ("mpijava", "motor", "indiana-sscli")}
+            limit = faces["mpijava"].runtime.costs.java_recursion_limit
+            return [face.tree_will_overflow(limit + 1) for face in faces.values()] + [
+                faces["mpijava"].tree_will_overflow(limit - 1)
+            ]
 
-        assert mpiexec(2, main)[0] == (True, False)
+        assert mpiexec(2, main)[0] == [True, False, False, False]
 
 
 class TestSweeps:
