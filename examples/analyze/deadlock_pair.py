@@ -8,14 +8,18 @@ blocks forever inside its own ``Send`` — the classic unsafe exchange
 that "happens to work" with small (eager) messages and then deadlocks
 in production when the payload grows past the eager threshold.
 
-The runtime sanitizer builds the cross-rank wait-for graph, finds the
-2-cycle, reports MA-R01, and halts the run instead of hanging it.
+The inproc scheduler sees the moment both ranks wait with nothing in
+flight and raises ``MpiErrDeadlock`` naming each blocked ``Send`` at
+once, instead of letting the run hang until its timeout.  Under the
+runtime sanitizer that verdict becomes an MA-R01 finding and the run
+comes back empty with ``.deadlocked`` set.
 
 Run:  python examples/analyze/deadlock_pair.py
 """
 
 from repro.cluster import mpiexec
 from repro.motor import motor_session
+from repro.mp.errors import MpiErrDeadlock
 
 #: with a 4 KiB eager threshold this payload always takes the
 #: rendezvous path; shrink it below the threshold and the deadlock
@@ -36,11 +40,15 @@ def main(ctx):
 
 
 def run():
-    """Run the buggy exchange under the sanitizer; return the Report."""
-    results = mpiexec(
-        2, main, sanitize="enabled", session_factory=motor_session,
-        eager_threshold=EAGER_THRESHOLD, timeout=60.0,
-    )
+    """Run the buggy exchange bare, then under the sanitizer; return the Report."""
+    opts = dict(session_factory=motor_session, eager_threshold=EAGER_THRESHOLD, timeout=60.0)
+    try:
+        mpiexec(2, main, clock_mode="virtual", **opts)
+    except MpiErrDeadlock as err:
+        assert "rank 0 [Send(dst=1, tag=3)]" in str(err), err
+    else:
+        raise AssertionError("the exchange should have deadlocked")
+    results = mpiexec(2, main, sanitize="enabled", **opts)
     assert results.deadlocked, "the sanitizer should have halted the run"
     return results.report
 
@@ -48,5 +56,5 @@ def run():
 if __name__ == "__main__":
     report = run()
     print(report.render_text())
-    assert report.by_rule("MA-R01"), "expected a deadlock-cycle finding"
+    assert report.by_rule("MA-R01"), "expected a deadlock finding"
     print("OK: sanitizer reported the send/send deadlock instead of hanging")

@@ -14,11 +14,12 @@ Motor's restricted MPI bindings (§4.2/§4.3):
   mismatches (MA-S06), stores into in-flight buffers (MA-S07), request
   leaks (MA-S08), cyclic blocking dependencies (MA-S09) and ambiguous
   wildcard receives (MA-S10);
-* the **runtime pass** (:mod:`repro.analyze.sanitizer`) attaches through
-  explicit ``san`` hook points on the progress engine, device, matching
-  queues, collector and pin policy — detecting deadlock knots (MA-R01),
-  wildcard-receive races (MA-R02), buffers modified or reused while an
-  operation is in flight (MA-R03/MA-R04) and pin leaks (MA-R05).
+* the **runtime pass** (:mod:`repro.analyze.sanitizer`) subscribes to
+  the hook spine of the device, matching queues, collector, pin policy
+  and window layer — detecting wildcard-receive races (MA-R02), buffers
+  modified or reused while an operation is in flight (MA-R03/MA-R04),
+  pin leaks (MA-R05) and one-sided epoch violations (MA-R06/MA-R07) —
+  and records the inproc scheduler's deadlock verdict as MA-R01.
 
 Both passes emit :class:`~repro.analyze.findings.Finding` records into a
 :class:`~repro.analyze.findings.Report`, exportable as text or JSON;
@@ -40,7 +41,6 @@ from repro.analyze.findings import (
 from repro.analyze.gate import discover_il_units, run_gate
 from repro.analyze.rankflow import RankFlow, analyze_assembly, run_rankflow
 from repro.analyze.sanitizer import (
-    DeadlockError,
     RankSanitizer,
     Sanitizer,
     attach_engine,
@@ -66,7 +66,6 @@ __all__ = [
     "run_gate",
     "Sanitizer",
     "RankSanitizer",
-    "DeadlockError",
     "attach_engine",
     "attach_gc",
     "attach_vm",

@@ -141,10 +141,9 @@ RULES: dict[str, Rule] = _rules(
     Rule(
         "MA-R01",
         SEV_ERROR,
-        "deadlock cycle",
-        "The cross-rank wait-for graph contains a cycle: every rank in it "
-        "is blocked on a call that only another rank in the cycle could "
-        "complete.",
+        "deadlock",
+        "Every hosted rank is blocked in a wait and no rank holds anything "
+        "in flight: no wait can ever end.",
     ),
     Rule(
         "MA-R02",

@@ -1,9 +1,9 @@
-"""Runtime sanitizer: deadlock, race, buffer and pin-leak detection.
+"""Runtime sanitizer: race, buffer and pin-leak detection, deadlock report.
 
 A shared :class:`Sanitizer` watches every rank of a world through the
 messaging stack's hook spine (:mod:`repro.mp.hooks`): each rank's
 :class:`RankSanitizer` view is a spine subscriber whose ``on_*`` methods
-receive the typed events the device, matching queues, progress engine
+receive the typed events the device, matching queues, window layer
 and collector emit.  The view binds a rank, its clock and the cost
 model; all cross-rank state lives in the shared core behind one lock
 (rank threads only ever touch their own device, so the sanitizer is the
@@ -11,17 +11,11 @@ only cross-thread reader).
 
 What it checks:
 
-* **MA-R01 deadlock** — a cross-rank wait-for graph over blocked
-  polling-waits.  A rank is *stuck* when nothing already in flight can
-  complete its request: a receive with no matching posted send anywhere,
-  or a rendezvous send whose RTS nobody has answered and whose peer has
-  no matching receive posted.  Eager sends are never stuck (the peer's
-  device stages them from its progress loop even while the peer itself
-  is blocked).  A deadlock is a *knot*: the largest set of blocked-stuck
-  ranks whose every dependency lies inside the set — ranks waiting on a
-  peer that can still run are pruned, so fault-injected and merely slow
-  runs stay clean.  On detection every blocked rank raises
-  :class:`DeadlockError`, naming the cycle.
+* **MA-R01 deadlock** — detected by the inproc scheduler, not here: the
+  :class:`~repro.simtime.sched.Baton` raises
+  :class:`~repro.mp.errors.MpiErrDeadlock` once every hosted rank waits
+  and nothing is in flight, naming each rank's wait.  ``mpiexec`` hands
+  that verdict to :meth:`Sanitizer.on_deadlock`, which records it.
 * **MA-R02 wildcard race** — an ``ANY_SOURCE`` receive that had more
   than one candidate send in flight (or staged) from distinct sources:
   the match order is timing, not program order.
@@ -58,19 +52,6 @@ from repro.mp.matching import ANY_SOURCE, ANY_TAG
 from repro.mp.request import RECV, SEND, Request
 
 
-class DeadlockError(RuntimeError):
-    """Raised inside blocked ranks once a deadlock knot is confirmed."""
-
-    def __init__(self, message: str, finding: Finding | None = None) -> None:
-        super().__init__(message)
-        self.finding = finding
-
-
-def describe_request(req: Request) -> str:
-    """A human label for a blocked call (used in deadlock reports)."""
-    return req.describe()
-
-
 def _tag_match(send_tag: int, recv_sel: int) -> bool:
     return recv_sel == ANY_TAG or recv_sel == send_tag
 
@@ -81,27 +62,8 @@ class _SendEntry:
 
     src: int
     dst: int
-    op_id: int
     tag: int
     comm_id: int
-    rndv: bool
-    seq: int
-
-
-@dataclass
-class _RecvEntry:
-    """One posted receive, tracked until it completes."""
-
-    rank: int
-    op_id: int
-    src_sel: int
-    tag_sel: int
-    comm_id: int
-    seq: int
-    #: set once the device matched a message to this receive; from then
-    #: on the transfer is the peer's progress loop's job, so the rank is
-    #: not *stuck* even though it is still blocked (rendezvous DATA leg)
-    matched: bool = False
 
 
 @dataclass
@@ -145,43 +107,26 @@ class _PinRecord:
 class Sanitizer:
     """Shared cross-rank state and the checking core."""
 
-    def __init__(self, world_size: int) -> None:
-        self.world_size = world_size
+    def __init__(self) -> None:
         self.report = Report()
         self._lock = threading.RLock()
-        self._seq = 0
         #: (src_rank, op_id) -> _SendEntry
         self._sends: dict[tuple[int, int], _SendEntry] = {}
-        #: (rank, op_id) -> _RecvEntry
-        self._recvs: dict[tuple[int, int], _RecvEntry] = {}
-        #: rank -> the request its polling-wait is blocked on
-        self._blocked: dict[int, Request] = {}
-        self._dead: set[int] = set()
-        #: set once a deadlock knot is confirmed; blocked ranks then raise
-        self._deadlock: Finding | None = None
         #: per-rank in-flight buffer regions
         self._regions: dict[int, list[_Region]] = {}
         #: per-rank live pin records, keyed by handle slot
         self._pins: dict[int, dict[int, _PinRecord]] = {}
-        #: per-rank current collective (report context only)
-        self.in_collective: dict[int, str | None] = {}
         #: (rank, win_id, target) -> intervals this access epoch touched
         self._rma_spans: dict[tuple[int, int, int], list[_RmaInterval]] = {}
 
     def rank_view(self, rank: int, clock=None, costs=None, enabled: bool = True) -> "RankSanitizer":
         return RankSanitizer(self, rank, clock=clock, costs=costs, enabled=enabled)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     # ------------------------------------------------------------- p2p registry
 
-    def on_send_post(self, rank: int, req: Request, dst: int, rndv: bool) -> None:
+    def on_send_post(self, rank: int, req: Request, dst: int) -> None:
         with self._lock:
-            self._sends[(rank, req.op_id)] = _SendEntry(
-                rank, dst, req.op_id, req.tag, req.comm_id, rndv, self._next_seq()
-            )
+            self._sends[(rank, req.op_id)] = _SendEntry(rank, dst, req.tag, req.comm_id)
             self._track_buffer(rank, req)
 
     def on_send_consumed(self, src: int, op_id: int) -> None:
@@ -190,24 +135,13 @@ class Sanitizer:
 
     def on_recv_post(self, rank: int, req: Request) -> None:
         with self._lock:
-            self._recvs[(rank, req.op_id)] = _RecvEntry(
-                rank, req.op_id, req.peer, req.tag, req.comm_id, self._next_seq()
-            )
             self._track_buffer(rank, req)
-        req.on_complete.append(lambda r, _rank=rank: self._recv_done(_rank, r))
-
-    def _recv_done(self, rank: int, req: Request) -> None:
-        with self._lock:
-            self._recvs.pop((rank, req.op_id), None)
 
     def on_recv_matched(self, rank: int, req: Request, src: int) -> None:
         """A receive just matched a message from *src* (device side)."""
+        if req.peer != ANY_SOURCE:
+            return
         with self._lock:
-            entry = self._recvs.get((rank, req.op_id))
-            if entry is not None:
-                entry.matched = True
-            if req.peer != ANY_SOURCE:
-                return
             candidates = {
                 e.src
                 for e in self._sends.values()
@@ -243,10 +177,6 @@ class Sanitizer:
                         details=(("candidates", distinct),),
                     )
                 )
-
-    def on_peer_failed(self, rank: int, peer: int) -> None:
-        with self._lock:
-            self._dead.add(peer)
 
     # ------------------------------------------------------------- buffer checks
 
@@ -299,129 +229,12 @@ class Sanitizer:
                     )
                 )
 
-    # ------------------------------------------------------------- wait-for graph
+    # ------------------------------------------------------------- deadlock
 
-    def on_wait_enter(self, rank: int, req: Request) -> None:
+    def on_deadlock(self, err: Exception) -> None:
+        """MA-R01: the scheduler's verdict that no blocked wait can end."""
         with self._lock:
-            self._blocked[rank] = req
-            self._raise_if_halted(rank)
-
-    def on_wait_tick(self, rank: int, req: Request) -> None:
-        """Called from the polling-wait every idle-spin backoff."""
-        with self._lock:
-            self._raise_if_halted(rank)
-            self._deadlock_check()
-            self._raise_if_halted(rank)
-
-    def on_wait_exit(self, rank: int, req: Request) -> None:
-        with self._lock:
-            self._blocked.pop(rank, None)
-
-    def _raise_if_halted(self, rank: int) -> None:
-        if self._deadlock is not None:
-            raise DeadlockError(
-                f"rank {rank}: halted by deadlock detector: "
-                f"{self._deadlock.message}",
-                finding=self._deadlock,
-            )
-
-    def _stuck_deps(self, rank: int, req: Request) -> set[int] | None:
-        """The ranks *rank* is waiting on, or None if it is not stuck."""
-        if req.completed:
-            # Third-party progression (async progress mode, or a nested
-            # drive during the waiter's own backoff charges) finished the
-            # request between polls; the waiter just hasn't observed it.
-            # Not a wait edge — without this, a completed-but-unobserved
-            # request could anchor a phantom knot.
-            return None
-        if req.kind == RECV:
-            rentry = self._recvs.get((rank, req.op_id))
-            if rentry is None or rentry.matched:
-                # completed, or matched with the data leg in progress —
-                # either way a peer's progress loop will finish it
-                return None
-            if any(
-                e.dst == rank
-                and e.comm_id == req.comm_id
-                and _tag_match(e.tag, req.tag)
-                and (req.peer == ANY_SOURCE or e.src == req.peer)
-                for e in self._sends.values()
-            ):
-                return None  # a matching send is already in flight
-            if req.peer == ANY_SOURCE:
-                deps = set(range(self.world_size)) - {rank} - self._dead
-                return deps or None
-            if req.peer in self._dead:
-                return None  # the failure path will complete it
-            return {req.peer}
-        entry = self._sends.get((rank, req.op_id))
-        if entry is None or not entry.rndv:
-            # consumed / accepted / eager: the peer's progress loop finishes it
-            return None
-        if entry.dst in self._dead:
-            return None
-        if any(
-            r.rank == entry.dst
-            and r.comm_id == entry.comm_id
-            and _tag_match(entry.tag, r.tag_sel)
-            and (r.src_sel == ANY_SOURCE or r.src_sel == rank)
-            for r in self._recvs.values()
-        ):
-            return None  # the peer has a matching receive posted
-        return {entry.dst}
-
-    def _deadlock_check(self) -> None:
-        if self._deadlock is not None:
-            return
-        deps: dict[int, set[int]] = {}
-        for rank, req in self._blocked.items():
-            d = self._stuck_deps(rank, req)
-            if d:
-                deps[rank] = d
-        # Knot extraction: drop any rank with a dependency that can still
-        # run (not blocked-stuck itself); what remains can never progress.
-        knot = set(deps)
-        changed = True
-        while changed:
-            changed = False
-            for r in list(knot):
-                if any(p not in knot for p in deps[r]):
-                    knot.discard(r)
-                    changed = True
-        if not knot:
-            return
-        cycle = self._extract_cycle(knot, deps)
-        blocked_calls = {}
-        for r in sorted(cycle):
-            desc = describe_request(self._blocked[r])
-            coll = self.in_collective.get(r)
-            blocked_calls[r] = f"{desc} in {coll}" if coll else desc
-        chain = " -> ".join(
-            f"rank {r} [{blocked_calls[r]}]" for r in cycle
-        ) + f" -> rank {cycle[0]}"
-        finding = Finding(
-            "MA-R01",
-            f"deadlock cycle across {len(cycle)} rank(s): {chain}",
-            details=(
-                ("ranks", sorted(cycle)),
-                ("blocked", blocked_calls),
-            ),
-        )
-        self.report.add(finding)
-        self._deadlock = finding
-
-    @staticmethod
-    def _extract_cycle(knot: set[int], deps: dict[int, set[int]]) -> list[int]:
-        """Walk successors inside the knot until a rank repeats."""
-        start = min(knot)
-        path: list[int] = []
-        seen: dict[int, int] = {}
-        r = start
-        while r not in seen:
-            seen[r] = len(path)
-            path.append(r)
-            r = min(p for p in deps[r] if p in knot)
-        return path[seen[r] :]
+            self.report.add(Finding("MA-R01", str(err)))
 
     # ------------------------------------------------------------- one-sided
 
@@ -555,7 +368,7 @@ class RankSanitizer:
         if not self.enabled:
             return
         self._charge(self.costs.san_check_ns if self.costs else 0.0)
-        self.core.on_send_post(self.rank, req, dst, rndv)
+        self.core.on_send_post(self.rank, req, dst)
 
     def on_recv_posted(self, req: Request) -> None:
         if not self.enabled:
@@ -574,43 +387,6 @@ class RankSanitizer:
         if not self.enabled:
             return
         self.core.on_wildcard_scan(self.rank, tag_sel, comm_sel, sources)
-
-    def on_peer_failed(self, peer: int) -> None:
-        if not self.enabled:
-            return
-        self.core.on_peer_failed(self.rank, peer)
-
-    # -- progress-engine events --------------------------------------------
-
-    def on_wait_enter(self, req: Request) -> None:
-        if not self.enabled:
-            return
-        self.core.on_wait_enter(self.rank, req)
-
-    def on_wait_tick(self, req: Request) -> None:
-        if not self.enabled:
-            return
-        self._charge(self.costs.san_deadlock_check_ns if self.costs else 0.0)
-        self.core.on_wait_tick(self.rank, req)
-
-    def on_wait_exit(self, req: Request) -> None:
-        if not self.enabled:
-            return
-        self.core.on_wait_exit(self.rank, req)
-
-    # -- collective scope (report context) ---------------------------------
-
-    def on_region_begin(self, name: str, args: dict) -> None:
-        if not self.enabled:
-            return
-        if name.startswith("coll."):
-            self.core.in_collective[self.rank] = name
-
-    def on_region_end(self, name: str) -> None:
-        if not self.enabled:
-            return
-        if name.startswith("coll."):
-            self.core.in_collective[self.rank] = None
 
     # -- one-sided (RMA) events --------------------------------------------
 

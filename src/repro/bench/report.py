@@ -653,8 +653,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.id: e for e in (
     # The runtime sanitizer's cost on the fast path.  Same three-way shape
     # as A11: no sanitizer, sanitizer attached but disabled (every ``san is
     # not None`` guard is crossed and every rank view early-returns), and
-    # full checking (registry updates, CRC snapshots, wait-for-graph sweeps
-    # on idle waits).  The claim the acceptance criteria bound is the middle
+    # full checking (registry updates, CRC snapshots).  The claim the acceptance criteria bound is the middle
     # column: a detached/disabled sanitizer must price within 1% of the
     # baseline, so the hooks can stay compiled into the device and progress
     # engine permanently.

@@ -23,7 +23,9 @@ the decisions that differ between a simulated and a real deployment:
   clock and so an inproc mode: the proc substrate rejects it);
 * **who runs** — the inproc substrate owns the world's one scheduler, a
   :class:`~repro.simtime.sched.Baton`: exactly one of the rank threads
-  it hosts is runnable, and ceding wakes the next one directly.  Process
+  it hosts is runnable, and ceding wakes the next one directly.  So it
+  also sees a world where every rank waits and nothing is in flight, and
+  raises :class:`~repro.mp.errors.MpiErrDeadlock` there.  Process
   hosting leaves that to the operating system.
 
 :class:`InprocSubstrate` is the thread-per-rank world;
@@ -41,6 +43,7 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.mp.channels import FABRICS, FaultyFabric
+from repro.mp.errors import MpiErrDeadlock
 from repro.simtime.sched import Baton
 
 
@@ -151,7 +154,10 @@ class InprocSubstrate(Substrate):
     born connected (no boot barrier is needed because the fabric wires
     every endpoint before any main starts).  The substrate owns the
     world's scheduler: every thread it hosts — boot ranks, spawned
-    children, replacements — runs under one :class:`Baton`.
+    children, replacements — runs under one :class:`Baton`.  The baton
+    names a deadlock in any world whose idle polls change nothing: one
+    without the reliability sublayer's poll-counted retransmits and
+    without a fault plan's held packets.
     """
 
     name = "inproc"
@@ -160,7 +166,9 @@ class InprocSubstrate(Substrate):
 
     def __init__(self, world) -> None:
         super().__init__(world)
-        self.baton = Baton(by_clock=world.clock_mode == "virtual")
+        exact = not world.reliable and world.fault_plan is None
+        self.baton = Baton(by_clock=world.clock_mode == "virtual",
+                           deadlock=MpiErrDeadlock if exact else None)
 
     def validate(self) -> None:
         return None
@@ -174,9 +182,16 @@ class InprocSubstrate(Substrate):
         the baton up for good after the exit drain, whatever ``main`` did.
         """
         baton, rank = self.baton, ctx.rank
-        core = ctx.engine.progress.core
-        baton.join(rank, ctx.clock, lambda: core.handled)
-        ctx.engine.progress.hand_off = partial(baton.cede, rank)
+        progress = ctx.engine.progress
+        core, device = progress.core, ctx.engine.device
+
+        def in_flight() -> bool:
+            channel = device.channel
+            return bool(device._outbox) or channel.has_incoming() or channel.owes()
+
+        baton.join(rank, ctx.clock, lambda: core.handled,
+                   lambda: progress.waiting, in_flight)
+        progress.hand_off = partial(baton.cede, rank)
         run = draining(self.world, main)
 
         def hosted(ctx) -> Any:
@@ -219,9 +234,11 @@ class InprocSubstrate(Substrate):
         finally:
             # idempotent, best-effort: a crash mid-wiring must not leak endpoints
             world.shutdown()
-        for t in threads:
-            if t.error is not None:
-                raise t.error
+        errors = [t.error for t in threads if t.error is not None]
+        if errors:
+            # a rank that raised leaves its peers waiting on it: the
+            # deadlock they report is the consequence, the error the cause
+            raise next((e for e in errors if not isinstance(e, MpiErrDeadlock)), errors[0])
         return [t.result for t in threads]
 
 

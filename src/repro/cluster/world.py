@@ -20,7 +20,7 @@ from repro.cluster.substrate import _RankThread, make_substrate, open_session
 from repro.mp.channels import FABRICS, FaultPlan
 from repro.mp.channels.base import ChannelStack
 from repro.mp.communicator import Communicator, Group
-from repro.mp.errors import MpiErrTimeout
+from repro.mp.errors import MpiErrDeadlock, MpiErrTimeout
 from repro.mp.mpi import MpiEngine
 from repro.simtime import Clock, CostModel
 
@@ -109,7 +109,7 @@ class World:
         if sanitize is not None:
             from repro.analyze import Sanitizer
 
-            self.sanitizer = Sanitizer(size)
+            self.sanitizer = Sanitizer()
         #: the execution substrate: owns rank hosting, fabric construction,
         #: clock selection and the boot barrier (see repro.cluster.substrate)
         self.substrate = make_substrate(substrate, self, substrate_opts)
@@ -517,8 +517,8 @@ class RankResults(list):
     report: Any = None
     #: the merged obs snapshot gathered to rank 0 (``observe="enabled"``), else ``None``
     snapshot: dict | None = None
-    #: True when the sanitizer confirmed a deadlock and halted the run;
-    #: the list is then empty
+    #: True when the run deadlocked under an enabled sanitizer (the report
+    #: holds the MA-R01 finding); the list is then empty
     deadlocked = False
 
 
@@ -562,11 +562,15 @@ def mpiexec(
     ``sanitize`` attaches the repro.analyze runtime sanitizer the same
     way: ``"enabled"`` checks, ``"disabled"`` attaches inert hooks (the
     A12 overhead configuration), ``None`` leaves the stack untouched; the
-    findings are the result's ``.report``.  A confirmed deadlock knot
-    makes the blocked ranks raise :class:`repro.analyze.DeadlockError`;
-    it does not propagate: the result comes back empty with
-    ``.deadlocked`` set and the MA-R01 finding in the report.  Other rank
-    errors re-raise.
+    findings are the result's ``.report``.
+
+    A world whose every rank waits with nothing in flight raises
+    :class:`~repro.mp.errors.MpiErrDeadlock` naming each rank's wait, at
+    once rather than at ``timeout`` (inproc, without the reliability
+    sublayer or a fault plan).  A rank error that left its peers waiting
+    re-raises in preference.  Under ``sanitize="enabled"`` the deadlock
+    does not propagate: the result comes back empty with ``.deadlocked``
+    set and the MA-R01 finding in the report.
 
     ``substrate`` picks the execution substrate: ``"inproc"`` (default,
     thread-per-rank in this process) or ``"proc"`` (one OS process per
@@ -580,17 +584,16 @@ def mpiexec(
                   observe=observe, sanitize=sanitize, progress=progress,
                   substrate=substrate, substrate_opts=substrate_opts)
     out = RankResults()
-    deadlock: tuple = ()
     if world.sanitizer is not None:
-        from repro.analyze import DeadlockError
-
-        deadlock = (DeadlockError,)
         out.report = world.sanitizer.report
     gather = observe == "enabled"
     try:
         results = world.launch(n, _ObservedMain(main) if gather else main,
                                session_factory, timeout)
-    except deadlock:
+    except MpiErrDeadlock as err:
+        if sanitize != "enabled":
+            raise
+        world.sanitizer.on_deadlock(err)
         out.deadlocked = True
         return out
     if gather:

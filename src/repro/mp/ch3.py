@@ -662,10 +662,6 @@ class CH3Device:
             for r in self.gossip_ranks():
                 if r != self.rank and r != peer and r not in self.failed_ranks:
                     self._emit(Packet(ptype=FAILN, src=self.rank, dst=r, op_id=peer))
-        cbs = self.hooks.peer_failed
-        if cbs:
-            for cb in cbs:
-                cb(peer)
         for op_id, req in list(self._rndv_sends.items()):
             if req.wdst == peer:
                 del self._rndv_sends[op_id]

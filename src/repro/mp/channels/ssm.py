@@ -48,6 +48,13 @@ class SsmChannel(Channel):
     def has_incoming(self) -> bool:
         return self._shm.has_incoming() or self._sock.has_incoming()
 
+    def retire(self) -> None:
+        self._shm.retire()
+        self._sock.retire()
+
+    def owes(self) -> bool:
+        return self._sock.owes()
+
     def finalize(self) -> None:
         if self._finalized:
             return

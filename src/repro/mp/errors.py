@@ -61,6 +61,14 @@ class MpiErrTimeout(MpiError):
     mpi_class = "MPI_ERR_TIMEOUT"
 
 
+class MpiErrDeadlock(MpiErrTimeout):
+    """Every hosted rank waits and nothing is in flight: no wait can end.
+
+    The inproc scheduler's verdict (:class:`repro.simtime.sched.Baton`);
+    the message names each rank's blocked wait.
+    """
+
+
 class MpiErrRma(MpiError):
     """One-sided window misuse: bad window handle, out-of-range access,
     or an epoch-discipline error the window layer cannot tolerate."""

@@ -37,10 +37,6 @@ Event catalog (arguments each ``on_<event>`` receives):
 ``match(req, src, send_op_id)``    a receive matched a send
 ``recv_complete(status)`` a receive finished (post-truncation status)
 ``wildcard_scan(tag_sel, comm_sel, sources)``  ANY_SOURCE scanned a queue
-``wait_enter(req)``       a blocking wait began
-``wait_tick(req)``        idle backoff inside a blocking wait
-``wait_exit(req)``        the blocking wait returned or raised
-``peer_failed(peer)``     reliability declared a peer dead
 ``retransmit(pkt, retries)``       reliability re-sent an unacked packet
 ``fault_injected(dst, index, fault, kind)``    fault wrapper perturbed a packet
 ``region_begin(name, args)``       a named region (collective, serializer
@@ -85,10 +81,6 @@ EVENTS: tuple[str, ...] = (
     "match",
     "recv_complete",
     "wildcard_scan",
-    "wait_enter",
-    "wait_tick",
-    "wait_exit",
-    "peer_failed",
     "retransmit",
     "fault_injected",
     "region_begin",

@@ -61,8 +61,8 @@ from repro.simtime.sched import ensure_scheduler
 #: a retired device
 ASYNC_TASK_KEY = "mp.progress"
 
-#: every 64th consecutive idle poll of a wait is its backoff point: the
-#: ``wait_tick`` hooks fire, and a process-hosted rank first yields its CPU
+#: every 64th consecutive idle poll of a wait is its backoff point, where
+#: a process-hosted rank yields its CPU
 IDLE_MASK = 0x3F
 
 
@@ -78,8 +78,7 @@ class ProgressCore:
     def __init__(self, device: CH3Device, yield_fn: Callable[[], None] | None = None) -> None:
         self.device = device
         self.yield_fn = yield_fn
-        #: the rank's hook spine (wait enter/tick/exit feed the sanitizer's
-        #: cross-rank wait-for graph; polls are exported as pull-model pvars)
+        #: the rank's hook spine (polls are exported as pull-model pvars)
         self.hooks = NULL_SPINE
         self.polls = 0
         self.idle_polls = 0
@@ -195,6 +194,10 @@ class ProgressEngine:
         #: rank as one of its threads installs its scheduler's hand-off
         #: here; None — nobody schedules this rank — is the OS yield
         self.hand_off: Callable[[], None] | None = None
+        #: what :meth:`drive` is blocked on — its request, else the
+        #: description of its condition; None outside a wait.  The baton
+        #: reads it to tell a blocked rank from a spinning one
+        self.waiting: Request | str | None = None
         #: consecutive idle polls of the current wait
         self._idle_run = 0
 
@@ -276,27 +279,21 @@ class ProgressEngine:
                 failed=frozenset(self.core.device.failed_ranks),
             )
 
-    def idle(self, req: Request | None = None) -> None:
+    def idle(self) -> None:
         """One progress step; if it handled nothing, cede per the hosting.
 
         :meth:`drive`'s step, public for callers that interleave their own
         work between polls.  Thread-hosted ranks share one interpreter —
         the peer *cannot run* while this rank spins — so they cede on the
         first idle poll.  Process-hosted ranks run in parallel and a yield
-        only adds latency: they spin 63 consecutive idle polls first.  The
-        64th of a wait on ``req`` also fires the ``wait_tick`` hooks — the
-        quiet moment to look for a cross-rank deadlock knot.
+        only adds latency: they spin 63 consecutive idle polls first.
         """
         if self.core.step():
             self._idle_run = 0
             return
         self._idle_run = run = self._idle_run + 1
-        tick = run & IDLE_MASK == 0
-        if tick or self.thread_hosted:
+        if self.thread_hosted or run & IDLE_MASK == 0:
             self.cede()
-        if tick and req is not None:
-            for cb in self.core.hooks.wait_tick:
-                cb(req)
 
     def drive(self, done: Callable[[], bool], timeout: float | None = None,
               what: str = "condition", req: Request | None = None) -> None:
@@ -305,14 +302,21 @@ class ProgressEngine:
         The wall ``timeout`` (seconds) bounds it ("MPI Progress For All":
         no wait may hang forever), raising :class:`MpiErrTimeout` naming
         ``what``.  It is checked every iteration: a chatty-but-stuck peer
-        (heartbeats, retransmits) must not defeat the bound.
+        (heartbeats, retransmits) must not defeat the bound.  Under the
+        inproc baton a wait that can never end raises
+        :class:`~repro.mp.errors.MpiErrDeadlock` naming ``req`` (else
+        ``what``) at once.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         self._idle_run = 0
-        while not done():
-            self.idle(req)
-            if deadline is not None and time.monotonic() > deadline:
-                raise MpiErrTimeout(f"{what} after {timeout}s")
+        outer, self.waiting = self.waiting, what if req is None else req
+        try:
+            while not done():
+                self.idle()
+                if deadline is not None and time.monotonic() > deadline:
+                    raise MpiErrTimeout(f"{what} after {timeout}s")
+        finally:
+            self.waiting = outer
         # ``done`` may have come true during application compute (async
         # progress) — consuming the result is where the arrival time lands
         self.core.device.clock.apply_pending()
@@ -324,15 +328,8 @@ class ProgressEngine:
         :class:`MpiErrTimeout`; a request that completes with a dead peer
         raises :class:`MpiErrProcFailed`.
         """
-        h = self.core.hooks
-        for cb in h.wait_enter:
-            cb(req)
-        try:
-            self.drive(lambda: req.completed, timeout,
-                       f"request {req.op_id} incomplete", req)
-        finally:
-            for cb in h.wait_exit:
-                cb(req)
+        self.drive(lambda: req.completed, timeout,
+                   f"request {req.op_id} incomplete", req)
         self._check_failed(req)
 
     def poll_until(self, cond: Callable[[], bool], timeout: float | None = None,

@@ -86,13 +86,17 @@ class WallClock(Clock):
 
     virtual = False
 
+    #: number of charge() calls: no time, but still a count of work done
+    charges = 0
+
     def now(self) -> float:
         return float(time.perf_counter_ns())
 
     def charge(self, ns: float) -> None:  # noqa: ARG002 - interface parity
         # Wall time passes on its own, but a charge is still the moment a
-        # rank accounts for work — the scheduler gets its chance to run
-        # recurring tasks against real elapsed time.
+        # rank accounts for work — counted, and the scheduler gets its
+        # chance to run recurring tasks against real elapsed time.
+        self.charges += 1
         s = self.scheduler
         if s is not None:
             s.drive()

@@ -154,8 +154,6 @@ class CostModel:
     # --- sanitizer (repro.analyze) -----------------------------------------
     #: per-operation registry update (send/recv post bookkeeping)
     san_check_ns: float = 120.0
-    #: one wait-for-graph sweep at an idle polling-wait backoff
-    san_deadlock_check_ns: float = 900.0
 
     def scaled(self, **overrides: float) -> "CostModel":
         """A copy of this model with selected fields overridden."""

@@ -15,8 +15,9 @@ across ranks; each rank owns one clock and one scheduler, preserving the
 Lamport-clock design (single writer, no locks).
 
 Across ranks the schedulable entity is the rank itself: a :class:`Baton`
-lets exactly one rank thread of an in-process world run at a time and
-decides, from simulation state alone, who runs when that rank cedes.
+lets exactly one rank thread of an in-process world run at a time,
+decides, from simulation state alone, who runs when that rank cedes, and
+sees when no rank can ever run again.
 
 Determinism and safety rules:
 
@@ -138,13 +139,20 @@ def ensure_scheduler(clock) -> TaskScheduler:
 class _Seat:
     """One rank's place under a :class:`Baton`."""
 
-    __slots__ = ("rank", "clock", "work", "gate", "ceded_at", "mark")
+    __slots__ = ("rank", "clock", "work", "waiting", "in_flight", "gate",
+                 "ceded_at", "mark", "quiet")
 
-    def __init__(self, rank: int, clock, work: Callable[[], int]) -> None:
+    def __init__(self, rank: int, clock, work: Callable[[], int],
+                 waiting: Callable[[], object], in_flight: Callable[[], bool]) -> None:
         self.rank = rank
         self.clock = clock
         #: count of what the rank has handled so far (its progress core's)
         self.work = work
+        #: the wait the rank is blocked in (a request, or a description of
+        #: the condition), None outside one
+        self.waiting = waiting
+        #: True while the rank holds something another rank will receive
+        self.in_flight = in_flight
         #: held while the rank is parked; releasing it *is* the wake-up
         self.gate = threading.Lock()
         self.gate.acquire()
@@ -152,6 +160,8 @@ class _Seat:
         self.ceded_at = 0
         #: (work, clock) when this rank last ceded
         self.mark = None
+        #: (work, charges) when this rank last ceded
+        self.quiet = None
 
 
 class Baton:
@@ -176,16 +186,31 @@ class Baton:
     starve it, and poll-counted timers keep ticking.  Without a modelled
     clock there is nothing to order by: cede order alone.
 
+    The baton also sees when no rank can ever run again.  A rank is
+    *quiet* when it cedes from inside a wait having handled nothing and
+    charged nothing since it last ceded; any other cede (a compute loop's,
+    a ``test`` miss's, or one that follows work) clears the quiet set.
+    Once every seated rank is quiet and none holds anything in flight, no
+    wait can end: given a ``deadlock`` error class, the baton raises it
+    with a message naming each rank's wait — in the rank that found it,
+    and in every other rank at its next cede.  Worlds whose idle polls
+    still change state (retransmit timers) pass no class.
+
     No locking: only the holder mutates the baton (a rank joins others
     from the launcher before anything runs, or from the holder's thread),
     and every mutation precedes the gate release that publishes it.  The
     one rule for a rank: never block on another rank except by ceding.
     """
 
-    def __init__(self, by_clock: bool) -> None:
+    def __init__(self, by_clock: bool, deadlock: type | None = None) -> None:
         self.by_clock = by_clock
+        #: the error class a deadlock raises; None: no verdict in this world
+        self.deadlock = deadlock
         self._seats: dict[int, _Seat] = {}
         self._stale: set[int] = set()
+        self._quiet: set[int] = set()
+        #: the deadlock message, once the verdict is in
+        self._verdict: str | None = None
         self._cedes = 0
         #: the rank allowed to run; None when no rank is hosted
         self.holder: int | None = None
@@ -197,9 +222,10 @@ class Baton:
         """The ranks currently hosted (joined and not yet left)."""
         return frozenset(self._seats)
 
-    def join(self, rank: int, clock, work: Callable[[], int]) -> None:
+    def join(self, rank: int, clock, work: Callable[[], int],
+             waiting: Callable[[], object], in_flight: Callable[[], bool]) -> None:
         """Seat ``rank`` before its thread starts; the first holds the baton."""
-        seat = self._seats[rank] = _Seat(rank, clock, work)
+        seat = self._seats[rank] = _Seat(rank, clock, work, waiting, in_flight)
         if self.holder is None:
             self.holder = rank
             seat.gate.release()
@@ -210,6 +236,8 @@ class Baton:
 
     def cede(self, rank: int) -> None:
         """Hand the baton to the next rank and park until it comes back."""
+        if self._verdict is not None:
+            raise self.deadlock(self._verdict)
         seat = self._seats[rank]
         self._cedes += 1
         seat.ceded_at = self._cedes
@@ -220,6 +248,8 @@ class Baton:
             else:
                 seat.mark = mark
                 self._stale.clear()
+        if self.deadlock is not None:
+            self._watch(seat)
         nxt = self._pick(seat)
         if nxt is not None:
             self._pass(nxt)
@@ -229,10 +259,29 @@ class Baton:
         """Last thing a hosted rank thread does: pass the baton on for good."""
         seat = self._seats.pop(rank)
         self._stale.clear()
+        self._quiet.clear()
         self.holder = None
         nxt = self._pick(seat)
         if nxt is not None:
             self._pass(nxt)
+
+    def _watch(self, seat: _Seat) -> None:
+        """Track the quiet set; raise the verdict when it covers the world."""
+        quiet = (seat.work(), seat.clock.charges)
+        if quiet != seat.quiet or seat.waiting() is None:
+            seat.quiet = quiet
+            self._quiet.clear()
+            return
+        self._quiet.add(seat.rank)
+        if len(self._quiet) < len(self._seats) or any(
+                s.in_flight() for s in self._seats.values()):
+            return
+        waits = []
+        for rank in sorted(self._seats):
+            w = self._seats[rank].waiting()
+            waits.append(f"rank {rank} [{w if isinstance(w, str) else w.describe()}]")
+        self._verdict = f"deadlock across {len(waits)} rank(s): {', '.join(waits)}"
+        raise self.deadlock(self._verdict)
 
     def _pass(self, nxt: _Seat) -> None:
         self.holder = nxt.rank

@@ -4,7 +4,7 @@ Runs the ping-pong on the virtual clock in the three A12 configurations
 (reduced axes — the full sweep is ``python -m repro.bench ablate-sanitize``).
 Virtual time makes this exact: disabled hooks charge nothing, so the
 middle column must be within the 1.01x bound; enabled checking charges
-``san_check_ns``/``san_deadlock_check_ns`` and must cost *something*.
+``san_check_ns`` per registry update and must cost *something*.
 """
 
 import pytest

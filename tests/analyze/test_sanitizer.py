@@ -443,8 +443,8 @@ class TestNoFalsePositivesUnderFaults:
         assert not report.findings, report.render_text()
 
     def test_recv_from_a_killed_rank_is_proc_failed_not_a_knot(self):
-        """The ``peer_failed`` subscriber: a wait on a dead rank is the
-        failure path's to finish, not an edge of a deadlock knot."""
+        """A wait on a dead rank is the failure path's to finish, not a
+        deadlock (a fault plan keeps the scheduler's verdict off)."""
         from repro.mp.channels import FaultPlan
         from repro.mp.errors import MpiErrProcFailed
 
@@ -462,7 +462,7 @@ class TestNoFalsePositivesUnderFaults:
             comm.Send(arr, 1, tag=1)
             with pytest.raises(MpiErrProcFailed):
                 comm.Recv(arr, 1, tag=2)
-            return sorted(ctx.san.core._dead)
+            return sorted(ctx.engine.device.failed_ranks)
 
         results, report = _run(2, main, fault_plan=plan, reliability_opts=self.OPTS)
         assert results == [[1], "crashed"]

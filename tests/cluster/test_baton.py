@@ -367,7 +367,7 @@ class TestPick:
     def _baton(self, clocks):
         baton = Baton(by_clock=True)
         for rank, now in enumerate(clocks):
-            baton.join(rank, VirtualClock(now), lambda: 0)
+            baton.join(rank, VirtualClock(now), lambda: 0, lambda: None, lambda: False)
         return baton
 
     def test_lowest_clock_then_lowest_rank(self):

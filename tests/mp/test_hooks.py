@@ -19,8 +19,8 @@ class Recorder:
     def on_packet_tx(self, pkt):
         self.seen.append(("packet_tx", pkt.kind))
 
-    def on_wait_enter(self, req):
-        self.seen.append(("wait_enter",))
+    def on_recv_complete(self, status):
+        self.seen.append(("recv_complete", status.source))
 
 
 class TestCompile:
@@ -140,7 +140,7 @@ class TestDispatch:
         seen0, seen1 = mpiexec(2, main)
         assert ("send_posted", 1, False) in seen0
         assert any(k[0] == "packet_tx" for k in seen0)
-        assert any(k[0] == "wait_enter" for k in seen1)
+        assert ("recv_complete", 0) in seen1
 
     def test_detached_spine_costs_nothing_to_consult(self):
         spine = HookSpine()
