@@ -41,8 +41,13 @@ COUNTERS = (
     "mp.progress.idle_poll_share",
     "mp.progress.wall_self_us_per_op",
     "mp.mpi.wall_self_us_per_op",
+    "mp.mpi.calls_per_op",
     "mp.ch3.wall_self_us_per_op",
+    "mp.ch3.calls_per_op",
     "mp.channels.wall_self_us_per_op",
+    "mp.channels.calls_per_op",
+    "motor.mpcore.wall_self_us_per_op",
+    "motor.pinpolicy.calls_per_op",
     "mp.ch3.unexpected_share",
     "mp.ch3.rndv_per_op",
     "mp.ch3.copies_per_byte",

@@ -87,7 +87,7 @@ class JmpiComm(ManagedBinding):
         sent = self._sent_tag(method, tag)
         got = self.serializer.deserialize(payload)
         data = self.runtime.array_bytes(got)
-        room = self.runtime.om.array_data_range(buf.require())[1]
+        room = self.runtime.om.data_window(buf.require())[2]
         if len(data) > room:
             raise MpiErrTruncate(f"message of {len(data)} bytes truncated to {room}")
         self.runtime.fill_array_bytes(buf, data)

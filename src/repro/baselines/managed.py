@@ -13,7 +13,6 @@ from repro.cluster.world import RankContext
 from repro.mp.buffers import BufferDesc
 from repro.runtime.handles import ObjRef
 from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
-from repro.runtime.typesys import ARRAY_DATA_OFFSET
 from repro.simtime import HOST_PROFILES
 
 _SIZE_HDR = 8
@@ -52,12 +51,8 @@ class ManagedBinding:
         return self.runtime.array_bytes(buf)
 
     def _buf_desc(self, buf: ObjRef) -> BufferDesc:
-        addr = buf.require()
-        length = self.runtime.om.array_length(addr)
-        mt = self.runtime.om.method_table(addr)
-        return BufferDesc.from_heap(
-            self.runtime.heap, addr + ARRAY_DATA_OFFSET, length * mt.element_size
-        )
+        _mt, data_addr, nbytes = self.runtime.om.data_window(buf.require())
+        return BufferDesc(self.runtime.heap.mem, data_addr, nbytes)
 
     # -- object trees through the host's standard serializer ----------------------
 

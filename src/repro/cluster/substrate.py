@@ -189,8 +189,9 @@ class InprocSubstrate(Substrate):
             channel = device.channel
             return bool(device._outbox) or channel.has_incoming() or channel.owes()
 
-        baton.join(rank, ctx.clock, lambda: core.handled,
-                   lambda: progress.waiting, in_flight)
+        # C-level attribute reads: a cede runs no Python frame to ask them
+        baton.join(rank, ctx.clock, partial(getattr, core, "handled"),
+                   partial(getattr, progress, "waiting"), in_flight)
         progress.hand_off = partial(baton.cede, rank)
         run = draining(self.world, main)
 

@@ -134,11 +134,17 @@ class ExecutionEngine:
         else:
             rt.set_elem(arr, idx, value)
 
-    def _do_intern(self, name: str, args: list):
+    def _intern(self, name: str) -> Callable:
+        """What ``callintern name`` calls (the JIT asks once, at compile
+        time): the registered internal, else a stand-in raising if it runs."""
         fn = self.internals.get(name)
         if fn is None:
-            raise ILRuntimeError(f"no internal call {name!r} registered")
-        return fn(*args)
+
+            def missing(*_args):
+                raise ILRuntimeError(f"no internal call {name!r} registered")
+
+            return missing
+        return fn
 
     # ------------------------------------------------------------------ interpreter
 
@@ -227,7 +233,7 @@ class ExecutionEngine:
                 name, arity, returns = parse_intern(instr.operand)
                 call_args = stack[len(stack) - arity :]
                 del stack[len(stack) - arity :]
-                result = self._do_intern(name, call_args)
+                result = self._intern(name)(*call_args)
                 if returns:
                     stack.append(result)
             elif op == "newobj":
@@ -448,11 +454,12 @@ class ExecutionEngine:
             elif op == "callintern":
                 name, arity, returns = parse_intern(instr.operand)
 
-                def c_intern(frame, *, _name=name, _a=arity, _r=returns, _n=nxt) -> int:
+                def c_intern(frame, *, _fn=self._intern(name), _a=arity, _r=returns,
+                             _n=nxt) -> int:
                     s = frame.stack
                     call_args = s[len(s) - _a :]
                     del s[len(s) - _a :]
-                    result = engine._do_intern(_name, call_args)
+                    result = _fn(*call_args)
                     if _r:
                         s.append(result)
                     return _n

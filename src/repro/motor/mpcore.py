@@ -31,7 +31,7 @@ from repro.mp.errors import MpiError
 from repro.mp.mpi import MpiEngine
 from repro.mp.request import Request
 from repro.mp.status import Status
-from repro.runtime.errors import InvalidOperation, ObjectModelViolation
+from repro.runtime.errors import InvalidOperation, NullReferenceError_, ObjectModelViolation
 from repro.runtime.gcollector import PinCookie
 from repro.runtime.handles import ObjRef
 
@@ -103,11 +103,12 @@ class MessagePassingCore:
 
     # ------------------------------------------------------------- validation
 
-    def _data_window(self, obj: ObjRef, offset: int | None, count: int | None):
+    def _data_window(self, obj: ObjRef | None, offset: int | None, count: int | None):
         """Check the object and evaluate its transferable data window."""
+        if obj is None:
+            raise NullReferenceError_("null buffer passed to a System.MP call")
         rt = self.runtime
-        addr = obj.require()
-        mt = rt.om.method_table(addr)
+        mt, data_addr, nbytes = rt.om.data_window(obj.require(), offset or 0, count)
         if mt.has_references:
             raise ObjectModelViolation(
                 f"{mt.name} contains object references; only reference-free "
@@ -120,22 +121,19 @@ class MessagePassingCore:
                 "offset/count overloads apply to arrays only: there is no "
                 "safe way to refer to a subset of an object"
             )
-        data_addr, nbytes = rt.om.array_data_range(
-            addr, offset or 0, count
-        )
-        return BufferDesc.from_heap(rt.heap, data_addr, nbytes)
+        return BufferDesc(rt.heap.mem, data_addr, nbytes)
 
     # ------------------------------------------------------------- blocking ops
 
-    def _run_blocking(self, obj: ObjRef, start: Callable[[], Request]) -> Request:
-        """The §7.4 blocking discipline around one operation."""
+    def _run_blocking(self, obj: ObjRef, start: Callable[..., Request], *args) -> Request:
+        """The §7.4 blocking discipline around ``start(*args)``."""
         policy = self.policy
         decision = policy.pre_blocking(obj)
         cookie: PinCookie | None = None
         if decision is PinDecision.PIN_NOW:
             cookie = policy.pin_now(obj)
         try:
-            req = start()
+            req = start(*args)
             if not req.completed:
                 if cookie is None:
                     # Deferred pin: we are about to enter the polling-wait.
@@ -157,9 +155,7 @@ class MessagePassingCore:
         sync: bool = False,
     ) -> None:
         buf = self._data_window(obj, offset, count)
-        self._run_blocking(
-            obj, lambda: self.engine.isend(buf, dest, tag, comm, sync=sync)
-        )
+        self._run_blocking(obj, self.engine.isend, buf, dest, tag, comm, sync)
 
     def mp_recv(
         self,
@@ -171,9 +167,7 @@ class MessagePassingCore:
         count: int | None = None,
     ) -> Status:
         buf = self._data_window(obj, offset, count)
-        req = self._run_blocking(
-            obj, lambda: self.engine.irecv(buf, source, tag, comm)
-        )
+        req = self._run_blocking(obj, self.engine.irecv, buf, source, tag, comm)
         return self.engine._finish_recv(req, comm)
 
     # ------------------------------------------------------------- non-blocking

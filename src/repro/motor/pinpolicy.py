@@ -65,33 +65,25 @@ class PinningPolicy:
         self.enabled = enabled
         self.stats = PinPolicyStats()
 
-    def _decided(self, decision: str) -> None:
-        cbs = self.hooks.pin_decision
-        if cbs:
-            for cb in cbs:
-                cb(decision)
-
-    # -- the generation test ---------------------------------------------------
-
-    def _is_young(self, ref: ObjRef) -> bool:
-        """Check the object's address against the nursery boundary."""
-        self.runtime.clock.charge(self.runtime.costs.generation_check_ns)
-        self.stats.checks += 1
-        return self.runtime.heap.in_gen0(ref.addr)
-
     # -- blocking operations -------------------------------------------------------
 
     def pre_blocking(self, ref: ObjRef) -> PinDecision:
         """Decide at operation start, *before* any safepoint."""
         if not self.enabled:
             self.stats.unconditional_pins += 1
-            self._decided("pin-now")
+            for cb in self.hooks.pin_decision:
+                cb("pin-now")
             return PinDecision.PIN_NOW
-        if not self._is_young(ref):
+        # the generation test: the object's address against the nursery
+        rt = self.runtime
+        rt.clock.charge(rt.costs.generation_check_ns)
+        self.stats.checks += 1
+        if not rt.heap.in_gen0(ref.addr):
             self.stats.elder_skips += 1
             return PinDecision.NO_PIN
         self.stats.deferred += 1
-        self._decided("defer")
+        for cb in self.hooks.pin_decision:
+            cb("defer")
         return PinDecision.DEFER
 
     def on_enter_wait(self, decision: PinDecision, ref: ObjRef) -> PinCookie | None:
@@ -121,7 +113,8 @@ class PinningPolicy:
         conditional pin could test.  The cookie MUST be released at the
         epoch close (the sanitizer's MA-R05 leak check sees the pair)."""
         self.stats.window_pins += 1
-        self._decided("window-pin")
+        for cb in self.hooks.pin_decision:
+            cb("window-pin")
         return self.runtime.gc.pin(ref)
 
     def window_release(self, cookie: PinCookie | None) -> None:
@@ -138,9 +131,13 @@ class PinningPolicy:
             # Without the policy the only safe discipline is to pin now and
             # leave release to the caller (the leak hazard of §2.3).
             self.stats.unconditional_pins += 1
-            self._decided("pin-now")
+            for cb in self.hooks.pin_decision:
+                cb("pin-now")
             return self.runtime.gc.pin(ref)
-        if not self._is_young(ref):
+        rt = self.runtime
+        rt.clock.charge(rt.costs.generation_check_ns)  # the generation test
+        self.stats.checks += 1
+        if not rt.heap.in_gen0(ref.addr):
             self.stats.elder_skips += 1
             return None
         self.stats.conditional_registered += 1

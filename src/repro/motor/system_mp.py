@@ -65,11 +65,13 @@ class MotorRequest:
     def Wait(self, status: MPStatus | None = None, timeout: float | None = None) -> MPStatus:
         """Wait for completion; ``timeout`` (seconds) bounds the polling-wait
         and raises :class:`~repro.mp.errors.MpiErrTimeout` on expiry."""
-        native = self._comm._fcall(self._comm._core.mp_wait, self._handle, timeout)
-        return (status or MPStatus())._fill(native)
+        native = self._comm._vm.fcall.call(self._comm._core.mp_wait, self._handle, timeout)
+        if status is None:
+            return MPStatus(native.source, native.tag, native.count)
+        return status._fill(native)
 
     def Test(self) -> bool:
-        return self._comm._fcall(self._comm._core.mp_test, self._handle)
+        return self._comm._vm.fcall.call(self._comm._core.mp_test, self._handle)
 
     @property
     def completed(self) -> bool:
@@ -92,43 +94,43 @@ class MotorWindow:
         self._handle = handle
 
     def Put(self, obj, target: int, target_offset: int = 0) -> None:
-        self._comm._fcall(
+        self._comm._vm.fcall.call(
             self._comm._core.mp_win_put, self._handle, _unwrap(obj), target, target_offset
         )
 
     def Get(self, obj, target: int, target_offset: int = 0) -> None:
-        self._comm._fcall(
+        self._comm._vm.fcall.call(
             self._comm._core.mp_win_get, self._handle, _unwrap(obj), target, target_offset
         )
 
     def Accumulate(self, obj, target: int, target_offset: int = 0) -> None:
-        self._comm._fcall(
+        self._comm._vm.fcall.call(
             self._comm._core.mp_win_accumulate, self._handle, _unwrap(obj), target, target_offset
         )
 
     def Fence(self) -> None:
-        self._comm._fcall(self._comm._core.mp_win_fence, self._handle)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_fence, self._handle)
 
     def Post(self, origins) -> None:
-        self._comm._fcall(self._comm._core.mp_win_post, self._handle, origins)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_post, self._handle, origins)
 
     def Start(self, targets) -> None:
-        self._comm._fcall(self._comm._core.mp_win_start, self._handle, targets)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_start, self._handle, targets)
 
     def Complete(self) -> None:
-        self._comm._fcall(self._comm._core.mp_win_complete, self._handle)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_complete, self._handle)
 
     def Wait(self) -> None:
-        self._comm._fcall(self._comm._core.mp_win_wait, self._handle)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_wait, self._handle)
 
     def Lock(self, target: int, exclusive: bool = True) -> None:
-        self._comm._fcall(self._comm._core.mp_win_lock, self._handle, target, exclusive)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_lock, self._handle, target, exclusive)
 
     def Unlock(self, target: int) -> None:
-        self._comm._fcall(self._comm._core.mp_win_unlock, self._handle, target)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_unlock, self._handle, target)
 
     def Free(self) -> None:
-        self._comm._fcall(self._comm._core.mp_win_free, self._handle)
+        self._comm._vm.fcall.call(self._comm._core.mp_win_free, self._handle)
 
     @property
     def native(self):
@@ -163,13 +165,6 @@ class MotorCommunicator:
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _fcall(self, fn, *args, **kw):
-        cbs = self._vm.hooks.count
-        if cbs:
-            for cb in cbs:
-                cb("motor.mp.fcalls", 1)
-        return self._vm.fcall.call(fn, *args, **kw)
-
     @property
     def Rank(self) -> int:
         return self._comm.rank
@@ -185,13 +180,13 @@ class MotorCommunicator:
     # -- regular MPI operations (object-to-object, §4.2.1) ---------------------
 
     def Send(self, obj, dest: int, tag: int, offset: int | None = None, length: int | None = None) -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_send, _unwrap(obj), dest, tag, self._comm,
             offset, length,
         )
 
     def Ssend(self, obj, dest: int, tag: int) -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_send, _unwrap(obj), dest, tag, self._comm,
             None, None, True,
         )
@@ -205,21 +200,23 @@ class MotorCommunicator:
         offset: int | None = None,
         length: int | None = None,
     ) -> MPStatus:
-        native = self._fcall(
+        native = self._vm.fcall.call(
             self._core.mp_recv, _unwrap(obj), source, tag, self._comm,
             offset, length,
         )
-        return (status or MPStatus())._fill(native)
+        if status is None:
+            return MPStatus(native.source, native.tag, native.count)
+        return status._fill(native)
 
     def Isend(self, obj, dest: int, tag: int, offset: int | None = None, length: int | None = None) -> MotorRequest:
-        handle = self._fcall(
+        handle = self._vm.fcall.call(
             self._core.mp_isend, _unwrap(obj), dest, tag, self._comm,
             offset, length,
         )
         return MotorRequest(self, handle)
 
     def Irecv(self, obj, source: int, tag: int, offset: int | None = None, length: int | None = None) -> MotorRequest:
-        handle = self._fcall(
+        handle = self._vm.fcall.call(
             self._core.mp_irecv, _unwrap(obj), source, tag, self._comm,
             offset, length,
         )
@@ -228,23 +225,23 @@ class MotorCommunicator:
     # -- collectives ---------------------------------------------------------------
 
     def Barrier(self) -> None:
-        self._fcall(self._core.mp_barrier, self._comm)
+        self._vm.fcall.call(self._core.mp_barrier, self._comm)
 
     def Bcast(self, obj, root: int = 0) -> None:
-        self._fcall(self._core.mp_bcast, _unwrap(obj), root, self._comm)
+        self._vm.fcall.call(self._core.mp_bcast, _unwrap(obj), root, self._comm)
 
     def Scatter(self, sendarr, recvarr, root: int = 0) -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_scatter, _unwrap(sendarr), _unwrap(recvarr), root, self._comm
         )
 
     def Gather(self, sendarr, recvarr, root: int = 0) -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_gather, _unwrap(sendarr), _unwrap(recvarr), root, self._comm
         )
 
     def Reduce(self, sendarr, recvarr, datatype: Datatype, op: str = "sum", root: int = 0) -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_reduce,
             _unwrap(sendarr),
             _unwrap(recvarr),
@@ -255,7 +252,7 @@ class MotorCommunicator:
         )
 
     def Allreduce(self, sendarr, recvarr, datatype: Datatype, op: str = "sum") -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_allreduce,
             _unwrap(sendarr),
             _unwrap(recvarr),
@@ -267,25 +264,25 @@ class MotorCommunicator:
     # -- extended object-oriented operations (§4.2.2) ---------------------------
 
     def OSend(self, obj, dest: int, tag: int, offset: int | None = None, numcomponents: int | None = None) -> None:
-        self._fcall(
+        self._vm.fcall.call(
             self._core.mp_osend, _unwrap(obj), dest, tag, self._comm,
             offset, numcomponents,
         )
 
     def ORecv(self, source: int, tag: int, status: MPStatus | None = None):
-        ref, native = self._fcall(self._core.mp_orecv, source, tag, self._comm)
+        ref, native = self._vm.fcall.call(self._core.mp_orecv, source, tag, self._comm)
         if status is not None:
             status._fill(native)
         return ref
 
     def OBcast(self, obj=None, root: int = 0):
-        return self._fcall(self._core.mp_obcast, _unwrap(obj), root, self._comm)
+        return self._vm.fcall.call(self._core.mp_obcast, _unwrap(obj), root, self._comm)
 
     def OScatter(self, array=None, root: int = 0):
-        return self._fcall(self._core.mp_oscatter, _unwrap(array), root, self._comm)
+        return self._vm.fcall.call(self._core.mp_oscatter, _unwrap(array), root, self._comm)
 
     def OGather(self, array, root: int = 0):
-        return self._fcall(self._core.mp_ogather, _unwrap(array), root, self._comm)
+        return self._vm.fcall.call(self._core.mp_ogather, _unwrap(array), root, self._comm)
 
     # -- one-sided windows (MPI-2 §11 shape) ------------------------------------
 
@@ -297,7 +294,7 @@ class MotorCommunicator:
         reduces in elements, not bytes.  ``force_emulation`` skips the
         channel's native registration — the A17 control arm.
         """
-        handle = self._fcall(
+        handle = self._vm.fcall.call(
             self._core.mp_win_create, _unwrap(obj), self._comm, force_emulation
         )
         return MotorWindow(self, handle)
@@ -337,7 +334,7 @@ class MotorCommunicator:
         survivors and agree on the failed set.  Returns ``(folded_value,
         failed_world_ranks)``, identical on every survivor even when
         their local failure detectors disagreed at call time."""
-        return self._fcall(self._comm.agree, value, op)
+        return self._vm.fcall.call(self._comm.agree, value, op)
 
     def Checkpoint(self, state, placement: str | None = None, root: int = 0) -> int:
         """Coordinated checkpoint of rank-local ``state``; collective.
@@ -352,12 +349,12 @@ class MotorCommunicator:
         epoch; a failure before the barrier raises
         :class:`~repro.mp.errors.MpiErrProcFailed` and leaves the epoch
         uncommitted on every rank."""
-        return self._fcall(self._comm.checkpoint, state, placement, root)
+        return self._vm.fcall.call(self._comm.checkpoint, state, placement, root)
 
     def Restore(self, epoch: int | None = None):
         """Rank-local state from the last committed checkpoint epoch
         (or an explicit earlier ``epoch``)."""
-        return self._fcall(self._comm.restore, epoch)
+        return self._vm.fcall.call(self._comm.restore, epoch)
 
     def __repr__(self) -> str:
         return f"<System.MP.Communicator rank={self.Rank} size={self.Size}>"

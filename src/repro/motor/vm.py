@@ -51,10 +51,11 @@ class MotorVM:
             self.runtime, self.engine, self.serializer, self.pool, self.policy
         )
         # Integration point 2: System.MP reaches the core through FCalls.
-        #: one hook spine for the whole rank: the engine's spine, extended
-        #: over the collector, pin policy and serializer (repro.mp.hooks)
-        self.hooks = wire_vm(self)
         self.fcall = self.runtime.gate("fcall")
+        #: one hook spine for the whole rank: the engine's spine, extended
+        #: over the collector, pin policy, serializer and FCall gate
+        #: (repro.mp.hooks)
+        self.hooks = wire_vm(self)
         self.comm_world = MotorCommunicator(self, self.engine.comm_world)
 
     # -- managed-environment conveniences -----------------------------------------

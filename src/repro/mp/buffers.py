@@ -66,20 +66,15 @@ class WireView:
     __slots__ = ("mv", "owner", "released")
 
     def __init__(self, mv, owner=None) -> None:
+        """Lease a window from ``owner``, counting it when possible."""
         self.mv = mv if isinstance(mv, memoryview) else memoryview(mv)
         self.owner = owner
         self.released = False
-
-    @classmethod
-    def lease(cls, mv, owner) -> "WireView":
-        """Lease a window from ``owner``, counting it when possible."""
-        wv = cls(mv, owner)
         if owner is not None:
             try:
                 owner.wire_leases += 1
             except AttributeError:
                 pass
-        return wv
 
     def release(self) -> None:
         """The wire is done with this window; return the lease."""
@@ -125,11 +120,6 @@ class BufferDesc:
     def from_bytes(cls, data: bytes | bytearray) -> "BufferDesc":
         buf = bytearray(data)
         return cls(buf, 0, len(buf))
-
-    @classmethod
-    def from_heap(cls, heap, data_addr: int, nbytes: int) -> "BufferDesc":
-        """Latch a window into managed heap memory (the zero-copy path)."""
-        return cls(heap.mem, data_addr, nbytes)
 
     def view(self) -> memoryview:
         """The transfer window — recomputed from the *latched* address."""

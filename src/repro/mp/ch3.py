@@ -144,6 +144,8 @@ class CH3Device:
         if reliable:
             self.rel = ReliabilityLayer(rank, **(reliability_opts or {}))
             self.rel.on_peer_failed = self._peer_failed
+        #: hand a packet to the wire, sequenced first if there is a ``rel``
+        self._emit = self._emit_raw if self.rel is None else self._emit_sequenced
         self.failed_ranks: set[int] = set()
         #: who to gossip failure verdicts to (the engine points this at the
         #: current world group); None disables propagation
@@ -178,7 +180,7 @@ class CH3Device:
                 # the channel consumes (frames or segment-copies) the view
                 # synchronously inside _emit, so buffered-send completion
                 # below remains sound.
-                payload=WireView.lease(req.buf.view(), req),
+                payload=WireView(req.buf.view(), req),
             )
             req.activate()
             req.bytes_moved = total
@@ -204,10 +206,8 @@ class CH3Device:
                 )
             )
 
-    def _emit(self, pkt: Packet) -> None:
-        if self.rel is not None:
-            pkt = self.rel.outbound(pkt)
-        self._emit_raw(pkt)
+    def _emit_sequenced(self, pkt: Packet) -> None:
+        self._emit_raw(self.rel.outbound(pkt))
 
     def _emit_raw(self, pkt: Packet) -> None:
         """Hand a wire-ready packet to the channel (ACKs skip sequencing)."""
@@ -267,20 +267,9 @@ class CH3Device:
             # the destination now and clear the sender to stream.
             self._accept_rndv(req, msg.src, msg.tag, msg.send_op_id, msg.total)
 
-    def _matched(self, req: Request, src: int, send_op_id: int) -> None:
-        cbs = self.hooks.match
-        if cbs:
-            for cb in cbs:
-                cb(req, src, send_op_id)
-
-    def _recv_complete(self, status: Status) -> None:
-        cbs = self.hooks.recv_complete
-        if cbs:
-            for cb in cbs:
-                cb(status)
-
     def _deliver_staged(self, req: Request, msg: UnexpectedMsg) -> None:
-        self._matched(req, msg.src, msg.send_op_id)
+        for cb in self.hooks.match:
+            cb(req, msg.src, msg.send_op_id)
         n = min(msg.total, req.buf.nbytes)
         self.clock.charge(self.costs.copy_per_byte_ns * n)
         self._copied("staged-deliver", n)
@@ -292,10 +281,12 @@ class CH3Device:
         req.activate()
         req.bytes_moved = n
         req.complete(status)
-        self._recv_complete(status)
+        for cb in self.hooks.recv_complete:
+            cb(status)
 
     def _accept_rndv(self, req: Request, src: int, tag: int, send_op_id: int, total: int) -> None:
-        self._matched(req, src, send_op_id)
+        for cb in self.hooks.match:
+            cb(req, src, send_op_id)
         if total > req.buf.nbytes:
             # Report truncation immediately; receive what fits.
             self.stats["truncated"] += 1
@@ -355,7 +346,8 @@ class CH3Device:
             handled += 1
         if self.rel is not None:
             self.rel.tick(self._emit_raw, self._interest())
-        self._pump_streams()
+        if self._rndv_sends:
+            self._pump_streams()
         return handled
 
     def _interest(self) -> set[int]:
@@ -415,7 +407,7 @@ class CH3Device:
         restored so an unrelated wait in progress does not fold it.
         """
         clk = self.clock
-        before = clk.peek_pending()
+        before = clk.pending_ns
         prev = clk.defer_merges
         clk.defer_merges = True
         try:
@@ -427,7 +419,7 @@ class CH3Device:
             self._on_rma(pkt)
         finally:
             clk.defer_merges = prev
-        after = clk.peek_pending()
+        after = clk.pending_ns
         if after > before:
             win = self.windows.get(pkt.tag)
             if win is not None:
@@ -501,21 +493,28 @@ class CH3Device:
                 self._emit(Packet(ptype=FIN, src=self.rank, dst=pkt.src, op_id=pkt.op_id))
             return
         self.clock.merge(pkt.ts)
-        self._matched(req, pkt.src, pkt.op_id)
+        for cb in self.hooks.match:
+            cb(req, pkt.src, pkt.op_id)
         n = min(pkt.total, req.buf.nbytes)
         # The matched delivery is the path's one copy (wire payload into
-        # the posted buffer) — charged like every other payload copy.
+        # the posted buffer) — charged like every other payload copy, and
+        # accounted in place, as ``_copied`` would.
         self.clock.charge(self.costs.copy_per_byte_ns * n)
-        self._copied("eager-deliver", n)
+        self.stats["bytes_copied"] += n
+        for cb in self.hooks.copy:
+            cb("eager-deliver", n)
         req.buf.write(0, pkt.payload_mv()[:n])
-        status = Status(source=pkt.src, tag=pkt.tag, count=n)
+        # the posted receive's own status, filled in place
+        status = req.status
+        status.source, status.tag, status.count = pkt.src, pkt.tag, n
         if pkt.total > req.buf.nbytes:
             self.stats["truncated"] += 1
             status.error = "MPI_ERR_TRUNCATE"
         req.activate()
         req.bytes_moved = n
-        req.complete(status)
-        self._recv_complete(status)
+        req.complete()
+        for cb in self.hooks.recv_complete:
+            cb(status)
         if pkt.sync:
             self._emit(Packet(ptype=FIN, src=self.rank, dst=pkt.src, op_id=pkt.op_id))
 
@@ -577,7 +576,8 @@ class CH3Device:
             error=req.status.error,
         )
         req.complete(status)
-        self._recv_complete(status)
+        for cb in self.hooks.recv_complete:
+            cb(status)
 
     def _on_data(self, pkt: Packet) -> None:
         req = self._rndv_recv_for(pkt)
@@ -622,7 +622,7 @@ class CH3Device:
                 # Stream straight from the latched source buffer — a leased
                 # window, not a copy.  If the object moved, the window reads
                 # stale memory (the real hazard).
-                chunk = WireView.lease(req.buf.read(req.cursor, n), req)
+                chunk = WireView(req.buf.read(req.cursor, n), req)
                 self._emit(
                     Packet(
                         ptype=DATA,

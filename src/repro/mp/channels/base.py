@@ -147,17 +147,18 @@ class Channel(abc.ABC):
     def _stamp_and_charge(
         self,
         pkt: Packet,
+        nbytes: int,
         latency_ns: float | None = None,
         per_byte_ns: float | None = None,
     ) -> None:
-        """Charge the submit cost and stamp the virtual arrival time.
+        """Charge the submit cost and stamp the virtual arrival time of
+        ``pkt``, whose payload the caller measured: ``nbytes``.
 
         The link to each destination serialises bandwidth: a packet enters
         the wire when the link is free, occupies it for its byte time, and
         arrives one latency later.  Back-to-back packets of a rendezvous
         stream therefore queue instead of travelling in parallel.
         """
-        nbytes = len(pkt.payload)
         self.clock.charge(self.costs.packet_overhead_ns)
         if latency_ns is None:
             latency_ns = self.costs.message_latency_ns

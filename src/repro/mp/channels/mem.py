@@ -156,6 +156,7 @@ class MemChannel(Channel):
             latency *= link.inline_discount
         self._stamp_and_charge(
             pkt,
+            nbytes,
             latency_ns=latency,
             per_byte_ns=self.costs.per_byte_ns * link.per_byte_fraction,
         )

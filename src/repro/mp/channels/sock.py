@@ -187,23 +187,21 @@ class RingReader:
             if ftype != PKT or arg != self.rank:
                 raise ValueError(f"frame type {ftype} for rank {arg} on rank {self.rank}'s ring")
             size = LENGTH_SIZE + length
-            if avail < size and (size <= ring.capacity or avail < LEAD):
+            whole = avail >= size
+            if not whole and (size <= ring.capacity or avail < LEAD):
                 return  # the rest is on its way
-            pkt, plen = Packet.unpack_header(ring.view(head + PREFIX.size, HEADER_SIZE))
+            # header and payload in one view (a whole frame), else the header
+            body = ring.view(head + PREFIX.size, (size if whole else LEAD) - PREFIX.size)
+            pkt, plen = Packet.unpack_header(body[:HEADER_SIZE])
             if plen != size - LEAD:
                 raise ValueError(f"torn packet frame: payload {size - LEAD} of {plen} bytes")
-            if avail < size:
+            if not whole:
                 cur[HEAD_SLOT] = head + LEAD
                 self._pkt, self._buf, self._got = pkt, bytearray(plen), 0
                 continue
-            pkt.payload = bytes(ring.view(head + LEAD, plen))
+            pkt.payload = bytes(body[HEADER_SIZE:])
             cur[HEAD_SLOT] = head + size
             out.append(pkt)
-
-
-def packet_lead(pkt: Packet) -> bytes:
-    """A PKT frame's prefix and packet header; the payload follows it."""
-    return PREFIX.pack(MIN_LENGTH + len(pkt.payload), PKT, pkt.dst) + pkt.pack_header()
 
 
 #: a rank's ``ready`` word once its main has returned: it reads no more
@@ -275,13 +273,16 @@ class SockChannel(Channel):
         self.world_size = world_size
 
     def send_packet(self, pkt: Packet) -> bool:
-        self._stamp_and_charge(pkt)
+        payload = pkt.payload_mv()
+        size = payload.nbytes
+        self._stamp_and_charge(pkt, size)
         dst = pkt.dst
         if dst not in self.dead_ranks:  # nobody will ever drain a dead peer's ring
-            lead, payload = packet_lead(pkt), pkt.payload_mv()
+            # the frame's lead: its prefix, then the packet header
+            lead = PREFIX.pack(MIN_LENGTH + size, PKT, dst) + pkt.pack_header(size)
             backlog = self._backlog[dst]
             n = 0 if backlog else self._tx[dst].write(lead, payload)
-            if n < LEAD + len(payload):  # the ring is full: the rest waits, copied
+            if n < LEAD + size:  # the ring is full: the rest waits, copied
                 backlog += lead[n:]
                 backlog += payload[max(n - LEAD, 0):]
         pkt.release_payload()  # the frame write is the wire crossing
@@ -298,9 +299,13 @@ class SockChannel(Channel):
         if self._deaths[0] != self._deaths_seen:  # one load per poll
             self._deaths_seen = self._deaths[0]
             self._dying = [rank for rank, dead in enumerate(self._dead) if dead]
-        self.flush_all()
+        if any(self._backlog):
+            self.flush_all()
         for src, reader in enumerate(self._rx):
             if reader is None:  # dead
+                continue
+            cur = reader.ring._cur
+            if cur[TAIL_SLOT] == cur[HEAD_SLOT]:  # nothing published
                 continue
             try:
                 reader.drain(inbox)

@@ -150,22 +150,20 @@ class Communicator:
         return self.remote_group.size
 
     def world_rank_of(self, local: int) -> int:
-        """Destination resolution: remote group for intercomms."""
+        """Destination resolution: remote group for intercomms.  A rank
+        outside the group (``ANY_SOURCE`` included) is MPI_ERR_RANK."""
         g = self.remote_group if self.remote_group is not None else self.group
-        return g.world_rank(local)
+        ranks = g.ranks
+        if not 0 <= local < len(ranks):
+            raise MpiErrRank(f"rank {local} invalid for communicator of size {len(ranks)}")
+        return ranks[local]
 
     def local_rank_of_world(self, world: int) -> int:
         g = self.remote_group if self.remote_group is not None else self.group
-        return g.local_rank(world)
-
-    def check_rank(self, r: int, allow_any: bool = False) -> None:
-        from repro.mp.matching import ANY_SOURCE
-
-        if allow_any and r == ANY_SOURCE:
-            return
-        limit = self.remote_size if self.is_inter else self.size
-        if not 0 <= r < limit:
-            raise MpiErrRank(f"rank {r} invalid for communicator of size {limit}")
+        local = g._index.get(world)  # Group.local_rank's lookup, in place
+        if local is None:
+            raise MpiErrRank(f"world rank {world} not in group")
+        return local
 
     def __repr__(self) -> str:
         kind = "inter" if self.is_inter else "intra"

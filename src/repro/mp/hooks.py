@@ -204,6 +204,7 @@ def wire_vm(vm) -> HookSpine:
     vm.runtime.gc.hooks = spine
     vm.policy.hooks = spine
     vm.serializer.hooks = spine
+    vm.fcall.hooks = spine
     pool = getattr(vm, "pool", None)
     if pool is not None:
         pool.hooks = spine

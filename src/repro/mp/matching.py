@@ -165,6 +165,8 @@ class MessageQueues:
             sources = [src for _, src in entries]
             for cb in cbs:
                 cb(tag_sel, comm_sel, sources)
+        if not self.unexpected_count:
+            return None  # nothing arrived early: no bucket to look in
         best = None
         best_key = None
         for key in self._candidate_buckets(src_sel, tag_sel, comm_sel):

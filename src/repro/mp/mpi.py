@@ -116,26 +116,8 @@ class MpiEngine:
         #: equivalent of the job being aborted)
         self.aborted = False
 
-    # ------------------------------------------------------------- checking
-
-    @staticmethod
-    def _check_comm(comm: Communicator) -> None:
-        if not isinstance(comm, Communicator):
-            raise MpiErrComm(f"not a communicator: {comm!r}")
-
-    @staticmethod
-    def _check_tag(tag: int, allow_any: bool = False) -> None:
-        if allow_any and tag == ANY_TAG:
-            return
-        if not 0 <= tag <= TAG_UB:
-            raise MpiErrTag(f"tag {tag} outside [0, {TAG_UB}]")
-
-    @staticmethod
-    def _check_buf(buf: BufferDesc) -> None:
-        if not isinstance(buf, BufferDesc):
-            raise MpiErrBuffer(f"not a buffer descriptor: {buf!r}")
-
     # ------------------------------------------------------------- point-to-point
+    # (arguments checked inline, once each: every message crosses these two)
 
     def isend(
         self,
@@ -147,16 +129,18 @@ class MpiEngine:
         _internal: bool = False,
     ) -> Request:
         comm = comm or self.comm_world
-        self._check_comm(comm)
-        self._check_buf(buf)
-        if not _internal:
-            self._check_tag(tag)
-        comm.check_rank(dest)
+        if not isinstance(comm, Communicator):
+            raise MpiErrComm(f"not a communicator: {comm!r}")
+        if not isinstance(buf, BufferDesc):
+            raise MpiErrBuffer(f"not a buffer descriptor: {buf!r}")
+        if not (_internal or 0 <= tag <= TAG_UB):
+            raise MpiErrTag(f"tag {tag} outside [0, {TAG_UB}]")
+        wdst = comm.world_rank_of(dest)
         ctx = comm.coll_context_id if _internal else comm.context_id
         req = Request(
             SEND, buf, dest, tag, ctx, total=buf.nbytes, sync=sync, hooks=self.hooks
         )
-        self.device.start_send(req, comm.world_rank_of(dest))
+        self.device.start_send(req, wdst)
         return req
 
     def irecv(
@@ -168,11 +152,12 @@ class MpiEngine:
         _internal: bool = False,
     ) -> Request:
         comm = comm or self.comm_world
-        self._check_comm(comm)
-        self._check_buf(buf)
-        if not _internal:
-            self._check_tag(tag, allow_any=True)
-        comm.check_rank(source, allow_any=True)
+        if not isinstance(comm, Communicator):
+            raise MpiErrComm(f"not a communicator: {comm!r}")
+        if not isinstance(buf, BufferDesc):
+            raise MpiErrBuffer(f"not a buffer descriptor: {buf!r}")
+        if not (_internal or tag == ANY_TAG or 0 <= tag <= TAG_UB):
+            raise MpiErrTag(f"tag {tag} outside [0, {TAG_UB}]")
         ctx = comm.coll_context_id if _internal else comm.context_id
         src_world = (
             ANY_SOURCE if source == ANY_SOURCE else comm.world_rank_of(source)
@@ -350,8 +335,10 @@ class MpiEngine:
         onto the two-sided packet plane — the A17 ablation's control arm.
         """
         comm = comm or self.comm_world
-        self._check_comm(comm)
-        self._check_buf(buf)
+        if not isinstance(comm, Communicator):
+            raise MpiErrComm(f"not a communicator: {comm!r}")
+        if not isinstance(buf, BufferDesc):
+            raise MpiErrBuffer(f"not a buffer descriptor: {buf!r}")
         win_id = self._next_win_id
         self._next_win_id += 1
         win = Win(self, win_id, buf, comm, dtype=dtype, force_emulation=force_emulation)

@@ -208,8 +208,9 @@ class Packet:
 
     # -- header codec (sock channel) -----------------------------------------
 
-    def pack_header(self) -> bytes:
-        """The fixed-size wire header; the payload travels after it."""
+    def pack_header(self, nbytes: int) -> bytes:
+        """The fixed-size wire header for a payload of ``nbytes`` (the
+        framer measured it); the payload travels after it."""
         return _HEADER.pack(
             self.ptype,
             self.src,
@@ -223,7 +224,7 @@ class Packet:
             self.ts,
             self.seq,
             self.crc,
-            len(self.payload),
+            nbytes,
         )
 
     @classmethod

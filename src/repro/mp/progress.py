@@ -141,7 +141,7 @@ class ProgressCore:
             self._in_step = False
             if from_async:
                 clock.defer_merges = defer_prev
-            else:
+            elif clock.pending_ns:
                 clock.apply_pending()
 
     @property
@@ -295,9 +295,10 @@ class ProgressEngine:
         if self.thread_hosted or run & IDLE_MASK == 0:
             self.cede()
 
-    def drive(self, done: Callable[[], bool], timeout: float | None = None,
+    def drive(self, done: Callable[[], bool] | None, timeout: float | None = None,
               what: str = "condition", req: Request | None = None) -> None:
-        """Poll until ``done()`` holds: the one polling-wait loop.
+        """Poll until ``done()`` holds — ``done`` None: until ``req``
+        completes, read off the request — the one polling-wait loop.
 
         The wall ``timeout`` (seconds) bounds it ("MPI Progress For All":
         no wait may hang forever), raising :class:`MpiErrTimeout` naming
@@ -311,7 +312,7 @@ class ProgressEngine:
         self._idle_run = 0
         outer, self.waiting = self.waiting, what if req is None else req
         try:
-            while not done():
+            while not (req.completed if done is None else done()):
                 self.idle()
                 if deadline is not None and time.monotonic() > deadline:
                     raise MpiErrTimeout(f"{what} after {timeout}s")
@@ -319,7 +320,9 @@ class ProgressEngine:
             self.waiting = outer
         # ``done`` may have come true during application compute (async
         # progress) — consuming the result is where the arrival time lands
-        self.core.device.clock.apply_pending()
+        clock = self.core.device.clock
+        if clock.pending_ns:
+            clock.apply_pending()
 
     def wait(self, req: Request, timeout: float | None = None) -> None:
         """Polling-wait until the request completes.
@@ -328,9 +331,9 @@ class ProgressEngine:
         :class:`MpiErrTimeout`; a request that completes with a dead peer
         raises :class:`MpiErrProcFailed`.
         """
-        self.drive(lambda: req.completed, timeout,
-                   f"request {req.op_id} incomplete", req)
-        self._check_failed(req)
+        self.drive(None, timeout, f"request {req.op_id} incomplete", req)
+        if req.status.error is not None:
+            self._check_failed(req)
 
     def poll_until(self, cond: Callable[[], bool], timeout: float | None = None,
                    what: str = "condition") -> None:

@@ -29,6 +29,7 @@ from typing import Callable
 
 from repro.mp.buffers import BufferDesc
 from repro.mp.errors import MpiErrRequest
+from repro.mp.hooks import NULL_SPINE
 from repro.mp.status import Status
 
 _ids = itertools.count(1)
@@ -45,9 +46,6 @@ COMPLETE = "complete"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: terminal states: the transport will never touch the buffer again
-DONE_STATES = frozenset((COMPLETE, FAILED, CANCELLED))
-
 
 class Request:
     """One outstanding operation (point-to-point or collective)."""
@@ -61,6 +59,7 @@ class Request:
         "comm_id",
         "total",
         "state",
+        "completed",  # terminal: the transport will never touch the buffer again
         "status",
         "bytes_moved",
         "on_complete",
@@ -71,7 +70,7 @@ class Request:
         "cursor",   # next byte offset to stream
         "cleared",  # CTS received; streaming may proceed
         "wdst",     # world-rank destination (peer stays communicator-local)
-        "hooks",    # the creating engine's spine; None outside a wired stack
+        "hooks",    # the creating engine's spine; NULL_SPINE outside a wired stack
         "wire_leases",  # live WireViews leased from this request's buffer
     )
 
@@ -94,6 +93,7 @@ class Request:
         self.comm_id = comm_id
         self.total = total
         self.state = INIT
+        self.completed = False
         self.status = Status()
         self.bytes_moved = 0
         self.on_complete: list[Callable[["Request"], None]] = []
@@ -104,14 +104,10 @@ class Request:
         self.cursor = 0
         self.cleared = False
         self.wdst = -1
-        self.hooks = hooks
+        self.hooks = NULL_SPINE if hooks is None else hooks
         self.wire_leases = 0
 
     # -- state ---------------------------------------------------------------
-
-    @property
-    def completed(self) -> bool:
-        return self.state in DONE_STATES
 
     @property
     def started(self) -> bool:
@@ -121,35 +117,34 @@ class Request:
 
     def in_flight(self) -> bool:
         """True while the transport may still touch the buffer."""
-        return self.state not in DONE_STATES
-
-    def _transition(self, new: str) -> None:
-        old = self.state
-        self.state = new
-        h = self.hooks
-        if h is not None:
-            cbs = h.req_transition
-            if cbs:
-                for cb in cbs:
-                    cb(self, old, new)
+        return not self.completed
 
     def mark_queued(self) -> None:
         """Park the operation on a remote event (match / CTS)."""
         if self.state == INIT:
-            self._transition(QUEUED)
+            self.state = QUEUED
+            for cb in self.hooks.req_transition:
+                cb(self, INIT, QUEUED)
 
     def activate(self) -> None:
         """The transport has started moving this operation's bytes."""
-        if self.state in (INIT, QUEUED):
-            self._transition(ACTIVE)
+        old = self.state
+        if old == INIT or old == QUEUED:
+            self.state = ACTIVE
+            for cb in self.hooks.req_transition:
+                cb(self, old, ACTIVE)
 
     def _finish(self, terminal: str, status: Status | None = None) -> bool:
         with self._lock:
-            if self.state in DONE_STATES:
+            if self.completed:
                 return False
+            old = self.state
             if status is not None:
                 self.status = status
-            self._transition(terminal)
+            self.state = terminal
+            self.completed = True
+            for cb in self.hooks.req_transition:
+                cb(self, old, terminal)
         for cb in self.on_complete:
             cb(self)
         return True

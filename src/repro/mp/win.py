@@ -148,7 +148,6 @@ class Win:
             )
 
     def _world_target(self, target: int) -> int:
-        self.comm.check_rank(target)
         return self.comm.world_rank_of(target)
 
     def _in_access_epoch(self, wtarget: int) -> bool:
@@ -330,7 +329,7 @@ class Win:
                     op_id=req.op_id,
                     offset=t_off,
                     total=n,
-                    payload=WireView.lease(src.read(s_off, size), req),
+                    payload=WireView(src.read(s_off, size), req),
                 )
             )
             req.cursor += size
@@ -578,7 +577,7 @@ class Win:
                     op_id=pkt.op_id,
                     offset=d_off,
                     total=pkt.total,
-                    payload=WireView.lease(self.desc.read(t_off, size), self),
+                    payload=WireView(self.desc.read(t_off, size), self),
                 )
             )
 

@@ -108,19 +108,20 @@ class GenGC:
 
     def pin(self, ref: ObjRef, cost_mult: float = 1.0) -> PinCookie:
         """Pin an object: it will not move or be collected until unpinned."""
-        slot = self.handles.alloc(ref.addr)
+        addr = ref.addr
+        slot = self.handles.alloc(addr)
         cookie = PinCookie(slot)
         self._pins[slot] = cookie
         self.stats.pin_calls += 1
         self.stats.pins_active_peak = max(self.stats.pins_active_peak, len(self._pins))
-        size_kb = self.om.object_size(ref.addr) / 1024.0
+        size_kb = self.om.object_size(addr) / 1024.0
         self.clock.charge(
             (self.costs.pin_ns + self.costs.pin_per_kb_ns * size_kb) * cost_mult
         )
         cbs = self.hooks.pin
         if cbs:
             for cb in cbs:
-                cb(ref.addr, slot)
+                cb(addr, slot)
         return cookie
 
     def unpin(self, cookie: PinCookie, cost_mult: float = 1.0) -> None:

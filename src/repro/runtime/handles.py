@@ -79,11 +79,14 @@ class ObjRef:
         # managed object collectable ("abandoned memory").
         weakref.finalize(self, table.free, self._slot)
 
-    # -- address access ----------------------------------------------------------
+    # -- address access (the slot read in place: every System.MP call reads one)
 
     @property
     def addr(self) -> int:
-        return self._table.get(self._slot)
+        addr = self._table._slots[self._slot]
+        if addr == _FREE:
+            raise GcInvariantError(f"read of freed handle slot {self._slot}")
+        return addr
 
     @property
     def slot(self) -> int:
@@ -94,7 +97,9 @@ class ObjRef:
         return self._table.get(self._slot) == 0
 
     def require(self) -> int:
-        addr = self._table.get(self._slot)
+        addr = self._table._slots[self._slot]
+        if addr == _FREE:
+            raise GcInvariantError(f"read of freed handle slot {self._slot}")
         if addr == 0:
             raise NullReferenceError_("null ObjRef dereferenced")
         return addr

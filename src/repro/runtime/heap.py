@@ -45,9 +45,6 @@ class Segment:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
     @property
     def free(self) -> int:
         return self.end - self.alloc_ptr
@@ -116,12 +113,12 @@ class ManagedHeap:
     # -- membership ---------------------------------------------------------------
 
     def in_gen0(self, addr: int) -> bool:
-        return self.nursery.contains(addr)
+        return self.nursery.base <= addr < self.nursery.base + self.nursery.size
 
     def in_gen1(self, addr: int) -> bool:
         if self.in_gen0(addr):
             return False
-        return any(seg.contains(addr) for seg in self.gen1_segments)
+        return any(seg.base <= addr < seg.base + seg.size for seg in self.gen1_segments)
 
     def generation_of(self, addr: int) -> int:
         """0 for nursery residents, 1 for elder objects (paper §7.4 check)."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
+from repro.mp.hooks import NULL_SPINE
 from repro.runtime.handles import ObjRef
 from repro.simtime import HostProfile
 
@@ -50,11 +51,16 @@ class FCallGate:
 
     name = "fcall"
 
+    #: the rank's hook spine (``wire_vm``): each crossing counts ``motor.mp.fcalls``
+    hooks = NULL_SPINE
+
     def __init__(self, runtime) -> None:
         self.runtime = runtime
         self.stats = GateStats()
 
     def call(self, fn: Callable, *args: Any, **kwargs: Any):
+        for cb in self.hooks.count:
+            cb("motor.mp.fcalls", 1)
         rt = self.runtime
         rt.clock.charge(rt.costs.fcall_ns)
         self.stats.calls += 1

@@ -56,10 +56,10 @@ class ObjectModel:
     def method_table(self, addr: int) -> MethodTable:
         if addr == 0:
             raise NullReferenceError_("method table of null reference")
-        return self.registry.by_id(self.heap.read_u32(addr + HDR_MT))
+        return self.registry.ids[self.heap.read_u32(addr + HDR_MT)]
 
     def object_size(self, addr: int) -> int:
-        return self.heap.read_u32(addr + HDR_SIZE)
+        return HEADER.unpack_from(self.heap.mem, addr)[2]
 
     def is_forwarded(self, addr: int) -> bool:
         return bool(self.heap.read_u32(addr + HDR_FLAGS) & FLAG_FORWARDED)
@@ -152,10 +152,16 @@ class ObjectModel:
         ea = self.array_elem_addr(addr, index)
         self.heap.write_u64(ea, target)
 
-    def array_data_range(self, addr: int, offset_elems: int = 0, count: int | None = None) -> tuple[int, int]:
-        """(data_addr, nbytes) for a primitive-array slice — the zero-copy
-        window the transport reads from / writes into."""
-        mt = self.method_table(addr)
+    def data_window(
+        self, addr: int, offset_elems: int = 0, count: int | None = None
+    ) -> tuple[MethodTable, int, int]:
+        """(method table, data_addr, nbytes) for a primitive-array slice or
+        an object's instance data — the zero-copy window the transport reads
+        from / writes into — from one read of the header."""
+        if addr == 0:
+            raise NullReferenceError_("data window of null reference")
+        mt_id, _flags, _size, length = HEADER.unpack_from(self.heap.mem, addr)
+        mt = self.registry.ids[mt_id]
         if not mt.is_array:
             # A plain object's 'data range' is its instance data.
             if offset_elems or count is not None:
@@ -163,8 +169,7 @@ class ObjectModel:
                     "offset/count transport is only supported for arrays "
                     "(there is no safe way to refer to a subset of an object)"
                 )
-            return addr + OBJECT_HEADER_SIZE, mt.instance_size - OBJECT_HEADER_SIZE
-        length = self.array_length(addr)
+            return mt, addr + OBJECT_HEADER_SIZE, mt.instance_size - OBJECT_HEADER_SIZE
         if count is None:
             count = length - offset_elems
         if offset_elems < 0 or count < 0 or offset_elems + count > length:
@@ -173,7 +178,7 @@ class ObjectModel:
                 f"length {length} — refused to protect the object model"
             )
         es = mt.element_size
-        return addr + ARRAY_DATA_OFFSET + offset_elems * es, count * es
+        return mt, addr + ARRAY_DATA_OFFSET + offset_elems * es, count * es
 
     # -- graph walking (used by the GC and the serializer) ----------------------
 

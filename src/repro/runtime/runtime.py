@@ -238,7 +238,7 @@ class ManagedRuntime:
         self.gc.record_write(ea, taddr)
 
     def array_bytes(self, ref: ObjRef, offset: int = 0, count: int | None = None) -> bytes:
-        data_addr, nbytes = self.om.array_data_range(ref.require(), offset, count)
+        _mt, data_addr, nbytes = self.om.data_window(ref.require(), offset, count)
         return self.heap.read_bytes(data_addr, nbytes)
 
     def fill_array_bytes(self, ref: ObjRef, data: bytes | bytearray, offset: int = 0) -> None:
@@ -248,7 +248,7 @@ class ManagedRuntime:
         es = mt.element_size
         if len(data) % es:
             raise InvalidOperation("byte count not a multiple of element size")
-        data_addr, nbytes = self.om.array_data_range(ref.addr, offset, len(data) // es)
+        _mt, data_addr, _nbytes = self.om.data_window(ref.addr, offset, len(data) // es)
         self.heap.write_bytes(data_addr, data)
 
     # ------------------------------------------------------------- GC control

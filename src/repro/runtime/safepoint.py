@@ -46,6 +46,8 @@ class SafepointState:
     def poll(self) -> bool:
         """A safepoint: runs a pending collection.  Returns True if one ran."""
         self.polls += 1
+        if self._pending_gen is None and self.stressor is None:
+            return False  # nothing to run: the common case, no try/finally
         if self._in_poll:
             return False
         self._in_poll = True

@@ -211,6 +211,16 @@ PRIMITIVES: dict[str, PrimitiveType] = {
 }
 
 
+class _IdTable(dict):
+    """``mt_id -> MethodTable``, read by subscript (no call per header
+    decode); an unknown id is a :class:`TypeLoadError`, not a KeyError."""
+
+    __slots__ = ()
+
+    def __missing__(self, mt_id: int) -> MethodTable:
+        raise TypeLoadError(f"unknown MethodTable id {mt_id}")
+
+
 class TypeRegistry:
     """All MethodTables known to one runtime instance.
 
@@ -222,7 +232,8 @@ class TypeRegistry:
 
     def __init__(self) -> None:
         self._by_name: dict[str, MethodTable] = {}
-        self._by_id: dict[int, MethodTable] = {}
+        #: every MethodTable by id — what an object header's first word names
+        self.ids: dict[int, MethodTable] = _IdTable()
         self._next_id = 1
         # System.Object: the root of the class hierarchy.
         self.OBJECT = self._new_mt("System.Object")
@@ -238,7 +249,7 @@ class TypeRegistry:
         mt = MethodTable(self._next_id, name, **kw)
         self._next_id += 1
         self._by_name[name] = mt
-        self._by_id[mt.mt_id] = mt
+        self.ids[mt.mt_id] = mt
         return mt
 
     def define_class(
@@ -261,7 +272,7 @@ class TypeRegistry:
         except Exception:
             # roll back a half-defined type
             del self._by_name[name]
-            del self._by_id[mt.mt_id]
+            del self.ids[mt.mt_id]
             raise
         return mt
 
@@ -295,12 +306,6 @@ class TypeRegistry:
         mt = self._by_name.get(name)
         if mt is None:
             raise TypeLoadError(f"unknown type {name!r}")
-        return mt
-
-    def by_id(self, mt_id: int) -> MethodTable:
-        mt = self._by_id.get(mt_id)
-        if mt is None:
-            raise TypeLoadError(f"unknown MethodTable id {mt_id}")
         return mt
 
     def __contains__(self, name: str) -> bool:

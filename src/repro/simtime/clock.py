@@ -38,6 +38,9 @@ class Clock:
     #: the floor is applied when the data is *consumed*)
     defer_merges: bool = False
 
+    #: the deferred causal floor; 0.0 (none) leaves :meth:`apply_pending` nothing to do
+    pending_ns: float = 0.0
+
     def causal_now(self) -> float:
         """``now`` including any pending (deferred) causal floor.
 
@@ -51,12 +54,8 @@ class Clock:
         """Fold the deferred causal floor into the clock (consumption)."""
         return None
 
-    def peek_pending(self) -> float:
-        """The deferred causal floor without applying it (0.0 if none)."""
-        return 0.0
-
     def drop_pending_to(self, ns: float) -> None:
-        """Lower the deferred floor back to ``ns`` (a prior ``peek``).
+        """Lower the deferred floor back to ``ns`` (an earlier ``pending_ns``).
 
         Used when an arrival's floor is parked elsewhere — the one-sided
         device records it on the window so an unrelated wait in progress
@@ -115,7 +114,7 @@ class VirtualClock(Clock):
 
     virtual = True
 
-    __slots__ = ("_now_ns", "charges", "scheduler", "defer_merges", "_pending_ns")
+    __slots__ = ("_now_ns", "charges", "scheduler", "defer_merges", "pending_ns")
 
     def __init__(self, start_ns: float = 0.0) -> None:
         self._now_ns = float(start_ns)
@@ -126,7 +125,7 @@ class VirtualClock(Clock):
         #: True while an async progress step runs: merges become a pending
         #: causal floor rather than immediate jumps (see Clock.defer_merges)
         self.defer_merges = False
-        self._pending_ns = 0.0
+        self.pending_ns = 0.0
 
     def now(self) -> float:
         return self._now_ns
@@ -146,30 +145,27 @@ class VirtualClock(Clock):
             # causal time, but do not serialise the wire latency into the
             # compute timeline — the jump (if still ahead of local time)
             # happens when the data is consumed (apply_pending).
-            if ts_ns > self._pending_ns:
-                self._pending_ns = ts_ns
+            if ts_ns > self.pending_ns:
+                self.pending_ns = ts_ns
             return
         if ts_ns > self._now_ns:
             self._now_ns = ts_ns
 
     def causal_now(self) -> float:
-        p = self._pending_ns
+        p = self.pending_ns
         return p if p > self._now_ns else self._now_ns
 
     def apply_pending(self) -> None:
-        if self._pending_ns > self._now_ns:
-            self._now_ns = self._pending_ns
-        self._pending_ns = 0.0
-
-    def peek_pending(self) -> float:
-        return self._pending_ns
+        if self.pending_ns > self._now_ns:
+            self._now_ns = self.pending_ns
+        self.pending_ns = 0.0
 
     def drop_pending_to(self, ns: float) -> None:
-        if self._pending_ns > ns:
-            self._pending_ns = ns
+        if self.pending_ns > ns:
+            self.pending_ns = ns
 
     def reset(self, start_ns: float = 0.0) -> None:
         self._now_ns = float(start_ns)
         self.charges = 0
         self.defer_merges = False
-        self._pending_ns = 0.0
+        self.pending_ns = 0.0

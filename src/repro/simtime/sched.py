@@ -241,15 +241,16 @@ class Baton:
         seat = self._seats[rank]
         self._cedes += 1
         seat.ceded_at = self._cedes
+        work = seat.work()
         if self.by_clock:
-            mark = (seat.work(), seat.clock.now())
+            mark = (work, seat.clock.now())
             if mark == seat.mark:
                 self._stale.add(rank)
             else:
                 seat.mark = mark
                 self._stale.clear()
         if self.deadlock is not None:
-            self._watch(seat)
+            self._watch(seat, work)
         nxt = self._pick(seat)
         if nxt is not None:
             self._pass(nxt)
@@ -265,9 +266,9 @@ class Baton:
         if nxt is not None:
             self._pass(nxt)
 
-    def _watch(self, seat: _Seat) -> None:
+    def _watch(self, seat: _Seat, work: int) -> None:
         """Track the quiet set; raise the verdict when it covers the world."""
-        quiet = (seat.work(), seat.clock.charges)
+        quiet = (work, seat.clock.charges)
         if quiet != seat.quiet or seat.waiting() is None:
             seat.quiet = quiet
             self._quiet.clear()
@@ -289,9 +290,15 @@ class Baton:
         nxt.gate.release()
 
     def _pick(self, me: _Seat) -> "_Seat | None":
-        others = [s for s in self._seats.values() if s is not me]
+        # every cede picks: the usual pick is one pass, with no list or key function
         if self.by_clock:
-            fresh = [s for s in others if s.rank not in self._stale]
-            if fresh:
-                return min(fresh, key=lambda s: (s.clock.now(), s.rank))
-        return min(others, key=lambda s: (s.ceded_at, s.rank), default=None)
+            best = best_key = None
+            for s in self._seats.values():
+                if s is not me and s.rank not in self._stale:
+                    key = (s.clock.now(), s.rank)
+                    if best is None or key < best_key:
+                        best, best_key = s, key
+            if best is not None:
+                return best
+        return min((s for s in self._seats.values() if s is not me),
+                   key=lambda s: (s.ceded_at, s.rank), default=None)

@@ -34,8 +34,8 @@ def _run_transfer(protect: bool) -> bytes:
         )
         arr = rt.new_array("byte", SIZE)
         assert rt.heap.in_gen0(arr.addr), "buffer must start in the nursery"
-        data_addr, nbytes = rt.om.array_data_range(arr.addr)
-        req = eng.irecv(BufferDesc.from_heap(rt.heap, data_addr, nbytes), 0, 1)
+        _mt, data_addr, nbytes = rt.om.data_window(arr.addr)
+        req = eng.irecv(BufferDesc(rt.heap.mem, data_addr, nbytes), 0, 1)
         if protect:
             rt.gc.register_conditional_pin(arr, req.in_flight)
         # poll until the stream has started but not finished...
@@ -64,8 +64,8 @@ def _run_granted_transfer(protect: bool):
             RuntimeConfig(heap_capacity=16 << 20, nursery_size=1 << 20)
         )
         arr = rt.new_array("byte", SIZE)
-        data_addr, nbytes = rt.om.array_data_range(arr.addr)
-        req = eng.irecv(BufferDesc.from_heap(rt.heap, data_addr, nbytes), 0, 1)
+        _mt, data_addr, nbytes = rt.om.data_window(arr.addr)
+        req = eng.irecv(BufferDesc(rt.heap.mem, data_addr, nbytes), 0, 1)
         if protect:
             rt.gc.register_conditional_pin(arr, req.in_flight)
         while not req.started:  # matched: the CTS and its grant are out
@@ -120,8 +120,8 @@ class TestCorruptionHazard:
                 RuntimeConfig(heap_capacity=16 << 20, nursery_size=1 << 20)
             )
             arr = rt.new_array("byte", SIZE)
-            data_addr, nbytes = rt.om.array_data_range(arr.addr)
-            req = eng.irecv(BufferDesc.from_heap(rt.heap, data_addr, nbytes), 0, 1)
+            _mt, data_addr, nbytes = rt.om.data_window(arr.addr)
+            req = eng.irecv(BufferDesc(rt.heap.mem, data_addr, nbytes), 0, 1)
             rt.gc.register_conditional_pin(arr, req.in_flight)
             eng.progress.wait(req)
             rt.collect(0)  # operation complete: the request must be dropped
@@ -143,8 +143,8 @@ class TestCorruptionHazard:
                     RuntimeConfig(heap_capacity=16 << 20, nursery_size=1 << 20)
                 )
                 arr = rt.new_byte_array(PATTERN)
-                data_addr, nbytes = rt.om.array_data_range(arr.addr)
-                req = eng.isend(BufferDesc.from_heap(rt.heap, data_addr, nbytes), 1, 1)
+                _mt, data_addr, nbytes = rt.om.data_window(arr.addr)
+                req = eng.isend(BufferDesc(rt.heap.mem, data_addr, nbytes), 1, 1)
                 rt.gc.register_conditional_pin(arr, req.in_flight)
                 # force collections while the stream drains
                 while not req.completed:

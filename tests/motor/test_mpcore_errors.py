@@ -4,8 +4,11 @@ import pytest
 
 from repro.cluster import mpiexec
 from repro.motor import motor_session
+from repro.il import ExecutionEngine, assemble
+from repro.motor import register_mp_internals
 from repro.motor.serialization import SerializationError
 from repro.mp.errors import MpiErrRank, MpiErrTag
+from repro.runtime.errors import NullReferenceError_
 
 
 def motor2(fn, **kw):
@@ -91,3 +94,41 @@ class TestParameterChecking:
             return req._handle.guard is None
 
         assert motor2(main)[1] is True
+
+
+#: System.MP calls handed a null buffer, by name: each must raise the
+#: typed managed error before anything crosses the wire
+NULL_BUFFER_CALLS = {
+    "Send": lambda comm: comm.Send(None, 0, 1),
+    "Recv": lambda comm: comm.Recv(None, 0, 1),
+    "Isend": lambda comm: comm.Isend(None, 0, 1),
+    "Irecv": lambda comm: comm.Irecv(None, 0, 1),
+    "Bcast": lambda comm: comm.Bcast(None, 0),
+    "WinCreate": lambda comm: comm.WinCreate(None),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NULL_BUFFER_CALLS))
+def test_null_buffer_is_a_null_reference(call):
+    def main(ctx):
+        with pytest.raises(NullReferenceError_):
+            NULL_BUFFER_CALLS[call](ctx.session.comm_world)
+        return True
+
+    assert all(mpiexec(1, main, session_factory=motor_session))
+
+
+def test_il_null_buffer_is_a_null_reference():
+    """``ldnull`` reaching ``callintern MP.Send/3`` raises the same error."""
+
+    def main(ctx):
+        vm = ctx.session
+        il = ExecutionEngine(vm.runtime, assemble(
+            ".method m() {\n ldnull\n ldc.i4 0\n ldc.i4 1\n callintern MP.Send/3\n ret\n}",
+            "null_send",
+        ), register_mp_internals(vm))
+        with pytest.raises(NullReferenceError_):
+            il.call("m")
+        return True
+
+    assert all(mpiexec(1, main, session_factory=motor_session))

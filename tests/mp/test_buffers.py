@@ -51,14 +51,14 @@ class TestBufferDesc:
         """The defining property: the descriptor does NOT track a moving
         object — exactly like a native MPI holding a raw pointer."""
         arr = runtime.new_array("byte", 8)
-        data_addr, nbytes = runtime.om.array_data_range(arr.addr)
-        desc = BufferDesc.from_heap(runtime.heap, data_addr, nbytes)
+        _mt, data_addr, nbytes = runtime.om.data_window(arr.addr)
+        desc = BufferDesc(runtime.heap.mem, data_addr, nbytes)
         runtime.fill_array_bytes(arr, b"AAAAAAAA")
         assert desc.tobytes() == b"AAAAAAAA"
         runtime.collect(0)  # the array moves
         # the descriptor still points at the OLD address: stale
         assert runtime.array_bytes(arr) == b"AAAAAAAA"
-        new_addr, _ = runtime.om.array_data_range(arr.addr)
+        _mt, new_addr, _ = runtime.om.data_window(arr.addr)
         assert new_addr != data_addr
         assert desc.addr == data_addr
 
@@ -66,8 +66,8 @@ class TestBufferDesc:
         arr = runtime.new_array("byte", 8)
         runtime.fill_array_bytes(arr, b"BBBBBBBB")
         cookie = runtime.gc.pin(arr)
-        data_addr, nbytes = runtime.om.array_data_range(arr.addr)
-        desc = BufferDesc.from_heap(runtime.heap, data_addr, nbytes)
+        _mt, data_addr, nbytes = runtime.om.data_window(arr.addr)
+        desc = BufferDesc(runtime.heap.mem, data_addr, nbytes)
         runtime.collect(0)
         assert desc.tobytes() == b"BBBBBBBB"  # still the live object
         runtime.gc.unpin(cookie)

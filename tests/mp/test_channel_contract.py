@@ -166,7 +166,7 @@ class _Owner:
 def _view_pkt(src_buf, owner, tag=0):
     return Packet(
         ptype=EAGER, src=0, dst=1, tag=tag, op_id=tag,
-        payload=WireView.lease(memoryview(src_buf), owner),
+        payload=WireView(memoryview(src_buf), owner),
     )
 
 

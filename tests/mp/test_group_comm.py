@@ -63,16 +63,16 @@ class TestCommunicator:
 
     def test_rank_checking(self):
         c = self._comm()
-        c.check_rank(0)
+        assert c.world_rank_of(0) == 0
         with pytest.raises(MpiErrRank):
-            c.check_rank(3)
+            c.world_rank_of(3)
         with pytest.raises(MpiErrRank):
-            c.check_rank(-1)
+            c.world_rank_of(-1)
         from repro.mp.matching import ANY_SOURCE
 
-        c.check_rank(ANY_SOURCE, allow_any=True)
+        # the wildcard is the receive's to allow (MpiEngine.irecv), never a destination
         with pytest.raises(MpiErrRank):
-            c.check_rank(ANY_SOURCE)
+            c.world_rank_of(ANY_SOURCE)
 
     def test_intercomm(self):
         c = self._comm(remote_group=Group([5, 6]))
@@ -80,9 +80,8 @@ class TestCommunicator:
         assert c.remote_size == 2
         # destination resolution goes through the REMOTE group
         assert c.world_rank_of(1) == 6
-        c.check_rank(1)
         with pytest.raises(MpiErrRank):
-            c.check_rank(2)  # remote group has only 2 members
+            c.world_rank_of(2)  # remote group has only 2 members
 
     def test_remote_size_on_intracomm(self):
         with pytest.raises(MpiErrComm):

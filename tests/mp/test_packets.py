@@ -12,7 +12,7 @@ class TestFraming:
             ptype=EAGER, src=0, dst=1, tag=7, comm_id=2, op_id=33,
             offset=0, total=5, sync=True, ts=123.5, payload=b"hello",
         )
-        head = pkt.pack_header()
+        head = pkt.pack_header(len(pkt.payload))
         assert len(head) == HEADER_SIZE
         decoded, plen = Packet.unpack_header(memoryview(head))
         assert plen == 5
@@ -23,7 +23,7 @@ class TestFraming:
 
     def test_empty_payload(self):
         pkt = Packet(ptype=CTS, src=1, dst=0, op_id=9)
-        decoded, plen = Packet.unpack_header(pkt.pack_header())
+        decoded, plen = Packet.unpack_header(pkt.pack_header(0))
         assert plen == 0 and decoded.op_id == 9 and decoded.payload == b""
 
     def test_kind_names(self):
@@ -50,7 +50,7 @@ def test_framing_roundtrip_property(ptype, src, dst, tag, op_id, offset, sync, t
         ptype=ptype, src=src, dst=dst, tag=tag, op_id=op_id, offset=offset,
         total=len(payload), sync=sync, ts=ts, payload=payload,
     )
-    head = pkt.pack_header()
+    head = pkt.pack_header(len(payload))
     assert len(head) == HEADER_SIZE
     decoded, plen = Packet.unpack_header(head)
     assert plen == len(payload)

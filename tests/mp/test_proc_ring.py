@@ -32,6 +32,7 @@ from repro.mp.channels.sock import (
     LEAD,
     LENGTH_SIZE,
     MAX_FRAME,
+    MIN_LENGTH,
     PKT,
     PREFIX,
     RING_CAPACITY,
@@ -42,7 +43,6 @@ from repro.mp.channels.sock import (
     SockChannel,
     SockFabric,
     control_block,
-    packet_lead,
     ring_mapping,
 )
 from repro.mp.datatypes import LONG
@@ -133,7 +133,9 @@ def _pkt(src, dst, tag, payload=b"x"):
 
 def _frame(pkt: Packet) -> bytes:
     """The bytes ``send_packet`` puts on the wire for ``pkt``."""
-    return packet_lead(pkt) + bytes(pkt.payload_mv())
+    payload = bytes(pkt.payload_mv())
+    lead = PREFIX.pack(MIN_LENGTH + len(payload), PKT, pkt.dst) + pkt.pack_header(len(payload))
+    return lead + payload
 
 
 def _pair(capacity: int) -> tuple[SockChannel, SockChannel]:

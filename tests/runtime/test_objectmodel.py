@@ -119,14 +119,14 @@ class TestArrays:
 class TestDataRange:
     def test_array_slice_window(self, runtime):
         arr = runtime.new_array("int32", 10)
-        addr, nbytes = runtime.om.array_data_range(arr.addr, 2, 3)
+        _mt, addr, nbytes = runtime.om.data_window(arr.addr, 2, 3)
         assert addr == arr.addr + ARRAY_DATA_OFFSET + 8
         assert nbytes == 12
 
     def test_full_object_window(self, runtime):
         runtime.define_class("W", [("a", "int64")])
         ref = runtime.new("W")
-        addr, nbytes = runtime.om.array_data_range(ref.addr)
+        _mt, addr, nbytes = runtime.om.data_window(ref.addr)
         assert addr == ref.addr + OBJECT_HEADER_SIZE
         assert nbytes == 8
 
@@ -135,13 +135,13 @@ class TestDataRange:
         header (paper §2.4) — the window must refuse."""
         arr = runtime.new_array("int32", 4)
         with pytest.raises(ObjectModelViolation):
-            runtime.om.array_data_range(arr.addr, 2, 3)
+            runtime.om.data_window(arr.addr, 2, 3)
 
     def test_offset_into_plain_object_refused(self, runtime):
         runtime.define_class("W2", [("a", "int64")])
         ref = runtime.new("W2")
         with pytest.raises(ObjectModelViolation):
-            runtime.om.array_data_range(ref.addr, 1, 1)
+            runtime.om.data_window(ref.addr, 1, 1)
 
 
 class TestRefSlots:

@@ -134,9 +134,9 @@ class TestRegistry:
     def test_by_id(self):
         reg = TypeRegistry()
         mt = reg.define_class("E", [])
-        assert reg.by_id(mt.mt_id) is mt
+        assert reg.ids[mt.mt_id] is mt
         with pytest.raises(TypeLoadError):
-            reg.by_id(99999)
+            reg.ids[99999]
 
     def test_contains(self):
         reg = TypeRegistry()
