@@ -335,16 +335,16 @@ def _overlap_main(rounds: int, compute_ns: float, chunk_ns: float, bcast_bytes: 
     ``iallreduce``, then simulates ``compute_ns`` of application work as a
     stream of small clock charges (ceding to the peer rank per chunk,
     the simulated analogue of other cores running).  In polled mode nothing
-    progresses until the waits; in async mode the recurring progress task
+    progresses until the waits; in async mode the progress tick
     streams and consumes the collective traffic *during* the charges.
     Returns per-rank results, elapsed/blocked virtual time and the
-    progress core's overlap ledger.
+    progress engine's overlap ledger.
     """
     import struct
 
     def main(ctx):
         eng = ctx.engine
-        core = eng.progress.core
+        progress = eng.progress
         digest: list = []
         wait_ns = 0.0
         t0 = ctx.clock.now()
@@ -378,8 +378,8 @@ def _overlap_main(rounds: int, compute_ns: float, chunk_ns: float, bcast_bytes: 
             "digest": digest,
             "elapsed_ms": (ctx.clock.now() - t0) / 1e6,
             "wait_ms": wait_ns / 1e6,
-            "overlap": core.overlap_ratio,
-            "async_polls": core.async_polls,
+            "overlap": progress.overlap_ratio,
+            "async_polls": progress.async_polls,
         }
 
     return main
@@ -391,7 +391,7 @@ def ablate_progress(exp: Experiment, quick: bool) -> SeriesSet:
     The polling-wait pathology ("MPI Progress For All"): with polled
     progress a rendezvous ``ibcast`` cannot stream while the application
     computes, so its wire time serialises after the compute phase.  Async
-    progress mode drives each rank's progress core from a recurring task
+    progress mode steps each rank's progress engine from a tick
     on its clock, so the same traffic flows during the charges: the
     overlap ratio pvar goes from 0 to ~1, the blocked-in-wait time
     collapses, elapsed virtual time drops toward max(compute, comm) — and

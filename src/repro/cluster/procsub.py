@@ -112,7 +112,7 @@ class ProcSubstrate(Substrate):
         if w.progress == "async":
             raise ValueError(
                 "progress='async' is not available on the proc substrate: "
-                "it is a recurring task on the rank's simulated clock, and "
+                "it is a tick on the rank's simulated clock, and "
                 "process-hosted ranks have no progress thread (use "
                 "substrate='inproc')"
             )

@@ -19,8 +19,8 @@ the decisions that differ between a simulated and a real deployment:
   their mains run;
 * **what follows from hosting** — an idle wait cedes the shared
   interpreter at once versus spinning before it yields a CPU of its own
-  (``progress="async"`` is a recurring task on the rank's simulated
-  clock and so an inproc mode: the proc substrate rejects it);
+  (``progress="async"`` is a tick on the rank's simulated clock and so
+  an inproc mode: the proc substrate rejects it);
 * **who runs** — the inproc substrate owns the world's one scheduler, a
   :class:`~repro.simtime.sched.Baton`: exactly one of the rank threads
   it hosts is runnable, and ceding wakes the next one directly.  So it
@@ -183,14 +183,14 @@ class InprocSubstrate(Substrate):
         """
         baton, rank = self.baton, ctx.rank
         progress = ctx.engine.progress
-        core, device = progress.core, ctx.engine.device
+        device = ctx.engine.device
 
         def in_flight() -> bool:
             channel = device.channel
             return bool(device._outbox) or channel.has_incoming() or channel.owes()
 
         # C-level attribute reads: a cede runs no Python frame to ask them
-        baton.join(rank, ctx.clock, partial(getattr, core, "handled"),
+        baton.join(rank, ctx.clock, partial(getattr, progress, "handled"),
                    partial(getattr, progress, "waiting"), in_flight)
         progress.hand_off = partial(baton.cede, rank)
         run = draining(self.world, main)

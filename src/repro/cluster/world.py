@@ -86,8 +86,8 @@ class World:
         self.channel_name = channel
         self.clock_mode = clock_mode
         #: "polled" (progress only when a rank calls into the library) or
-        #: "async" (each rank's progress core also driven by a recurring
-        #: task on its clock; see docs/ARCHITECTURE.md "Progress modes")
+        #: "async" (each rank's progress engine also stepped by a tick on
+        #: its clock; see docs/ARCHITECTURE.md "Progress modes")
         self.progress = progress
         self.costs = costs if costs is not None else CostModel()
         self.eager_threshold = eager_threshold

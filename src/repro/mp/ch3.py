@@ -445,7 +445,7 @@ class CH3Device:
     def _on_rma(self, pkt: Packet) -> None:
         """Route a one-sided packet into its window's target-side handler.
 
-        This runs on the poll path, so the progress core — polled or
+        This runs on the poll path, so the progress engine — polled or
         async — drives target-side completion; the application holding
         the window never has to call in (passive-target progression).
         """

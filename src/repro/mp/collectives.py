@@ -12,7 +12,7 @@ yielding rounds of nonblocking point-to-point requests; see
 ``bcast``, …) drive the generator inline, waiting out each round — byte
 for byte the same traffic in the same order as before the refactor.  The
 nonblocking entry points (``ibarrier``, ``ibcast``, …) hand the generator
-to the progress core and return a request immediately.
+to the progress engine and return a request immediately.
 
 Schedules mark their extent with ``region_begin``/``region_end`` on the
 engine's hook spine: the observability layer turns regions into spans
@@ -116,7 +116,7 @@ def _run_inline(engine, gen) -> None:
 
 
 def _start(engine, name: str, comm, gen):
-    """Hand a schedule to the progress core; returns its CollRequest."""
+    """Hand a schedule to the progress engine; returns its CollRequest."""
     return engine.start_schedule(name, comm, gen)
 
 

@@ -28,7 +28,7 @@ from repro.mp.errors import (
 )
 from repro.mp.hooks import wire_engine
 from repro.mp.matching import ANY_SOURCE, ANY_TAG
-from repro.mp.progress import AsyncProgressDriver, ProgressEngine
+from repro.mp.progress import ProgressEngine
 from repro.mp.request import RECV, SEND, Request
 from repro.mp.schedule import Schedule
 from repro.mp.status import Status
@@ -84,14 +84,8 @@ class MpiEngine:
         #: wait spins before yielding.
         self.progress.thread_hosted = hosting == "thread"
         self.progress_mode = progress
-        #: async progress is a recurring task on the rank's clock (keyed, so
-        #: a rebuilt engine on that clock takes over)
-        self.async_driver = None
         if progress == "async":
-            self.async_driver = AsyncProgressDriver(
-                self.progress.core, self.clock, self.costs.async_poll_period_ns
-            )
-            self.async_driver.start()
+            self.progress.start_ticking(self.costs.async_poll_period_ns)
         #: the rank's hook spine, shared by every layer of this stack;
         #: observers (repro.obs, repro.analyze) attach here
         self.hooks = wire_engine(self)
@@ -249,13 +243,13 @@ class MpiEngine:
         :class:`MpiErrProcFailed` instead of reading as plain success, and
         completed recvs get their status source translated (once).
         """
-        self.progress.core.step()
+        self.progress.step()
         if not all(r.completed for r in reqs):
-            self.progress._missed()
+            self.progress.miss()
             return False
         comm = comm or self.comm_world
         for r in reqs:
-            self.progress._check_failed(r)
+            self.progress.check_failed(r)
             if r.kind == RECV:
                 self._finish_recv(r, comm)
         return True
@@ -273,14 +267,14 @@ class MpiEngine:
     def wait_some(self, reqs, timeout: float | None = None) -> list[int]:
         """MPI_Waitsome: block until >= 1 completes; returns their indices."""
         first = self.wait_any(reqs, timeout=timeout)
-        self.progress.core.step()
+        self.progress.step()
         return [i for i, r in enumerate(reqs) if r.completed] or [first]
 
     def iprobe(self, source: int, tag: int, comm: Communicator | None = None) -> Status | None:
-        self.progress.core.step()
+        self.progress.step()
         st = self._iprobe_queued(source, tag, comm or self.comm_world)
         if st is None:
-            self.progress._missed()
+            self.progress.miss()
         return st
 
     def _iprobe_queued(self, source: int, tag: int, comm: Communicator) -> Status | None:
@@ -498,7 +492,7 @@ class MpiEngine:
     # ------------------------------------------------------------- collectives
 
     def start_schedule(self, name: str, comm: Communicator, gen) -> Request:
-        """Register a collective schedule with the progress core.
+        """Register a collective schedule with the progress engine.
 
         The first advance runs synchronously so parameter errors raise at
         the call site; a schedule that finishes immediately (size-1
@@ -555,5 +549,4 @@ class MpiEngine:
 
     def finalize(self) -> None:
         self.finalized = True
-        if self.async_driver is not None:
-            self.async_driver.stop()
+        self.progress.stop_ticking()

@@ -33,7 +33,7 @@ native RMA path (the emulation lowering), and ``WSYNC``/``WPOST``/
 ``WCOMPLETE``/``WLOCK``/``WLOCKGRANT``/``WUNLOCK``/``WUNLOCKACK`` carry
 the epoch synchronization (fence, post/start/complete/wait, passive
 lock/unlock).  Target-side handling of all of these lives in the CH3
-device's poll path, so the async progress core — not the target
+device's poll path, so the async progress tick — not the target
 application — drives completion.
 
 The sock channel frames these onto a byte ring; the shm channel passes

@@ -1,4 +1,4 @@
-"""The progress core, its polling-wait, and the async progress driver.
+"""The progress engine: one rank's progress step, its polling-wait, its async tick.
 
 Motor replaced MPICH2's blocking system calls with "a polling-wait, which
 periodically releases and polls the garbage collector ... to ensure that
@@ -12,29 +12,27 @@ where each integration plugs its own discipline:
   nothing about the collector, which is exactly the architectural problem
   the paper identifies.
 
-Besides point-to-point requests, the progress core executes collective
+Besides point-to-point requests, the progress step executes collective
 *schedules* (:mod:`repro.mp.schedule`): each registered schedule is
 advanced once per poll, which is what makes ``ibarrier``/``ibcast``/…
 progress while the caller computes.
 
-The layering here is MPICH's progress split made explicit:
+:class:`ProgressEngine` is the one progress class:
 
-:class:`ProgressCore`
-    The one callable progress step — device poll plus schedule
-    advancement — with counters distinguishing caller-initiated from
-    async-initiated steps.  Everything that completes a request goes
-    through :meth:`ProgressCore.step`.
-:class:`ProgressEngine`
-    The caller-facing façade: one polling-wait loop (``drive``, built on
-    the one ``idle`` step) and the family spelled with it (``wait``,
-    ``wait_all``, ``poll_until``, ``test``); and ``cede``, the one seam
-    through which a rank with nothing to do lets another rank run.
-:class:`AsyncProgressDriver`
-    Progress mode ``"async"``: a recurring task on the rank's clock
-    (:mod:`repro.simtime.sched`) steps the core whenever simulated time
-    advances — during application *compute*, not just library calls.
-    There is no progress thread: async is a simulated-clock mode, and the
-    proc substrate rejects it (docs/ARCHITECTURE.md "Progress modes").
+* :meth:`~ProgressEngine.step` — device poll plus schedule advancement,
+  with counters telling caller-initiated from async-initiated steps.
+  Everything that completes a request goes through it.
+* :meth:`~ProgressEngine.drive` — the one polling-wait loop, built on the
+  one ``idle`` step, and the family spelled with it (``wait``,
+  ``wait_all``, ``poll_until``, ``test``); and ``cede``, the one seam
+  through which a rank with nothing to do lets another rank run.
+* the async tick — progress mode ``"async"`` (:meth:`start_ticking`):
+  the engine's tick sits in the rank clock's one callback slot, so
+  ``Clock.charge`` steps the engine whenever simulated time passes the
+  tick's due time — during application *compute*, not just library
+  calls.  There is no progress thread: async is a simulated-clock mode,
+  and the proc substrate rejects it (docs/ARCHITECTURE.md "Progress
+  modes").
 
 The wait is bounded two ways ("MPI Progress For All"): an optional wall
 ``timeout`` raises :class:`MpiErrTimeout`, and a request completed with
@@ -53,27 +51,19 @@ from repro.mp.errors import MpiErrProcFailed, MpiErrTimeout
 from repro.mp.hooks import NULL_SPINE
 from repro.mp.reliability import PROC_FAILED
 from repro.mp.request import Request
-from repro.simtime.sched import ensure_scheduler
-
-#: scheduler key for a rank's async progress task — keyed (not per-engine)
-#: so an engine rebuilt on the same clock (communicator shrink, rank
-#: replacement) *replaces* the driver instead of leaving an orphan polling
-#: a retired device
-ASYNC_TASK_KEY = "mp.progress"
 
 #: every 64th consecutive idle poll of a wait is its backoff point, where
 #: a process-hosted rank yields its CPU
 IDLE_MASK = 0x3F
 
+#: most async steps one charge may fire; past it the tick snaps back onto
+#: cadence, so a multi-millisecond charge (a large serialization, a
+#: rendezvous wire cost) does not fire a 5 us tick hundreds of times
+MAX_CATCHUP = 8
 
-class ProgressCore:
-    """One rank's callable progress step: device poll + schedules.
 
-    Both the caller's polling-wait and the async driver funnel through
-    :meth:`step`; the ``from_async`` flag keeps the overlap ledger —
-    packets handled while the application computes versus packets handled
-    because the caller entered the library.
-    """
+class ProgressEngine:
+    """Drives one rank's device until requests complete."""
 
     def __init__(self, device: CH3Device, yield_fn: Callable[[], None] | None = None) -> None:
         self.device = device
@@ -82,17 +72,35 @@ class ProgressCore:
         self.hooks = NULL_SPINE
         self.polls = 0
         self.idle_polls = 0
-        #: steps initiated by the async driver rather than a caller
+        #: steps the async tick initiated rather than a caller
         self.async_polls = 0
         #: packets handled, total and by async-initiated steps
         self.handled = 0
         self.async_handled = 0
-        #: collective schedules the progress core is executing
+        #: collective schedules this engine is executing
         self._schedules: list = []
-        #: re-entrancy guard: a charge made *inside* device.poll (copy
-        #: costs, merges) may drive the clock's scheduler; the nested step
-        #: must not re-enter the device mid-poll
+        #: a charge made *inside* device.poll (copy costs, merges) may fire
+        #: the tick; the nested step must not re-enter the device mid-poll
         self._in_step = False
+        #: the async tick: its period (ns), its next due time, and the
+        #: guard that makes a charge inside a tick burst do nothing
+        self.period_ns = 0.0
+        self._due_ns = 0.0
+        self._ticking = False
+        #: *when* an idle wait cedes (see :meth:`idle`): at once for a rank
+        #: that shares an interpreter; the engine clears it for a rank that
+        #: owns an OS process
+        self.thread_hosted = True
+        #: *how* it cedes (see :meth:`cede`): a substrate that hosts this
+        #: rank as one of its threads installs its scheduler's hand-off
+        #: here; None — nobody schedules this rank — is the OS yield
+        self.hand_off: Callable[[], None] | None = None
+        #: what :meth:`drive` is blocked on — its request, else the
+        #: description of its condition; None outside a wait.  The baton
+        #: reads it to tell a blocked rank from a spinning one
+        self.waiting: Request | str | None = None
+        #: consecutive idle polls of the current wait
+        self._idle_run = 0
 
     def add_schedule(self, sched) -> None:
         """Register a collective schedule for per-poll advancement."""
@@ -146,103 +154,65 @@ class ProgressCore:
 
     @property
     def overlap_ratio(self) -> float:
-        """Fraction of handled packets progressed by the async driver."""
+        """Fraction of handled packets progressed by the async tick."""
         return self.async_handled / self.handled if self.handled else 0.0
 
+    # -- the async tick ----------------------------------------------------
 
-class AsyncProgressDriver:
-    """Progress mode ``"async"``: steps a core on the clock's cadence.
+    def start_ticking(self, period_ns: float) -> None:
+        """Progress mode ``"async"``: step every ``period_ns`` of clock time.
 
-    Registers a recurring task (period ``async_poll_period_ns``) on the
-    rank clock's :class:`~repro.simtime.sched.TaskScheduler`, so the core
-    is stepped whenever the rank charges simulated work — decoupling
-    progression from library entry.
-    """
-
-    def __init__(self, core: ProgressCore, clock, period_ns: float) -> None:
-        self.core = core
-        self.clock = clock
+        The tick takes the clock's one slot, so an engine rebuilt on the
+        same clock (communicator shrink, rank replacement) takes over
+        progression instead of leaving an orphan polling a retired device.
+        """
+        if period_ns <= 0:
+            raise ValueError(f"period must be positive, got {period_ns}")
+        clock = self.device.clock
         self.period_ns = float(period_ns)
-        self.task = None
+        self._due_ns = clock.now() + self.period_ns
+        clock.tick = self._tick
 
-    def start(self) -> None:
-        sched = ensure_scheduler(self.clock)
-        self.task = sched.schedule(ASYNC_TASK_KEY, self._tick, self.period_ns)
-
-    def stop(self) -> None:
-        if self.task is not None and not self.task.cancelled:
-            sched = self.clock.scheduler
-            if sched is not None and self.task in sched._tasks:
-                sched.cancel(ASYNC_TASK_KEY)
-        self.task = None
+    def stop_ticking(self) -> None:
+        """Clear the clock's slot if it still holds this engine's tick."""
+        clock = self.device.clock
+        if clock.tick == self._tick:
+            clock.tick = None
 
     def _tick(self) -> None:
-        self.core.step(from_async=True)
+        """Called by every ``Clock.charge``: fire the steps now due.
 
+        Fires are bounded by the clock as read at entry (a step's own
+        charges cannot extend the horizon), at most :data:`MAX_CATCHUP` a
+        charge, and a charge made inside the burst does nothing.  A tick
+        that falls due inside a caller's step is still consumed — its due
+        time advances — but :meth:`step` runs it as a no-op.
+        """
+        if self._ticking:
+            return
+        horizon = self.device.clock.now()
+        if self._due_ns > horizon:
+            return
+        self._ticking = True
+        try:
+            burst = 0
+            while self._due_ns <= horizon and burst < MAX_CATCHUP:
+                self._due_ns += self.period_ns
+                burst += 1
+                self.step(from_async=True)
+            if self._due_ns <= horizon:
+                # catch-up cap hit: skip the backlog, stay on cadence
+                self._due_ns = horizon + self.period_ns
+        finally:
+            self._ticking = False
 
-class ProgressEngine:
-    """Drives one rank's device until requests complete."""
-
-    def __init__(self, device: CH3Device, yield_fn: Callable[[], None] | None = None,
-                 core: ProgressCore | None = None) -> None:
-        self.core = core if core is not None else ProgressCore(device, yield_fn)
-        #: *when* an idle wait cedes (see :meth:`idle`): at once for a rank
-        #: that shares an interpreter; the engine clears it for a rank that
-        #: owns an OS process
-        self.thread_hosted = True
-        #: *how* it cedes (see :meth:`cede`): a substrate that hosts this
-        #: rank as one of its threads installs its scheduler's hand-off
-        #: here; None — nobody schedules this rank — is the OS yield
-        self.hand_off: Callable[[], None] | None = None
-        #: what :meth:`drive` is blocked on — its request, else the
-        #: description of its condition; None outside a wait.  The baton
-        #: reads it to tell a blocked rank from a spinning one
-        self.waiting: Request | str | None = None
-        #: consecutive idle polls of the current wait
-        self._idle_run = 0
-
-    # -- façade over the core (existing call sites keep working) ----------
-
-    @property
-    def yield_fn(self):
-        return self.core.yield_fn
-
-    @yield_fn.setter
-    def yield_fn(self, fn) -> None:
-        self.core.yield_fn = fn
-
-    @property
-    def hooks(self):
-        return self.core.hooks
-
-    @hooks.setter
-    def hooks(self, spine) -> None:
-        self.core.hooks = spine
-
-    @property
-    def polls(self) -> int:
-        return self.core.polls
-
-    @property
-    def idle_polls(self) -> int:
-        return self.core.idle_polls
-
-    @property
-    def async_polls(self) -> int:
-        return self.core.async_polls
-
-    @property
-    def overlap_ratio(self) -> float:
-        return self.core.overlap_ratio
-
-    def add_schedule(self, sched) -> None:
-        self.core.add_schedule(sched)
+    # -- ceding ------------------------------------------------------------
 
     def poll(self) -> int:
         """One caller-initiated progress step; handling nothing is a miss."""
-        handled = self.core.step()
+        handled = self.step()
         if not handled:
-            self._missed()
+            self.miss()
         return handled
 
     def cede(self) -> None:
@@ -259,7 +229,7 @@ class ProgressEngine:
         else:
             self.hand_off()
 
-    def _missed(self) -> None:
+    def miss(self) -> None:
         """An unsuccessful ``test``/``iprobe``/``poll`` is an idle poll.
 
         Under the baton the caller's ``while not test(...)`` spin would
@@ -272,11 +242,12 @@ class ProgressEngine:
 
     # -- the polling-wait family ------------------------------------------
 
-    def _check_failed(self, req: Request) -> None:
+    def check_failed(self, req: Request) -> None:
+        """Raise :class:`MpiErrProcFailed` for a request a dead peer ended."""
         if req.status.error == PROC_FAILED:
             raise MpiErrProcFailed(
                 f"peer {req.peer} failed during {req.kind}",
-                failed=frozenset(self.core.device.failed_ranks),
+                failed=frozenset(self.device.failed_ranks),
             )
 
     def idle(self) -> None:
@@ -288,7 +259,7 @@ class ProgressEngine:
         first idle poll.  Process-hosted ranks run in parallel and a yield
         only adds latency: they spin 63 consecutive idle polls first.
         """
-        if self.core.step():
+        if self.step():
             self._idle_run = 0
             return
         self._idle_run = run = self._idle_run + 1
@@ -320,7 +291,7 @@ class ProgressEngine:
             self.waiting = outer
         # ``done`` may have come true during application compute (async
         # progress) — consuming the result is where the arrival time lands
-        clock = self.core.device.clock
+        clock = self.device.clock
         if clock.pending_ns:
             clock.apply_pending()
 
@@ -333,7 +304,7 @@ class ProgressEngine:
         """
         self.drive(None, timeout, f"request {req.op_id} incomplete", req)
         if req.status.error is not None:
-            self._check_failed(req)
+            self.check_failed(req)
 
     def poll_until(self, cond: Callable[[], bool], timeout: float | None = None,
                    what: str = "condition") -> None:
@@ -361,7 +332,7 @@ class ProgressEngine:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0.0:
                     if req.completed:
-                        self._check_failed(req)
+                        self.check_failed(req)
                         continue
                     raise MpiErrTimeout(
                         f"request {req.op_id} incomplete after {timeout}s (batch deadline)"
@@ -369,9 +340,9 @@ class ProgressEngine:
             self.wait(req, timeout=remaining)
 
     def test(self, req: Request) -> bool:
-        self.core.step()
+        self.step()
         if req.completed:
-            self._check_failed(req)
+            self.check_failed(req)
             return True
-        self._missed()
+        self.miss()
         return False

@@ -40,11 +40,10 @@ as every other payload, so checkpoint traffic shows up in the device's
 from __future__ import annotations
 
 import struct
-import time
 from typing import Any
 
 from repro.mp.buffers import BufferDesc, NativeMemory
-from repro.mp.errors import MpiErrComm, MpiErrProcFailed, MpiErrTimeout
+from repro.mp.errors import MpiErrComm, MpiErrProcFailed
 from repro.mp.matching import ANY_SOURCE
 from repro.mp.reliability import PROC_FAILED
 
@@ -303,12 +302,7 @@ class RecoveryManager:
             req = engine.irecv(buf, r, _TAG_AGREE_CONTRIB, comm, _internal=True)
             pending[r] = (req, buf)
 
-        for r in range(comm.size):
-            if r != comm.rank and r not in known:
-                expect(r)
-        deadline = self._deadline(timeout)
-        while pending:
-            self._poll_step(deadline, "agreement stalled collecting contributions")
+        def collected() -> bool:
             for r, (req, buf) in list(pending.items()):
                 if not req.completed:
                     continue
@@ -327,6 +321,12 @@ class RecoveryManager:
                         dead_req, _ = pending.pop(i)
                         engine.cancel(dead_req)
                         known.add(i)
+            return not pending
+
+        for r in range(comm.size):
+            if r != comm.rank and r not in known:
+                expect(r)
+        engine.progress.poll_until(collected, timeout, f"agreement {seq}: every contribution")
         folded = None
         bits = self._bitmap(known)
         for r in sorted(contributions):
@@ -351,33 +351,33 @@ class RecoveryManager:
         contrib = struct.pack(_AGREE_FMT, seq, self._bitmap(known), value)
         sreq = engine.isend(BufferDesc.from_bytes(contrib), coord,
                             _TAG_AGREE_CONTRIB, comm, _internal=True)
-        buf = BufferDesc.from_native(NativeMemory(_AGREE_NBYTES))
-        rreq = engine.irecv(buf, coord, _TAG_AGREE_RESULT, comm, _internal=True)
-        deadline = self._deadline(timeout)
-        while True:
-            self._poll_step(deadline, "agreement stalled awaiting the result")
+        buf = rreq = result = None
+
+        def expect() -> None:
+            nonlocal buf, rreq
+            buf = BufferDesc.from_native(NativeMemory(_AGREE_NBYTES))
+            rreq = engine.irecv(buf, coord, _TAG_AGREE_RESULT, comm, _internal=True)
+
+        def answered() -> bool:
+            nonlocal result
             if sreq.completed and sreq.status.error == PROC_FAILED and not rreq.completed:
                 engine.cancel(rreq)
-                return None
-            if rreq.completed:
-                if rreq.status.error == PROC_FAILED:
-                    return None
-                rseq, bits, folded = struct.unpack(_AGREE_FMT, buf.tobytes())
-                if rseq != seq:
-                    # stale result from an earlier sequence; keep waiting
-                    buf = BufferDesc.from_native(NativeMemory(_AGREE_NBYTES))
-                    rreq = engine.irecv(buf, coord, _TAG_AGREE_RESULT, comm,
-                                        _internal=True)
-                    continue
-                return folded, bits
+                return True
+            if not rreq.completed:
+                return False
+            if rreq.status.error == PROC_FAILED:
+                return True
+            rseq, bits, folded = struct.unpack(_AGREE_FMT, buf.tobytes())
+            if rseq != seq:
+                expect()  # stale result from an earlier sequence; keep waiting
+                return False
+            result = folded, bits
+            return True
 
-    def _deadline(self, timeout: float | None):
-        return None if timeout is None else time.monotonic() + timeout
-
-    def _poll_step(self, deadline, what: str) -> None:
-        self.engine.progress.idle()
-        if deadline is not None and time.monotonic() > deadline:
-            raise MpiErrTimeout(what)
+        expect()
+        engine.progress.poll_until(answered, timeout,
+                                   f"agreement {seq}: the result from rank {coord}")
+        return result
 
     # -- shrink epochs ---------------------------------------------------------
 

@@ -34,7 +34,7 @@ class CollRequest(Request):
 
 
 class Schedule:
-    """One in-flight collective, advanced by the progress core."""
+    """One in-flight collective, advanced by the progress engine."""
 
     __slots__ = ("gen", "req", "round", "members", "failed")
 

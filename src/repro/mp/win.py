@@ -29,11 +29,11 @@ Epoch discipline (all three MPI synchronization flavors):
 * ``lock``/``unlock`` — passive target: the *target's CH3 device* owns
   the lock table, granting/queueing WLOCK requests and acking WUNLOCK
   from its poll path, so a target blocked in pure compute still serves
-  lock traffic whenever the async progress core steps its device
+  lock traffic whenever the async progress tick steps its device
   ("MPI Progress For All").
 
 Target-side completion of every packet above is driven by
-:meth:`CH3Device.poll` — i.e. by the progress core, not by the
+:meth:`CH3Device.poll` — i.e. by the progress engine, not by the
 application calling into the window.
 """
 
@@ -543,7 +543,7 @@ class Win:
 
     # ---------------------------------------------------- device callbacks
     # Everything below runs on the target's poll path — i.e. whenever the
-    # progress core (polled or async) steps the device.
+    # progress engine (polled or async) steps the device.
 
     def _on_put(self, pkt: Packet) -> None:
         n = len(pkt.payload)

@@ -22,7 +22,7 @@ where the crossovers fall.  Two clock modes support that:
 
 from repro.simtime.clock import Clock, VirtualClock, WallClock
 from repro.simtime.costs import HOST_PROFILES, LINK_PROFILES, CostModel, HostProfile, LinkProfile
-from repro.simtime.sched import Baton, RecurringTask, TaskScheduler, ensure_scheduler
+from repro.simtime.sched import Baton
 
 __all__ = [
     "Clock",
@@ -34,7 +34,4 @@ __all__ = [
     "LinkProfile",
     "LINK_PROFILES",
     "Baton",
-    "RecurringTask",
-    "TaskScheduler",
-    "ensure_scheduler",
 ]

@@ -27,10 +27,10 @@ class Clock:
     #: True when charges actually advance the clock (virtual mode).
     virtual: bool = False
 
-    #: optional :class:`repro.simtime.sched.TaskScheduler` driven from
-    #: ``charge`` — the hook async progress mode hangs its recurring
-    #: progress task on (see :mod:`repro.simtime.sched`)
-    scheduler = None
+    #: the one callback ``charge`` calls, None when empty: async progress
+    #: mode puts its progress engine's tick here (see
+    #: :meth:`repro.mp.progress.ProgressEngine.start_ticking`)
+    tick = None
 
     #: when True, ``merge`` records arrivals as a pending causal floor
     #: instead of jumping the clock (async progress: a packet handled
@@ -93,12 +93,12 @@ class WallClock(Clock):
 
     def charge(self, ns: float) -> None:  # noqa: ARG002 - interface parity
         # Wall time passes on its own, but a charge is still the moment a
-        # rank accounts for work — counted, and the scheduler gets its
-        # chance to run recurring tasks against real elapsed time.
+        # rank accounts for work — counted, and the tick gets its chance
+        # to fire against real elapsed time.
         self.charges += 1
-        s = self.scheduler
-        if s is not None:
-            s.drive()
+        t = self.tick
+        if t is not None:
+            t()
 
     def merge(self, ts_ns: float) -> None:  # noqa: ARG002
         return None
@@ -114,14 +114,14 @@ class VirtualClock(Clock):
 
     virtual = True
 
-    __slots__ = ("_now_ns", "charges", "scheduler", "defer_merges", "pending_ns")
+    __slots__ = ("_now_ns", "charges", "tick", "defer_merges", "pending_ns")
 
     def __init__(self, start_ns: float = 0.0) -> None:
         self._now_ns = float(start_ns)
         #: number of charge() calls, useful for cost-model audits in tests
         self.charges = 0
-        #: recurring-task scheduler driven by charges (async progress mode)
-        self.scheduler = None
+        #: callback every charge calls (async progress mode's tick)
+        self.tick = None
         #: True while an async progress step runs: merges become a pending
         #: causal floor rather than immediate jumps (see Clock.defer_merges)
         self.defer_merges = False
@@ -135,9 +135,9 @@ class VirtualClock(Clock):
             raise ValueError(f"negative charge: {ns}")
         self._now_ns += ns
         self.charges += 1
-        s = self.scheduler
-        if s is not None:
-            s.drive()
+        t = self.tick
+        if t is not None:
+            t()
 
     def merge(self, ts_ns: float) -> None:
         if self.defer_merges:

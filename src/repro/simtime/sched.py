@@ -1,139 +1,17 @@
-"""Recurring tasks on a rank's clock: the simulated-time task scheduler.
+"""The baton: which rank thread of an in-process world runs.
 
-"MPI Progress For All" (Zhou et al.) diagnoses the polling-wait pathology:
-progress happens only when the application calls into the library.  The fix
-in a real MPI is a progress thread; in this simulated world every rank is a
-cooperative thread that *charges* its own clock for the work it simulates,
-so the charge stream itself is the natural place to interleave third-party
-work.  A :class:`TaskScheduler` hangs off a clock and is driven from
-``Clock.charge``: whenever simulated time advances past a recurring task's
-due time, the task fires — on the owning rank's thread, at a deterministic
-point in its virtual timeline.
-
-A :class:`TaskScheduler` is deliberately *not* a discrete-event scheduler
-across ranks; each rank owns one clock and one scheduler, preserving the
-Lamport-clock design (single writer, no locks).
-
-Across ranks the schedulable entity is the rank itself: a :class:`Baton`
-lets exactly one rank thread of an in-process world run at a time,
-decides, from simulation state alone, who runs when that rank cedes, and
-sees when no rank can ever run again.
-
-Determinism and safety rules:
-
-* ``drive`` fires tasks due as of the time observed *at entry* (the
-  horizon).  Charges made by a task while it runs do not extend the
-  horizon, so a task that charges more than its own period cannot trap the
-  scheduler in an unbounded catch-up loop.
-* Catch-up after a large single charge is capped at
-  :attr:`RecurringTask.max_catchup` fires, after which the task's due time
-  snaps past the horizon.  The cap keeps a multi-millisecond charge (a
-  large serialization, a rendezvous wire cost) from firing a 5 us progress
-  task hundreds of times back to back.
-* ``drive`` is re-entrancy guarded: charges made by a running task never
-  recursively drive the scheduler.
-* Scheduling under an existing key replaces (cancels) the previous task —
-  an engine rebuilt for the same rank (communicator shrink, rank
-  replacement) takes over progression instead of leaving an orphan driver
-  polling a retired device.
+Each rank owns one clock and charges it for the work it simulates (the
+Lamport-clock design: single writer, no locks); there is no discrete-event
+scheduler across ranks.  Across ranks the schedulable entity is the rank
+itself: a :class:`Baton` lets exactly one rank thread of an in-process
+world run at a time, decides, from simulation state alone, who runs when
+that rank cedes, and sees when no rank can ever run again.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Callable
-
-
-class RecurringTask:
-    """A periodic callback on a clock's timeline."""
-
-    __slots__ = ("key", "fn", "period_ns", "next_due_ns", "fired", "cancelled",
-                 "max_catchup")
-
-    def __init__(self, key, fn: Callable[[], None], period_ns: float,
-                 next_due_ns: float, max_catchup: int = 8) -> None:
-        if period_ns <= 0:
-            raise ValueError(f"period must be positive, got {period_ns}")
-        self.key = key
-        self.fn = fn
-        self.period_ns = float(period_ns)
-        self.next_due_ns = float(next_due_ns)
-        #: total number of times the task has fired
-        self.fired = 0
-        self.cancelled = False
-        self.max_catchup = max_catchup
-
-
-class TaskScheduler:
-    """Recurring tasks driven by one clock's advancement.
-
-    Owned by a single rank thread (like the clock itself) — no locking.
-    """
-
-    __slots__ = ("clock", "_tasks", "_running")
-
-    def __init__(self, clock) -> None:
-        self.clock = clock
-        self._tasks: list[RecurringTask] = []
-        self._running = False
-
-    def schedule(self, key, fn: Callable[[], None], period_ns: float,
-                 max_catchup: int = 8) -> RecurringTask:
-        """Register ``fn`` to fire every ``period_ns``; replaces any task
-        already registered under ``key``."""
-        self.cancel(key)
-        task = RecurringTask(key, fn, period_ns,
-                             next_due_ns=self.clock.now() + period_ns,
-                             max_catchup=max_catchup)
-        self._tasks.append(task)
-        return task
-
-    def cancel(self, key) -> bool:
-        """Cancel the task registered under ``key``; True if one existed."""
-        for task in self._tasks:
-            if task.key == key:
-                task.cancelled = True
-                self._tasks.remove(task)
-                return True
-        return False
-
-    def drive(self) -> int:
-        """Fire every task due as of now; returns the number of fires.
-
-        Called from ``Clock.charge`` after time advances.  Fires are
-        bounded by the entry-time horizon and per-task catch-up cap, and
-        nested drives (a task charging its own clock) are no-ops.
-        """
-        if self._running or not self._tasks:
-            return 0
-        self._running = True
-        fires = 0
-        try:
-            horizon = self.clock.now()
-            for task in list(self._tasks):
-                burst = 0
-                while (not task.cancelled and task.next_due_ns <= horizon
-                       and burst < task.max_catchup):
-                    task.next_due_ns += task.period_ns
-                    task.fired += 1
-                    burst += 1
-                    task.fn()
-                if not task.cancelled and task.next_due_ns <= horizon:
-                    # catch-up cap hit: skip the backlog, stay on cadence
-                    task.next_due_ns = horizon + task.period_ns
-                fires += burst
-        finally:
-            self._running = False
-        return fires
-
-
-def ensure_scheduler(clock) -> TaskScheduler:
-    """The clock's scheduler, creating and attaching one if absent."""
-    sched = clock.scheduler
-    if sched is None:
-        sched = TaskScheduler(clock)
-        clock.scheduler = sched
-    return sched
 
 
 class _Seat:
@@ -146,7 +24,7 @@ class _Seat:
                  waiting: Callable[[], object], in_flight: Callable[[], bool]) -> None:
         self.rank = rank
         self.clock = clock
-        #: count of what the rank has handled so far (its progress core's)
+        #: count of what the rank has handled so far (its progress engine's)
         self.work = work
         #: the wait the rank is blocked in (a request, or a description of
         #: the condition), None outside one

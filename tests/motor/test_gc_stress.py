@@ -110,7 +110,7 @@ class TestStressedTransfers:
     @pytest.mark.progress
     def test_oo_echo_under_async_progress_and_stress(self):
         """The 256-element list out and back with a collection at every
-        safepoint and the progress core stepped from inside charges: the
+        safepoint and the progress engine stepped from inside charges: the
         deserializer's nursery runs land between collections, never across
         one, so the echo verifies and no pin outlives the transfer."""
 
@@ -126,8 +126,8 @@ class TestStressedTransfers:
                 got = comm.ORecv(0, 3)
                 verify_linked_list(rt, got, 256, 4096)
                 comm.OSend(got, 0, 4)
-            core = ctx.engine.progress.core
-            return rt.gc.active_pin_count, rt.gc.stats.gen0_collections, core.async_polls
+            return (rt.gc.active_pin_count, rt.gc.stats.gen0_collections,
+                    ctx.engine.progress.async_polls)
 
         for pins, collections, async_polls in stressed_motor2(
             main, every_n=1, channel="sock", clock_mode="virtual", progress="async"

@@ -1,6 +1,6 @@
-"""Async progress mode: the continuously-driven progress core.
+"""Async progress mode: the progress engine stepped by the clock's tick.
 
-Covers the recurring-task scheduler (repro.simtime.sched), deferred causal
+Covers the tick's cadence (``ProgressEngine.start_ticking``), deferred causal
 merges, completion *without* caller polls in ``progress="async"`` worlds,
 mode parity (identical results), the sanitizer under third-party
 progression, and the wait/test-family regressions the async work exposed:
@@ -20,9 +20,9 @@ from repro.mp import MpiEngine
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.channels import FaultPlan, FaultyFabric, ShmFabric
 from repro.mp.errors import MpiErrProcFailed, MpiErrTimeout
-from repro.mp.progress import AsyncProgressDriver, ProgressCore
+from repro.mp.progress import ProgressEngine
 from repro.mp.status import Status
-from repro.simtime import CostModel, VirtualClock, WallClock, ensure_scheduler
+from repro.simtime import CostModel, VirtualClock, WallClock
 
 pytestmark = pytest.mark.progress
 
@@ -46,81 +46,88 @@ def read_ints(buf):
     return list(struct.unpack(f"<{buf.nbytes // 4}i", bytes(buf.view())))
 
 
-# --------------------------------------------------------------- scheduler
+# --------------------------------------------------------------- the tick
+
+
+class _IdleDevice:
+    """Just enough of a CH3 device for a progress engine: a clock, no
+    packets; ``on_poll`` runs at every poll."""
+
+    def __init__(self, clock, on_poll=None):
+        self.clock = clock
+        self.on_poll = on_poll
+
+    def poll(self):
+        if self.on_poll is not None:
+            self.on_poll()
+        return 0
+
+
+def _ticking(period_ns, clock=None, on_poll=None):
+    """A progress engine ticking on ``clock``; returns (engine, poll times)."""
+    clock = clock if clock is not None else VirtualClock()
+    fired = []
+
+    def poll():
+        fired.append(clock.now())
+        if on_poll is not None:
+            on_poll()
+
+    eng = ProgressEngine(_IdleDevice(clock, poll))
+    eng.start_ticking(period_ns)
+    return eng, fired
 
 
 class TestTaskScheduler:
+    """The clock's one scheduled task: the progress engine's async tick."""
+
     def test_fires_on_charges_at_period(self):
-        clock = VirtualClock()
-        sched = ensure_scheduler(clock)
-        fired = []
-        sched.schedule("t", lambda: fired.append(clock.now()), 1_000.0)
+        eng, fired = _ticking(1_000.0)
+        clock = eng.device.clock
         clock.charge(2_500.0)  # periods at 1000 and 2000 are due
         assert len(fired) == 2
         clock.charge(500.0)  # crosses 3000
         assert len(fired) == 3
 
     def test_catchup_cap_snaps_past_horizon(self):
-        clock = VirtualClock()
-        sched = ensure_scheduler(clock)
-        n = []
-        task = sched.schedule("t", lambda: n.append(1), 1_000.0, max_catchup=4)
-        clock.charge(100_000.0)  # 100 periods due, burst capped at 4
-        assert len(n) == 4
-        assert task.next_due_ns == clock.now() + 1_000.0  # snapped, on cadence
-        clock.charge(1_000.0)
-        assert len(n) == 5
+        eng, fired = _ticking(1_000.0)
+        clock = eng.device.clock
+        clock.charge(100_000.0)  # 100 periods due, burst capped at 8
+        assert len(fired) == 8
+        clock.charge(999.0)  # snapped onto cadence: next due at 101_000
+        assert len(fired) == 8
+        clock.charge(1.0)
+        assert len(fired) == 9
 
     def test_task_charging_does_not_recurse(self):
         clock = VirtualClock()
-        sched = ensure_scheduler(clock)
-        fired = []
-
-        def fn():
-            fired.append(1)
-            clock.charge(10_000.0)  # a charging task must not nest a drive
-
-        sched.schedule("t", fn, 1_000.0, max_catchup=2)
+        # a step that charges its own clock must not nest a tick
+        _, fired = _ticking(1_000.0, clock, lambda: clock.charge(10_000.0))
         clock.charge(1_500.0)
-        # horizon was captured at drive entry: only the one fire at t=1000,
-        # regardless of how far the task's own charges moved the clock
-        assert fired == [1]
+        # the horizon was read at tick entry: only the one fire at t=1000,
+        # however far the step's own charges moved the clock
+        assert len(fired) == 1
 
-    def test_key_replacement_cancels_predecessor(self):
-        clock = VirtualClock()
-        sched = ensure_scheduler(clock)
-        a_calls, b_calls = [], []
-        ta = sched.schedule("k", lambda: a_calls.append(1), 1_000.0)
-        sched.schedule("k", lambda: b_calls.append(1), 1_000.0)
-        assert ta.cancelled
-        clock.charge(3_000.0)
-        assert a_calls == []
-        assert len(b_calls) == 3
-
-    def test_cancel(self):
-        clock = VirtualClock()
-        sched = ensure_scheduler(clock)
-        calls = []
-        sched.schedule("k", lambda: calls.append(1), 1_000.0)
-        assert sched.cancel("k")
-        assert not sched.cancel("k")
-        clock.charge(5_000.0)
-        assert calls == []
+    def test_tick_due_inside_a_caller_step_is_consumed(self):
+        """A tick falling due while the caller's own step charges the clock
+        does not re-enter the device, but its due time still advances."""
+        clock, cost = VirtualClock(), [1_500.0]
+        eng, fired = _ticking(1_000.0, clock, lambda: cost and clock.charge(cost.pop()))
+        eng.step()  # polls once, charging past the tick due at 1000
+        assert fired == [0.0] and eng.async_polls == 0
+        clock.charge(499.0)  # 1999: the consumed tick's successor is due at 2000
+        assert len(fired) == 1
+        clock.charge(1.0)
+        assert fired == [0.0, 2_000.0] and eng.async_polls == 1
 
     def test_rejects_nonpositive_period(self):
-        clock = VirtualClock()
+        eng = ProgressEngine(_IdleDevice(VirtualClock()))
         with pytest.raises(ValueError):
-            ensure_scheduler(clock).schedule("k", lambda: None, 0.0)
-
-    def test_ensure_scheduler_is_idempotent(self):
-        clock = VirtualClock()
-        assert ensure_scheduler(clock) is ensure_scheduler(clock)
+            eng.start_ticking(0.0)
 
     def test_wall_clock_charge_drives_scheduler(self):
         clock = WallClock()
-        sched = ensure_scheduler(clock)
-        fired = []
-        sched.schedule("t", lambda: fired.append(1), 1_000.0)  # 1 us period
+        _, fired = _ticking(1_000.0, clock)  # 1 us period
         deadline = time.monotonic() + 5.0
         while not fired and time.monotonic() < deadline:
             clock.charge(0)  # no simulated cost; real time still advances
@@ -150,16 +157,6 @@ class TestDeferredMerges:
 # ------------------------------------------------------------- async mode
 
 
-class _IdleDevice:
-    """Just enough of a CH3 device for a progress core: a clock, no packets."""
-
-    def __init__(self, clock):
-        self.clock = clock
-
-    def poll(self):
-        return 0
-
-
 class TestAsyncMode:
     def test_an_async_step_never_reaches_the_safepoint(self):
         """Async steps run inside ``clock.charge`` — possibly mid-allocation —
@@ -167,12 +164,12 @@ class TestAsyncMode:
         and the deserializer's nursery runs cannot move under a charge."""
         clock = VirtualClock()
         yields = []
-        core = ProgressCore(_IdleDevice(clock), yield_fn=lambda: yields.append(clock.now()))
-        AsyncProgressDriver(core, clock, 1_000.0).start()
+        eng = ProgressEngine(_IdleDevice(clock), yield_fn=lambda: yields.append(clock.now()))
+        eng.start_ticking(1_000.0)
         clock.charge(10_000.0)
-        assert core.async_polls > 0
+        assert eng.async_polls > 0
         assert yields == []
-        core.step()  # a caller-initiated step is a safepoint
+        eng.step()  # a caller-initiated step is a safepoint
         assert yields == [clock.now()]
 
     def test_world_rejects_unknown_mode(self):
@@ -180,8 +177,8 @@ class TestAsyncMode:
             World(1, progress="eager")
 
     def test_finalize_stops_the_progress_task(self):
-        """The driver's teardown: after ``finalize`` the rank's clock no
-        longer steps the core, however much it is charged."""
+        """The tick's teardown: after ``finalize`` the rank's clock no
+        longer steps the engine, however much it is charged."""
         fab = ShmFabric(1)
         clock, cm = VirtualClock(), CostModel()
         eng = MpiEngine(0, 1, fab.endpoint(0, clock, cm), clock=clock, costs=cm,
@@ -192,11 +189,38 @@ class TestAsyncMode:
         eng.finalize()
         clock.charge(10 * cm.async_poll_period_ns)
         assert eng.progress.async_polls == stepped
-        assert eng.async_driver.task is None
+        assert clock.tick is None
+
+    def test_one_tick_per_clock(self):
+        """A second async engine built on the same clock (communicator
+        shrink, rank replacement) takes the ticking over; finalizing the
+        first leaves the second's tick running, and once both are
+        finalized a charge steps nothing."""
+        fab = ShmFabric(1)
+        clock, cm = VirtualClock(), CostModel()
+
+        def engine():
+            return MpiEngine(0, 1, fab.endpoint(0, clock, cm), clock=clock,
+                             costs=cm, progress="async")
+
+        first, second = engine(), engine()
+        burst = 4 * cm.async_poll_period_ns
+        clock.charge(burst)
+        assert first.progress.async_polls == 0
+        assert second.progress.async_polls == 4
+        first.finalize()
+        clock.charge(burst)
+        assert first.progress.async_polls == 0
+        assert second.progress.async_polls == 8
+        second.finalize()
+        assert clock.tick is None
+        clock.charge(burst)
+        assert first.progress.async_polls == 0
+        assert second.progress.async_polls == 8
 
     def test_async_completes_without_caller_polls(self):
         """The tentpole property: a rank that only computes (charges) still
-        makes progress — the recurring task completes its collective."""
+        makes progress — the tick completes its collective."""
 
         def main(ctx):
             if ctx.rank == 0:
@@ -211,8 +235,8 @@ class TestAsyncMode:
                 time.sleep(0)
                 spun += 1
             assert req.completed, "async progress never completed the ibcast"
-            core = ctx.engine.progress.core
-            return (read_ints(buf), core.async_polls, core.overlap_ratio)
+            prog = ctx.engine.progress
+            return (read_ints(buf), prog.async_polls, prog.overlap_ratio)
 
         res = mpiexec(2, main, channel="sock", clock_mode="virtual",
                       progress="async")
@@ -244,8 +268,8 @@ class TestAsyncMode:
         def main(ctx):
             buf = ints(*range(8)) if ctx.rank == 0 else ints(*([0] * 8))
             ctx.engine.wait(ctx.engine.ibcast(buf, root=0))
-            core = ctx.engine.progress.core
-            return (read_ints(buf), core.async_polls, core.overlap_ratio)
+            prog = ctx.engine.progress
+            return (read_ints(buf), prog.async_polls, prog.overlap_ratio)
 
         for vals, async_polls, overlap in mpiexec(2, main):
             assert vals == list(range(8))
@@ -256,7 +280,7 @@ class TestAsyncMode:
         def main(ctx):
             buf = ints(*range(32)) if ctx.rank == 0 else ints(*([0] * 32))
             req = ctx.engine.ibcast(buf, root=0)
-            ctx.clock.charge(100_000.0)  # overlap window for the async task
+            ctx.clock.charge(100_000.0)  # overlap window for the async tick
             ctx.engine.wait(req)
             return read_ints(buf)
 
@@ -343,7 +367,7 @@ class TestTestAllDeadPeer:
 
 
 def _scripted(monkeypatch, eng, script, req):
-    """Replace the core's step with ``script`` (packets handled per poll);
+    """Replace the engine's step with ``script`` (packets handled per poll);
     the request completes on the poll after the script runs out.  Returns
     the list ``time.sleep`` calls are recorded in."""
     script = list(script)
@@ -356,7 +380,7 @@ def _scripted(monkeypatch, eng, script, req):
         req.done = True
         return 1
 
-    monkeypatch.setattr(eng.progress.core, "step", step)
+    monkeypatch.setattr(eng.progress, "step", step)
     return sleeps
 
 

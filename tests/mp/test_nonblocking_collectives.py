@@ -1,4 +1,4 @@
-"""Nonblocking collectives: scheduled requests driven by the progress core."""
+"""Nonblocking collectives: scheduled requests driven by the progress engine."""
 
 import pytest
 

@@ -8,6 +8,8 @@ state and rebuilt communicator shapes — all deterministic even though
 thread scheduling is not.
 """
 
+import time
+
 import pytest
 
 from repro.cluster import World, mpiexec
@@ -18,6 +20,7 @@ from repro.mp.datatypes import INT
 from repro.mp.errors import (
     ERRORS_RETURN,
     MpiErrComm,
+    MpiErrDeadlock,
     MpiErrProcFailed,
     MpiErrTimeout,
 )
@@ -82,6 +85,25 @@ class TestAgree:
 
         assert mpiexec(2, main, channel="shm",
                        reliability_opts=OPTS) == ["rejected"] * 2
+
+    def test_stuck_agreement_is_named_a_deadlock_at_once(self):
+        """Regression: the agreement kept a wait loop of its own that the
+        baton could not see, so a follower whose coordinator had returned
+        sat out its whole timeout and raised a bare MpiErrTimeout.  Waiting
+        through ``drive``, it is named a deadlock the moment nothing can
+        run."""
+
+        def main(ctx):
+            if ctx.rank == 0:
+                return None
+            t0 = time.monotonic()
+            with pytest.raises(MpiErrDeadlock) as ei:
+                ctx.engine.recovery.agree(ctx.engine.comm_world, 1, timeout=3.0)
+            return str(ei.value), time.monotonic() - t0
+
+        _, (msg, took) = mpiexec(2, main, clock_mode="virtual")
+        assert "rank 1 [agreement 1: the result from rank 0 unmet]" in msg
+        assert took < 1.0
 
 
 class TestShrinkCounters:
