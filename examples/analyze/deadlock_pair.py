@@ -43,7 +43,7 @@ def run():
     """Run the buggy exchange bare, then under the sanitizer; return the Report."""
     opts = dict(session_factory=motor_session, eager_threshold=EAGER_THRESHOLD, timeout=60.0)
     try:
-        mpiexec(2, main, clock_mode="virtual", **opts)
+        mpiexec(2, main, **opts)
     except MpiErrDeadlock as err:
         assert "rank 0 [Send(dst=1, tag=3)]" in str(err), err
     else:

@@ -223,7 +223,7 @@ def _metrics(quick: bool, trace_path: str | None = None) -> int:
     timed = 5 if quick else 100
     main_fn = BufferPingPong("cpp", sizes, iters, timed, 1, verify=True)
     merged = mpiexec(
-        2, main_fn, channel="sock", clock_mode="virtual", observe="enabled"
+        2, main_fn, channel="sock", observe="enabled"
     ).snapshot
     print(render_report(merged))
     if trace_path:

@@ -287,7 +287,6 @@ def ablate_copies(exp: Experiment, quick: bool) -> SeriesSet:
     ):
         ratios = mpiexec(
             2, _copy_accounting_main(mode, sizes), channel=channel,
-            clock_mode="virtual",
         )[1]
         out.add(label, ratios)
     return out
@@ -349,7 +348,7 @@ def _overlap_main(rounds: int, compute_ns: float, chunk_ns: float, bcast_bytes: 
         wait_ns = 0.0
         t0 = ctx.clock.now()
         for rnd in range(rounds):
-            # align the ranks in real time so the overlap window is shared
+            # align the ranks' clocks so the overlap window is shared
             eng.barrier()
             mem = NativeMemory(bcast_bytes)
             if ctx.rank == 0:
@@ -406,7 +405,7 @@ def ablate_progress(exp: Experiment, quick: bool) -> SeriesSet:
     for mode in ("polled", "async"):
         per_mode[mode] = mpiexec(
             2, _overlap_main(rounds, compute_ns, chunk_ns, bcast_bytes),
-            channel="sock", clock_mode="virtual", progress=mode,
+            channel="sock", progress=mode,
         )
         out.add(f"{mode}-elapsed-ms", {r: o["elapsed_ms"] for r, o in enumerate(per_mode[mode])})
         out.add(f"{mode}-wait-ms", {r: o["wait_ms"] for r, o in enumerate(per_mode[mode])})

@@ -4,7 +4,7 @@ The acceptance driver for real multi-process execution: by default boots
 N worker OS processes talking over shared-memory rings and runs the Figure
 9-style pairwise pingpong on them, printing a per-size latency table.
 ``--substrate inproc`` runs the identical workload on the simulated
-thread-per-rank substrate for comparison.
+thread-per-rank substrate for comparison, on the modelled clock.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def main(argv=None) -> int:
         help="inproc channel fabric (ignored under proc; default shm)",
     )
     ap.add_argument(
-        "--clock", choices=("wall", "virtual"), default="wall",
-        help="clock mode (default wall: measure real elapsed time)",
+        "--clock", choices=("wall", "virtual"),
+        help="clock mode (default: wall under proc, virtual, the only "
+        "inproc clock, under inproc)",
     )
     ap.add_argument(
         "--flavor", default="cpp",
@@ -52,14 +53,19 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--progress", choices=("polled", "async"), default="polled",
-        help="progress mode (async needs --substrate inproc: it is a task "
-        "on the simulated clock, and proc has no progress thread)",
+        help="progress mode (async needs --substrate inproc: it is the "
+        "engine's tick on the modelled clock; proc has no progress thread)",
     )
     ap.add_argument("--timeout", type=float, default=300.0)
     args = ap.parse_args(argv)
 
     if args.n < 2:
         ap.error("-n must be >= 2 (pingpong needs at least one pair)")
+    if args.clock is None:
+        args.clock = "wall" if args.substrate == "proc" else "virtual"
+    elif args.clock == "wall" and args.substrate == "inproc":
+        ap.error("--clock wall needs --substrate proc (inproc ranks run on "
+                 "the modelled clock)")
 
     from repro.cluster import mpiexec
     from repro.workloads.pingpong import BufferPingPong

@@ -28,8 +28,8 @@ What changes relative to ``inproc``, and only this:
   before it yields the CPU instead of ceding the interpreter at once;
 * ``sanitize=``, ``fault_plan=`` and ``progress="async"`` are rejected:
   the sanitizer's cross-rank graphs and the fault injector's shared plan
-  are single-address-space constructs, and async progress is a task on
-  the rank's *simulated* clock (transport failures are *detected*
+  are single-address-space constructs, and async progress is a tick on
+  the rank's *modelled* clock (transport failures are *detected*
   instead: a worker that dies surfaces as
   :class:`~repro.mp.errors.MpiErrProcFailed` on every peer and at the
   launcher);

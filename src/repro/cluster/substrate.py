@@ -12,8 +12,9 @@ the decisions that differ between a simulated and a real deployment:
   ``FABRICS[channel]`` versus the sock fabric's rings in a mapping the
   forked workers inherit, one endpoint each;
 * **clock selection** — which :class:`~repro.simtime.Clock` each rank
-  gets (both substrates honour ``clock_mode``; packets carry their
-  virtual timestamps across the real wire too);
+  gets: a simulated world runs on the modelled clock alone, real
+  processes on either (``clock_mode``; packets carry their virtual
+  timestamps across the real wire too);
 * **the boot barrier** — inproc ranks are born connected, proc ranks
   each set a ready word in the mapping and wait for every rank's before
   their mains run;
@@ -39,7 +40,9 @@ from __future__ import annotations
 
 import abc
 import threading
+import time
 from functools import partial
+from itertools import chain
 from typing import Any, Callable
 
 from repro.mp.channels import FABRICS, FaultyFabric
@@ -125,7 +128,8 @@ class Substrate(abc.ABC):
         raise NotImplementedError
 
     def make_clock(self, rank: int):
-        """The clock a rank runs on; both substrates honour ``clock_mode``."""
+        """The clock a rank runs on, by ``clock_mode`` (``"wall"`` only
+        reaches here for real processes: the inproc substrate rejects it)."""
         from repro.simtime import VirtualClock, WallClock
 
         del rank
@@ -167,11 +171,12 @@ class InprocSubstrate(Substrate):
     def __init__(self, world) -> None:
         super().__init__(world)
         exact = not world.reliable and world.fault_plan is None
-        self.baton = Baton(by_clock=world.clock_mode == "virtual",
-                           deadlock=MpiErrDeadlock if exact else None)
+        self.baton = Baton(deadlock=MpiErrDeadlock if exact else None)
 
     def validate(self) -> None:
-        return None
+        if self.world.clock_mode == "wall":
+            raise ValueError("clock_mode='wall' is not available on the inproc "
+                             "substrate: real elapsed time needs substrate='proc'")
 
     def host(self, name: str, main: Callable, ctx) -> _RankThread:
         """An unstarted thread running ``main(ctx)`` under the baton.
@@ -225,17 +230,19 @@ class InprocSubstrate(Substrate):
                 ctx = world.context_for(rank)
                 open_session(ctx, session_factory)
                 threads.append(self.host(f"rank-{rank}", main, ctx))
+            deadline = time.monotonic() + timeout
             for t in threads:
                 t.start()
-            for t in threads:
-                t.join(timeout)
+            # one deadline: boot ranks, then every rank born after boot (the
+            # chain walks the spawned list live, so it reaches a child's child)
+            for t in chain(threads, world.spawned_threads):
+                t.join(max(0.0, deadline - time.monotonic()))
                 if t.is_alive():
                     raise TimeoutError(f"{t.name} did not finish within {timeout}s")
-            world.join_spawned(timeout)
         finally:
             # idempotent, best-effort: a crash mid-wiring must not leak endpoints
             world.shutdown()
-        errors = [t.error for t in threads if t.error is not None]
+        errors = [t.error for t in (*world.spawned_threads, *threads) if t.error is not None]
         if errors:
             # a rank that raised leaves its peers waiting on it: the
             # deadlock they report is the consequence, the error the cause

@@ -58,7 +58,7 @@ class World:
         self,
         size: int,
         channel: str = "shm",
-        clock_mode: str = "wall",
+        clock_mode: str = "virtual",
         costs: CostModel | None = None,
         eager_threshold: int | None = None,
         fault_plan: FaultPlan | None = None,
@@ -123,7 +123,8 @@ class World:
         self._clocks: dict[int, Clock] = {}
         self._spawn_lock = threading.Lock()
         self._spawn_contexts = 1 << 16
-        self._spawned_threads: list[_RankThread] = []
+        #: every rank born after boot (spawned child or replacement)
+        self.spawned_threads: list[_RankThread] = []
         self._next_rank = size
 
     # -- per-rank construction ----------------------------------------------------
@@ -399,7 +400,7 @@ class World:
         ctx = self._context(rank, engine, parent_comm)
         open_session(ctx, session_factory)
         t = self.substrate.host(name, main, ctx)
-        self._spawned_threads.append(t)
+        self.spawned_threads.append(t)
         t.start()
 
     def _replacement_engine(
@@ -487,12 +488,6 @@ class World:
             with self._done_lock:
                 self.quiesce_expired[rank] += 1
 
-    def join_spawned(self, timeout: float = 30.0) -> None:
-        for t in self._spawned_threads:
-            t.join(timeout)
-            if t.error is not None:
-                raise t.error
-
     # -- launching ----------------------------------------------------------------
 
     def launch(
@@ -526,7 +521,7 @@ def mpiexec(
     n: int,
     main: Callable[[RankContext], Any],
     channel: str = "shm",
-    clock_mode: str = "wall",
+    clock_mode: str = "virtual",
     costs: CostModel | None = None,
     eager_threshold: int | None = None,
     session_factory: Callable[[RankContext], Any] | None = None,
@@ -576,7 +571,9 @@ def mpiexec(
     thread-per-rank in this process) or ``"proc"`` (one OS process per
     rank; ``main`` and its results must be picklable, and
     ``sanitize``/``fault_plan`` are not available — they are
-    cross-address-space concepts).
+    cross-address-space concepts).  ``clock_mode`` is ``"virtual"`` (the
+    modelled clock: the default, and the only clock inproc) or ``"wall"``
+    (real elapsed time, ``substrate="proc"`` only).
     """
     world = World(n, channel=channel, clock_mode=clock_mode, costs=costs,
                   eager_threshold=eager_threshold, fault_plan=fault_plan,

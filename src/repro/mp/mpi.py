@@ -33,7 +33,7 @@ from repro.mp.request import RECV, SEND, Request
 from repro.mp.schedule import Schedule
 from repro.mp.status import Status
 from repro.mp.win import Win
-from repro.simtime import Clock, CostModel, WallClock
+from repro.simtime import Clock, CostModel, VirtualClock
 
 #: MPI_TAG_UB for user tags; higher tags are reserved for collectives.
 TAG_UB = (1 << 20) - 1
@@ -66,7 +66,7 @@ class MpiEngine:
             )
         self.rank = rank
         self.world_size = world_size
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = clock if clock is not None else VirtualClock()
         self.costs = costs if costs is not None else CostModel()
         self.device = CH3Device(
             rank,

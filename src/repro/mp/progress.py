@@ -180,7 +180,7 @@ class ProgressEngine:
             clock.tick = None
 
     def _tick(self) -> None:
-        """Called by every ``Clock.charge``: fire the steps now due.
+        """Called by every ``VirtualClock.charge``: fire the steps now due.
 
         Fires are bounded by the clock as read at entry (a step's own
         charges cannot extend the horizon), at most :data:`MAX_CATCHUP` a

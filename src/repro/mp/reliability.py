@@ -15,8 +15,10 @@ Timers count progress-engine polls rather than wall time, so a poll must
 be a fair tick of "the peer had a chance to answer".  The polling-wait's
 idle policy (``ProgressEngine.idle``) keeps it so: a thread-hosted rank
 cedes the interpreter on every idle poll, so its count cannot run ahead
-of a peer that is merely descheduled.  The counts still depend on how the
-OS interleaves rank threads; virtual-time timers are ROADMAP item 1.
+of a peer that is merely descheduled.  Inproc, the baton fixes which
+rank polls when, so the counts are the same run to run; only process-hosted
+ranks leave them to how the OS interleaves the workers.  Modelled-time
+timers are not built yet.
 
 Heartbeats: when the device is *waiting* on a peer (posted receive,
 rendezvous in flight) and the link has been silent for ``heartbeat_after``

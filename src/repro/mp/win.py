@@ -207,7 +207,8 @@ class Win:
         if f > 0.0:
             self._floor_ns = 0.0
             self.device.clock.merge(f)
-        self.device.clock.apply_pending()
+        if self.device.clock.pending_ns:
+            self.device.clock.apply_pending()
 
     def _chunks(self, offset: int, nbytes: int):
         """Packetize an emulated op at the device's stream chunk size,

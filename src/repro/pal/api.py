@@ -18,7 +18,7 @@ import threading
 import time
 
 from repro.pal.events import Event
-from repro.simtime import Clock, CostModel, WallClock
+from repro.simtime import Clock, CostModel, VirtualClock
 
 
 class PalError(RuntimeError):
@@ -80,7 +80,7 @@ class PAL:
         if backend not in self.BACKENDS:
             raise PalError(f"unknown PAL backend {backend!r}")
         self.backend = backend
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = clock if clock is not None else VirtualClock()
         self.costs = costs if costs is not None else CostModel()
         self._api = set(_BASE_API)
         if extensions_enabled:

@@ -31,7 +31,7 @@ from repro.runtime.typesys import (
     MethodTable,
     TypeRegistry,
 )
-from repro.simtime import Clock, CostModel, HostProfile, WallClock
+from repro.simtime import Clock, CostModel, HostProfile, VirtualClock
 
 
 @dataclass
@@ -53,7 +53,7 @@ class ManagedRuntime:
         costs: CostModel | None = None,
     ) -> None:
         self.config = config or RuntimeConfig()
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = clock if clock is not None else VirtualClock()
         self.costs = costs if costs is not None else CostModel()
         self.heap = ManagedHeap(self.config.heap_capacity, self.config.nursery_size)
         self.registry = TypeRegistry()

@@ -1,4 +1,5 @@
-"""Per-rank clocks: wall time for benchmarking, virtual time for figures.
+"""Per-rank clocks: virtual time for every simulated world, wall time for
+real processes.
 
 The virtual clock is a Lamport clock specialised for message passing: each
 rank advances its own clock by charging primitive costs, and synchronises
@@ -27,8 +28,8 @@ class Clock:
     #: True when charges actually advance the clock (virtual mode).
     virtual: bool = False
 
-    #: the one callback ``charge`` calls, None when empty: async progress
-    #: mode puts its progress engine's tick here (see
+    #: the one callback a modelled ``charge`` calls, None when empty: async
+    #: progress mode puts its progress engine's tick here (see
     #: :meth:`repro.mp.progress.ProgressEngine.start_ticking`)
     tick = None
 
@@ -38,7 +39,9 @@ class Clock:
     #: the floor is applied when the data is *consumed*)
     defer_merges: bool = False
 
-    #: the deferred causal floor; 0.0 (none) leaves :meth:`apply_pending` nothing to do
+    #: the deferred causal floor; 0.0 (none) leaves nothing to apply.  Only a
+    #: modelled clock defers merges, so only it has ``apply_pending`` and
+    #: ``drop_pending_to``: callers ask them only while this is non-zero
     pending_ns: float = 0.0
 
     def causal_now(self) -> float:
@@ -49,19 +52,6 @@ class Clock:
         even while the receive's merge is deferred.
         """
         return self.now()
-
-    def apply_pending(self) -> None:
-        """Fold the deferred causal floor into the clock (consumption)."""
-        return None
-
-    def drop_pending_to(self, ns: float) -> None:
-        """Lower the deferred floor back to ``ns`` (an earlier ``pending_ns``).
-
-        Used when an arrival's floor is parked elsewhere — the one-sided
-        device records it on the window so an unrelated wait in progress
-        does not fold it early; see ``CH3Device._handle_rma``.
-        """
-        return None
 
     def now(self) -> float:
         """Current time in nanoseconds."""
@@ -81,24 +71,14 @@ class Clock:
 
 
 class WallClock(Clock):
-    """Real time.  ``charge`` is a no-op: the work itself is the cost."""
-
-    virtual = False
-
-    #: number of charge() calls: no time, but still a count of work done
-    charges = 0
+    """Real time, for ranks hosted as real processes (``substrate="proc",
+    clock_mode="wall"``).  ``charge`` is a no-op: the work itself is the cost."""
 
     def now(self) -> float:
         return float(time.perf_counter_ns())
 
     def charge(self, ns: float) -> None:  # noqa: ARG002 - interface parity
-        # Wall time passes on its own, but a charge is still the moment a
-        # rank accounts for work — counted, and the tick gets its chance
-        # to fire against real elapsed time.
-        self.charges += 1
-        t = self.tick
-        if t is not None:
-            t()
+        return None
 
     def merge(self, ts_ns: float) -> None:  # noqa: ARG002
         return None
@@ -156,11 +136,15 @@ class VirtualClock(Clock):
         return p if p > self._now_ns else self._now_ns
 
     def apply_pending(self) -> None:
+        """Fold the deferred causal floor into the clock (consumption)."""
         if self.pending_ns > self._now_ns:
             self._now_ns = self.pending_ns
         self.pending_ns = 0.0
 
     def drop_pending_to(self, ns: float) -> None:
+        """Lower the deferred floor back to ``ns`` (an earlier ``pending_ns``):
+        the one-sided device parks an arrival's floor on its window so an
+        unrelated wait does not fold it early (``CH3Device._handle_rma``)."""
         if self.pending_ns > ns:
             self.pending_ns = ns
 

@@ -54,15 +54,14 @@ class Baton:
     on nothing but simulation state, so the same run polls the same number
     of times in the same order every time.
 
-    The pick, with a modelled clock (``by_clock``): the lowest ``(clock,
-    rank)`` among the other ranks that are not *stale*.  A rank goes stale
-    when it cedes having handled nothing and charged nothing since it last
-    ceded — it was woken and found no work; any cede that follows work
-    clears the stale set, because that work may be what the others were
-    waiting for.  When every other rank is stale the one that ceded longest
-    ago runs, so two ranks waiting on a third whose clock is ahead cannot
-    starve it, and poll-counted timers keep ticking.  Without a modelled
-    clock there is nothing to order by: cede order alone.
+    The pick: the lowest ``(clock, rank)`` among the other ranks that are
+    not *stale*.  A rank goes stale when it cedes having handled nothing
+    and charged nothing since it last ceded — it was woken and found no
+    work; any cede that follows work clears the stale set, because that
+    work may be what the others were waiting for.  When every other rank
+    is stale the one that ceded longest ago runs, so two ranks waiting on
+    a third whose clock is ahead cannot starve it, and poll-counted timers
+    keep ticking.
 
     The baton also sees when no rank can ever run again.  A rank is
     *quiet* when it cedes from inside a wait having handled nothing and
@@ -80,8 +79,7 @@ class Baton:
     one rule for a rank: never block on another rank except by ceding.
     """
 
-    def __init__(self, by_clock: bool, deadlock: type | None = None) -> None:
-        self.by_clock = by_clock
+    def __init__(self, deadlock: type | None = None) -> None:
         #: the error class a deadlock raises; None: no verdict in this world
         self.deadlock = deadlock
         self._seats: dict[int, _Seat] = {}
@@ -120,13 +118,12 @@ class Baton:
         self._cedes += 1
         seat.ceded_at = self._cedes
         work = seat.work()
-        if self.by_clock:
-            mark = (work, seat.clock.now())
-            if mark == seat.mark:
-                self._stale.add(rank)
-            else:
-                seat.mark = mark
-                self._stale.clear()
+        mark = (work, seat.clock.now())
+        if mark == seat.mark:
+            self._stale.add(rank)
+        else:
+            seat.mark = mark
+            self._stale.clear()
         if self.deadlock is not None:
             self._watch(seat, work)
         nxt = self._pick(seat)
@@ -169,14 +166,13 @@ class Baton:
 
     def _pick(self, me: _Seat) -> "_Seat | None":
         # every cede picks: the usual pick is one pass, with no list or key function
-        if self.by_clock:
-            best = best_key = None
-            for s in self._seats.values():
-                if s is not me and s.rank not in self._stale:
-                    key = (s.clock.now(), s.rank)
-                    if best is None or key < best_key:
-                        best, best_key = s, key
-            if best is not None:
-                return best
+        best = best_key = None
+        for s in self._seats.values():
+            if s is not me and s.rank not in self._stale:
+                key = (s.clock.now(), s.rank)
+                if best is None or key < best_key:
+                    best, best_key = s, key
+        if best is not None:
+            return best
         return min((s for s in self._seats.values() if s is not me),
                    key=lambda s: (s.ceded_at, s.rank), default=None)

@@ -362,7 +362,6 @@ def run_elastic(
     events=(),
     fault_plan: FaultPlan | None = None,
     channel: str = "shm",
-    clock_mode: str = "virtual",
     costs=None,
     reliability_opts: dict | None = None,
     timeout: float = 120.0,
@@ -381,7 +380,7 @@ def run_elastic(
     schedule = ChaosSchedule(events)
     main = ElasticMain(cfg, schedule, plan)
     results = mpiexec(
-        nranks, main, channel=channel, clock_mode=clock_mode, costs=costs,
+        nranks, main, channel=channel, costs=costs,
         fault_plan=plan, reliability_opts=reliability_opts, timeout=timeout,
     )
     return results[0]

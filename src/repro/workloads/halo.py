@@ -144,7 +144,6 @@ def run_halo(
     iterations: int = 4,
     force_emulation: bool = False,
     channel: str = "shm",
-    clock_mode: str = "virtual",
     progress: str = "polled",
     substrate: str = "inproc",
     timeout: float = 300.0,
@@ -154,7 +153,6 @@ def run_halo(
         nranks,
         HaloExchange(rows, cols, iterations, force_emulation),
         channel=channel,
-        clock_mode=clock_mode,
         progress=progress,
         substrate=substrate,
         timeout=timeout,

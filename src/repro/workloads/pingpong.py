@@ -10,9 +10,10 @@ Each rank main builds its rank's face of the system under test from the
 flavor table (:mod:`repro.workloads.adapters`) and calls its verbs
 directly, so every series in a figure runs the identical protocol.
 
-The drivers time on the leading rank's clock: in wall mode that is real
-elapsed time; in virtual mode the Lamport merges at each receive carry
-the full causal round-trip time, so the same code measures both.
+The drivers time on the leading rank's clock: on the modelled clock the
+Lamport merges at each receive carry the full causal round-trip time; on
+real processes in wall mode it is real elapsed time, so the same code
+measures both.
 
 Every rank main here is a module-level dataclass instance — spawn-safe
 and picklable — so the same driver runs unchanged on the inproc substrate
@@ -37,10 +38,6 @@ FIG9_SIZES = [4 << i for i in range(17)]  # 4 .. 262144
 
 #: Figure 10's x-axis is total objects (2 per list element): 2 .. 8192
 FIG10_OBJECT_COUNTS = [2 << i for i in range(13)]  # 2 .. 8192
-
-#: the world the sweeps run in unless told otherwise
-_SWEEP_WORLD = {"channel": "sock", "clock_mode": "virtual"}
-
 
 def _pattern(nbytes: int) -> bytes:
     return bytes((i * 37 + 11) % 256 for i in range(nbytes))
@@ -121,10 +118,10 @@ def sweep_buffer_pingpong(
     ``world`` is passed to :func:`~repro.cluster.world.mpiexec` (``channel``,
     ``costs``, ``eager_threshold``, ``fault_plan``, ``reliable``,
     ``observe``, ``sanitize``, ``substrate``, ...); the sweep's defaults
-    are the ``sock`` channel, the virtual clock and a 900 s timeout.
+    are the ``sock`` channel and a 900 s timeout.
     """
     main = BufferPingPong(flavor, sizes, iterations, timed, runs, verify)
-    return mpiexec(2, main, **{**_SWEEP_WORLD, "timeout": 900.0, **world})[0]
+    return mpiexec(2, main, **{"channel": "sock", "timeout": 900.0, **world})[0]
 
 
 @dataclass(frozen=True)
@@ -204,4 +201,4 @@ def sweep_tree_pingpong(
     :func:`sweep_buffer_pingpong` and a 1800 s timeout.
     """
     main = TreePingPong(flavor, object_counts, total_bytes, iterations, timed, runs, verify)
-    return mpiexec(2, main, **{**_SWEEP_WORLD, "timeout": 1800.0, **world})[0]
+    return mpiexec(2, main, **{"channel": "sock", "timeout": 1800.0, **world})[0]

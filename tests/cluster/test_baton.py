@@ -147,18 +147,6 @@ class TestNoStarvation:
         assert res[:2] == [True, True]
         assert res[2] < 200, res[2]
 
-    def test_wall_clock_worlds_rotate_in_cede_order(self):
-        """No modelled clock to order by: whoever ceded longest ago runs."""
-        order = []
-
-        def main(ctx):
-            for _ in range(3):
-                order.append(ctx.rank)
-                ctx.engine.progress.cede()
-
-        mpiexec(3, main)
-        assert order == [0, 1, 2] * 3
-
 
 # -------------------------------------------------------- leaving hands on
 
@@ -365,7 +353,7 @@ class TestPick:
     """The pick rule on a bare Baton (no threads: ``_pick`` only reads)."""
 
     def _baton(self, clocks):
-        baton = Baton(by_clock=True)
+        baton = Baton()
         for rank, now in enumerate(clocks):
             baton.join(rank, VirtualClock(now), lambda: 0, lambda: None, lambda: False)
         return baton

@@ -19,7 +19,7 @@ from repro.mp.channels import FaultPlan
 from repro.mp.datatypes import INT
 from repro.mp.errors import MpiErrDeadlock
 
-CLOCKS = ["wall", "virtual"]
+CLOCKS = ["virtual"]
 
 
 def ints(*vals):

@@ -198,7 +198,7 @@ class TestProcOnly:
 
 
 def test_async_progress_rejected_under_proc_before_any_fork(monkeypatch):
-    """``progress="async"`` is a task on the simulated clock; process-hosted
+    """``progress="async"`` is a tick on the modelled clock; process-hosted
     ranks have no progress thread, and proc says so before it builds or
     forks anything (tier-1: no ``realproc`` marker needed)."""
     from repro.cluster.procsub import ProcSubstrate
@@ -210,3 +210,18 @@ def test_async_progress_rejected_under_proc_before_any_fork(monkeypatch):
     monkeypatch.setattr(ProcSubstrate, "launch", unreachable)
     with pytest.raises(ValueError, match="substrate='inproc'"):
         mpiexec(2, BarrierMain(), substrate="proc", progress="async")
+
+
+def test_cli_clock_follows_the_substrate(capsys):
+    """The CLI's clock defaults to the substrate's: inproc reports modelled
+    time, and ``--clock wall`` there is a usage error (exit 2)."""
+    from repro.cluster.__main__ import main
+
+    with pytest.raises(SystemExit) as stop:
+        main(["--substrate", "inproc", "--clock", "wall"])
+    assert stop.value.code == 2
+    assert "--clock wall needs --substrate proc" in capsys.readouterr().err
+    argv = ["-n", "2", "--substrate", "inproc", "--sizes", "4", "--iterations", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "clock=virtual" in out and "sim-us/iter" in out

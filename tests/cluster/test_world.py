@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import World, mpiexec
+from repro.mp.buffers import BufferDesc
 from repro.simtime import VirtualClock, WallClock
 
 
@@ -20,8 +21,14 @@ class TestWorld:
         assert isinstance(w.clock_for(0), VirtualClock)
         assert w.clock_for(0) is w.clock_for(0)  # cached per rank
         assert w.clock_for(0) is not w.clock_for(1)
-        w2 = World(2, clock_mode="wall")
-        assert isinstance(w2.clock_for(0), WallClock)
+        assert isinstance(World(2).clock_for(0), VirtualClock)  # the default
+        with pytest.raises(ValueError, match="substrate='proc'"):
+            World(2, clock_mode="wall")  # inproc runs on the modelled clock
+        w2 = World(2, clock_mode="wall", substrate="proc")  # builds, forks nothing
+        try:
+            assert isinstance(w2.clock_for(0), WallClock)
+        finally:
+            w2.shutdown()
 
     def test_context_construction(self):
         w = World(2)
@@ -69,6 +76,24 @@ class TestMpiexec:
         with pytest.raises(TimeoutError):
             mpiexec(1, main, timeout=0.2)
 
+    def test_a_world_naming_no_clock_runs_on_the_modelled_one(self):
+        """Same run, same modelled time and the same polls, every time."""
+
+        def main(ctx):
+            eng, peer, buf = ctx.engine, 1 - ctx.rank, BufferDesc.from_bytes(bytes(64))
+            for _ in range(4):
+                if ctx.rank == 0:
+                    eng.send(buf, peer, 1)
+                    eng.recv(buf, peer, 2)
+                else:
+                    eng.recv(buf, peer, 1)
+                    eng.send(buf, peer, 2)
+            return ctx.clock.now(), eng.progress.polls
+
+        first = mpiexec(2, main)
+        assert first == mpiexec(2, main)
+        assert all(now > 0 and polls > 0 for now, polls in first), first
+
 
 class TestSpawn:
     def test_spawn_children_and_intercomm(self):
@@ -108,6 +133,20 @@ class TestSpawn:
 
         results = mpiexec(2, parent_main)
         assert results[0] == [42, 44]
+
+    def test_a_spawned_child_is_held_to_the_launch_deadline(self):
+        """A child still running when the launch's one deadline passes is
+        a TimeoutError naming its thread, as a boot rank's would be."""
+        import time
+
+        def child_main(ctx):
+            time.sleep(1.0)
+
+        def main(ctx):
+            ctx.world.spawn(ctx, child_main, 1)
+
+        with pytest.raises(TimeoutError, match="spawned-1"):
+            mpiexec(1, main, channel="shm", timeout=0.2)
 
 
 class TestSpawnGating:

@@ -125,13 +125,6 @@ class TestTaskScheduler:
         with pytest.raises(ValueError):
             eng.start_ticking(0.0)
 
-    def test_wall_clock_charge_drives_scheduler(self):
-        clock = WallClock()
-        _, fired = _ticking(1_000.0, clock)  # 1 us period
-        deadline = time.monotonic() + 5.0
-        while not fired and time.monotonic() < deadline:
-            clock.charge(0)  # no simulated cost; real time still advances
-        assert fired
 
 
 class TestDeferredMerges:
@@ -244,25 +237,6 @@ class TestAsyncMode:
         assert vals == list(range(64))
         assert async_polls > 0
         assert overlap > 0.0  # the handling happened inside async steps
-
-    def test_async_on_wall_clock(self):
-        """WallClock.charge is a timing no-op but still drives progress."""
-
-        def main(ctx):
-            if ctx.rank == 0:
-                ctx.engine.wait(ctx.engine.isend(ints(1, 2, 3), dest=1, tag=7))
-                return None
-            buf = ints(0, 0, 0)
-            req = ctx.engine.irecv(buf, source=0, tag=7)
-            deadline = time.monotonic() + 30.0
-            while not req.completed and time.monotonic() < deadline:
-                ctx.clock.charge(0)
-                time.sleep(0)
-            assert req.completed
-            return read_ints(buf)
-
-        res = mpiexec(2, main, channel="shm", progress="async")
-        assert res[1] == [1, 2, 3]
 
     def test_polled_mode_counters_stay_zero(self):
         def main(ctx):

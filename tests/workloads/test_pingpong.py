@@ -138,8 +138,10 @@ class TestSweeps:
         assert res[4] is not None
         assert res[2048] is None  # the paper's stack-overflow gap
 
+    @pytest.mark.realproc
     def test_wall_clock_mode_runs(self):
+        """Wall time is real processes' clock."""
         res = sweep_buffer_pingpong(
-            "cpp", sizes=[64], clock_mode="wall", **QUICK
+            "cpp", sizes=[64], clock_mode="wall", substrate="proc", **QUICK
         )
         assert res[64] > 0
