@@ -33,9 +33,11 @@ What changes relative to ``inproc``, and only this:
   instead: a worker that dies surfaces as
   :class:`~repro.mp.errors.MpiErrProcFailed` on every peer and at the
   launcher);
-* ``channel=`` is ignored: the workers always run sock;
-* dynamic ranks (``spawn``/``replace_failed``) are unavailable — the
-  rings are fixed at boot.
+* the transport is the ring, not the in-memory queue: ``channel=`` picks
+  link rows of the queue and is ignored here, every ring being priced
+  with the sock row — which makes proc the referee of inproc ``sock``;
+* dynamic ranks (``spawn``/``replace_failed``) are unavailable
+  (``supports_dynamic_ranks`` is False) — the rings are fixed at boot.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ class ProcSubstrate(Substrate):
 
     name = "proc"
     hosting = "process"
-    supports_dynamic_ranks = False
 
     def __init__(self, world, boot_timeout: float = 30.0) -> None:
         super().__init__(world)
@@ -265,7 +266,6 @@ class _WorkerSubstrate(Substrate):
 
     name = "proc-worker"
     hosting = "process"
-    supports_dynamic_ranks = False
 
     def __init__(self, world, mapping) -> None:
         super().__init__(world)

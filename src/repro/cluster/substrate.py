@@ -8,9 +8,10 @@ the decisions that differ between a simulated and a real deployment:
 * **rank hosting** — threads in one process (``inproc``) or one OS
   process per rank (``proc``); the ``hosting`` fact every engine is
   told, which decides the idle-wait policy and nothing else;
-* **fabric construction** — an in-memory fabric built from
-  ``FABRICS[channel]`` versus the sock fabric's rings in a mapping the
-  forked workers inherit, one endpoint each;
+* **fabric construction** — one transport per substrate: the in-memory
+  fabric, whose link rows ``FABRICS[channel]`` picks, versus the ring
+  fabric's rings in a mapping the forked workers inherit, one endpoint
+  each (``channel=`` does not apply; every ring is priced as sock);
 * **clock selection** — which :class:`~repro.simtime.Clock` each rank
   gets: a simulated world runs on the modelled clock alone, real
   processes on either (``clock_mode``; packets carry their virtual
@@ -110,9 +111,9 @@ class Substrate(abc.ABC):
     #: yield the CPU)
     hosting = "thread"
 
-    #: True when the substrate can host extra ranks after boot
-    #: (MPI-2 spawn / recovery replacement need thread hosting)
-    supports_dynamic_ranks = True
+    #: True when the substrate can host extra ranks after boot (MPI-2
+    #: spawn and recovery replacement; real processes' rings are fixed at boot)
+    supports_dynamic_ranks = False
 
     def __init__(self, world) -> None:
         self.world = world
@@ -188,11 +189,10 @@ class InprocSubstrate(Substrate):
         """
         baton, rank = self.baton, ctx.rank
         progress = ctx.engine.progress
-        device = ctx.engine.device
+        channel = ctx.engine.device.channel
 
         def in_flight() -> bool:
-            channel = device.channel
-            return bool(device._outbox) or channel.has_incoming() or channel.owes()
+            return channel.has_incoming() or channel.owes()
 
         # C-level attribute reads: a cede runs no Python frame to ask them
         baton.join(rank, ctx.clock, partial(getattr, progress, "handled"),

@@ -165,8 +165,8 @@ class World:
         """Route transport-level death verdicts into the device.
 
         Channels with a failure detector of their own expose
-        ``on_peer_dead`` (sock: a malformed frame on a peer's ring, and
-        under the proc substrate the launcher's death notices); wiring it to
+        ``on_peer_dead`` (the ring transport: a malformed frame on a peer's
+        ring, and the launcher's death notices); wiring it to
         ``device._peer_failed`` turns a dead peer into ordinary
         ``MPI_ERR_PROC_FAILED`` completions for every waiter.
         """
@@ -267,6 +267,7 @@ class World:
         """
         from repro.mp import collectives
 
+        self._require_dynamic_ranks()
         parent_comm = parent_ctx.comm_world
         # Agree on child ranks and a context id (rank 0 decides, bcasts).
         if parent_comm.rank == 0:
@@ -283,12 +284,6 @@ class World:
         child_group = Group(child_ranks)
 
         if parent_comm.rank == 0:
-            if not getattr(self.fabric, "supports_dynamic_ranks", False):
-                raise RuntimeError(
-                    f"{self.channel_name} fabric does not support dynamic "
-                    "spawn (existing endpoints cannot reach new ranks); use "
-                    "the shm or ib channel"
-                )
             for r in child_ranks:
                 self.fabric.add_rank(r)
             for i, r in enumerate(child_ranks):
@@ -337,16 +332,12 @@ class World:
         """
         from repro.mp import collectives
 
+        self._require_dynamic_ranks()
         lost = [r for r in old_comm.group.ranks if not shrunken.group.contains(r)]
         if not lost:
             raise ValueError("replace_failed: no failed ranks to replace")
         nprocs = len(lost)
         if shrunken.rank == 0:
-            if not getattr(self.fabric, "supports_dynamic_ranks", False):
-                raise RuntimeError(
-                    f"{self.channel_name} fabric cannot add replacement "
-                    "ranks; use the shm or ib channel"
-                )
             base, ctx_id = self._allocate_ranks(nprocs)
             # endpoints must exist before any survivor can learn the new
             # rank ids (a send to an unknown rank has no mailbox)
@@ -376,6 +367,15 @@ class World:
             rank=old_comm.rank,
             errhandler=old_comm.errhandler,
         )
+
+    def _require_dynamic_ranks(self) -> None:
+        """Refuse, on every calling rank and before any collective, to add
+        ranks to a world whose substrate cannot host them."""
+        if not self.substrate.supports_dynamic_ranks:
+            raise RuntimeError(
+                f"the {self.substrate.name} substrate cannot add ranks after "
+                "boot; spawn and replace_failed need substrate='inproc'"
+            )
 
     def _allocate_ranks(self, nprocs: int) -> tuple[int, int]:
         """Fresh world ranks ``base .. base+nprocs-1`` and a context id."""
@@ -437,8 +437,6 @@ class World:
             rel = eng.device.rel
             if rel is not None and any(rel._unacked.values()):
                 return False
-            if eng.device._outbox:
-                return False
             if eng.device._grant and eng.device._rndv_recvs:
                 return False  # an open grant: the put or its notice is owed
             if getattr(eng.device.channel, "_held", None):
@@ -449,18 +447,18 @@ class World:
         """Linger after a rank's main returns, until it owes the world nothing.
 
         The exit drain of both substrates; two debts keep a rank polling.
-        A byte-stream channel (sock, and so every proc worker) may still
-        hold the tail of the rank's last frames in its backlog, which only
-        the rank's own polls push into the ring: it polls until no peer
-        still reading is owed a byte — a dead peer, or one whose main has
-        returned (its channel is retired), is owed nothing.  Under the
-        reliability sublayer a dropped packet it sent still needs
-        retransmitting, and a peer's retransmission still needs acking:
-        every rank keeps the progress engine turning until all mains have
-        returned and every live rank's unacked window is empty (the
-        simulated analogue of the drain inside MPI_Finalize).  An expired
-        ``timeout`` does not raise; it is counted in :attr:`quiesce_expired`
-        (pvar ``cluster.quiesce_expired``).
+        The ring transport of every proc worker may still hold the tail of
+        the rank's last frames in its backlog, which only the rank's own
+        polls push into the ring: it polls until no peer still reading is
+        owed a byte — a dead peer, or one whose main has returned (its
+        channel is retired), is owed nothing.  Under the reliability
+        sublayer a dropped packet it sent still needs retransmitting, and a
+        peer's retransmission still needs acking: every rank keeps the
+        progress engine turning until all mains have returned and every
+        live rank's unacked window is empty (the simulated analogue of the
+        drain inside MPI_Finalize).  An expired ``timeout`` does not raise;
+        it is counted in :attr:`quiesce_expired` (pvar
+        ``cluster.quiesce_expired``).
         """
         with self._done_lock:
             self._mains_done.add(rank)

@@ -113,7 +113,6 @@ class CH3Device:
         self._rndv_recvs: dict[tuple[int, int], Request] = {}
         # sync (Ssend) requests awaiting FIN, by op_id
         self._awaiting_fin: dict[int, Request] = {}
-        self._outbox: list[Packet] = []
         #: rendezvous by grant, negotiated once: no packet path asks again
         self._grant = "grant" in channel.rndv_caps()
         self.stats = {
@@ -129,9 +128,6 @@ class CH3Device:
             # (ratio 1.0); unexpected eager stages then delivers (2.0); a
             # granted rendezvous is written by the sender's put (0.0).
             "bytes_copied": 0,
-            # sender-side flow control: payloads materialized because the
-            # channel refused a packet and the view could not stay live
-            "outbox_owned": 0,
             # one-sided ops by lowering: native channel fast path vs
             # packet-plane emulation (the A17 ablation's evidence)
             "rma_native_ops": 0,
@@ -210,21 +206,9 @@ class CH3Device:
         self._emit_raw(self.rel.outbound(pkt))
 
     def _emit_raw(self, pkt: Packet) -> None:
-        """Hand a wire-ready packet to the channel (ACKs skip sequencing)."""
-        if not self.channel.send_packet(pkt):
-            # Flow control: the packet waits in the outbox across polls,
-            # so a leased view must be materialized now — the sender is
-            # free to recycle its buffer the moment the send completes.
-            if type(pkt.payload) is not bytes:
-                n = len(pkt.payload)
-                pkt.freeze_payload()
-                self.stats["outbox_owned"] += n
-                cbs = self.hooks.copy
-                if cbs:
-                    for cb in cbs:
-                        cb("outbox-own", n)
-            self._outbox.append(pkt)
-            return
+        """Hand a wire-ready packet to the channel (ACKs skip sequencing),
+        which never refuses one."""
+        self.channel.send_packet(pkt)
         cbs = self.hooks.packet_tx
         if cbs:
             for cb in cbs:
@@ -324,19 +308,6 @@ class CH3Device:
 
     def poll(self) -> int:
         """One progress step; returns the number of packets handled."""
-        if self._outbox:
-            # Order-preserving O(n) drain: packets the channel still
-            # refuses are kept, in order, for the next poll.
-            kept = []
-            tx = self.hooks.packet_tx
-            for pkt in self._outbox:
-                if self.channel.send_packet(pkt):
-                    if tx:
-                        for cb in tx:
-                            cb(pkt)
-                else:
-                    kept.append(pkt)
-            self._outbox = kept
         handled = 0
         arrivals = self.channel.recv_packets(self.max_packets_per_poll)
         if self.rel is not None:
@@ -679,7 +650,6 @@ class CH3Device:
         for req in [r for r in self.queues.posted if r.peer == peer]:
             self.queues.cancel_posted(req)
             self._fail_request(req)
-        self._outbox = [p for p in self._outbox if p.dst != peer]
 
     # ------------------------------------------------------------------ misc
 
@@ -692,7 +662,6 @@ class CH3Device:
             not self._rndv_sends
             and not self._rndv_recvs
             and not self._awaiting_fin
-            and not self._outbox
             and not self.queues.posted_count
             and not self.queues.unexpected_count
         )

@@ -21,7 +21,7 @@ import abc
 
 from repro.mp.hooks import NULL_SPINE
 from repro.mp.packets import Packet
-from repro.simtime import Clock, CostModel
+from repro.simtime import Clock, CostModel, LinkProfile
 
 
 class Channel(abc.ABC):
@@ -31,8 +31,7 @@ class Channel(abc.ABC):
 
     ``init``          — bind this endpoint to its rank and peers;
     ``send_packet``   — enqueue one packet toward a destination rank
-                        (non-blocking; returns False if the transport
-                        cannot accept it right now);
+                        (non-blocking, and never refused: returns True);
     ``recv_packets``  — drain every packet currently deliverable here;
     ``has_incoming``  — cheap readiness test (progress-engine fast path);
     ``finalize``      — tear the endpoint down.
@@ -144,33 +143,29 @@ class Channel(abc.ABC):
 
     # -- shared accounting -------------------------------------------------------
 
-    def _stamp_and_charge(
-        self,
-        pkt: Packet,
-        nbytes: int,
-        latency_ns: float | None = None,
-        per_byte_ns: float | None = None,
-    ) -> None:
+    def _stamp_and_charge(self, pkt: Packet, nbytes: int, link: LinkProfile) -> None:
         """Charge the submit cost and stamp the virtual arrival time of
-        ``pkt``, whose payload the caller measured: ``nbytes``.
+        ``pkt``, whose payload the caller measured (``nbytes``), on the
+        link priced by the row ``link`` — the one pricing of both transports.
 
         The link to each destination serialises bandwidth: a packet enters
         the wire when the link is free, occupies it for its byte time, and
         arrives one latency later.  Back-to-back packets of a rendezvous
         stream therefore queue instead of travelling in parallel.
         """
-        self.clock.charge(self.costs.packet_overhead_ns)
-        if latency_ns is None:
-            latency_ns = self.costs.message_latency_ns
-        if per_byte_ns is None:
-            per_byte_ns = self.costs.per_byte_ns
+        costs = self.costs
+        self.clock.charge(costs.packet_overhead_ns)
+        latency = costs.message_latency_ns * link.latency_fraction
+        if nbytes <= link.inline_max:
+            latency *= link.inline_discount
+        per_byte_ns = costs.per_byte_ns * link.per_byte_fraction
         # causal_now: a packet emitted after an async-handled receive may
         # depend on that data; its stamp must carry the deferred arrival
         # floor even though the local clock has not merged it yet
         enter = max(self.clock.causal_now(), self._link_busy_until.get(pkt.dst, 0.0))
-        drain = enter + self.costs.packet_overhead_ns + per_byte_ns * nbytes
+        drain = enter + costs.packet_overhead_ns + per_byte_ns * nbytes
         self._link_busy_until[pkt.dst] = drain
-        pkt.ts = drain + latency_ns
+        pkt.ts = drain + latency
         self.packets_sent += 1
         self.bytes_sent += nbytes
 
@@ -237,11 +232,6 @@ class ChannelStack(Channel):
 
 class ChannelFabric:
     """Constructs and wires one channel endpoint per rank."""
-
-    channel_cls: type[Channel] = Channel
-    #: True when ranks can be added after endpoints exist (the shared-queue
-    #: fabrics); ring fabrics like sock, carved at boot, cannot retrofit peers
-    supports_dynamic_ranks: bool = False
 
     def __init__(self, world_size: int) -> None:
         self.world_size = world_size

@@ -2,8 +2,8 @@
 
 The paper's layered channel/device architecture ("swap a channel to port",
 §4.1) means failure behaviour can be injected *below* the device without
-touching anything above: :class:`FaultyChannel` composes over any of the
-concrete channels (sock, shm, ssm, ib) and perturbs the packet stream
+touching anything above: :class:`FaultyChannel` composes over either
+transport, whatever its link rows, and perturbs the packet stream
 according to a seeded :class:`FaultPlan` — packet drop, duplication,
 reordering, payload bit-flips, latency spikes, link partitions, and rank
 crashes.
@@ -168,19 +168,18 @@ class FaultyChannel(ChannelStack):
             if cbs:
                 for cb in cbs:
                     cb(dst, idx, fault, pkt.kind)
-        ok = True
         if fault == DROP:
             pkt.release_payload()  # dropped on the floor; end the lease
         elif fault == DUPLICATE:
             # copy-on-write: the duplicate owns its payload bytes so it can
             # outlive the original's lease on the sender's latched buffer
             dup = self._owned_clone(pkt)
-            ok = self._forward(pkt)
+            self._forward(pkt)
             self._forward(dup)
         elif fault == CORRUPT:
             bad = self._corrupted(pkt, dst)
             pkt.release_payload()  # only the corrupted copy travels
-            ok = self._forward(bad)
+            self._forward(bad)
         elif fault == REORDER:
             # released after `reorder_depth` later sends overtake it, or
             # after a poll budget if the sender goes quiet on this link
@@ -188,9 +187,9 @@ class FaultyChannel(ChannelStack):
         elif fault == DELAY:
             self._hold(pkt, None, self.plan.delay_polls)
         else:
-            ok = self._forward(pkt)
+            self._forward(pkt)
         self._release_expired()
-        return ok
+        return True
 
     def recv_packets(self, limit: int | None = None) -> list[Packet]:
         self._count_poll()
@@ -276,12 +275,10 @@ class FaultyChannel(ChannelStack):
             pkt.freeze_payload()
         self._held.append(_Held(pkt, sends_left, polls_left))
 
-    def _forward(self, pkt: Packet) -> bool:
-        ok = self.inner.send_packet(pkt)
-        if ok:
-            self.packets_sent += 1
-            self.bytes_sent += len(pkt.payload)
-        return ok
+    def _forward(self, pkt: Packet) -> None:
+        self.inner.send_packet(pkt)
+        self.packets_sent += 1
+        self.bytes_sent += len(pkt.payload)
 
     def _count_send(self, dst: int) -> None:
         for h in self._held:
@@ -314,22 +311,16 @@ class FaultyChannel(ChannelStack):
 class FaultyFabric(ChannelFabric):
     """Wraps a concrete fabric so every endpoint injects the same plan."""
 
-    channel_cls = FaultyChannel
-
     def __init__(self, inner: ChannelFabric, plan: FaultPlan) -> None:
         super().__init__(inner.world_size)
         self.inner = inner
         self.plan = plan
 
-    @property
-    def supports_dynamic_ranks(self) -> bool:  # type: ignore[override]
-        return getattr(self.inner, "supports_dynamic_ranks", False)
-
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> FaultyChannel:
         return FaultyChannel(self.inner.endpoint(rank, clock, costs), self.plan)
 
-    def add_rank(self, rank: int, **kw) -> None:
-        self.inner.add_rank(rank, **kw)
+    def add_rank(self, rank: int) -> None:
+        self.inner.add_rank(rank)
         self.world_size = self.inner.world_size
 
     def shutdown(self) -> None:

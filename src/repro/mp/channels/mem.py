@@ -1,18 +1,22 @@
-"""The in-memory channel: packets through a bounded shared queue.
+"""The in-memory channel: packets through one queue per rank, priced by link rows.
 
-One mechanism for every interconnect whose ranks share an address space.
-Packets cross between ranks as objects (the payload bytes are copied once
-at enqueue — the "write into the shared segment", or the HCA taking them)
-through a bounded deque per destination rank; exposed RMA windows are
-reachable through a fabric-wide registry, so Put/Get/Accumulate land with
-one direct write and no packet.
+Every simulated world runs on this transport, whatever its ``channel=``:
+the name picks only a :class:`LinkTable`, the row of
+:data:`repro.simtime.LINK_PROFILES` that prices each ordered pair of
+ranks.  Packets cross between ranks as objects (the payload bytes are
+copied once at enqueue — the "write into the shared segment", or the HCA
+taking them) through a deque per destination rank, which never refuses
+one; exposed RMA windows are reachable through a fabric-wide registry, so
+Put/Get/Accumulate land with one direct write and no packet — on a table
+whose every row has a one-sided path.
 
-What an interconnect *costs* is data: every constant is a field of the
-channel's :class:`repro.simtime.LinkProfile`.  ``shm`` stands in for
-MPICH2's shared-memory channel; ``ib`` is the paper's future-work port
-(§9) — nothing above the five-function interface changes, and the RDMA
-cost shape (lower latency, inline sends, a registration cache that rewards
-buffers that stay put, as Motor's elder objects do) is one more row.
+What an interconnect *costs* is data.  ``sock`` is the configuration
+Motor shipped with (paper §7); ``shm`` stands in for MPICH2's
+shared-memory channel; ``ib`` is the paper's future-work port (§9) — the
+RDMA cost shape (lower latency, inline sends, a registration cache that
+rewards buffers that stay put, as Motor's elder objects do) is one more
+row; ``ssm`` is a table of two rows.  Nothing above the five-function
+interface changes.
 """
 
 from __future__ import annotations
@@ -26,44 +30,36 @@ from repro.mp.packets import Packet
 from repro.simtime import LINK_PROFILES, Clock, CostModel, LinkProfile
 
 
-class _SharedQueue:
-    """A bounded multi-producer single-consumer packet queue.
+class LinkTable(dict):
+    """The link rows of one ``channel=``: ``table[src, dst]`` is the row
+    pricing the link ``src -> dst``, looked up once per pair.
 
-    A producer reserves a slot, then commits its packet into it: admission
-    is decided before the packet is priced, and since only the consumer
-    removes, a reserved slot cannot be lost to another producer.
+    ``sock``, ``shm`` and ``ib`` price every pair with their own row.
+    ``ssm`` is MPICH2's shm-within-a-node, sock-across-nodes channel (paper
+    §6): the shm row between ranks on one node, the sock row otherwise.  A
+    rank's node is ``node_of[rank]``, by default ``rank // 2`` (pairs of
+    ranks per simulated node), ranks added after boot included.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self._q: deque[Packet] = deque()
-        self._reserved = 0
-        self._lock = threading.Lock()
+    def __init__(self, channel: str, node_of: dict[int, int] | None = None) -> None:
+        super().__init__()
+        self.name = channel
+        self.node_of = node_of or {}
+        #: (within a node, across nodes)
+        self.rows = (
+            (LINK_PROFILES["shm"], LINK_PROFILES["sock"]) if channel == "ssm"
+            else (LINK_PROFILES[channel],)
+        )
+        #: native one-sided ops and the rendezvous grant: only when every
+        #: row the table can pick has a one-sided path
+        self.one_sided = all(row.rma_per_byte_fraction is not None for row in self.rows)
 
-    def reserve(self) -> bool:
-        with self._lock:
-            if len(self._q) + self._reserved >= self.capacity:
-                return False
-            self._reserved += 1
-            return True
-
-    def commit(self, pkt: Packet) -> None:
-        with self._lock:
-            self._reserved -= 1
-            self._q.append(pkt)
-
-    def drain(self, limit: int | None = None) -> list[Packet]:
-        with self._lock:
-            if limit is None or limit >= len(self._q):
-                out = list(self._q)
-                self._q.clear()
-            else:
-                out = [self._q.popleft() for _ in range(limit)]
-            return out
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._q)
+    def __missing__(self, pair: tuple[int, int]) -> LinkProfile:
+        src, dst = pair
+        node = self.node_of.get
+        across = node(src, src // 2) != node(dst, dst // 2)
+        row = self[pair] = self.rows[-1] if across else self.rows[0]
+        return row
 
 
 class _WindowRegistry:
@@ -102,22 +98,22 @@ class _WindowRegistry:
 
 
 class MemChannel(Channel):
-    """An endpoint of the in-memory transport; subclasses name their link."""
-
-    name = "mem"
-    link: LinkProfile
+    """One rank's endpoint of the in-memory transport."""
 
     def __init__(
         self,
         rank: int,
         clock: Clock,
         costs: CostModel,
-        queues: dict[int, _SharedQueue],
+        queues: dict[int, deque[Packet]],
         windows: _WindowRegistry,
+        links: LinkTable,
     ) -> None:
         super().__init__(rank, clock, costs)
+        self.name = links.name
         self._queues = queues  # dest rank -> its inbound queue
         self._windows = windows
+        self._links = links
         self.rma_bytes = 0  # native one-sided bytes landed by this rank
         #: registered 'pages' (id(base buffer) is unavailable here, so the
         #: cache keys on payload length class — a coarse but monotone model)
@@ -127,53 +123,45 @@ class MemChannel(Channel):
     def init(self, world_size: int) -> None:
         self.world_size = world_size
 
-    def _register(self, nbytes: int) -> float:
+    def _register(self, link: LinkProfile, nbytes: int) -> float:
         """Count one memory registration of ``nbytes``; returns its cost."""
-        link = self.link
         self.registrations += 1
         return link.registration_ns * (1 + nbytes // (256 * link.registration_page))
 
-    def _registration_cost(self, nbytes: int) -> float:
+    def _registration_cost(self, link: LinkProfile, nbytes: int) -> float:
         """First touch of a new size class pays registration."""
-        key = nbytes // self.link.registration_page
-        if nbytes <= self.link.inline_max or key in self._reg_cache:
+        key = nbytes // link.registration_page
+        if nbytes <= link.inline_max or key in self._reg_cache:
             return 0.0
         self._reg_cache.add(key)
-        return self._register(nbytes)
+        return self._register(link, nbytes)
 
     def send_packet(self, pkt: Packet) -> bool:
-        queue = self._queues[pkt.dst]
-        # admission first: a refused packet is retried every poll, and must
-        # leave the clock, the link's busy window and the counters alone
-        if not queue.reserve():
-            return False
-        link = self.link
+        dst = pkt.dst
+        link = self._links[self.rank, dst]
         nbytes = len(pkt.payload)
         if link.registration_ns:
-            self.clock.charge(self._registration_cost(nbytes))
-        latency = self.costs.message_latency_ns * link.latency_fraction
-        if nbytes <= link.inline_max:
-            latency *= link.inline_discount
-        self._stamp_and_charge(
-            pkt,
-            nbytes,
-            latency_ns=latency,
-            per_byte_ns=self.costs.per_byte_ns * link.per_byte_fraction,
-        )
+            self.clock.charge(self._registration_cost(link, nbytes))
+        self._stamp_and_charge(pkt, nbytes, link)
         # copy into the 'shared segment' — the wire crossing (on ib, the HCA
         # takes the bytes; registration above priced the right to read them
         # in place); this also ends any lease on the sender's buffer
         pkt.freeze_payload()
-        queue.commit(pkt)
+        self._queues[dst].append(pkt)
         return True
 
     def recv_packets(self, limit: int | None = None) -> list[Packet]:
-        pkts = self._queues[self.rank].drain(limit)
-        self.packets_received += len(pkts)
-        return pkts
+        # popleft, one at a time: a producer may append meanwhile
+        queue = self._queues[self.rank]
+        n = len(queue) if limit is None else min(limit, len(queue))
+        out = []
+        while len(out) < n:
+            out.append(queue.popleft())
+        self.packets_received += n
+        return out
 
     def has_incoming(self) -> bool:
-        return len(self._queues[self.rank]) > 0
+        return bool(self._queues[self.rank])
 
     def finalize(self) -> None:
         super().finalize()
@@ -182,19 +170,22 @@ class MemChannel(Channel):
     # -- native one-sided path -------------------------------------------------
 
     def rma_caps(self) -> frozenset[str]:
-        return frozenset({"put", "get", "accumulate"})
+        return frozenset({"put", "get", "accumulate"}) if self._links.one_sided else frozenset()
 
     def rndv_caps(self) -> frozenset[str]:
-        return frozenset({"grant"})
+        return frozenset({"grant"}) if self._links.one_sided else frozenset()
 
     def rma_register(self, win_id: int, rank: int, desc, transient: bool = False) -> None:
-        if self.link.registration_ns:
+        if not self._links.one_sided:
+            return  # nothing is exposed, so every op lowers onto packets
+        link = self._links[rank, rank]
+        if link.registration_ns:
             # window memory is registered with the HCA once, up front — the
             # classic RDMA deal: pay registration here, then every one-sided
             # op is pure wire time.  A transient grant recurs per message,
             # so it goes through the size-class cache like any send buffer.
             reg = self._registration_cost if transient else self._register
-            self.clock.charge(reg(len(desc)))
+            self.clock.charge(reg(link, len(desc)))
         self._windows.register(win_id, rank, desc)
 
     def rma_deregister(self, win_id: int, rank: int) -> None:
@@ -205,10 +196,11 @@ class MemChannel(Channel):
         None when the window is not exposed on this fabric."""
         desc = self._windows.lookup(win_id, target)
         if desc is not None:
+            link = self._links[self.rank, target]
             self.clock.charge(
                 self.costs.packet_overhead_ns
-                + self.costs.message_latency_ns * self.link.latency_fraction
-                + nbytes * self.costs.per_byte_ns * self.link.rma_per_byte_fraction
+                + self.costs.message_latency_ns * link.latency_fraction
+                + nbytes * self.costs.per_byte_ns * link.rma_per_byte_fraction
             )
         return desc
 
@@ -242,37 +234,20 @@ class MemChannel(Channel):
 
 
 class MemFabric(ChannelFabric):
-    channel_cls: type[MemChannel] = MemChannel
-    supports_dynamic_ranks = True
+    """The in-memory endpoints of one world, priced by ``channel``'s table."""
 
-    def __init__(self, world_size: int, queue_capacity: int = 4096) -> None:
+    def __init__(self, world_size: int, channel: str = "shm",
+                 node_of: dict[int, int] | None = None) -> None:
         super().__init__(world_size)
-        self._queues = {r: _SharedQueue(queue_capacity) for r in range(world_size)}
+        self.links = LinkTable(channel, node_of)
+        self._queues: dict[int, deque[Packet]] = {r: deque() for r in range(world_size)}
         self._windows = _WindowRegistry()
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> MemChannel:
-        return self.channel_cls(rank, clock, costs, self._queues, self._windows)
+        return MemChannel(rank, clock, costs, self._queues, self._windows, self.links)
 
-    def add_rank(self, rank: int, queue_capacity: int = 4096) -> None:
+    def add_rank(self, rank: int) -> None:
         """Dynamic process management support: grow the fabric."""
         if rank not in self._queues:
-            self._queues[rank] = _SharedQueue(queue_capacity)
+            self._queues[rank] = deque()
             self.world_size = max(self.world_size, rank + 1)
-
-
-class ShmChannel(MemChannel):
-    name = "shm"
-    link = LINK_PROFILES["shm"]
-
-
-class ShmFabric(MemFabric):
-    channel_cls = ShmChannel
-
-
-class IbChannel(MemChannel):
-    name = "ib"
-    link = LINK_PROFILES["ib"]
-
-
-class IbFabric(MemFabric):
-    channel_cls = IbChannel

@@ -1,7 +1,13 @@
-"""Sock channel: framed packets over byte rings.
+"""The ring transport: framed packets over byte rings, between real processes.
 
-The configuration Motor shipped with: "the MPICH2 Windows sock channel
-within the CH3 device" (paper §7, Figure 7).  Each ordered pair of ranks
+The transport of the proc substrate (:mod:`repro.cluster.procsub`), whose
+worker processes share nothing but an inherited mapping.  It is the
+configuration Motor shipped with, "the MPICH2 Windows sock channel within
+the CH3 device" (paper §7, Figure 7), and prices every packet with the
+``sock`` row of :data:`repro.simtime.LINK_PROFILES` by the formula the
+in-memory transport of simulated worlds uses too: the same program has
+the same modelled figures on both, and the two, built independently,
+referee each other.  Each ordered pair of ranks
 (``src -> dst``; the diagonal carries self-sends) is joined by a bounded
 single-producer/single-consumer byte :class:`Ring`, the 'socket', and
 packets cross it as frames::
@@ -23,14 +29,14 @@ larger than the ring still works: it arrives in pieces, the remainder on
 a later poll.
 
 All ``n x n`` rings live in one anonymous mapping (:func:`ring_mapping`),
-followed by a small control block (:func:`control_block`): private to
-this process in an inproc world, inherited by the forked workers of the
-proc substrate, which meet in it at boot and learn of a peer's death from
-it (the launcher writes that, when the kernel reports the peer's process
-gone).  A stream cannot be resynchronised after a malformed frame (an
-impossible length, a torn packet, a frame for another rank), and each
-ring names its producer: that peer alone is declared dead (``dead_ranks``,
-``on_peer_dead``) and its ring read no more.
+followed by a small control block (:func:`control_block`), inherited by
+the forked workers, which meet in it at boot and learn of a peer's death
+from it (the launcher writes that, when the kernel reports the peer's
+process gone); a :class:`SockFabric` in one process holds every endpoint
+over a private mapping.  A stream cannot be resynchronised after a
+malformed frame (an impossible length, a torn packet, a frame for another
+rank), and each ring names its producer: that peer alone is declared dead
+(``dead_ranks``, ``on_peer_dead``) and its ring read no more.
 
 Motor's sock channel learnt which sockets had data from an I/O completion
 port (IOCP), a Windows mechanism the PAL does not expose — which is why
@@ -48,7 +54,7 @@ from collections import deque
 
 from repro.mp.channels.base import Channel, ChannelFabric
 from repro.mp.packets import HEADER_SIZE, Packet
-from repro.simtime import Clock, CostModel
+from repro.simtime import LINK_PROFILES, Clock, CostModel
 
 #: a frame's fixed prefix: ``length``, ``ftype``, ``arg`` (the destination)
 PREFIX = struct.Struct("<IBi")
@@ -64,11 +70,13 @@ RING_HEADER = 128
 #: u64 slots in the header: the consumer alone writes ``head``, the
 #: producer alone ``tail``
 HEAD_SLOT, TAIL_SLOT = 0, 8
-#: data bytes per ring, for sock and proc worlds alike: 256 KiB, the power
-#: of two above the most any experiment has in flight toward one receiver
-#: (197 508 B) and above a default-threshold (128 KiB) eager frame, so no
-#: committed run ever splits a frame across polls
+#: data bytes per ring: 256 KiB, the power of two above the most any
+#: experiment has in flight toward one receiver (197 508 B) and above a
+#: default-threshold (128 KiB) eager frame, so no committed run ever
+#: splits a frame across polls
 RING_CAPACITY = 1 << 18
+#: what every packet on a ring costs
+SOCK = LINK_PROFILES["sock"]
 #: a PKT frame's lead: the frame prefix, then the packet header
 LEAD = PREFIX.size + HEADER_SIZE
 #: the least a PKT frame's ``length`` can say: a lead and no payload
@@ -275,7 +283,7 @@ class SockChannel(Channel):
     def send_packet(self, pkt: Packet) -> bool:
         payload = pkt.payload_mv()
         size = payload.nbytes
-        self._stamp_and_charge(pkt, size)
+        self._stamp_and_charge(pkt, size, SOCK)
         dst = pkt.dst
         if dst not in self.dead_ranks:  # nobody will ever drain a dead peer's ring
             # the frame's lead: its prefix, then the packet header
@@ -356,15 +364,9 @@ class SockFabric(ChannelFabric):
     ``mapping`` — how a proc worker builds its fabric over the one its
     launcher made before forking, taking one endpoint of it."""
 
-    channel_cls = SockChannel
-
     def __init__(self, world_size: int, mapping=None) -> None:
         super().__init__(world_size)
         self.mapping = ring_mapping(world_size) if mapping is None else mapping
 
     def _make(self, rank: int, clock: Clock, costs: CostModel) -> SockChannel:
         return SockChannel(rank, clock, costs, self.mapping, self.world_size)
-
-    # NOTE: no add_rank — the rings are carved for the boot-time world, so
-    # ranks added later would be unreachable from existing endpoints.
-    # Dynamic spawn requires a shared-queue fabric (shm, ib).

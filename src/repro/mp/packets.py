@@ -36,8 +36,9 @@ lock/unlock).  Target-side handling of all of these lives in the CH3
 device's poll path, so the async progress tick — not the target
 application — drives completion.
 
-The sock channel frames these onto a byte ring; the shm channel passes
-them as objects through a shared queue.  ``ts`` carries the virtual-clock
+The ring transport of real processes frames these onto a byte ring; the
+in-memory transport of simulated worlds passes them as objects through a
+queue per rank.  ``ts`` carries the virtual-clock
 arrival timestamp (ignored in wall-clock mode).  ``seq`` is the per-link
 (src, dst) sequence number (-1 when the packet is unsequenced) and ``crc``
 a CRC32 over the protocol-relevant header fields plus the payload; both

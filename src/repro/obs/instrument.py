@@ -257,7 +257,6 @@ def attach_engine(inst: Instrumentation, engine) -> None:
             "mp.ch3.truncated": device.stats["truncated"],
             "mp.ch3.bytes_moved": device.stats["bytes_moved"],
             "mp.ch3.bytes_copied": device.stats["bytes_copied"],
-            "mp.ch3.outbox_owned": device.stats["outbox_owned"],
         }
     )
     progress = engine.progress

@@ -17,8 +17,8 @@ This package reproduces that structure:
   (thick — every call pays an emulation surcharge, reproducing the
   Windows-vs-UNIX PAL asymmetry the paper describes);
 * the sock channel's transport lives *below* the PAL, as in Motor: the
-  facade refuses ``CreateIoCompletionPort``, and the channel polls its
-  byte rings directly (see :mod:`repro.mp.channels.sock`).
+  facade refuses ``CreateIoCompletionPort``, and the channels poll their
+  queues or byte rings directly (see :mod:`repro.mp.channels`).
 """
 
 from repro.pal.api import PAL, PalError

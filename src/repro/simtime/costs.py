@@ -54,19 +54,22 @@ class HostProfile:
 
 @dataclass(frozen=True)
 class LinkProfile:
-    """An interconnect of the in-memory channel (:mod:`repro.mp.channels.mem`).
+    """What a packet costs on one interconnect: a row of :data:`LINK_PROFILES`.
 
-    Every in-memory transport moves packets the same way; a profile is what
-    a packet *costs* on one of them, as fractions of the sock-channel
-    figures in :class:`CostModel`.  The channel has no constant of its own.
+    A row is fractions of the sock-channel figures in :class:`CostModel`,
+    so the ``sock`` row is all ones.  Both transports price every packet
+    from its link's row with one formula (``Channel._stamp_and_charge``);
+    neither has a constant of its own.
     """
 
     #: one-way latency and per-byte time of a packet, relative to sock
     latency_fraction: float
     per_byte_fraction: float
     #: per-byte time of a native one-sided op: one memory traversal — no
-    #: enqueue+drain pair, no header processing, no target-side completion
-    rma_per_byte_fraction: float
+    #: enqueue+drain pair, no header processing, no target-side completion.
+    #: None: the link has no one-sided path (windows and large messages
+    #: then travel as packets)
+    rma_per_byte_fraction: float | None
     #: payloads of at most ``inline_max`` bytes ride the work request
     #: itself: their latency is multiplied by ``inline_discount``
     inline_max: int = 0
@@ -229,8 +232,16 @@ HOST_PROFILES: dict[str, HostProfile] = {
 }
 
 
-#: Interconnects of the in-memory channel (``FABRICS["shm"]``, ``["ib"]``).
+#: The interconnects, by ``channel=`` name (``ssm`` is a table of two of
+#: them: :class:`repro.mp.channels.mem.LinkTable`).
 LINK_PROFILES: dict[str, LinkProfile] = {
+    # Motor's own configuration, MPICH2's sock channel over loopback: the
+    # CostModel's transport figures as they stand, and no one-sided path.
+    "sock": LinkProfile(
+        latency_fraction=1.0,
+        per_byte_fraction=1.0,
+        rma_per_byte_fraction=None,
+    ),
     # MPICH2's shm channel: a quarter of the socket latency, twice the
     # effective bandwidth.
     "shm": LinkProfile(

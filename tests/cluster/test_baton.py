@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import World, mpiexec
 from repro.mp import MpiEngine, collectives, recovery
 from repro.mp.buffers import BufferDesc, NativeMemory
-from repro.mp.channels import FaultPlan, ShmFabric
+from repro.mp.channels import FABRICS, FaultPlan
 from repro.mp.communicator import ERRORS_RETURN
 from repro.mp.datatypes import INT
 from repro.mp.errors import MpiErrProcFailed
@@ -226,17 +226,19 @@ def _unreceived_main(ctx):
 
 class TestExitDrain:
     @pytest.mark.parametrize("pairs", [1, 2, 3])
-    def test_every_pair_finishes_with_the_two_rank_clocks(self, pairs):
-        """A sender's main returns with its stream's tail in the backlog;
-        its exit drain pushes it, so the receiver is not stranded."""
-        clocks = mpiexec(2 * pairs, _stream_main, channel="sock",
-                         clock_mode="virtual", timeout=60.0)
-        assert clocks == [103200.0, 5109436.0] * pairs
+    def test_every_pair_finishes_with_the_two_rank_clocks(self, pairs, ring_threads):
+        """On the rings a sender's main returns with its stream's tail in the
+        backlog; its exit drain pushes it, so the receiver is not stranded.
+        The queue under ``channel="sock"`` ends on the same clocks."""
+        for substrate in (ring_threads, "inproc"):
+            clocks = mpiexec(2 * pairs, _stream_main, channel="sock",
+                             substrate=substrate, timeout=60.0)
+            assert clocks == [103200.0, 5109436.0] * pairs
 
-    def test_an_unreceived_stream_does_not_hold_the_drain(self):
+    def test_an_unreceived_stream_does_not_hold_the_drain(self, ring_threads):
         """What is owed to a rank whose main has returned is owed to nobody:
         the drain ends when the peer retires, not at its timeout."""
-        world = World(2, channel="sock", clock_mode="virtual", eager_threshold=2 * STREAM)
+        world = World(2, substrate=ring_threads, eager_threshold=2 * STREAM)
         assert world.launch(2, _unreceived_main, timeout=60.0) == [True, None]
         assert sum(world.quiesce_expired.values()) == 0
 
@@ -313,7 +315,7 @@ class TestLateJoiners:
 
 class TestUnhostedEngines:
     def test_directly_built_engines_pingpong_through_the_os_yield(self):
-        fab, cm = ShmFabric(2), CostModel()
+        fab, cm = FABRICS["shm"](2), CostModel()
         trips = 50
 
         def mk(rank):

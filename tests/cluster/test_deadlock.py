@@ -106,14 +106,15 @@ class TestNoVerdict:
 
 
 @pytest.mark.parametrize("reply", [True, False], ids=["sender-waits", "sender-returns"])
-@pytest.mark.parametrize("channel", ["sock", "ssm"])
-def test_an_eager_frame_larger_than_the_ring_streams(channel, reply):
-    """A 512 KiB eager frame over a 256 KiB sock ring (ssm's between its
-    two nodes): the sender pushes its backlog — in its wait, or in its
-    exit drain — and a push charges nothing, while the receiver reads
-    partial frames and handles nothing.  Neither is deadlocked."""
+@pytest.mark.parametrize("channel", ["ring", "sock", "ssm"])
+def test_an_eager_frame_larger_than_the_ring_streams(channel, reply, ring_threads):
+    """A 512 KiB eager frame over a 256 KiB ring: the sender pushes its
+    backlog — in its wait, or in its exit drain — and a push charges
+    nothing, while the receiver reads partial frames and handles nothing.
+    Neither is deadlocked.  Over the in-memory ``sock`` and ``ssm`` links
+    (ssm's between its two nodes) the frame is one queued packet."""
     nbytes = 512 * 1024
-    dst = 1 if channel == "sock" else 2  # ssm: ranks 0, 1 | 2, 3 share a node
+    dst = 2 if channel == "ssm" else 1  # ssm: ranks 0, 1 | 2, 3 share a node
 
     def main(ctx):
         eng = ctx.engine
@@ -131,7 +132,9 @@ def test_an_eager_frame_larger_than_the_ring_streams(channel, reply):
         return bytes(buf.view()) == b"\x05" * nbytes
 
     n = dst + 1
-    res = mpiexec(n, main, channel=channel, eager_threshold=1024 * 1024, timeout=60.0)
+    substrate = ring_threads if channel == "ring" else "inproc"
+    res = mpiexec(n, main, channel="sock" if channel == "ring" else channel,
+                  substrate=substrate, eager_threshold=1024 * 1024, timeout=60.0)
     assert res[dst] is True
 
 

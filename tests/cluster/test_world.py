@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cluster import World, mpiexec
+from repro.mp import collectives, recovery
 from repro.mp.buffers import BufferDesc
+from repro.mp.channels import FaultPlan
+from repro.mp.communicator import ERRORS_RETURN
+from repro.mp.datatypes import INT
+from repro.mp.errors import MpiErrProcFailed
 from repro.simtime import VirtualClock, WallClock
 
 
@@ -150,16 +155,15 @@ class TestSpawn:
 
 
 class TestSpawnGating:
-    def test_sock_fabric_refuses_dynamic_spawn(self):
-        """Sock's rings are carved for the boot-time world: spawning later ranks
-        would leave them unreachable, so the world refuses cleanly."""
-
-        def main(ctx):
-            with pytest.raises(RuntimeError, match="does not support dynamic"):
-                ctx.world.spawn(ctx, lambda c: True, 1)
-            return True
-
-        assert all(mpiexec(1, main, channel="sock"))
+    def test_a_proc_world_refuses_dynamic_spawn(self):
+        """Real processes' rings are carved at boot, so a proc world refuses
+        later ranks on every calling rank, before any collective."""
+        world = World(1, substrate="proc")  # builds, forks nothing
+        try:
+            with pytest.raises(RuntimeError, match="proc substrate cannot add ranks"):
+                world.spawn(world.context_for(0), lambda c: True, 1)
+        finally:
+            world.shutdown()
 
     def test_ib_fabric_supports_dynamic_spawn(self):
         def child(cctx):
@@ -170,3 +174,55 @@ class TestSpawnGating:
             return inter.remote_size
 
         assert mpiexec(1, main, channel="ib") == [2]
+
+    @pytest.mark.parametrize("channel", ["sock", "ssm"])
+    def test_every_inproc_channel_spawns_a_child(self, channel):
+        """The channel name picks link rows only: every inproc world can
+        add ranks, and a child talks to its parent over its rows."""
+
+        def child(cctx):
+            buf = BufferDesc.from_bytes(bytearray(4))
+            cctx.engine.recv(buf, 0, 1, cctx.parent_comm)
+            cctx.engine.send(BufferDesc.from_bytes(buf.tobytes()[::-1]), 0, 2, cctx.parent_comm)
+            return cctx.rank
+
+        def main(ctx):
+            inter = ctx.world.spawn(ctx, child, 1)
+            ctx.engine.send(BufferDesc.from_bytes(b"abcd"), 0, 1, inter)
+            buf = BufferDesc.from_bytes(bytearray(4))
+            ctx.engine.recv(buf, 0, 2, inter)
+            return buf.tobytes()
+
+        assert mpiexec(1, main, channel=channel) == [b"dcba"]
+
+    @pytest.mark.parametrize("channel", ["sock", "ssm"])
+    def test_every_inproc_channel_replaces_a_failed_rank(self, channel):
+        plan = FaultPlan(seed=5)
+
+        def total(eng, comm, value):
+            recv = BufferDesc.from_bytes(bytearray(INT.size))
+            collectives.allreduce(eng, comm, BufferDesc.from_bytes(INT.pack_values([value])),
+                                  recv, INT)
+            return INT.unpack_values(recv.tobytes())[0]
+
+        def replacement_main(ctx):
+            state = recovery.replacement_entry(ctx)
+            ctx.comm_world.set_errhandler(ERRORS_RETURN)
+            return total(ctx.engine, ctx.comm_world, state["v"])
+
+        def main(ctx):
+            eng, comm = ctx.engine, ctx.engine.comm_world
+            comm.set_errhandler(ERRORS_RETURN)
+            comm.checkpoint({"v": ctx.rank + 10})
+            if ctx.rank == 2:
+                plan.kill(2)
+                return "crashed"
+            with pytest.raises(MpiErrProcFailed):
+                eng.recv(BufferDesc.from_bytes(bytearray(INT.size)), 2, 7)
+            full = recovery.recover(ctx, comm, replacement_main)
+            return total(eng, full, eng.recovery.restore(full)["v"])
+
+        res = mpiexec(3, main, channel=channel, fault_plan=plan, timeout=60.0,
+                      reliability_opts=dict(retransmit_after=16, max_retries=10,
+                                            heartbeat_after=128))
+        assert res == [33, 33, "crashed"]  # 10 + 11 + the restored 12

@@ -41,3 +41,20 @@ def define_linked(rt: ManagedRuntime):
 @pytest.fixture
 def linked_cls(runtime):
     return define_linked(runtime)
+
+
+@pytest.fixture
+def ring_threads():
+    """A substrate for ``World``/``mpiexec``: ranks are threads under the
+    baton, as inproc, but the fabric is the ring transport of real
+    processes (a :class:`~repro.mp.channels.sock.SockFabric` over a private
+    mapping) — the proc substrate's channel with whole-world hosting and no
+    fork.  ``channel=`` does not apply: every ring is priced as sock."""
+    from repro.cluster.substrate import InprocSubstrate
+    from repro.mp.channels import SockFabric
+
+    class RingThreads(InprocSubstrate):
+        def build_fabric(self):
+            return SockFabric(self.world.size)
+
+    return RingThreads

@@ -18,7 +18,7 @@ from repro.cluster import mpiexec
 from repro.cluster.world import World
 from repro.mp import MpiEngine
 from repro.mp.buffers import BufferDesc, NativeMemory
-from repro.mp.channels import FaultPlan, FaultyFabric, ShmFabric
+from repro.mp.channels import FABRICS, FaultPlan, FaultyFabric
 from repro.mp.errors import MpiErrProcFailed, MpiErrTimeout
 from repro.mp.progress import ProgressEngine
 from repro.mp.status import Status
@@ -172,7 +172,7 @@ class TestAsyncMode:
     def test_finalize_stops_the_progress_task(self):
         """The tick's teardown: after ``finalize`` the rank's clock no
         longer steps the engine, however much it is charged."""
-        fab = ShmFabric(1)
+        fab = FABRICS["shm"](1)
         clock, cm = VirtualClock(), CostModel()
         eng = MpiEngine(0, 1, fab.endpoint(0, clock, cm), clock=clock, costs=cm,
                         progress="async")
@@ -189,7 +189,7 @@ class TestAsyncMode:
         shrink, rank replacement) takes the ticking over; finalizing the
         first leaves the second's tick running, and once both are
         finalized a charge steps nothing."""
-        fab = ShmFabric(1)
+        fab = FABRICS["shm"](1)
         clock, cm = VirtualClock(), CostModel()
 
         def engine():
@@ -287,7 +287,7 @@ class TestAsyncMode:
 
 def _engine_pair(plan, **kw):
     """Two MpiEngines over a fault-injecting shm fabric (wall clocks)."""
-    fab = FaultyFabric(ShmFabric(2), plan)
+    fab = FaultyFabric(FABRICS["shm"](2), plan)
     cm = CostModel()
 
     def mk(rank):
@@ -300,7 +300,7 @@ def _engine_pair(plan, **kw):
 
 
 def _lonely_engine(**kw):
-    fab = ShmFabric(1)
+    fab = FABRICS["shm"](1)
     clock = WallClock()
     cm = CostModel()
     return MpiEngine(0, 1, fab.endpoint(0, clock, cm), clock=clock, costs=cm,

@@ -5,8 +5,10 @@ implementation honours the same observable contract.  This suite runs
 each concrete fabric — and the fault wrapper with an *empty* FaultPlan,
 which must be indistinguishable from its inner channel — through the
 same checks: per-source FIFO ordering, partial reads, drain quiescence
-and idempotent teardown.  ``proc`` is sock as the proc substrate's workers
-hold it: each rank's endpoint from a fabric of its own, over one mapping.
+and idempotent teardown.  ``shm``, ``sock``, ``ssm`` and ``ib`` are the
+in-memory transport under each table of link rows; ``proc`` is the ring
+transport as the proc substrate's workers hold it: each rank's endpoint
+from a fabric of its own, over one mapping.
 """
 
 import abc

@@ -5,8 +5,9 @@ import pytest
 from repro.cluster import mpiexec
 from repro.mp import collectives
 from repro.mp.buffers import BufferDesc, NativeMemory
-from repro.mp.channels import FABRICS, IbFabric
+from repro.mp.channels import FABRICS, MemFabric
 from repro.mp.datatypes import DOUBLE, INT
+from repro.simtime import LINK_PROFILES
 
 
 class TestSendrecv:
@@ -81,7 +82,8 @@ class TestScan:
 
 class TestIbChannel:
     def test_registered_in_fabrics(self):
-        assert FABRICS["ib"] is IbFabric
+        fab = FABRICS["ib"](2)
+        assert isinstance(fab, MemFabric) and fab.links.rows == (LINK_PROFILES["ib"],)
 
     def test_pingpong_over_ib(self):
         def main(ctx):
@@ -125,7 +127,7 @@ class TestIbChannel:
         from repro.mp.packets import EAGER, Packet
         from repro.simtime import CostModel, VirtualClock
 
-        fab = IbFabric(2)
+        fab = FABRICS["ib"](2)
         clock = VirtualClock()
         ch = fab.endpoint(0, clock, CostModel())
         big = b"x" * 32768

@@ -153,10 +153,10 @@ class TestMergeAtMatch:
 
     def _pair(self):
         from repro.mp.ch3 import CH3Device
-        from repro.mp.channels import ShmFabric
+        from repro.mp.channels import FABRICS
         from repro.simtime import CostModel, VirtualClock
 
-        fab, cm = ShmFabric(2), CostModel()
+        fab, cm = FABRICS["shm"](2), CostModel()
         devs = []
         for rank in (0, 1):
             clock = VirtualClock()

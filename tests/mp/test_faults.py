@@ -12,14 +12,7 @@ import pytest
 from repro.cluster import mpiexec
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.ch3 import CH3Device
-from repro.mp.channels import (
-    FaultPlan,
-    FaultyFabric,
-    IbFabric,
-    ShmFabric,
-    SockFabric,
-    SsmFabric,
-)
+from repro.mp.channels import FABRICS, FaultPlan, FaultyFabric, SockFabric
 from repro.mp.channels.faulty import CORRUPT, DELAY, DROP, DUPLICATE, REORDER
 from repro.mp.errors import (
     ERRORS_RETURN,
@@ -40,7 +33,7 @@ FAST = dict(retransmit_after=4, backoff=1.5, max_backoff_polls=32,
 
 def reliable_pair(plan: FaultPlan, **dev_kw):
     """Two lockstep devices over a fault-injecting shm fabric."""
-    fab = FaultyFabric(ShmFabric(2), plan)
+    fab = FaultyFabric(FABRICS["shm"](2), plan)
     cm = CostModel()
     mk = lambda r: CH3Device(
         r, fab.endpoint(r, WallClock(), cm), WallClock(), cm,
@@ -226,7 +219,7 @@ class TestDeadPeerDetection:
 
 class TestWaitTimeout:
     def _lonely_device(self):
-        fab = ShmFabric(2)
+        fab = FABRICS["shm"](2)
         cm = CostModel()
         return CH3Device(0, fab.endpoint(0, WallClock(), cm), WallClock(), cm)
 
@@ -279,7 +272,11 @@ class TestWaitTimeout:
 
 
 class TestIdempotentTeardown:
-    @pytest.mark.parametrize("fabric_cls", [ShmFabric, SockFabric, SsmFabric, IbFabric])
+    @pytest.mark.parametrize(
+        "fabric_cls",
+        [FABRICS["shm"], SockFabric, FABRICS["ssm"], FABRICS["ib"]],
+        ids=["ShmFabric", "SockFabric", "SsmFabric", "IbFabric"],
+    )
     def test_double_finalize_and_shutdown(self, fabric_cls):
         fab = fabric_cls(2)
         cm = CostModel()
@@ -298,7 +295,7 @@ class TestIdempotentTeardown:
 
     def test_faulty_fabric_shutdown_idempotent(self):
         plan = FaultPlan(seed=0)
-        fab = FaultyFabric(ShmFabric(2), plan)
+        fab = FaultyFabric(FABRICS["shm"](2), plan)
         fab.endpoint(0, WallClock(), CostModel())
         fab.shutdown()
         fab.shutdown()
@@ -335,7 +332,7 @@ class TestCorruptionScenarioPromoted:
         """Control: with the sublayer off, the flipped bit lands in the
         buffer — proving the test would catch a broken repair path."""
         plan = FaultPlan(seed=17).force(0, 1, 4, CORRUPT)
-        fab = FaultyFabric(ShmFabric(2), plan)
+        fab = FaultyFabric(FABRICS["shm"](2), plan)
         cm = CostModel()
         mk = lambda r: CH3Device(
             r, fab.endpoint(r, WallClock(), cm), WallClock(), cm,

@@ -5,7 +5,8 @@ First the :class:`~repro.mp.channels.sock.Ring` alone, over a plain
 finding pinned as a unit test.  Then the frame stream through the channel's
 own sender and :class:`~repro.mp.channels.sock.RingReader` (FIFO and byte
 identity, wrap points, frame defects); then the channel (a malformed frame
-attributed to its sender, frames larger than a ring, the exit drain), and
+attributed to its sender, frames larger than a ring, the exit drain — the
+world-level ones with the ring fabric under thread-hosted ranks), and
 last, behind ``-m realproc``, the proc substrate's worker processes, which
 run that channel over their launcher's mapping: boot, death and the
 launcher's own death.
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 import repro
 from repro.cluster.world import World, mpiexec
 from repro.mp.buffers import BufferDesc
-from repro.mp.channels import FABRICS
 from repro.mp.channels.sock import (
     HEAD_SLOT,
     LEAD,
@@ -304,14 +304,14 @@ def _drain(ch, want, also_poll=()):
     return got
 
 
-def _trio(name):
-    fab = FABRICS[name](3)
+def _trio():
+    fab = SockFabric(3)
     return fab, [fab.endpoint(r, WallClock(), CostModel()) for r in range(3)]
 
 
 @pytest.fixture
 def trio():
-    fab, chans = _trio("sock")
+    fab, chans = _trio()
     yield chans
     fab.shutdown()
 
@@ -339,10 +339,10 @@ class TestChannelOverRings:
         c0.send_packet(_pkt(0, 1, 1))
         assert c1.has_incoming()  # no poll in between: the cursors say so
 
-    def test_teardown_flushes_the_backlog(self):
+    def test_teardown_flushes_the_backlog(self, ring_threads):
         """Finding 3: the tail of a frame one byte larger than the ring
-        must not die with its sender — the exit drain of both substrates."""
-        world = World(3, channel="sock")
+        must not die with its sender — the world's exit drain."""
+        world = World(3, substrate=ring_threads)
         try:
             sender = world.context_for(0).engine
             c0, c1 = sender.device.channel, world.context_for(1).engine.device.channel
@@ -400,7 +400,7 @@ def test_a_death_notice_follows_what_the_dead_rank_published():
     """The launcher's word that rank 1's process ended: the poll that reads
     it still delivers the frames rank 1 published, and the next one fails
     what waits on rank 1 — on every peer."""
-    fab, (c0, c1, c2) = _trio("sock")
+    fab, (c0, c1, c2) = _trio()
     _, dead_words, deaths = control_block(fab.mapping, 3)
     dead = {0: [], 2: []}
     c0.on_peer_dead, c2.on_peer_dead = dead[0].append, dead[2].append
@@ -435,8 +435,8 @@ class GarbageMain:
         return buf.tobytes()
 
 
-def test_garbage_on_a_ring_is_proc_failed_for_that_peer():
-    results = mpiexec(3, GarbageMain(), channel="sock", timeout=LAUNCH_TIMEOUT)
+def test_garbage_on_a_ring_is_proc_failed_for_that_peer(ring_threads):
+    results = mpiexec(3, GarbageMain(), substrate=ring_threads, timeout=LAUNCH_TIMEOUT)
     assert results == [b"rank-two", "corrupted", b"rank-nil"]
 
 

@@ -2,14 +2,14 @@
 
 from repro.mp.buffers import BufferDesc, NativeMemory
 from repro.mp.ch3 import CH3Device
-from repro.mp.channels import ShmFabric
+from repro.mp.channels import FABRICS
 from repro.mp.progress import ProgressEngine
 from repro.mp.request import RECV, Request
 from repro.simtime import CostModel, WallClock
 
 
 def device_pair():
-    fab = ShmFabric(2)
+    fab = FABRICS["shm"](2)
     cm = CostModel()
     d0 = CH3Device(0, fab.endpoint(0, WallClock(), cm), WallClock(), cm)
     d1 = CH3Device(1, fab.endpoint(1, WallClock(), cm), WallClock(), cm)
