@@ -125,20 +125,23 @@ class MessagePassingCore:
 
     # ------------------------------------------------------------- blocking ops
 
-    def _run_blocking(self, obj: ObjRef, start: Callable[..., Request], *args) -> Request:
-        """The §7.4 blocking discipline around ``start(*args)``."""
+    def _run_blocking(self, obj: ObjRef, start: Callable[..., Request], buf: BufferDesc,
+                      peer: int, tag: int, comm: Communicator, *more) -> Request:
+        """The §7.4 blocking discipline around ``start(buf, peer, tag, comm,
+        *more)``, waiting as the engine's blocking calls do: a failed peer is
+        reported per ``comm``'s error handler."""
         policy = self.policy
         decision = policy.pre_blocking(obj)
         cookie: PinCookie | None = None
         if decision is PinDecision.PIN_NOW:
             cookie = policy.pin_now(obj)
         try:
-            req = start(*args)
+            req = start(buf, peer, tag, comm, *more)
             if not req.completed:
                 if cookie is None:
                     # Deferred pin: we are about to enter the polling-wait.
                     cookie = policy.on_enter_wait(decision, obj)
-                self.engine.progress.wait(req)
+                self.engine._guarded_wait(req, comm)
         finally:
             # parameter errors inside start() must not leak the pin either
             policy.release(cookie)

@@ -486,6 +486,8 @@ class MotorSerializer:
                 scanned.append((plan, length, align8(ARRAY_DATA_OFFSET + nbytes), values))
         except struct.error:
             raise SerializationError("truncated representation") from None
+        if pos != end:
+            raise SerializationError(f"{end - pos} bytes after the last record")
         for refs in (ids, elems):
             if refs and not (-1 <= min(refs) and max(refs) < nrecords):
                 raise SerializationError(f"an object id outside [-1, {nrecords})")

@@ -10,18 +10,21 @@ the same modelled figures on both, and the two, built independently,
 referee each other.  Each ordered pair of ranks
 (``src -> dst``; the diagonal carries self-sends) is joined by a bounded
 single-producer/single-consumer byte :class:`Ring`, the 'socket', and
-packets cross it as frames::
+packets cross it as frames, each a packet header (:data:`FRAME`, 66 bytes)
+and its payload::
 
-    [u32 length] [u8 ftype = PKT] [i32 dst] [packet header] [payload]
+    [u32 payload_len] [u8 ptype] [i32 dst] [i32 src] [i32 tag] [i32 comm_id]
+    [i64 op_id] [i64 offset] [i64 total] [u8 sync] [f64 ts] [i64 seq]
+    [u32 crc] [payload]
 
-``length`` counts everything after itself.  The frame write is the wire
-crossing, where any :class:`~repro.mp.buffers.WireView` lease ends: the
-frame prefix and the packet header go into the ring, then the payload
-straight from its view, and only what does not fit is copied onto a
-per-destination backlog that every ``recv_packets`` pushes on.  Each
-inbound ring is drained by a per-peer :class:`RingReader`, which copies a
-whole payload out of the ring as one ``bytes`` — once in, once out, the
-ring being the eager buffer.
+The first three fields are what a reader checks before it waits for more.
+The frame write is the wire crossing, where any
+:class:`~repro.mp.buffers.WireView` lease ends: the header goes into the
+ring, then the payload straight from its view, published together, and
+only what does not fit is copied onto a per-destination backlog that
+every ``recv_packets`` pushes on.  Each inbound ring is drained by a
+per-peer :class:`RingReader`, which copies a whole payload out of the ring
+as one ``bytes`` — once in, once out, the ring being the eager buffer.
 
 One ring size serves every world (:data:`RING_CAPACITY`), large enough
 that no eager frame at the default threshold is ever split.  A frame
@@ -34,9 +37,10 @@ the forked workers, which meet in it at boot and learn of a peer's death
 from it (the launcher writes that, when the kernel reports the peer's
 process gone); a :class:`SockFabric` in one process holds every endpoint
 over a private mapping.  A stream cannot be resynchronised after a
-malformed frame (an impossible length, a torn packet, a frame for another
-rank), and each ring names its producer: that peer alone is declared dead
-(``dead_ranks``, ``on_peer_dead``) and its ring read no more.
+malformed frame (a payload over :data:`MAX_FRAME`, a packet type nobody
+sends, a frame for another rank), and each ring names its producer: that
+peer alone is declared dead (``dead_ranks``, ``on_peer_dead``) and its
+ring read no more.
 
 Motor's sock channel learnt which sockets had data from an I/O completion
 port (IOCP), a Windows mechanism the PAL does not expose — which is why
@@ -53,17 +57,20 @@ import struct
 from collections import deque
 
 from repro.mp.channels.base import Channel, ChannelFabric
-from repro.mp.packets import HEADER_SIZE, Packet
+from repro.mp.packets import _NAMES, Packet
 from repro.simtime import LINK_PROFILES, Clock, CostModel
 
-#: a frame's fixed prefix: ``length``, ``ftype``, ``arg`` (the destination)
-PREFIX = struct.Struct("<IBi")
-#: the ``length`` field itself, which ``length`` does not count
-LENGTH_SIZE = 4
-#: the one frame type: a packet
-PKT = 1
-#: refuse frames beyond this size (a corrupted length prefix must not
-#: allocate gigabytes); generous for 256 KiB rendezvous chunks
+#: a frame's header, every :class:`Packet` field but the payload:
+#: payload_len, ptype, dst, src, tag, comm_id, op_id, offset, total, sync,
+#: ts, seq, crc
+FRAME = struct.Struct("<IBiiiiqqqBdqI")
+#: a frame's lead: the header, before its payload
+LEAD = FRAME.size
+#: the bytes of ``payload_len``, ``ptype`` and ``dst``: enough to refuse
+#: a stream by, before the rest of its lead is published
+CHECKED = 9
+#: refuse payloads beyond this size (a corrupted length must not allocate
+#: gigabytes); generous for 256 KiB rendezvous chunks
 MAX_FRAME = 64 << 20
 #: two cache lines ahead of the data, so the cursors never share one
 RING_HEADER = 128
@@ -77,10 +84,6 @@ HEAD_SLOT, TAIL_SLOT = 0, 8
 RING_CAPACITY = 1 << 18
 #: what every packet on a ring costs
 SOCK = LINK_PROFILES["sock"]
-#: a PKT frame's lead: the frame prefix, then the packet header
-LEAD = PREFIX.size + HEADER_SIZE
-#: the least a PKT frame's ``length`` can say: a lead and no payload
-MIN_LENGTH = LEAD - LENGTH_SIZE
 
 
 class Ring:
@@ -146,17 +149,17 @@ class Ring:
 
 
 class RingReader:
-    """Decodes the PKT frames on one inbound ring, straight out of it.
+    """Decodes the frames on one inbound ring, straight out of it.
 
-    As soon as a frame's 9-byte prefix is published it is checked —
-    at least a lead and at most ``MAX_FRAME``, type ``PKT``, destination this
-    rank — so a garbage stream fails on the poll that sees it, not after
-    more bytes that may never come.  A frame that fits the ring is left
-    there until all of it is published, then decoded in place: the header
-    unpacked from the ring, the payload copied out once as ``bytes``.  A
-    larger one (it can never be whole in the ring) is consumed as it
-    arrives, into a ``bytearray`` of the payload's size.  Every defect is a
-    ``ValueError``: the stream cannot be resynchronised.
+    As soon as a frame's first :data:`CHECKED` bytes are published they are
+    checked — a payload of at most ``MAX_FRAME``, a known packet type,
+    destination this rank — so a garbage stream fails on the poll that sees
+    it, not after more bytes that may never come.  A frame that fits the
+    ring is left there until all of it is published, then decoded in place:
+    the header unpacked from the ring, the payload copied out once as
+    ``bytes``.  A larger one (it can never be whole in the ring) is
+    consumed as it arrives, into a ``bytearray`` of the payload's size.
+    Every defect is a ``ValueError``: the stream cannot be resynchronised.
     """
 
     __slots__ = ("ring", "rank", "_pkt", "_buf", "_got")
@@ -187,27 +190,30 @@ class RingReader:
                 continue
             head = cur[HEAD_SLOT]
             avail = cur[TAIL_SLOT] - head
-            if avail < PREFIX.size:
+            if avail < CHECKED:
                 return
-            length, ftype, arg = PREFIX.unpack(ring.view(head, PREFIX.size))
-            if not MIN_LENGTH <= length <= MAX_FRAME:
-                raise ValueError(f"PKT frame length {length} outside [{MIN_LENGTH}, MAX_FRAME]")
-            if ftype != PKT or arg != self.rank:
-                raise ValueError(f"frame type {ftype} for rank {arg} on rank {self.rank}'s ring")
-            size = LENGTH_SIZE + length
+            if avail >= LEAD:
+                lead = ring.view(head, LEAD)
+            else:  # not a whole lead yet: its first fields, the rest read as zeroes
+                lead = bytes(ring.view(head, CHECKED)).ljust(LEAD, b"\0")
+            (plen, ptype, dst, src, tag, comm_id, op_id, offset, total, sync, ts, seq,
+             crc) = FRAME.unpack(lead)
+            if plen > MAX_FRAME:
+                raise ValueError(f"frame payload {plen} over MAX_FRAME")
+            if ptype not in _NAMES or dst != self.rank:
+                raise ValueError(f"packet type {ptype} for rank {dst} on rank {self.rank}'s ring")
+            size = LEAD + plen
             whole = avail >= size
             if not whole and (size <= ring.capacity or avail < LEAD):
                 return  # the rest is on its way
-            # header and payload in one view (a whole frame), else the header
-            body = ring.view(head + PREFIX.size, (size if whole else LEAD) - PREFIX.size)
-            pkt, plen = Packet.unpack_header(body[:HEADER_SIZE])
-            if plen != size - LEAD:
-                raise ValueError(f"torn packet frame: payload {size - LEAD} of {plen} bytes")
+            pkt = Packet(
+                ptype, src, dst, tag, comm_id, op_id, offset, total, bool(sync), ts, seq, crc
+            )
             if not whole:
                 cur[HEAD_SLOT] = head + LEAD
                 self._pkt, self._buf, self._got = pkt, bytearray(plen), 0
                 continue
-            pkt.payload = bytes(body[HEADER_SIZE:])
+            pkt.payload = bytes(ring.view(head + LEAD, plen))
             cur[HEAD_SLOT] = head + size
             out.append(pkt)
 
@@ -286,8 +292,10 @@ class SockChannel(Channel):
         self._stamp_and_charge(pkt, size, SOCK)
         dst = pkt.dst
         if dst not in self.dead_ranks:  # nobody will ever drain a dead peer's ring
-            # the frame's lead: its prefix, then the packet header
-            lead = PREFIX.pack(MIN_LENGTH + size, PKT, dst) + pkt.pack_header(size)
+            lead = FRAME.pack(
+                size, pkt.ptype, dst, pkt.src, pkt.tag, pkt.comm_id, pkt.op_id,
+                pkt.offset, pkt.total, pkt.sync, pkt.ts, pkt.seq, pkt.crc,
+            )
             backlog = self._backlog[dst]
             n = 0 if backlog else self._tx[dst].write(lead, payload)
             if n < LEAD + size:  # the ring is full: the rest waits, copied

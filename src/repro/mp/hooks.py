@@ -30,7 +30,8 @@ Event catalog (arguments each ``on_<event>`` receives):
 ``copy(where, nbytes)``   the data plane copied payload bytes; ``where``
                           names the point ("eager-deliver",
                           "unexpected-stage", "staged-deliver",
-                          "rndv-land", "cow-corrupt", ...)
+                          "rndv-land", "rma-land", "rma-acc",
+                          "rma-get-land")
 ``req_transition(req, old, new)``  request state machine moved
 ``send_posted(req, dst, rndv)``    send entered the device (dst = world rank)
 ``recv_posted(req)``      receive entered the device

@@ -36,13 +36,15 @@ lock/unlock).  Target-side handling of all of these lives in the CH3
 device's poll path, so the async progress tick — not the target
 application — drives completion.
 
-The ring transport of real processes frames these onto a byte ring; the
-in-memory transport of simulated worlds passes them as objects through a
-queue per rank.  ``ts`` carries the virtual-clock
-arrival timestamp (ignored in wall-clock mode).  ``seq`` is the per-link
-(src, dst) sequence number (-1 when the packet is unsequenced) and ``crc``
-a CRC32 over the protocol-relevant header fields plus the payload; both
-are 0-cost until a reliability layer seals the packet.
+The ring transport of real processes frames these onto a byte ring (the
+frame, and its check of ``ptype`` against the names below, are
+:mod:`repro.mp.channels.sock`'s); the in-memory transport of simulated
+worlds passes them as objects through a queue per rank.  ``ts`` carries
+the virtual-clock arrival timestamp (ignored in wall-clock mode).
+``seq`` is the per-link (src, dst) sequence number (-1 when the packet is
+unsequenced) and ``crc`` a CRC32 over the protocol-relevant header fields
+plus the payload; both are 0-cost until a reliability layer seals the
+packet.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ _NAMES = {
     WUNLOCK: "WUNLOCK",
     WUNLOCKACK: "WUNLOCKACK",
 }
-
-#: frame header: type, src, dst, tag, comm_id, op_id, offset, total, sync,
-#: ts, seq, crc, payload_len
-_HEADER = struct.Struct("<BiiiiqqqBdqII")
-HEADER_SIZE = _HEADER.size
 
 #: the header fields covered by the checksum — everything the protocol
 #: layers act on.  ``ts`` is excluded: channels stamp it after sealing.
@@ -205,50 +202,6 @@ class Packet:
             seq=self.seq,
             crc=self.crc,
             payload=self.payload,
-        )
-
-    # -- header codec (sock channel) -----------------------------------------
-
-    def pack_header(self, nbytes: int) -> bytes:
-        """The fixed-size wire header for a payload of ``nbytes`` (the
-        framer measured it); the payload travels after it."""
-        return _HEADER.pack(
-            self.ptype,
-            self.src,
-            self.dst,
-            self.tag,
-            self.comm_id,
-            self.op_id,
-            self.offset,
-            self.total,
-            1 if self.sync else 0,
-            self.ts,
-            self.seq,
-            self.crc,
-            nbytes,
-        )
-
-    @classmethod
-    def unpack_header(cls, head) -> tuple["Packet", int]:
-        """A payload-less packet and its payload length, from the header
-        :meth:`pack_header` made."""
-        (ptype, src, dst, tag, comm_id, op_id, offset, total, sync, ts, seq, crc, plen) = _HEADER.unpack(head)
-        return (
-            cls(
-                ptype=ptype,
-                src=src,
-                dst=dst,
-                tag=tag,
-                comm_id=comm_id,
-                op_id=op_id,
-                offset=offset,
-                total=total,
-                sync=bool(sync),
-                ts=ts,
-                seq=seq,
-                crc=crc,
-            ),
-            plen,
         )
 
     def __repr__(self) -> str:

@@ -402,6 +402,25 @@ class TestKillAndShrink:
                       reliability_opts=self.OPTS)
         assert res == [True, "crashed"]
 
+    def test_a_motor_recv_honours_errors_are_fatal(self):
+        """A System.MP blocking Recv waits as the engine's does: under the
+        default handler a dead peer aborts the engine."""
+        from repro.motor import motor_session
+
+        plan = FaultPlan(seed=1)
+
+        def main(ctx):
+            if ctx.rank == 1:
+                plan.kill(1)
+                return "crashed"
+            with pytest.raises(MpiFatalError):
+                ctx.session.comm_world.Recv(ctx.session.new_array("byte", 4), 1, 5)
+            return ctx.engine.aborted
+
+        res = mpiexec(2, main, channel="shm", fault_plan=plan,
+                      reliability_opts=self.OPTS, session_factory=motor_session)
+        assert res == [True, "crashed"]
+
     def test_shrink_surfaces_through_system_mp(self):
         """Motor programs observe and recover from failure via System.MP."""
         from repro.motor import motor_session

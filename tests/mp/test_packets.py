@@ -1,30 +1,44 @@
-"""The packet header codec the sock channel frames with."""
+"""The packet header codec the sock channel frames with: a packet written by
+one endpoint and read by its peer comes back field for field."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mp.packets import CTS, DATA, EAGER, FIN, HEADER_SIZE, RTS, Packet
+from repro.mp.channels.sock import LEAD, SockChannel, ring_mapping
+from repro.mp.packets import CTS, DATA, EAGER, FIN, RTS, Packet
+from repro.simtime import CostModel, VirtualClock
+
+FIELDS = ("ptype", "src", "dst", "tag", "comm_id", "op_id", "offset", "total", "sync", "ts",
+          "seq", "crc")
+
+
+def _cross(pkt: Packet) -> Packet:
+    """``pkt`` sent by rank 0 to rank 1 (its ``dst``) over one ring; the
+    packet rank 1 reads, after checking the frame's length."""
+    mapping = ring_mapping(2, 4096)
+    c0, c1 = (SockChannel(r, VirtualClock(), CostModel(), mapping, 2) for r in range(2))
+    nbytes = len(pkt.payload)
+    c0.send_packet(pkt)
+    assert len(c1._rx[0].ring) == LEAD + nbytes
+    (got,) = c1.recv_packets()
+    return got
 
 
 class TestFraming:
     def test_roundtrip(self):
         pkt = Packet(
             ptype=EAGER, src=0, dst=1, tag=7, comm_id=2, op_id=33,
-            offset=0, total=5, sync=True, ts=123.5, payload=b"hello",
+            offset=0, total=5, sync=True, seq=4, crc=0xDEADBEEF, payload=b"hello",
         )
-        head = pkt.pack_header(len(pkt.payload))
-        assert len(head) == HEADER_SIZE
-        decoded, plen = Packet.unpack_header(memoryview(head))
-        assert plen == 5
-        decoded.payload = pkt.payload
-        for attr in ("ptype", "src", "dst", "tag", "comm_id", "op_id", "offset", "total", "sync", "ts"):
+        decoded = _cross(pkt)
+        for attr in FIELDS:
             assert getattr(decoded, attr) == getattr(pkt, attr)
         assert decoded.payload == b"hello"
 
     def test_empty_payload(self):
-        pkt = Packet(ptype=CTS, src=1, dst=0, op_id=9)
-        decoded, plen = Packet.unpack_header(pkt.pack_header(0))
-        assert plen == 0 and decoded.op_id == 9 and decoded.payload == b""
+        pkt = Packet(ptype=CTS, src=1, dst=1, op_id=9)
+        decoded = _cross(pkt)
+        assert decoded.op_id == 9 and decoded.payload == b""
 
     def test_kind_names(self):
         assert Packet(ptype=RTS, src=0, dst=1).kind == "RTS"
@@ -36,26 +50,21 @@ class TestFraming:
 @settings(max_examples=60, deadline=None)
 @given(
     ptype=st.sampled_from([EAGER, RTS, CTS, DATA, FIN]),
-    src=st.integers(0, 1000),
-    dst=st.integers(0, 1000),
+    src=st.integers(-(1 << 31), (1 << 31) - 1),
     tag=st.integers(-1, 1 << 20),
     op_id=st.integers(0, 1 << 40),
     offset=st.integers(0, 1 << 40),
     sync=st.booleans(),
-    ts=st.floats(min_value=0, max_value=1e15, allow_nan=False),
+    seq=st.integers(-1, 1 << 40),
+    crc=st.integers(0, 0xFFFFFFFF),
     payload=st.binary(max_size=256),
 )
-def test_framing_roundtrip_property(ptype, src, dst, tag, op_id, offset, sync, ts, payload):
+def test_framing_roundtrip_property(ptype, src, tag, op_id, offset, sync, seq, crc, payload):
     pkt = Packet(
-        ptype=ptype, src=src, dst=dst, tag=tag, op_id=op_id, offset=offset,
-        total=len(payload), sync=sync, ts=ts, payload=payload,
+        ptype=ptype, src=src, dst=1, tag=tag, op_id=op_id, offset=offset,
+        total=len(payload), sync=sync, seq=seq, crc=crc, payload=payload,
     )
-    head = pkt.pack_header(len(payload))
-    assert len(head) == HEADER_SIZE
-    decoded, plen = Packet.unpack_header(head)
-    assert plen == len(payload)
-    assert decoded.ptype == ptype
-    assert decoded.src == src and decoded.dst == dst
-    assert decoded.tag == tag and decoded.op_id == op_id
-    assert decoded.offset == offset and decoded.sync == sync
-    assert decoded.ts == ts
+    decoded = _cross(pkt)
+    for attr in FIELDS:  # ts as the sender stamped it
+        assert getattr(decoded, attr) == getattr(pkt, attr)
+    assert decoded.payload == payload

@@ -28,13 +28,11 @@ import repro
 from repro.cluster.world import World, mpiexec
 from repro.mp.buffers import BufferDesc
 from repro.mp.channels.sock import (
+    CHECKED,
+    FRAME,
     HEAD_SLOT,
     LEAD,
-    LENGTH_SIZE,
     MAX_FRAME,
-    MIN_LENGTH,
-    PKT,
-    PREFIX,
     RING_CAPACITY,
     RING_HEADER,
     TAIL_SLOT,
@@ -47,7 +45,7 @@ from repro.mp.channels.sock import (
 )
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
-from repro.mp.packets import EAGER, HEADER_SIZE, Packet
+from repro.mp.packets import EAGER, Packet
 from repro.simtime import CostModel, WallClock
 
 LAUNCH_TIMEOUT = 60.0
@@ -132,10 +130,16 @@ def _pkt(src, dst, tag, payload=b"x"):
 
 
 def _frame(pkt: Packet) -> bytes:
-    """The bytes ``send_packet`` puts on the wire for ``pkt``."""
-    payload = bytes(pkt.payload_mv())
-    lead = PREFIX.pack(MIN_LENGTH + len(payload), PKT, pkt.dst) + pkt.pack_header(len(payload))
-    return lead + payload
+    """The bytes ``send_packet`` puts on the wire for ``pkt``, read back off
+    a throwaway endpoint's ring."""
+    ch = SockChannel(0, WallClock(), CostModel(), ring_mapping(pkt.dst + 1, 4096), pkt.dst + 1)
+    ch.send_packet(pkt)
+    return _read(ch._tx[pkt.dst], len(ch._tx[pkt.dst]))
+
+
+def _lead(plen: int, ptype: int, dst: int) -> bytes:
+    """The first :data:`CHECKED` bytes of a frame's lead."""
+    return FRAME.pack(plen, ptype, dst, *[0] * 10)[:CHECKED]
 
 
 def _pair(capacity: int) -> tuple[SockChannel, SockChannel]:
@@ -237,25 +241,17 @@ def test_an_eager_threshold_frame_lands_whole(mapping):
     assert got.payload == body
 
 
-#: a lone frame prefix for each defect it alone reveals
-BAD_PREFIXES = {
-    "length-zero": PREFIX.pack(0, PKT, 0),
-    "shorter-than-a-lead": PREFIX.pack(LEAD - LENGTH_SIZE - 1, PKT, 0),
-    "over-max-frame": PREFIX.pack(MAX_FRAME + 1, PKT, 0),
-    "garbage": b"\xff" * PREFIX.size,
-    "wrong-type": PREFIX.pack(LEAD - LENGTH_SIZE, PKT + 1, 0),
-    "wrong-rank": PREFIX.pack(LEAD - LENGTH_SIZE, PKT, 1),
+#: the first nine bytes of a lead, for each defect they alone reveal
+BAD_LEADS = {
+    "over-max-frame": _lead(MAX_FRAME + 1, EAGER, 0),
+    "garbage": b"\xff" * CHECKED,
+    "wrong-type": _lead(0, 99, 0),  # not a packet type
+    "wrong-rank": _lead(0, EAGER, 1),
 }
 
 
-def _torn_frame() -> bytes:
-    """A frame whose prefix counts 2 payload bytes fewer than its header."""
-    frame = _frame(_pkt(1, 0, 1, b"abcdef"))
-    return PREFIX.pack(len(frame) - 2 - LENGTH_SIZE, PKT, 0) + frame[PREFIX.size:-2]
-
-
 class TestDecodeDefectsAreValueErrors:
-    @pytest.mark.parametrize("prefix", BAD_PREFIXES.values(), ids=BAD_PREFIXES.keys())
+    @pytest.mark.parametrize("prefix", BAD_LEADS.values(), ids=BAD_LEADS.keys())
     def test_a_lone_bad_prefix(self, prefix):
         """Nine bytes are enough: no wait for a lead that may never come."""
         reader = RingReader(_ring(256), rank=0)
@@ -263,32 +259,20 @@ class TestDecodeDefectsAreValueErrors:
         with pytest.raises(ValueError):
             reader.drain([])
 
-    def test_short_packet_body(self):
-        reader = RingReader(_ring(256), rank=0)
-        reader.ring.write(PREFIX.pack(PREFIX.size - LENGTH_SIZE + 10, PKT, 0), b"\0" * 10)
-        with pytest.raises(ValueError):
-            reader.drain([])
-
-    def test_torn_payload(self):
-        reader = RingReader(_ring(256), rank=0)
-        reader.ring.write(memoryview(_torn_frame()))
-        with pytest.raises(ValueError):
-            reader.drain([])
-
     def test_a_valid_prefix_waits_for_its_frame(self):
         reader, out = RingReader(_ring(256), rank=0), []
         frame = _frame(_pkt(1, 0, 1, b"abcdef"))
-        reader.ring.write(memoryview(frame[:PREFIX.size]))
-        reader.drain(out)
-        reader.ring.write(memoryview(frame[PREFIX.size:]))
-        reader.drain(out)
+        for start, end in ((0, CHECKED), (CHECKED, LEAD), (LEAD, len(frame))):
+            assert out == []
+            reader.ring.write(memoryview(frame[start:end]))
+            reader.drain(out)
         assert [p.payload for p in out] == [b"abcdef"]
 
-    @pytest.mark.parametrize("length", [0, 4, 0xFFFFFFFF])
+    @pytest.mark.parametrize("length", [MAX_FRAME + 1, 0xFFFFFFFF])
     def test_impossible_frame_length(self, length):
-        """Below a lead, or beyond any frame: refused from the prefix alone."""
+        """Beyond any frame: refused from the first nine bytes alone."""
         reader = RingReader(_ring(256), rank=0)
-        reader.ring.write(PREFIX.pack(length, PKT, 0))
+        reader.ring.write(_lead(length, EAGER, 0))
         with pytest.raises(ValueError):
             reader.drain([])
 
@@ -346,8 +330,8 @@ class TestChannelOverRings:
         try:
             sender = world.context_for(0).engine
             c0, c1 = sender.device.channel, world.context_for(1).engine.device.channel
-            body = _pattern(RING_CAPACITY)  # + header + frame head = capacity + 75
-            assert LEAD == HEADER_SIZE + PREFIX.size == 75
+            body = _pattern(RING_CAPACITY)  # + the lead = capacity + 66
+            assert LEAD == FRAME.size == 66
             c0.send_packet(_pkt(0, 1, 1, body))
             assert c0._backlog[1]
             got = []
@@ -384,9 +368,7 @@ class TestChannelOverRings:
         assert c0.recv_packets() == []
         assert dead == [1]
 
-    @pytest.mark.parametrize(
-        "garbage", [*BAD_PREFIXES.values(), _torn_frame()], ids=[*BAD_PREFIXES, "torn-payload"]
-    )
+    @pytest.mark.parametrize("garbage", BAD_LEADS.values(), ids=BAD_LEADS.keys())
     def test_each_frame_defect_is_its_sender_dead_on_the_next_poll(self, trio, garbage):
         c0, c1, _ = trio
         dead = []
@@ -394,6 +376,19 @@ class TestChannelOverRings:
         c1._tx[0].write(memoryview(garbage))
         assert c0.recv_packets() == []
         assert dead == [1] and c0._rx[1] is None
+
+    def test_an_unknown_packet_type_condemns_its_producer(self, trio, ring_threads):
+        """A frame of a type nobody sends is its producer's defect, as any
+        malformed frame is: at the channel the sender is dead, and in a
+        world a receive posted on it fails as on a dead peer, not with an
+        internal error on the rank that read it."""
+        c0, c1, _ = trio
+        c1._tx[0].write(memoryview(_frame(Packet(ptype=99, src=1, dst=0))))
+        assert c0.recv_packets() == []
+        assert c0.dead_ranks == {1}
+        frame = _frame(Packet(ptype=99, src=1, dst=0))
+        results = mpiexec(3, GarbageMain(frame), substrate=ring_threads, timeout=LAUNCH_TIMEOUT)
+        assert results == [b"rank-two", "corrupted", b"rank-nil"]
 
 
 def test_a_death_notice_follows_what_the_dead_rank_published():
@@ -414,15 +409,18 @@ def test_a_death_notice_follows_what_the_dead_rank_published():
 
 
 class GarbageMain:
-    """Rank 1 corrupts its ring to rank 0; rank 0's posted recv from it
-    fails typed, and rank 0 <-> rank 2 traffic carries on."""
+    """Rank 1 corrupts its ring to rank 0 with ``garbage``; rank 0's posted
+    recv from it fails typed, and rank 0 <-> rank 2 traffic carries on."""
+
+    def __init__(self, garbage: bytes = b"\xff" * 16) -> None:
+        self.garbage = garbage
 
     def __call__(self, ctx):
         eng = ctx.engine
         ctx.comm_world.errhandler = ERRORS_RETURN
         buf = BufferDesc.from_bytes(bytearray(8))
         if ctx.rank == 1:
-            eng.device.channel._tx[0].write(memoryview(b"\xff" * 16))
+            eng.device.channel._tx[0].write(memoryview(self.garbage))
             return "corrupted"
         if ctx.rank == 2:
             eng.send(BufferDesc.from_bytes(b"rank-two"), 0, TAG)
@@ -445,7 +443,7 @@ def test_garbage_on_a_ring_is_proc_failed_for_that_peer(ring_threads):
 
 class ExchangeMain:
     """Small and eager-threshold frames, back to back: 20 000 round trips
-    of 139-byte frames, then 200 of the largest eager frame, each written
+    of 130-byte frames, then 200 of the largest eager frame, each written
     whole into the peer's ring."""
 
     ROUNDS = ((20_000, 64), (200, CostModel().eager_threshold))
