@@ -117,7 +117,9 @@ def rows(pairs: dict, parent: dict, change: dict) -> dict:
     return out
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line, with ``pairs``' workloads taken on either side of
+    ``-n`` (argparse alone ends a ``nargs="*"`` positional at the option)."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     mp = sub.add_parser("pairs")
@@ -130,7 +132,16 @@ def main(argv=None) -> int:
     wp.add_argument("parent_suite", type=Path)
     wp.add_argument("change_suite", type=Path)
     wp.add_argument("--out", type=Path, default=ROOT / "BENCH_perf.json")
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        if args.cmd != "pairs" or any(a.startswith("-") for a in extra):
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.workloads += extra
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     if args.cmd == "pairs":
         names = [w["name"] for w in json.loads(MANIFEST.read_text())["workloads"]]
         measure_pairs(args.parent_checkout, args.pairs, args.n, args.workloads or names)

@@ -18,7 +18,6 @@ from typing import Any, Callable
 
 from repro.cluster.substrate import _RankThread, make_substrate, open_session
 from repro.mp.channels import FABRICS, FaultPlan
-from repro.mp.channels.base import ChannelStack
 from repro.mp.communicator import Communicator, Group
 from repro.mp.errors import MpiErrDeadlock, MpiErrTimeout
 from repro.mp.mpi import MpiEngine
@@ -170,7 +169,7 @@ class World:
         ``device._peer_failed`` turns a dead peer into ordinary
         ``MPI_ERR_PROC_FAILED`` completions for every waiter.
         """
-        base = ch.unwrap() if isinstance(ch, ChannelStack) else ch
+        base = getattr(ch, "inner", ch)  # under the fault wrapper
         if hasattr(base, "on_peer_dead"):
             base.on_peer_dead = eng.device._peer_failed
 

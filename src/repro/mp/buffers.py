@@ -8,13 +8,12 @@ and the transfer corrupts memory — the precise hazard the paper's pinning
 machinery exists to prevent (§2.3).  Nothing in this class re-resolves the
 address; that honesty is the point.
 
-:class:`WireView` is the data plane's ownership descriptor: a payload
-window (memoryview) plus the object it is leased from.  Packets carry
-WireViews instead of ``bytes`` so the eager and rendezvous paths hand the
-channel a window of the *latched* source buffer rather than a copy; the
-channel releases the lease once it has consumed the window (framed it, or
-copied it into its shared segment — the one write that models the wire
-crossing).
+A payload crosses a channel by value: a packet carries either an owned
+``bytes`` snapshot or a ``memoryview`` of the latched source buffer, and
+``send_packet`` consumes that view (frames it, or copies it into the
+queue — the one write that models the wire crossing) before it returns.
+Nothing counts the view; the request's ``in_flight`` predicate and the
+pinning policy are what keep the source buffer still meanwhile.
 """
 
 from __future__ import annotations
@@ -41,60 +40,6 @@ class NativeMemory:
 
     def tobytes(self) -> bytes:
         return bytes(self.mem)
-
-
-class WireView:
-    """A leased window of payload bytes with explicit ownership.
-
-    ``owner`` identifies where the bytes live:
-
-    * ``None`` — the view is *self-owned*: an immutable snapshot (bytes)
-      or memory nothing else will reuse.  Safe to hold indefinitely.
-    * a :class:`~repro.mp.request.Request` — the view windows the
-      request's latched source buffer.  The lease is counted on
-      ``req.wire_leases`` and must be released once the wire has
-      consumed the window; until then the sender must not recycle the
-      buffer (the same contract MPI places on an ``MPI_Isend`` buffer).
-    * any other object (e.g. a pooled :class:`NativeMemory`) — the view
-      windows that object's memory; releasing is bookkeeping only.
-
-    A WireView deliberately is *not* a buffer object (no ``__buffer__``
-    on this Python); consumers go through :attr:`mv` explicitly, which
-    keeps every materialization point visible and accountable.
-    """
-
-    __slots__ = ("mv", "owner", "released")
-
-    def __init__(self, mv, owner=None) -> None:
-        """Lease a window from ``owner``, counting it when possible."""
-        self.mv = mv if isinstance(mv, memoryview) else memoryview(mv)
-        self.owner = owner
-        self.released = False
-        if owner is not None:
-            try:
-                owner.wire_leases += 1
-            except AttributeError:
-                pass
-
-    def release(self) -> None:
-        """The wire is done with this window; return the lease."""
-        if self.released:
-            return
-        self.released = True
-        owner = self.owner
-        if owner is not None:
-            try:
-                owner.wire_leases -= 1
-            except AttributeError:
-                pass
-
-    def __len__(self) -> int:
-        return self.mv.nbytes
-
-    def __repr__(self) -> str:
-        own = type(self.owner).__name__ if self.owner is not None else "self"
-        state = "released" if self.released else "live"
-        return f"<WireView {self.mv.nbytes}B owner={own} {state}>"
 
 
 class BufferDesc:

@@ -43,7 +43,7 @@ leaves the registered descriptor stale, and the put lands there.
 
 from __future__ import annotations
 
-from repro.mp.buffers import NativeMemory, WireView
+from repro.mp.buffers import NativeMemory
 from repro.mp.channels.base import Channel
 from repro.mp.errors import MpiErrInternal
 from repro.mp.hooks import NULL_SPINE
@@ -75,6 +75,11 @@ from repro.mp.request import Request
 from repro.mp.status import Status
 from repro.simtime import Clock, CostModel
 
+#: packets one poll takes from the channel
+MAX_PACKETS_PER_POLL = 8
+#: rendezvous DATA chunks one poll streams, across every cleared send
+MAX_STREAM_PER_POLL = 4
+
 
 class CH3Device:
     """One rank's device instance."""
@@ -90,8 +95,6 @@ class CH3Device:
         costs: CostModel,
         eager_threshold: int | None = None,
         packet_size: int | None = None,
-        max_packets_per_poll: int = 8,
-        max_stream_per_poll: int = 4,
         reliable: bool = False,
         reliability_opts: dict | None = None,
     ) -> None:
@@ -103,8 +106,6 @@ class CH3Device:
             costs.eager_threshold if eager_threshold is None else eager_threshold
         )
         self.packet_size = costs.packet_size if packet_size is None else packet_size
-        self.max_packets_per_poll = max_packets_per_poll
-        self.max_stream_per_poll = max_stream_per_poll
 
         self.queues = MessageQueues()
         #: rendezvous sends in progress, by op_id (state lives on the request)
@@ -176,7 +177,7 @@ class CH3Device:
                 # the channel consumes (frames or segment-copies) the view
                 # synchronously inside _emit, so buffered-send completion
                 # below remains sound.
-                payload=WireView(req.buf.view(), req),
+                payload=req.buf.view(),
             )
             req.activate()
             req.bytes_moved = total
@@ -309,7 +310,7 @@ class CH3Device:
     def poll(self) -> int:
         """One progress step; returns the number of packets handled."""
         handled = 0
-        arrivals = self.channel.recv_packets(self.max_packets_per_poll)
+        arrivals = self.channel.recv_packets(MAX_PACKETS_PER_POLL)
         if self.rel is not None:
             arrivals = self.rel.inbound(arrivals, self._emit_raw)
         for pkt in arrivals:
@@ -583,17 +584,17 @@ class CH3Device:
 
     def _pump_streams(self) -> None:
         """Advance cleared rendezvous sends, a bounded number of chunks."""
-        budget = self.max_stream_per_poll
+        budget = MAX_STREAM_PER_POLL
         for op_id, req in list(self._rndv_sends.items()):
             if not req.cleared:
                 continue
             total = req.total
             while budget > 0 and req.cursor < total:
                 n = min(self.packet_size, total - req.cursor)
-                # Stream straight from the latched source buffer — a leased
-                # window, not a copy.  If the object moved, the window reads
-                # stale memory (the real hazard).
-                chunk = WireView(req.buf.read(req.cursor, n), req)
+                # Stream straight from the latched source buffer — a window,
+                # not a copy.  If the object moved, the window reads stale
+                # memory (the real hazard).
+                chunk = req.buf.read(req.cursor, n)
                 self._emit(
                     Packet(
                         ptype=DATA,

@@ -8,11 +8,11 @@ how Motor would move from Windows sockets to shared memory or InfiniBand
 
 :class:`Channel` is the abstract transport contract (enforced with
 :mod:`abc` so a port that forgets an entry point fails at construction,
-not mid-run).  :class:`ChannelStack` is the base for *stacking* layers —
-wrappers like fault injection that compose over any concrete channel and
-delegate the five functions to an ``inner`` endpoint.  Hook wiring
-(:func:`repro.mp.hooks.wire_engine`) walks the ``inner`` chain so every
-layer of a stack shares the rank's spine.
+not mid-run).  The one stacking layer,
+:class:`~repro.mp.channels.faulty.FaultyChannel`, composes over any
+concrete endpoint, which it holds as ``inner``; hook wiring
+(:func:`repro.mp.hooks.wire_engine`) walks ``inner`` so both share the
+rank's spine.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class Channel(abc.ABC):
     # one transfer (``rma_register(..., transient=True)``) and the sender
     # land the payload with a single ``rma_put``.  It is a separate query
     # because ``rma_caps()`` is the *window* contract (exactly the three
-    # one-sided ops) and the two answers differ under a stacking layer:
-    # windows reach through a ``ChannelStack``, message payloads do not.
+    # one-sided ops) and the two answers differ under the fault wrapper:
+    # windows reach through it, message payloads do not.
 
     def rma_caps(self) -> frozenset[str]:
         """The ops this transport can complete natively ("put", "get",
@@ -168,66 +168,6 @@ class Channel(abc.ABC):
         pkt.ts = drain + latency
         self.packets_sent += 1
         self.bytes_sent += nbytes
-
-
-class ChannelStack(Channel):
-    """Base for stacking layers that wrap a concrete channel endpoint.
-
-    A layer implements the packet plane itself (the fault injector, the
-    one layer there is, perturbs all of it); the window seam delegates to
-    ``inner`` by default.  ``init`` deliberately does not re-init the
-    inner endpoint — the inner fabric already did.
-    """
-
-    name = "stack"
-
-    def __init__(self, inner: Channel) -> None:
-        super().__init__(inner.rank, inner.clock, inner.costs)
-        self.inner = inner
-
-    def init(self, world_size: int) -> None:
-        self.world_size = world_size
-
-    def unwrap(self) -> Channel:
-        """The innermost concrete channel under this stack."""
-        ch = self.inner
-        while isinstance(ch, ChannelStack):
-            ch = ch.inner
-        return ch
-
-    # -- RMA delegation --------------------------------------------------------
-    # Stacking layers are transparent to the window seam: a fault wrapper
-    # over an RMA-capable channel keeps the native path (faults perturb
-    # the *packet* plane; the direct-memory plane models a different NIC
-    # engine).  A layer that wants to disable or perturb RMA overrides
-    # these.  ``rndv_caps`` is deliberately NOT delegated: a layer that
-    # owns the packet plane keeps message payloads on it.
-
-    def retire(self) -> None:
-        self.inner.retire()
-
-    def owes(self) -> bool:
-        return self.inner.owes()
-
-    def rma_caps(self) -> frozenset[str]:
-        return self.inner.rma_caps()
-
-    def rma_register(self, win_id: int, rank: int, desc, transient: bool = False) -> None:
-        self.inner.rma_register(win_id, rank, desc, transient)
-
-    def rma_deregister(self, win_id: int, rank: int) -> None:
-        self.inner.rma_deregister(win_id, rank)
-
-    def rma_put(self, win_id: int, target: int, offset: int, src_mv) -> bool:
-        return self.inner.rma_put(win_id, target, offset, src_mv)
-
-    def rma_get(self, win_id: int, target: int, offset: int, dst_mv) -> bool:
-        return self.inner.rma_get(win_id, target, offset, dst_mv)
-
-    def rma_accumulate(
-        self, win_id: int, target: int, offset: int, src_mv, dtype: str
-    ) -> bool:
-        return self.inner.rma_accumulate(win_id, target, offset, src_mv, dtype)
 
 
 class ChannelFabric:

@@ -21,12 +21,19 @@ corruption, and ack/retransmit with backoff recovers — or, when a rank
 is crashed via :meth:`FaultPlan.kill`, converts silence into
 ``MPI_ERR_PROC_FAILED``.
 
-The fault rule for large messages: a wire that drops, duplicates and
-corrupts is not a direct-memory fabric for the *data plane*.  The wrapper
-inherits ``rndv_caps() == {}`` (:class:`ChannelStack` does not delegate
-it), so under a plan a rendezvous payload still crosses the perturbed wire
-as sequenced, CRC-sealed DATA even over ``shm``/``ib``; one-sided *windows*
-keep the native path (the carve-out documented on ``ChannelStack``).
+The wrapper is the one stacking layer: it owns the packet plane and
+delegates the rest to the ``inner`` endpoint it wraps.  Faults perturb
+packets only, so one-sided *windows* keep the inner endpoint's native
+path (the direct-memory plane models a different NIC engine).  The data
+plane of large messages does not: a wire that drops, duplicates and
+corrupts is not a direct-memory fabric, so the wrapper keeps the default
+``rndv_caps() == {}`` and under a plan a rendezvous payload still crosses
+the perturbed wire as sequenced, CRC-sealed DATA even over ``shm``/``ib``.
+
+A payload that is a view of the sender's buffer must not outlive
+``send_packet``, so every fault that holds or rewrites a packet
+(duplicate, corrupt, reorder, delay) copies the payload first and counts
+the bytes in ``fault_stats["cow_bytes"]``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.mp.channels.base import Channel, ChannelFabric, ChannelStack
+from repro.mp.channels.base import Channel, ChannelFabric
 from repro.mp.packets import Packet
 from repro.simtime import Clock, CostModel
 
@@ -124,13 +131,17 @@ class _Held:
         self.polls_left = polls_left
 
 
-class FaultyChannel(ChannelStack):
-    """Stacking layer over any channel endpoint, injecting the plan's faults."""
+class FaultyChannel(Channel):
+    """Stacking layer over any channel endpoint, injecting the plan's faults.
+
+    ``init`` does not re-init ``inner``: the inner fabric already did.
+    """
 
     name = "faulty"
 
     def __init__(self, inner: Channel, plan: FaultPlan) -> None:
-        super().__init__(inner)
+        super().__init__(inner.rank, inner.clock, inner.costs)
+        self.inner = inner
         self.plan = plan
         self._rng: dict[int, random.Random] = {}
         self._link_index: dict[int, int] = {}
@@ -145,6 +156,9 @@ class FaultyChannel(ChannelStack):
 
     # -- the five functions --------------------------------------------------------
 
+    def init(self, world_size: int) -> None:
+        self.world_size = world_size
+
     def send_packet(self, pkt: Packet) -> bool:
         if self.plan.is_dead(self.rank):
             return True  # a crashed rank's sends vanish
@@ -158,7 +172,6 @@ class FaultyChannel(ChannelStack):
         if self.plan.is_dead(dst) or self.plan.is_partitioned(self.rank, dst):
             key = "to_dead" if self.plan.is_dead(dst) else "partitioned"
             self.fault_stats[key] += 1
-            pkt.release_payload()  # the packet vanishes; end its lease
             self._release_expired()
             return True  # the wire accepted it; it just never arrives
         if fault is not None:
@@ -168,25 +181,21 @@ class FaultyChannel(ChannelStack):
             if cbs:
                 for cb in cbs:
                     cb(dst, idx, fault, pkt.kind)
-        if fault == DROP:
-            pkt.release_payload()  # dropped on the floor; end the lease
-        elif fault == DUPLICATE:
-            # copy-on-write: the duplicate owns its payload bytes so it can
-            # outlive the original's lease on the sender's latched buffer
+        if fault == DUPLICATE:
+            # copy-on-write: the duplicate owns its payload bytes, so only
+            # the original aliases the sender's buffer
             dup = self._owned_clone(pkt)
             self._forward(pkt)
             self._forward(dup)
         elif fault == CORRUPT:
-            bad = self._corrupted(pkt, dst)
-            pkt.release_payload()  # only the corrupted copy travels
-            self._forward(bad)
+            self._forward(self._corrupted(pkt, dst))  # only the bad copy travels
         elif fault == REORDER:
             # released after `reorder_depth` later sends overtake it, or
             # after a poll budget if the sender goes quiet on this link
             self._hold(pkt, self.plan.reorder_depth, self.plan.delay_polls)
         elif fault == DELAY:
             self._hold(pkt, None, self.plan.delay_polls)
-        else:
+        elif fault != DROP:  # a dropped packet just never arrives
             self._forward(pkt)
         self._release_expired()
         return True
@@ -211,6 +220,34 @@ class FaultyChannel(ChannelStack):
         self._finalized = True
         self._held.clear()
         self.inner.finalize()
+
+    # -- delegated to the inner endpoint -------------------------------------------
+
+    def retire(self) -> None:
+        self.inner.retire()
+
+    def owes(self) -> bool:
+        return self.inner.owes()
+
+    def rma_caps(self) -> frozenset[str]:
+        return self.inner.rma_caps()
+
+    def rma_register(self, win_id: int, rank: int, desc, transient: bool = False) -> None:
+        self.inner.rma_register(win_id, rank, desc, transient)
+
+    def rma_deregister(self, win_id: int, rank: int) -> None:
+        self.inner.rma_deregister(win_id, rank)
+
+    def rma_put(self, win_id: int, target: int, offset: int, src_mv) -> bool:
+        return self.inner.rma_put(win_id, target, offset, src_mv)
+
+    def rma_get(self, win_id: int, target: int, offset: int, dst_mv) -> bool:
+        return self.inner.rma_get(win_id, target, offset, dst_mv)
+
+    def rma_accumulate(
+        self, win_id: int, target: int, offset: int, src_mv, dtype: str
+    ) -> bool:
+        return self.inner.rma_accumulate(win_id, target, offset, src_mv, dtype)
 
     # -- fault machinery -------------------------------------------------------------
 
@@ -264,7 +301,7 @@ class FaultyChannel(ChannelStack):
         dup = pkt.clone()
         if type(dup.payload) is not bytes:
             self.fault_stats["cow_bytes"] += len(dup.payload)
-            dup.payload = bytes(pkt.payload_mv())
+            dup.freeze_payload()
         return dup
 
     def _hold(self, pkt: Packet, sends_left: int | None, polls_left: int | None) -> None:

@@ -145,7 +145,7 @@ class MemChannel(Channel):
         self._stamp_and_charge(pkt, nbytes, link)
         # copy into the 'shared segment' — the wire crossing (on ib, the HCA
         # takes the bytes; registration above priced the right to read them
-        # in place); this also ends any lease on the sender's buffer
+        # in place); after it the sender's buffer is free again
         pkt.freeze_payload()
         self._queues[dst].append(pkt)
         return True

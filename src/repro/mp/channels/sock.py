@@ -18,11 +18,10 @@ and its payload::
     [u32 crc] [payload]
 
 The first three fields are what a reader checks before it waits for more.
-The frame write is the wire crossing, where any
-:class:`~repro.mp.buffers.WireView` lease ends: the header goes into the
-ring, then the payload straight from its view, published together, and
-only what does not fit is copied onto a per-destination backlog that
-every ``recv_packets`` pushes on.  Each inbound ring is drained by a
+The frame write is the wire crossing, after which the sender's buffer is
+free again: the header goes into the ring, then the payload straight from
+its view, published together, and only what does not fit is copied onto a
+per-destination backlog that every ``recv_packets`` pushes on.  Each inbound ring is drained by a
 per-peer :class:`RingReader`, which copies a whole payload out of the ring
 as one ``bytes`` — once in, once out, the ring being the eager buffer.
 
@@ -301,7 +300,6 @@ class SockChannel(Channel):
             if n < LEAD + size:  # the ring is full: the rest waits, copied
                 backlog += lead[n:]
                 backlog += payload[max(n - LEAD, 0):]
-        pkt.release_payload()  # the frame write is the wire crossing
         return True
 
     def recv_packets(self, limit: int | None = None) -> list[Packet]:

@@ -53,8 +53,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.mp.buffers import WireView
-
 EAGER = 1
 RTS = 2
 CTS = 3
@@ -120,8 +118,9 @@ class Packet:
     seq: int = -1  # per-link sequence number (-1: unsequenced)
     crc: int = 0  # CRC32 seal (0: unsealed)
     #: payload bytes — either an owned immutable snapshot (``bytes``) or a
-    #: :class:`WireView` leased from the sender's latched buffer
-    payload: bytes | WireView = b""
+    #: ``memoryview`` of the sender's latched buffer, which ``send_packet``
+    #: consumes before it returns
+    payload: bytes | memoryview = b""
 
     @property
     def kind(self) -> str:
@@ -132,28 +131,19 @@ class Packet:
     def payload_mv(self) -> memoryview:
         """The payload window, without materializing a copy."""
         p = self.payload
-        return p.mv if type(p) is WireView else memoryview(p)
+        return p if type(p) is memoryview else memoryview(p)
 
     def freeze_payload(self) -> bytes:
-        """Materialize the payload into owned bytes and drop any lease.
+        """Materialize the payload into owned bytes.
 
         Channels call this at the wire crossing (copy into the "shared
         segment", stash for retransmit); after it the packet can be held
         indefinitely without aliasing the sender's buffer.
         """
         p = self.payload
-        if type(p) is WireView:
-            self.payload = bytes(p.mv)
-            p.release()
-        elif type(p) is not bytes:
-            self.payload = bytes(p)
-        return self.payload
-
-    def release_payload(self) -> None:
-        """Return the payload lease (the wire consumed the window)."""
-        p = self.payload
-        if type(p) is WireView:
-            p.release()
+        if type(p) is not bytes:
+            self.payload = p = bytes(p)
+        return p
 
     # -- integrity (reliability sublayer) -------------------------------------
 
@@ -185,9 +175,9 @@ class Packet:
 
     def clone(self) -> "Packet":
         """A shallow copy.  The payload object is shared: for ``bytes``
-        that is free (immutable); for a :class:`WireView` both packets
-        alias the same live window, so whichever consumer needs the
-        content beyond the lease must :meth:`freeze_payload` first."""
+        that is free (immutable); for a ``memoryview`` both packets alias
+        the sender's buffer, so whichever consumer holds the content past
+        ``send_packet`` must :meth:`freeze_payload` first."""
         return Packet(
             ptype=self.ptype,
             src=self.src,

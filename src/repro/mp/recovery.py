@@ -32,8 +32,8 @@ agreement here assumes detection is eventually accurate (fault plans
 that partition links must heal them inside the budget, or accept that a
 partitioned rank is treated as dead — the classic fail-stop model).
 
-State crosses the wire through the same leased-``WireView`` data plane
-as every other payload, so checkpoint traffic shows up in the device's
+State crosses the wire by value, through the same data plane as every
+other payload, so checkpoint traffic shows up in the device's
 ``bytes_moved``/``bytes_copied`` ledger like any application byte.
 """
 

@@ -133,11 +133,10 @@ class ReliabilityLayer:
         pkt.seq = seq
         pkt.seal()  # CRC straight over the payload view, no copy
         # Stash a clone with an *owned* payload snapshot: fault injectors
-        # and channels may mutate the packet in flight, and a leased view
+        # and channels may mutate the packet in flight, and a payload view
         # may be recycled by the sender long before a retransmit fires.
         stash = pkt.clone()
-        if type(stash.payload) is not bytes:
-            stash.payload = bytes(stash.payload_mv())
+        stash.freeze_payload()
         self._unacked.setdefault(dst, {})[seq] = _Unacked(stash, self.polls)
         return pkt
 

@@ -71,7 +71,6 @@ class Request:
         "cleared",  # CTS received; streaming may proceed
         "wdst",     # world-rank destination (peer stays communicator-local)
         "hooks",    # the creating engine's spine; NULL_SPINE outside a wired stack
-        "wire_leases",  # live WireViews leased from this request's buffer
     )
 
     def __init__(
@@ -105,7 +104,6 @@ class Request:
         self.cleared = False
         self.wdst = -1
         self.hooks = NULL_SPINE if hooks is None else hooks
-        self.wire_leases = 0
 
     # -- state ---------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 
-from repro.mp.buffers import ACC_TYPECODES, BufferDesc, WireView, accumulate_into
+from repro.mp.buffers import ACC_TYPECODES, BufferDesc, accumulate_into
 from repro.mp.errors import MpiErrRma
 from repro.mp.packets import (
     ACC,
@@ -101,8 +101,6 @@ class Win:
             frozenset() if force_emulation else engine.device.channel.rma_caps()
         )
         self.freed = False
-        #: live WireViews leased from the window (GETRESP replies)
-        self.wire_leases = 0
 
         #: max causal floor of one-sided arrivals not yet consumed by a
         #: synchronization call (see :meth:`note_floor`)
@@ -309,7 +307,7 @@ class Win:
     ) -> None:
         """Lower a put/accumulate onto the Request state machine: stream
         chunk packets through the two-sided plane.  Channels consume the
-        leased views synchronously, so the request completes locally on
+        payload views synchronously, so the request completes locally on
         hand-off (remote completion is the epoch close's business)."""
         req = Request(
             SEND, src, wtarget, self.id, self.comm.context_id, total=n,
@@ -330,7 +328,7 @@ class Win:
                     op_id=req.op_id,
                     offset=t_off,
                     total=n,
-                    payload=WireView(src.read(s_off, size), req),
+                    payload=src.read(s_off, size),
                 )
             )
             req.cursor += size
@@ -578,7 +576,7 @@ class Win:
                     op_id=pkt.op_id,
                     offset=d_off,
                     total=pkt.total,
-                    payload=WireView(self.desc.read(t_off, size), self),
+                    payload=self.desc.read(t_off, size),
                 )
             )
 

@@ -65,8 +65,9 @@ class Baton:
 
     The baton also sees when no rank can ever run again.  A rank is
     *quiet* when it cedes from inside a wait having handled nothing and
-    charged nothing since it last ceded; any other cede (a compute loop's,
-    a ``test`` miss's, or one that follows work) clears the quiet set.
+    charged nothing since it last ceded, its awaited request still open;
+    any other cede (a compute loop's, a ``test`` miss's, one that follows
+    work, or one whose wait just ended) clears the quiet set.
     Once every seated rank is quiet and none holds anything in flight, no
     wait can end: given a ``deadlock`` error class, the baton raises it
     with a message naming each rank's wait — in the rank that found it,
@@ -144,7 +145,10 @@ class Baton:
     def _watch(self, seat: _Seat, work: int) -> None:
         """Track the quiet set; raise the verdict when it covers the world."""
         quiet = (work, seat.clock.charges)
-        if quiet != seat.quiet or seat.waiting() is None:
+        waiting = seat.waiting()
+        # a wait its last step ended (a peer's death completes the awaited
+        # request without handling a packet) is not quiet
+        if quiet != seat.quiet or waiting is None or getattr(waiting, "completed", False):
             seat.quiet = quiet
             self._quiet.clear()
             return

@@ -16,9 +16,8 @@ import time
 
 import pytest
 
-from repro.mp.buffers import WireView
 from repro.mp.channels import FABRICS, FaultPlan, FaultyFabric
-from repro.mp.channels.base import Channel, ChannelStack
+from repro.mp.channels.base import Channel
 from repro.mp.channels.sock import SockFabric, ring_mapping
 from repro.mp.packets import EAGER, Packet
 from repro.simtime import CostModel, WallClock
@@ -142,7 +141,7 @@ class TestContract:
 @pytest.mark.parametrize("impl", IMPLS)
 def test_limit_bounds_one_poll_across_sources(impl):
     """``limit`` caps a whole poll, not each source: the device's
-    ``max_packets_per_poll`` must mean the same on every fabric."""
+    ``MAX_PACKETS_PER_POLL`` must mean the same on every fabric."""
     fab = _fabric(impl, 3)
     c0, c1, c2 = (fab.endpoint(r, WallClock(), CostModel()) for r in range(3))
     try:
@@ -158,36 +157,23 @@ def test_limit_bounds_one_poll_across_sources(impl):
         fab.shutdown()
 
 
-class _Owner:
-    """Stand-in for a Request: anything carrying a lease counter."""
-
-    def __init__(self):
-        self.wire_leases = 0
-
-
-def _view_pkt(src_buf, owner, tag=0):
+def _view_pkt(src_buf, tag=0):
+    """A packet whose payload is a view of the sender's buffer."""
     return Packet(
         ptype=EAGER, src=0, dst=1, tag=tag, op_id=tag,
-        payload=WireView(memoryview(src_buf), owner),
+        payload=memoryview(src_buf),
     )
 
 
 class TestViewPayloads:
-    """Channels consume WireView payloads synchronously: send_packet is
-    the wire crossing, so the lease ends inside the call and later
-    mutation of the source buffer cannot reach the receiver."""
-
-    def test_lease_released_by_send(self, pair):
-        _, c0, _ = pair
-        src = bytearray(b"leased-bytes")
-        owner = _Owner()
-        assert c0.send_packet(_view_pkt(src, owner))
-        assert owner.wire_leases == 0
+    """Channels consume view payloads synchronously: send_packet is the
+    wire crossing, so later mutation of the source buffer cannot reach
+    the receiver."""
 
     def test_sender_mutation_after_send_is_invisible(self, pair):
         _, c0, c1 = pair
         src = bytearray(b"original")
-        assert c0.send_packet(_view_pkt(src, _Owner()))
+        assert c0.send_packet(_view_pkt(src))
         src[:] = b"mutated!"  # the wire already crossed
         got = _drain(c1, 1)
         assert bytes(got[0].payload_mv()) == b"original"
@@ -207,15 +193,14 @@ class TestFaultCopyOnWrite:
         plan = FaultPlan().force(0, 1, 0, "corrupt")
         fab, c0, c1 = self._faulty_pair(plan)
         src = bytearray(b"pristine-payload")
-        owner = _Owner()
-        assert c0.send_packet(_view_pkt(src, owner))
+        assert c0.send_packet(_view_pkt(src))
         assert src == b"pristine-payload"  # the bit flipped in a copy
-        assert owner.wire_leases == 0
         assert c0.fault_stats["cow_bytes"] == len(src)
+        src[:] = bytes(len(src))  # the sender reuses its buffer
         got = _drain(c1, 1)
         delivered = bytes(got[0].payload_mv())
-        assert delivered != bytes(src)
-        diff = [a ^ b for a, b in zip(delivered, src)]
+        assert delivered != b"pristine-payload"
+        diff = [a ^ b for a, b in zip(delivered, b"pristine-payload")]
         assert sum(bin(d).count("1") for d in diff) == 1  # exactly one bit
         fab.shutdown()
 
@@ -223,9 +208,7 @@ class TestFaultCopyOnWrite:
         plan = FaultPlan().force(0, 1, 0, "duplicate")
         fab, c0, c1 = self._faulty_pair(plan)
         src = bytearray(b"dup-me")
-        owner = _Owner()
-        assert c0.send_packet(_view_pkt(src, owner))
-        assert owner.wire_leases == 0
+        assert c0.send_packet(_view_pkt(src))
         assert c0.fault_stats["cow_bytes"] == len(src)
         src[:] = b"XXXXXX"
         got = _drain(c1, 2)
@@ -237,10 +220,8 @@ class TestFaultCopyOnWrite:
         plan.delay_polls = 2
         fab, c0, c1 = self._faulty_pair(plan)
         src = bytearray(b"held-payload")
-        owner = _Owner()
-        assert c0.send_packet(_view_pkt(src, owner))
-        assert owner.wire_leases == 0  # frozen when parked
-        assert c0.fault_stats["cow_bytes"] == len(src)
+        assert c0.send_packet(_view_pkt(src))
+        assert c0.fault_stats["cow_bytes"] == len(src)  # frozen when parked
         src[:] = b"recycled!!!!"  # sender reuses the buffer while held
         got = []
         for _ in range(8):
@@ -252,12 +233,19 @@ class TestFaultCopyOnWrite:
         fab.shutdown()
 
     def test_drop_releases_the_lease(self):
+        """A dropped send is done with the sender's buffer: reused at
+        once, it carries only its new bytes on the next send."""
         plan = FaultPlan().force(0, 1, 0, "drop")
-        fab, c0, _c1 = self._faulty_pair(plan)
-        owner = _Owner()
-        assert c0.send_packet(_view_pkt(bytearray(b"gone"), owner))
-        assert owner.wire_leases == 0
+        fab, c0, c1 = self._faulty_pair(plan)
+        src = bytearray(b"gone")
+        assert c0.send_packet(_view_pkt(src))
         assert c0.fault_stats["cow_bytes"] == 0  # dropping never copies
+        src[:] = b"next"
+        assert c0.send_packet(_view_pkt(src, tag=1))
+        src[:] = b"XXXX"
+        got = _drain(c1, 1)
+        assert [(p.tag, bytes(p.payload_mv())) for p in got] == [(1, b"next")]
+        assert c1.recv_packets() == []
         fab.shutdown()
 
 
@@ -285,9 +273,9 @@ class TestAbc:
     def test_stack_unwraps_to_concrete(self):
         fab = _fabric("faulty-shm")
         ch = fab.endpoint(0, WallClock(), CostModel())
-        assert isinstance(ch, ChannelStack)
-        inner = ch.unwrap()
-        assert not isinstance(inner, ChannelStack)
+        assert ch.name == "faulty"
+        inner = ch.inner
+        assert not hasattr(inner, "inner")
         assert inner.name == "shm"
         fab.shutdown()
 

@@ -438,6 +438,26 @@ def test_garbage_on_a_ring_is_proc_failed_for_that_peer(ring_threads):
     assert results == [b"rank-two", "corrupted", b"rank-nil"]
 
 
+def test_garbage_from_a_departed_peer_is_proc_failed_not_deadlock(ring_threads):
+    """Two ranks: rank 1 corrupts its ring and returns, so rank 0 is the
+    last seated rank when the death it reads completes its recv.  The
+    step that read it handled no packet, yet the wait is over: the
+    verdict is the peer's death, not a deadlock."""
+
+    def main(ctx):
+        eng = ctx.engine
+        ctx.comm_world.errhandler = ERRORS_RETURN
+        if ctx.rank == 1:
+            eng.device.channel._tx[0].write(memoryview(b"\xff" * 16))
+            return "corrupted"
+        with pytest.raises(MpiErrProcFailed):
+            eng.recv(BufferDesc.from_bytes(bytearray(8)), 1, TAG)
+        return "failed"
+
+    results = mpiexec(2, main, substrate=ring_threads, timeout=LAUNCH_TIMEOUT)
+    assert results == ["failed", "corrupted"]
+
+
 # -- real processes ------------------------------------------------------------------
 
 
