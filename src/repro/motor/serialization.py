@@ -14,25 +14,30 @@ Propagation follows the FieldDesc **Transportable bit** — never the slow
 metadata/reflection path.  Object arrays propagate their elements by
 default; plain reference fields propagate only when marked.  Here that
 reads: the first object of a type compiles a :class:`_Plan` (kind, sizes,
-per-field flag/offset/size), and every later object of the type is a
-straight loop over the plan with ``struct`` calls on the heap's bytes — no
-``MethodTable`` lookup, no ``FieldDesc`` property, no name.
+per-field structs and pickers), and every later object of the type is a
+few ``struct`` calls on the heap's bytes — its header, its references, its
+primitives, its record — with no ``MethodTable`` lookup, no ``FieldDesc``
+property, no name.
 
 **What is modelled and what is host cost.**  The virtual clock is charged
 per object, per primitive byte and per visited-record comparison at the
-2006 rates of :mod:`repro.simtime.costs` — one ``charge`` per object, per
-primitive field and per primitive array, in walk order, never batched
-(``0.9`` and ``2.2`` ns are not exact in binary, and async progress is
-driven by charges).  The paper's own performance note — "at the time of
-writing we employ a linear structure to record objects visited.  This
-causes excessive search times with large numbers of objects and will be
-improved when we implement an efficient structure" — is such a charge: the
+2006 rates of :mod:`repro.simtime.costs` — one charge per object, per
+primitive field and per primitive array, applied one at a time in walk
+order (``0.9`` and ``2.2`` ns are not exact in binary, so a sum of them
+depends on its order).  The walk owes them to a list and applies the list
+with one :meth:`~repro.simtime.clock.Clock.charge_all`, an exact fold: the
+same additions in the same order as one ``charge`` each, and under async
+progress the same ticks at the same modelled instants.  The paper's own
+performance note — "at the time of writing we employ a linear structure
+to record objects visited.  This causes excessive search times with large
+numbers of objects and will be improved when we implement an efficient
+structure" — is such a charge: the
 walk counts the comparisons a front-to-back scan of the visited record
 makes (``idx + 1`` on a hit, its length on a miss) and the probes a hashed
 one makes (one per lookup), and charges one of the two (Motor's
 degradation above ~2048 objects in Figure 10; ``hashed`` is the announced
-fix, ablation A4).  How the host *finds* an address in the record is not
-modelled: it is a dict.
+fix, ablation A4), after the fold.  How the host *finds* an address in
+the record is not modelled: it is a dict.
 
 The **split representation** (one independently-deserializable part per
 array element) enables the OScatter/OGather operations no standard
@@ -49,28 +54,29 @@ and nothing in a run can move until the allocator is entered again (a
 charge never collects: async progress steps skip the safepoint yield).  The
 record that does not fit is where object-by-object allocation would
 collect, so the objects landed so far are rooted in GC-updated handle
-slots, it is allocated through the runtime, and the addresses are read
-back.  Pass 2 allocates nothing, so it wires references between addresses
-read once, and calls the write barrier only for slots outside the nursery
-— the only ones it can record.
+slots, the charges owed so far are folded, it is allocated through the
+runtime, and the addresses are read back.  Pass 2 allocates nothing, so it
+wires references between addresses read once, and calls the write barrier
+only for slots outside the nursery — the only ones it can record; the rest
+of the charges fold at the end.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Iterable
 
 from repro.mp.buffers import BufferDesc
 from repro.mp.hooks import NULL_SPINE
 from repro.runtime.errors import ObjectModelViolation, TypeLoadError
 from repro.runtime.handles import ObjRef
-from repro.runtime.objectmodel import HDR_AUX, HDR_MT, HEADER
+from repro.runtime.objectmodel import HEADER
 from repro.runtime.typesys import (
     ARRAY_DATA_OFFSET,
     REF_SIZE,
     FieldDesc,
     MethodTable,
-    align8,
 )
 
 MAGIC = 0x4D534552  # "MSER"
@@ -219,23 +225,43 @@ class _Reader:
 # ---------------------------------------------------------------------------
 
 
+def _picker(indices) -> itemgetter:
+    """An ``itemgetter`` of ``indices`` that returns a tuple for any count."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0))
+
+
+def _spans(fields: list[FieldDesc], code: str = "") -> struct.Struct:
+    """One struct over an object's ``fields`` (ascending offsets): ``code``
+    per field (else its ``Ns`` bytes), the gaps as pad bytes."""
+    fmt, end = "<", 0
+    for fd in fields:
+        fmt += f"{fd.offset - end}x{code or f'{fd.size}s'}"
+        end = fd.offset + fd.size
+    return struct.Struct(fmt)
+
+
 class _Plan:
     """What transport needs of one MethodTable, decoded once.
 
-    A class's record is one ``struct`` (``q`` per reference id, ``Ns`` per
-    primitive, in layout order, no padding), so a field's place in the
-    record is its index in the packed tuple: ``refs`` holds ``(index, heap
-    offset)`` of the Transportable references (``ref_index`` and
-    ``ref_fields`` the same references' indices and FieldDescs), ``opaque``
-    the index of every other reference (always null on the wire, §4.2.2),
-    and ``prims`` ``(index, heap offset, size)``.  Reference fields are never
-    charged and primitive fields never visit, so walking the two in turn
-    charges and numbers exactly as walking the fields in layout order does.
-    An array's record is a length and ``elem_size``-wide elements.
+    A class's record is one ``struct``: its type-table index, then one
+    ``q`` per reference id and ``Ns`` per primitive, in layout order, no
+    padding; an index below is a place in it.  The walk reads an object's
+    Transportable references (``ref_reader``) and primitives
+    (``prim_reader``) with one ``struct`` call each and packs its record
+    with one more: ``arrange`` lays ``(*ids, *primitives, -1)`` out in
+    layout order, -1 standing for every other reference (always null on the
+    wire, §4.2.2).  The landing picks a record's two kinds of id with
+    ``ref_ids`` and ``opaque_ids``; ``refs`` is ``(index, heap offset)`` per
+    Transportable reference (its FieldDesc in ``ref_fields``), ``prims``
+    ``(index, heap offset, size)`` per primitive.  An array's record is a
+    length and ``elem_size``-wide elements.
     """
 
-    __slots__ = ("mt", "mt_id", "kind", "elem_size", "instance_size", "refs", "ref_index",
-                 "ref_fields", "ref_reader", "opaque", "prims", "record")
+    __slots__ = ("mt", "mt_id", "kind", "elem_size", "instance_size", "record", "ref_reader",
+                 "prim_reader", "arrange", "ref_ids", "opaque_ids", "ref_fields",
+                 "refs", "prims")
 
     def __init__(self, mt: MethodTable) -> None:
         self.mt, self.mt_id = mt, mt.mt_id
@@ -246,21 +272,21 @@ class _Plan:
             self.kind = _K_CLASS
             self.elem_size = 0
         self.instance_size = mt.instance_size
-        fields = list(enumerate(mt.fields))  # none on an array
-        refs = [(i, fd) for i, fd in fields if fd.is_ref and fd.is_transportable]
-        self.refs = tuple((i, fd.offset) for i, fd in refs)
-        self.ref_index = tuple(i for i, _ in refs)
-        self.ref_fields = tuple(fd for _, fd in refs)
-        # The serializer reads every Transportable reference of an object
-        # with one struct call (offsets ascend in layout order).
-        ends = [0] + [fd.offset + REF_SIZE for _, fd in refs]
-        gaps = (f"{fd.offset - end}xQ" for (_, fd), end in zip(refs, ends))
-        self.ref_reader = struct.Struct("<" + "".join(gaps))
-        self.opaque = tuple(i for i, fd in fields if fd.is_ref and not fd.is_transportable)
-        self.prims = tuple((i, fd.offset, fd.size) for i, fd in fields if not fd.is_ref)
+        fields = mt.fields  # none on an array
         self.record = struct.Struct(
-            "<" + "".join("q" if fd.is_ref else f"{fd.size}s" for _, fd in fields)
-        )
+            "<I" + "".join("q" if fd.is_ref else f"{fd.size}s" for fd in fields))
+        refs = [fd for fd in fields if fd.is_ref and fd.is_transportable]
+        prims = [fd for fd in fields if not fd.is_ref]
+        self.ref_reader = _spans(refs, "Q")
+        self.prim_reader = _spans(prims)
+        place = {fd: k for k, fd in enumerate(refs + prims)}
+        self.arrange = _picker([place.get(fd, len(place)) for fd in fields])
+        index = {fd: i for i, fd in enumerate(fields, 1)}
+        self.ref_ids = _picker([index[fd] for fd in refs])
+        self.opaque_ids = _picker([index[fd] for fd in fields if fd.is_ref and fd not in place])
+        self.ref_fields = tuple(refs)
+        self.refs = tuple((index[fd], fd.offset) for fd in refs)
+        self.prims = tuple((index[fd], fd.offset, fd.size) for fd in prims)
 
 
 class MotorSerializer:
@@ -320,81 +346,89 @@ class MotorSerializer:
     def _serialize_root(self, ref: ObjRef | None, out) -> None:
         rt = self.runtime
         heap, costs = rt.heap, rt.costs
-        mem = heap.mem
-        charge = rt.clock.charge
+        mem, mts = heap.mem, rt.registry.ids
         per_obj, per_byte = costs.motor_ser_per_obj_ns, costs.motor_ser_per_byte_ns
-        plans = self._plans
-        u32_from = _u32.unpack_from
+        header = HEADER.unpack_from
 
         # The visited record: ``queue`` is the objects in visit order (an
         # object's internal id is its place in it) and doubles as the work
         # queue; ``index`` finds an id without a scan, charged to nobody.
         index: dict[int, int] = {}
         queue: list[int] = []
+        setdefault = index.setdefault
         probes = comparisons = 0
-        type_refs: dict[int, int] = {}  # mt_id -> index in type table, in table order
+        # mt_id -> (plan, index in the type table, an object's charges), in table order
+        types: dict[int, tuple[_Plan, int, tuple]] = {}
+        owed: list[float] = []  # every object's charges, in walk order
         records = bytearray()
         if ref is not None and not ref.is_null:
             index[ref.addr] = 0
             queue.append(ref.addr)
             probes = 1  # a lookup in the empty record: no comparisons
-        for addr in queue:  # grows as the walk finds objects
-            charge(per_obj)
-            (mt_id,) = u32_from(mem, addr + HDR_MT)
-            plan = plans.get(mt_id) or self._plan(rt.om.method_table(addr))
-            tidx = type_refs.setdefault(mt_id, len(type_refs))
-            kind = plan.kind
-            if kind == _K_CLASS:
-                # Only Transportable references propagate; others are
-                # swapped to null (§4.2.2).
-                values: list = [-1] * len(plan.mt.fields)
-                children = zip(plan.ref_index, plan.ref_reader.unpack_from(mem, addr))
-            else:
-                (length,) = u32_from(mem, addr + HDR_AUX)
+        found = len(queue)
+        try:
+            for addr in queue:  # grows as the walk finds objects
+                mt_id, _flags, _size, length = header(mem, addr)
+                entry = types.get(mt_id)
+                if entry is None:
+                    plan = self._plan(mts[mt_id])
+                    charges = (per_obj, *[per_byte * size for _, _, size in plan.prims])
+                    entry = types[mt_id] = (plan, len(types), charges)
+                plan, tidx, charges = entry
+                kind = plan.kind
                 if kind == _K_PRIM_ARRAY:
                     nbytes = length * plan.elem_size
+                    owed += (per_obj, per_byte * nbytes)
                     records += _u32x2.pack(tidx, length)
-                    records += heap.view(addr + ARRAY_DATA_OFFSET, nbytes)
-                    charge(per_byte * nbytes)
+                    records += mem[addr + ARRAY_DATA_OFFSET : addr + ARRAY_DATA_OFFSET + nbytes]
                     continue
-                # Arrays are transported together with the array-entry
-                # objects they reference (paper §4.2.2).
-                values = [-1] * length
-                children = enumerate(
-                    struct.unpack_from(f"<{length}Q", mem, addr + ARRAY_DATA_OFFSET)
-                )
-            for i, child in children:
-                if child:
-                    # One lookup: a front-to-back scan compares idx + 1
-                    # entries on a hit and every entry on a miss.
-                    probes += 1
-                    idx = index.get(child)
-                    if idx is None:
-                        idx = index[child] = len(queue)
-                        queue.append(child)
-                        comparisons += idx
+                owed += charges
+                if kind == _K_CLASS:
+                    # Only Transportable references propagate; others are
+                    # swapped to null (§4.2.2).
+                    children = plan.ref_reader.unpack_from(mem, addr)
+                else:
+                    # Arrays are transported together with the array-entry
+                    # objects they reference (paper §4.2.2).
+                    children = struct.unpack_from(f"<{length}Q", mem, addr + ARRAY_DATA_OFFSET)
+                ids = []
+                for child in children:
+                    if child:
+                        # One lookup: a front-to-back scan compares idx + 1
+                        # entries on a hit and every entry on a miss.
+                        probes += 1
+                        idx = setdefault(child, found)
+                        if idx == found:
+                            queue.append(child)
+                            found += 1
+                            comparisons += idx
+                        else:
+                            comparisons += idx + 1
+                        ids.append(idx)
                     else:
-                        comparisons += idx + 1
-                    values[i] = idx
-            if kind == _K_CLASS:
-                for i, offset, size in plan.prims:
-                    values[i] = mem[addr + offset : addr + offset + size]
-                    charge(per_byte * size)
-                records += _u32.pack(tidx)
-                records += plan.record.pack(*values)
-            else:
-                records += struct.pack(f"<II{length}q", tidx, length, *values)
+                        ids.append(-1)
+                if kind != _K_CLASS:
+                    records += struct.pack(f"<II{length}q", tidx, length, *ids)
+                    continue
+                ids += plan.prim_reader.unpack_from(mem, addr)
+                ids.append(-1)
+                records += plan.record.pack(tidx, *plan.arrange(ids))
+        finally:
+            # The charges fold in walk order; a walk that raises still
+            # charges the objects before the one it failed on.
+            rt.clock.charge_all(owed)
         self.objects_serialized += len(queue)
 
+        # The visited record's charge comes last.
         if self.visited_kind == "linear":
-            charge(costs.visited_linear_cmp_ns * comparisons)
+            rt.clock.charge(costs.visited_linear_cmp_ns * comparisons)
         else:
-            charge(costs.visited_hash_probe_ns * probes)
+            rt.clock.charge(costs.visited_hash_probe_ns * probes)
 
         # Header + type table + object data.
-        out += struct.pack("<III", MAGIC, 0, len(type_refs))
-        for mt_id in type_refs:
-            self._write_type_entry(out, plans[mt_id].mt)
+        out += struct.pack("<III", MAGIC, 0, len(types))
+        for plan, _, _ in types.values():
+            self._write_type_entry(out, plan.mt)
         out += _u32.pack(len(queue))
         out += records
 
@@ -434,9 +468,9 @@ class MotorSerializer:
         """Decode and validate every record; allocates and charges nothing.
 
         One ``(plan, length, instance size, values)`` per record.  A class's
-        values are its unpacked record (reference ids, primitive bytes), a
-        reference array's its element ids, a primitive array's the
-        ``(position, nbytes)`` of its payload inside ``data``.
+        values are its unpacked record (type-table index, reference ids,
+        primitive bytes), a reference array's its element ids, a primitive
+        array's the ``(position, nbytes)`` of its payload inside ``data``.
         """
         rd = _Reader(data)
         if rd.u32() != MAGIC:
@@ -446,7 +480,7 @@ class MotorSerializer:
             plans = [self._plan(self._read_type_entry(rd)) for _ in range(rd.u32())]
         except TypeLoadError as e:
             raise SerializationError(f"type table: {e}") from None
-        nrecords = rd.u32()
+        nrecords, ntypes = rd.u32(), len(plans)
         pos, end = rd.pos, len(data)
         u32_from = _u32.unpack_from
         scanned = []
@@ -457,19 +491,19 @@ class MotorSerializer:
         try:
             for _ in range(nrecords):
                 (tidx,) = u32_from(data, pos)
-                if tidx >= len(plans):
+                if tidx >= ntypes:
                     raise SerializationError(
                         f"record {len(scanned)}: type index {tidx} outside the "
-                        f"{len(plans)}-entry type table"
+                        f"{ntypes}-entry type table"
                     )
                 plan = plans[tidx]
                 kind = plan.kind
                 if kind == _K_CLASS:
-                    values = plan.record.unpack_from(data, pos + 4)
-                    pos += 4 + plan.record.size
-                    ids += [values[i] for i in plan.ref_index]
+                    values = plan.record.unpack_from(data, pos)
+                    pos += plan.record.size
+                    ids += plan.ref_ids(values)
                     fields += plan.ref_fields
-                    nulls += [values[i] for i in plan.opaque]
+                    nulls += plan.opaque_ids(values)
                     scanned.append((plan, 0, plan.instance_size, values))
                     continue
                 (length,) = u32_from(data, pos + 4)
@@ -483,7 +517,8 @@ class MotorSerializer:
                 else:
                     values = (pos, nbytes)
                 pos += nbytes
-                scanned.append((plan, length, align8(ARRAY_DATA_OFFSET + nbytes), values))
+                size = (ARRAY_DATA_OFFSET + nbytes + 7) & ~7  # align8, inline
+                scanned.append((plan, length, size, values))
         except struct.error:
             raise SerializationError("truncated representation") from None
         if pos != end:
@@ -514,14 +549,17 @@ class MotorSerializer:
             return None
         heap, handles, costs = rt.heap, rt.handles, rt.costs
         mem = heap.mem
-        charge = rt.clock.charge
+        charge_all = rt.clock.charge_all
         self.objects_deserialized += len(scanned)
 
         # Pass 1: land the objects in nursery runs (see the module
         # docstring).  ``addrs`` holds every landed object's address;
         # ``slots`` roots ``addrs[:len(slots)]`` across the collections.
+        # The charges are owed in order and fold before the allocation that
+        # may collect, and at the end.
         addrs: list[int] = []
         slots: list[int] = []
+        owed: list[float] = []
         try:
             per_obj, alloc_ns = costs.motor_deser_per_obj_ns, costs.alloc_ns
             header, root, n, j = HEADER.pack_into, handles.alloc, len(scanned), 0
@@ -535,9 +573,8 @@ class MotorSerializer:
                     room -= scanned[k][2]
                     k += 1
                 addr = heap.alloc_gen0_run(free - room, k - j)
+                owed += (per_obj, alloc_ns) * (k - j)
                 for plan, length, size, _ in scanned[j:k]:
-                    charge(per_obj)
-                    charge(alloc_ns)
                     header(mem, addr, plan.mt_id, 0, size, length)
                     addrs.append(addr)
                     addr += size
@@ -545,7 +582,9 @@ class MotorSerializer:
                     break
                 # Record k is where allocating object by object collects.
                 plan, length, size, _ = scanned[k]
-                charge(per_obj)
+                owed.append(per_obj)
+                batch, owed = owed, []  # the finally folds only what is left
+                charge_all(batch)
                 slots += [root(a) for a in addrs[len(slots):]]
                 slots.append(root(rt.alloc_object(plan.mt, size, length)))
                 addrs = [handles.get(slot) for slot in slots]
@@ -553,28 +592,28 @@ class MotorSerializer:
 
             # Pass 2: fill payloads and wire references.  Nothing from here
             # to the last store allocates or polls a safepoint, so the
-            # addresses are read once.  The barrier records only a slot
-            # outside the nursery, so a young object skips it.
+            # addresses are read once; id -1 reads the 0 appended to them.
+            # The barrier records only a slot outside the nursery, so a
+            # young object skips it.
             per_byte = costs.motor_ser_per_byte_ns
             record_write = rt.gc.record_write
             young = range(heap.nursery.base, heap.nursery.end)
             u64_into = _u64.pack_into
+            addrs.append(0)
             for (plan, length, _, values), addr in zip(scanned, addrs):
                 kind = plan.kind
                 if kind == _K_CLASS:
                     for i, offset in plan.refs:
-                        rid = values[i]
-                        if rid < 0:
-                            continue  # null: the instance was zeroed
-                        target = addrs[rid]
-                        u64_into(mem, addr + offset, target)
-                        if addr not in young:
-                            record_write(addr + offset, target)
+                        target = addrs[values[i]]
+                        if target:  # else null: the instance was zeroed
+                            u64_into(mem, addr + offset, target)
+                            if addr not in young:
+                                record_write(addr + offset, target)
                     for i, offset, size in plan.prims:
                         mem[addr + offset : addr + offset + size] = values[i]
                 elif kind == _K_REF_ARRAY:
                     base = addr + ARRAY_DATA_OFFSET
-                    targets = [addrs[rid] if rid >= 0 else 0 for rid in values]
+                    targets = [addrs[rid] for rid in values]
                     struct.pack_into(f"<{length}Q", mem, base, *targets)
                     if addr not in young:
                         for i, target in enumerate(targets):
@@ -584,9 +623,10 @@ class MotorSerializer:
                     pos, nbytes = values
                     base = addr + ARRAY_DATA_OFFSET
                     mem[base : base + nbytes] = data[pos : pos + nbytes]
-                    charge(per_byte * nbytes)
+                    owed.append(per_byte * nbytes)
             return rt.make_ref(addrs[0])
         finally:
+            charge_all(owed)
             for slot in reversed(slots):
                 handles.free(slot)
 

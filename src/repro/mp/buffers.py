@@ -85,24 +85,23 @@ class BufferDesc:
         return self.nbytes
 
 
-#: :mod:`array` typecodes for the window element types RMA accumulate
-#: understands (names follow the System.MP datatype surface)
+#: element types RMA accumulate understands, as ``numpy`` typecodes (names
+#: follow the System.MP datatype surface)
 ACC_TYPECODES = {"byte": "b", "int32": "i", "int64": "q", "double": "d"}
 
 
 def accumulate_into(dst_mv, src_mv, dtype: str) -> None:
-    """Element-wise sum ``src`` into ``dst`` — the RMA accumulate
+    """Element-wise sum ``src`` into ``dst`` in place — the RMA accumulate
     reduction, shared by the native channel fast paths and the CH3
-    emulation landing."""
-    import array
+    emulation landing.  An integer sum wraps modulo the element width, as
+    a compiled C reduction does on two's-complement hardware."""
+    import numpy
 
     code = ACC_TYPECODES.get(dtype)
     if code is None:
         raise ValueError(f"accumulate: unsupported dtype {dtype!r}")
-    dst = array.array(code, bytes(dst_mv))
-    src = array.array(code, bytes(src_mv))
+    dst = numpy.frombuffer(dst_mv, code)
+    src = numpy.frombuffer(src_mv, code)
     if len(dst) != len(src):
         raise ValueError("accumulate: element count mismatch")
-    for i, v in enumerate(src):
-        dst[i] += v
-    dst_mv[:] = memoryview(dst).cast("B")
+    numpy.add(dst, src, out=dst)

@@ -62,6 +62,22 @@ IDLE_MASK = 0x3F
 MAX_CATCHUP = 8
 
 
+class _Until:
+    """A condition wait as the baton sees it: over while ``done()`` holds."""
+
+    __slots__ = ("done", "what")
+
+    def __init__(self, done: Callable[[], bool], what: str) -> None:
+        self.done, self.what = done, what
+
+    @property
+    def completed(self) -> bool:
+        return self.done()
+
+    def describe(self) -> str:
+        return self.what
+
+
 class ProgressEngine:
     """Drives one rank's device until requests complete."""
 
@@ -95,10 +111,11 @@ class ProgressEngine:
         #: rank as one of its threads installs its scheduler's hand-off
         #: here; None — nobody schedules this rank — is the OS yield
         self.hand_off: Callable[[], None] | None = None
-        #: what :meth:`drive` is blocked on — its request, else the
-        #: description of its condition; None outside a wait.  The baton
-        #: reads it to tell a blocked rank from a spinning one
-        self.waiting: Request | str | None = None
+        #: what :meth:`drive` is blocked on — its request or its condition,
+        #: each with ``completed`` and ``describe()``; None outside a wait.
+        #: The baton reads it to tell a blocked rank from a spinning one,
+        #: and a wait that has ended from one that has not
+        self.waiting: Request | _Until | None = None
         #: consecutive idle polls of the current wait
         self._idle_run = 0
 
@@ -277,13 +294,16 @@ class ProgressEngine:
         (heartbeats, retransmits) must not defeat the bound.  Under the
         inproc baton a wait that can never end raises
         :class:`~repro.mp.errors.MpiErrDeadlock` naming ``req`` (else
-        ``what``) at once.
+        ``what``) at once.  The baton asks ``done()`` too, of a rank that
+        looks quiet, and the loop asks it again after the cede: a condition
+        that holds must keep holding when asked again.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         self._idle_run = 0
-        outer, self.waiting = self.waiting, what if req is None else req
+        wait = req if done is None else _Until(done, what)
+        outer, self.waiting = self.waiting, wait
         try:
-            while not (req.completed if done is None else done()):
+            while not wait.completed:
                 self.idle()
                 if deadline is not None and time.monotonic() > deadline:
                     raise MpiErrTimeout(f"{what} after {timeout}s")

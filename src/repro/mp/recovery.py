@@ -365,8 +365,8 @@ class RecoveryManager:
                 return True
             if not rreq.completed:
                 return False
-            if rreq.status.error == PROC_FAILED:
-                return True
+            if rreq.status.error == PROC_FAILED or rreq.status.cancelled:
+                return True  # asked again after the cancel above: still over
             rseq, bits, folded = struct.unpack(_AGREE_FMT, buf.tobytes())
             if rseq != seq:
                 expect()  # stale result from an earlier sequence; keep waiting

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 
-from repro.mp.buffers import ACC_TYPECODES, BufferDesc, accumulate_into
+from repro.mp.buffers import BufferDesc, accumulate_into
 from repro.mp.errors import MpiErrRma
 from repro.mp.packets import (
     ACC,

@@ -23,6 +23,7 @@ Reproduces the collector the paper builds on (§5.2) plus Motor's extension
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -31,8 +32,13 @@ from repro.mp.hooks import NULL_SPINE
 from repro.runtime.errors import GcInvariantError
 from repro.runtime.handles import HandleTable, ObjRef
 from repro.runtime.heap import GEN0, GEN1, ManagedHeap
-from repro.runtime.objectmodel import ObjectModel
+from repro.runtime.objectmodel import FLAG_FORWARDED, HDR_FLAGS, HEADER, ObjectModel
 from repro.simtime import Clock, CostModel
+
+
+_U64 = struct.Struct("<Q")
+#: a moved object's flags word and the new address over its size and aux words
+_FORWARD = struct.Struct("<IQ")
 
 
 @dataclass
@@ -203,9 +209,7 @@ class GenGC:
     def _resolve_pins(self) -> set[int]:
         """Evaluate conditional pins (Motor's mark-phase check) and return
         the set of currently pinned addresses."""
-        pinned = set()
-        for cookie in self._pins.values():
-            pinned.add(self.handles.get(cookie.slot))
+        pinned = self.pinned_addresses()
         kept: list[ConditionalPin] = []
         for cp in self._conditional:
             self.clock.charge(self.costs.gc_mark_pin_check_ns)
@@ -231,56 +235,71 @@ class GenGC:
 
     def _collect_gen0(self) -> None:
         heap, om = self.heap, self.om
-        self.stats.gen0_collections += 1
-        pinned = {a for a in self._resolve_pins() if heap.in_gen0(a)}
+        mem, stats = heap.mem, self.stats
+        stats.gen0_collections += 1
+        nursery = range(heap.nursery.base, heap.nursery.end)  # 0 is never in it
+        pinned = {a for a in self._resolve_pins() if a in nursery}
+        header, alloc, mts = HEADER.unpack_from, heap.alloc_gen1, om.registry.ids
+        sizes: list[int] = []  # the promoted objects' sizes, in forward order
 
-        scan_q: deque[int] = deque()
+        scan_q: deque[int] = deque()  # survivors that hold references
         kept_pinned: set[int] = set()
 
         def forward(target: int) -> int:
-            if target == 0 or not heap.in_gen0(target):
-                return target
-            if om.is_forwarded(target):
-                return om.forwarding_target(target)
+            mt_id, flags, size, aux = header(mem, target)
+            if flags & FLAG_FORWARDED:
+                return size | aux << 32  # the new address overwrote size and aux
             if target in pinned:
-                if target not in kept_pinned:
-                    kept_pinned.add(target)
-                    scan_q.append(target)
-                return target
-            size = om.object_size(target)
-            new = heap.alloc_gen1(size)
-            heap.mem[new : new + size] = heap.mem[target : target + size]
-            om.set_forwarding(target, new)
-            self.stats.objects_promoted += 1
-            self.stats.bytes_promoted += size
-            self.clock.charge(self.costs.copy_per_byte_ns * size)
-            scan_q.append(new)
+                if target in kept_pinned:
+                    return target
+                kept_pinned.add(target)
+                new = target
+            else:
+                new = alloc(size)
+                mem[new : new + size] = mem[target : target + size]
+                _FORWARD.pack_into(mem, target + HDR_FLAGS, FLAG_FORWARDED, new)
+                sizes.append(size)
+            if mts[mt_id].has_references:
+                scan_q.append(new)
             return new
 
-        # Roots: every live handle slot (user ObjRefs, pins, conditional
-        # pins all live in the handle table) ...
-        for slot in self.handles.live_slots():
-            self.handles.set(slot, forward(self.handles.get(slot)))
-        # ... plus elder-generation slots recorded by the write barrier.
-        for loc in self._remembered:
-            heap.write_u64(loc, forward(heap.read_u64(loc)))
-        self._remembered.clear()
+        try:
+            # Roots: every live handle slot (user ObjRefs, pins, conditional
+            # pins all live in the handle table) ...
+            handles = self.handles
+            for slot in handles.live_slots():
+                target = handles.get(slot)
+                if target in nursery:
+                    handles.set(slot, forward(target))
+            # ... plus elder-generation slots recorded by the write barrier.
+            for loc in self._remembered:
+                (target,) = _U64.unpack_from(mem, loc)
+                if target in nursery:
+                    _U64.pack_into(mem, loc, forward(target))
+            self._remembered.clear()
 
-        # Transitive scan (Cheney-style): fix references inside everything
-        # that survived, chasing newly discovered nursery objects.
-        while scan_q:
-            addr = scan_q.popleft()
-            for slot_addr in om.ref_slots(addr):
-                heap.write_u64(slot_addr, forward(heap.read_u64(slot_addr)))
+            # Transitive scan (Cheney-style): fix references inside everything
+            # that survived, chasing newly discovered nursery objects.
+            while scan_q:
+                for loc in om.ref_slots(scan_q.popleft()):
+                    (target,) = _U64.unpack_from(mem, loc)
+                    if target in nursery:
+                        _U64.pack_into(mem, loc, forward(target))
 
-        if kept_pinned:
-            # SSCLI pinned-collection path: the nursery block itself is
-            # promoted; pinned objects keep their addresses.
-            self.stats.pinned_collections += 1
-            live = [(a, om.object_size(a)) for a in kept_pinned]
-            heap.promote_nursery_block(live)
-        else:
-            heap.reset_nursery()
+            if kept_pinned:
+                # SSCLI pinned-collection path: the nursery block itself is
+                # promoted; pinned objects keep their addresses.
+                stats.pinned_collections += 1
+                live = [(a, om.object_size(a)) for a in kept_pinned]
+                heap.promote_nursery_block(live)
+            else:
+                heap.reset_nursery()
+        finally:
+            # the copies' charges, in forward order, once the heap is whole
+            stats.objects_promoted += len(sizes)
+            stats.bytes_promoted += sum(sizes)
+            per_byte = self.costs.copy_per_byte_ns
+            self.clock.charge_all([per_byte * size for size in sizes])
 
     # -- gen1: mark-sweep, no compaction ----------------------------------------
 

@@ -35,7 +35,6 @@ FLAG_FORWARDED = 1 << 0
 
 HDR_MT = 0
 HDR_FLAGS = 4
-HDR_SIZE = 8
 HDR_AUX = 12
 
 HEADER = struct.Struct("<IIII")  # mt_id, flags, size, aux: the four words in order
@@ -60,17 +59,6 @@ class ObjectModel:
 
     def object_size(self, addr: int) -> int:
         return HEADER.unpack_from(self.heap.mem, addr)[2]
-
-    def is_forwarded(self, addr: int) -> bool:
-        return bool(self.heap.read_u32(addr + HDR_FLAGS) & FLAG_FORWARDED)
-
-    def set_forwarding(self, addr: int, new_addr: int) -> None:
-        """Mark a moved object; the new address overwrites the size word."""
-        self.heap.write_u32(addr + HDR_FLAGS, FLAG_FORWARDED)
-        self.heap.write_u64(addr + HDR_SIZE, new_addr)
-
-    def forwarding_target(self, addr: int) -> int:
-        return self.heap.read_u64(addr + HDR_SIZE)
 
     # -- sizing ---------------------------------------------------------------
 
@@ -184,11 +172,11 @@ class ObjectModel:
 
     def ref_slots(self, addr: int) -> list[int]:
         """Absolute addresses of every reference slot inside the object."""
-        mt = self.method_table(addr)
-        if mt.is_array:
-            if not mt.element_is_ref:
-                return []
-            length = self.array_length(addr)
-            base = addr + ARRAY_DATA_OFFSET
-            return [base + i * REF_SIZE for i in range(length)]
-        return [addr + fd.offset for fd in mt.fields if fd.is_ref]
+        mt_id, _flags, _size, length = HEADER.unpack_from(self.heap.mem, addr)
+        mt = self.registry.ids[mt_id]
+        if not mt.is_array:
+            return [addr + offset for offset in mt.ref_offsets]
+        if not mt.element_is_ref:
+            return []
+        base = addr + ARRAY_DATA_OFFSET
+        return list(range(base, base + length * REF_SIZE, REF_SIZE))

@@ -108,6 +108,7 @@ class MethodTable:
         "is_array",
         "element_type",
         "has_references",
+        "ref_offsets",
         "transportable_class",
         "methods",
     )
@@ -130,6 +131,8 @@ class MethodTable:
         self.is_array = is_array
         self.element_type = element_type
         self.has_references = False
+        #: every reference field's offset, in layout order (none on an array)
+        self.ref_offsets: tuple[int, ...] = ()
         self.transportable_class = transportable_class
         self.methods: dict[str, object] = {}
 
@@ -142,7 +145,6 @@ class MethodTable:
             for fd in self.base.fields:
                 self.fields.append(fd)
                 self.fields_by_name[fd.name] = fd
-            self.has_references = self.base.has_references
         for spec in specs:
             ftype = registry.resolve(spec.type_name)
             flags = 0
@@ -164,8 +166,8 @@ class MethodTable:
             self.fields.append(fd)
             self.fields_by_name[spec.name] = fd
             offset += size
-            if fd.is_ref:
-                self.has_references = True
+        self.ref_offsets = tuple(fd.offset for fd in self.fields if fd.is_ref)
+        self.has_references = bool(self.ref_offsets)
         self.instance_size = align8(offset)
 
     # -- queries ---------------------------------------------------------------

@@ -20,6 +20,8 @@ simulation and not of the operating system's run queue.
 from __future__ import annotations
 
 import time
+from functools import reduce
+from operator import add
 
 
 class Clock:
@@ -61,6 +63,11 @@ class Clock:
         """Account ``ns`` nanoseconds of simulated work."""
         raise NotImplementedError
 
+    def charge_all(self, seq: list[float]) -> None:
+        """Account every charge of ``seq``, in order, as that many
+        :meth:`charge` calls would."""
+        raise NotImplementedError
+
     def merge(self, ts_ns: float) -> None:
         """Synchronise with a causally-preceding event (message receive)."""
         raise NotImplementedError
@@ -78,6 +85,9 @@ class WallClock(Clock):
         return float(time.perf_counter_ns())
 
     def charge(self, ns: float) -> None:  # noqa: ARG002 - interface parity
+        return None
+
+    def charge_all(self, seq: list[float]) -> None:  # noqa: ARG002
         return None
 
     def merge(self, ts_ns: float) -> None:  # noqa: ARG002
@@ -118,6 +128,20 @@ class VirtualClock(Clock):
         t = self.tick
         if t is not None:
             t()
+
+    def charge_all(self, seq: list[float]) -> None:
+        """The exact fold of ``seq``: the same IEEE additions in the same
+        order, ``charges`` up by ``len(seq)``, and a negative element refused
+        before anything changes.  With a tick installed each element is
+        charged alone, so the tick fires at the same modelled instants."""
+        if seq and min(seq) < 0:
+            raise ValueError(f"negative charge: {min(seq)}")
+        if self.tick is not None:
+            for ns in seq:
+                self.charge(ns)
+            return
+        self._now_ns = reduce(add, seq, self._now_ns)
+        self.charges += len(seq)
 
     def merge(self, ts_ns: float) -> None:
         if self.defer_merges:

@@ -26,8 +26,8 @@ class _Seat:
         self.clock = clock
         #: count of what the rank has handled so far (its progress engine's)
         self.work = work
-        #: the wait the rank is blocked in (a request, or a description of
-        #: the condition), None outside one
+        #: the wait the rank is blocked in (anything with ``completed`` and
+        #: ``describe()``: a request, or a condition), None outside one
         self.waiting = waiting
         #: True while the rank holds something another rank will receive
         self.in_flight = in_flight
@@ -147,8 +147,9 @@ class Baton:
         quiet = (work, seat.clock.charges)
         waiting = seat.waiting()
         # a wait its last step ended (a peer's death completes the awaited
-        # request without handling a packet) is not quiet
-        if quiet != seat.quiet or waiting is None or getattr(waiting, "completed", False):
+        # request, or makes the awaited condition hold, without handling a
+        # packet) is not quiet
+        if quiet != seat.quiet or waiting is None or waiting.completed:
             seat.quiet = quiet
             self._quiet.clear()
             return
@@ -159,7 +160,7 @@ class Baton:
         waits = []
         for rank in sorted(self._seats):
             w = self._seats[rank].waiting()
-            waits.append(f"rank {rank} [{w if isinstance(w, str) else w.describe()}]")
+            waits.append(f"rank {rank} [{w.describe()}]")
         self._verdict = f"deadlock across {len(waits)} rank(s): {', '.join(waits)}"
         raise self.deadlock(self._verdict)
 

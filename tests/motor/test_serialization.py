@@ -294,6 +294,10 @@ class _Recording(VirtualClock):
         self.log.append(ns)
         super().charge(ns)
 
+    def charge_all(self, seq: list[float]) -> None:
+        self.log += seq
+        super().charge_all(seq)
+
 
 def _tiny_graph_charges(visited: str) -> tuple[ManagedRuntime, list[float]]:
     """The charges of serializing n1 -> {arr, n2}, n2 -> {arr, n1}.

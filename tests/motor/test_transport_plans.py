@@ -14,6 +14,7 @@ Two things are pinned here against the commit before the plans existed:
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 
@@ -133,9 +134,12 @@ def test_landing_under_collection():
     handles = len(b.handles)
     root = MotorSerializer(b).deserialize(data)
     # Captured at the parent commit (ddb23b5): the same statements, printing
-    # b.gc.stats.gen0_collections, .bytes_promoted, .objects_promoted.
+    # b.gc.stats.gen0_collections, .bytes_promoted, .objects_promoted; the
+    # clock's (charges, now) at b149504, the last commit that charged one
+    # call per object and per promotion.
     stats = b.gc.stats
     assert (stats.gen0_collections, stats.bytes_promoted, stats.objects_promoted) == (2, 131072, 4096)
+    assert (b.clock.charges, b.clock.now()) == (19096, 5179935.999999441)
     assert len(b.handles) == handles + 1  # the root, nothing else
     verify_linked_list(b, root, elements=3000, total_bytes=16000)
 
@@ -155,3 +159,53 @@ def test_failed_landing_leaks_no_handle():
         MotorSerializer(b).deserialize(data)
     assert b.gc.stats.gen0_collections > 1
     assert len(b.handles) == handles
+
+
+# -- the host budget ---------------------------------------------------------------
+
+#: clock methods one serialize or one deserialize of the Figure 10 list may
+#: enter: the walk and the landing fold their charges, in order, in one
+#: ``charge_all`` (769 and 1280 ``charge`` calls each at b149504)
+CLOCK_CALLS = 3
+
+#: (charges, modelled ns) of that serialize, then of that deserialize, and
+#: the representation's SHA-1, captured at b149504 with the statements below
+WARM_MODEL = (769, 608921.5999999761, 1280, 438886.39999997616)
+WARM_SHA1 = "e3c4bc57748969091624df1f929fe0ef682b4677"
+
+
+def _clock_calls(call, *args) -> tuple[object, int]:
+    """``call(*args)``, and how many Python frames it entered in the clock."""
+    n = 0
+
+    def count(frame, event, arg):
+        nonlocal n
+        if event == "call" and frame.f_code.co_filename.endswith("clock.py"):
+            n += 1
+
+    old = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        return call(*args), n
+    finally:
+        sys.setprofile(old)
+
+
+def test_the_object_path_folds_its_charges():
+    """A warm runtime (plans compiled) serializes and lands the Figure 10
+    list (256 elements, 4096 B) with a handful of clock calls, for exactly
+    the modelled cost and bytes one charge per object gave."""
+    rt = _runtime()
+    head = _list256(rt)
+    ser = MotorSerializer(rt)
+    ser.deserialize(bytes(ser.serialize(head)))
+    clock = rt.clock
+    c0, t0 = clock.charges, clock.now()
+    data, sent = _clock_calls(lambda: bytes(ser.serialize(head)))
+    c1, t1 = clock.charges, clock.now()
+    root, landed = _clock_calls(ser.deserialize, data)
+    c2, t2 = clock.charges, clock.now()
+    assert sent <= CLOCK_CALLS and landed <= CLOCK_CALLS, (sent, landed)
+    assert (c1 - c0, t1 - t0, c2 - c1, t2 - t1) == WARM_MODEL
+    assert hashlib.sha1(data).hexdigest() == WARM_SHA1
+    verify_linked_list(rt, root, elements=256, total_bytes=4096)

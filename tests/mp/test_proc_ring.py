@@ -46,6 +46,7 @@ from repro.mp.channels.sock import (
 from repro.mp.datatypes import LONG
 from repro.mp.errors import ERRORS_RETURN, MpiErrProcFailed
 from repro.mp.packets import EAGER, Packet
+from repro.mp.reliability import PROC_FAILED
 from repro.simtime import CostModel, WallClock
 
 LAUNCH_TIMEOUT = 60.0
@@ -456,6 +457,25 @@ def test_garbage_from_a_departed_peer_is_proc_failed_not_deadlock(ring_threads):
 
     results = mpiexec(2, main, substrate=ring_threads, timeout=LAUNCH_TIMEOUT)
     assert results == ["failed", "corrupted"]
+
+
+def test_a_condition_a_departed_peer_met_is_not_deadlock(ring_threads):
+    """The same death, awaited through ``poll_until``: the condition holds
+    once the death completes the recv, so the wait is over, not
+    deadlocked."""
+
+    def main(ctx):
+        eng = ctx.engine
+        ctx.comm_world.errhandler = ERRORS_RETURN
+        if ctx.rank == 1:
+            eng.device.channel._tx[0].write(memoryview(b"\xff" * 16))
+            return "corrupted"
+        req = eng.irecv(BufferDesc.from_bytes(bytearray(8)), 1, TAG)
+        eng.progress.poll_until(lambda: req.completed, what="the recv")
+        return req.status.error
+
+    results = mpiexec(2, main, substrate=ring_threads, timeout=LAUNCH_TIMEOUT)
+    assert results == [PROC_FAILED, "corrupted"]
 
 
 # -- real processes ------------------------------------------------------------------

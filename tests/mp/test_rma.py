@@ -183,6 +183,40 @@ class TestAccumulate:
         assert rn[0][1] == 1 and rn[0][2] == 0    # native arm
         assert re_[0][1] == 0 and re_[0][2] == 1  # emulated arm
 
+    def test_integer_sums_wrap_on_both_paths(self):
+        """MPI_SUM wraps modulo the element width, as MPICH's compiled C
+        reduction does: int32 max + 1 is min, byte 100 + 100 is -56."""
+
+        def arm(force):
+            def main(ctx):
+                theirs = ctx.rank == 1
+                wide = ints(2**31 - 1, 5) if theirs else ints(0, 0)
+                narrow = BufferDesc.from_bytes(bytes([100, 7] if theirs else [0, 0]))
+                wins = [ctx.engine.win_create(buf, dtype=dtype, force_emulation=force)
+                        for buf, dtype in ((wide, "int32"), (narrow, "byte"))]
+                for win in wins:
+                    win.fence()
+                if ctx.rank == 0:
+                    wins[0].accumulate(ints(1, 1), target=1, target_offset=0)
+                    wins[1].accumulate(BufferDesc.from_bytes(bytes([100, 1])),
+                                       target=1, target_offset=0)
+                for win in wins:
+                    win.fence()
+                st = dict(ctx.engine.device.stats)
+                for win in wins:
+                    win.free()
+                return wide.tobytes() + narrow.tobytes(), st["rma_native_ops"], st["rma_emulated_ops"]
+
+            return main
+
+        native = mpiexec(2, arm(False), channel="shm", timeout=120)
+        emulated = mpiexec(2, arm(True), channel="shm", timeout=120)
+        assert native[0][1:] == (2, 0) and emulated[0][1:] == (0, 2)
+        window = native[1][0]
+        assert window == emulated[1][0]
+        assert read_ints(BufferDesc.from_bytes(window[:8])) == [-(2**31), 6]
+        assert array.array("b", window[8:]).tolist() == [-56, 8]
+
 
 # ------------------------------------------------------------ get path
 

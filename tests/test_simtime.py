@@ -1,8 +1,11 @@
 """Clocks and the cost model."""
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simtime import HOST_PROFILES, CostModel, VirtualClock, WallClock
 
@@ -47,6 +50,59 @@ class TestVirtualClock:
         assert not WallClock().virtual
 
 
+#: what a charge may be: finite and not negative
+CHARGES = st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), max_size=60)
+STARTS = st.floats(min_value=0.0, max_value=1e15, allow_nan=False)
+
+
+def _bits(clock: VirtualClock) -> tuple[str, int]:
+    return clock.now().hex(), clock.charges
+
+
+class TestChargeAll:
+    """``charge_all(seq)`` is ``for ns in seq: charge(ns)``, to the bit."""
+
+    @given(start=STARTS, seq=CHARGES)
+    def test_equals_one_charge_per_element(self, start, seq):
+        one, folded = VirtualClock(start), VirtualClock(start)
+        for ns in seq:
+            one.charge(ns)
+        folded.charge_all(seq)
+        assert _bits(folded) == _bits(one)
+
+    @given(start=STARTS, seq=CHARGES)
+    def test_a_tick_fires_per_element_at_the_same_instants(self, start, seq):
+        seen = {}
+        for name in ("one", "folded"):
+            clock = VirtualClock(start)
+            seen[name] = []
+            clock.tick = lambda c=clock, log=seen[name]: log.append(c.now().hex())
+            if name == "one":
+                for ns in seq:
+                    clock.charge(ns)
+            else:
+                clock.charge_all(seq)
+            seen[name].append(_bits(clock))
+        assert seen["folded"] == seen["one"]
+        assert len(seen["one"]) == len(seq) + 1
+
+    @given(start=STARTS, before=CHARGES, after=CHARGES,
+           bad=st.floats(max_value=-math.ulp(0.0), allow_nan=False, allow_infinity=False))
+    def test_a_negative_element_is_refused_before_anything_changes(
+            self, start, before, after, bad):
+        for tick in (None, lambda: None):
+            clock = VirtualClock(start)
+            clock.tick = tick
+            with pytest.raises(ValueError):
+                clock.charge_all([*before, bad, *after])
+            assert _bits(clock) == (float(start).hex(), 0)
+
+    def test_empty_is_nothing(self):
+        clock = VirtualClock(5.0)
+        clock.charge_all([])
+        assert _bits(clock) == ((5.0).hex(), 0)
+
+
 class TestWallClock:
     def test_monotonic(self):
         c = WallClock()
@@ -59,6 +115,12 @@ class TestWallClock:
         before = c.now()
         c.charge(1e12)
         assert c.now() - before < 1e9  # far less than the charged second
+
+    def test_charge_all_is_noop(self):
+        c = WallClock()
+        before = c.now()
+        c.charge_all([1e12, -1.0])
+        assert c.now() - before < 1e9
 
     def test_merge_is_noop(self):
         c = WallClock()
