@@ -47,25 +47,41 @@ Safety: serialization touches raw heap addresses but never allocates
 managed memory or polls a safepoint, so no collection can move objects
 mid-walk.  Deserialization validates the whole representation — framing,
 object ids, that every non-Transportable reference is null and that every
-reference field can hold its target — before it allocates anything, then
-lands it in two passes.  Pass 1 lands *runs*: the
-records that fit the free nursery are bump-allocated with one heap call,
+reference field can hold its target — before it allocates anything, and
+it works *by type*, as the representation is laid out.  One sequential
+pass finds where each record starts (a type index per record, a length per
+array); everything else is ``numpy`` array work over views of the
+representation and of the heap: per class type, its records' ids and
+primitive bytes in one gather each; over every array at once, its elements
+as 8-byte words; the checks as reductions, the store rule as one lookup
+in a table of (field, entry) verdicts built once per type table.
+
+The landing then places the objects in *runs*: the records that fit the
+free nursery are bump-allocated with one heap call, their addresses a
+cumulative sum of their sizes and their headers scattered in,
 and nothing in a run can move until the allocator is entered again (a
 charge never collects: async progress steps skip the safepoint yield).  The
 record that does not fit is where object-by-object allocation would
 collect, so the objects landed so far are rooted in GC-updated handle
 slots, the charges owed so far are folded, it is allocated through the
-runtime, and the addresses are read back.  Pass 2 allocates nothing, so it
-wires references between addresses read once, and calls the write barrier
-only for slots outside the nursery — the only ones it can record; the rest
-of the charges fold at the end.
+runtime, and the addresses are read back.  Once every object has its
+address, nothing allocates: the references are wired (id -1 reads a 0
+appended to the addresses), the primitives and payloads copied, one
+scatter per class type and one for all the arrays, and the write barrier
+is offered only the stores of a slot outside the nursery that point into
+it, record by record as landing one object at a time would.  The charges
+— ``(per object, allocation)`` per record in landing order, then one per
+primitive array's bytes in record order — fold as ``float64`` arrays, the
+same additions in the same order.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
+from array import array
 from operator import itemgetter
-from typing import Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.mp.buffers import BufferDesc
 from repro.mp.hooks import NULL_SPINE
@@ -90,7 +106,6 @@ _u8 = struct.Struct("<B")
 _u16 = struct.Struct("<H")
 _u32 = struct.Struct("<I")
 _u32x2 = struct.Struct("<II")
-_u64 = struct.Struct("<Q")
 
 
 class SerializationError(ObjectModelViolation):
@@ -247,21 +262,17 @@ class _Plan:
 
     A class's record is one ``struct``: its type-table index, then one
     ``q`` per reference id and ``Ns`` per primitive, in layout order, no
-    padding; an index below is a place in it.  The walk reads an object's
-    Transportable references (``ref_reader``) and primitives
-    (``prim_reader``) with one ``struct`` call each and packs its record
-    with one more: ``arrange`` lays ``(*ids, *primitives, -1)`` out in
-    layout order, -1 standing for every other reference (always null on the
-    wire, §4.2.2).  The landing picks a record's two kinds of id with
-    ``ref_ids`` and ``opaque_ids``; ``refs`` is ``(index, heap offset)`` per
-    Transportable reference (its FieldDesc in ``ref_fields``), ``prims``
-    ``(index, heap offset, size)`` per primitive.  An array's record is a
-    length and ``elem_size``-wide elements.
+    padding.  The walk reads an object's Transportable references
+    (``ref_reader``) and primitives (``prim_reader``) with one ``struct``
+    call each and packs its record with one more: ``arrange`` lays
+    ``(*ids, *primitives, -1)`` out in layout order, -1 standing for every
+    other reference (always null on the wire, §4.2.2).  ``ref_fields`` are
+    the Transportable references' FieldDescs, ``prim_sizes`` the primitives'
+    sizes.  An array's record is a length and ``elem_size``-wide elements.
     """
 
     __slots__ = ("mt", "mt_id", "kind", "elem_size", "instance_size", "record", "ref_reader",
-                 "prim_reader", "arrange", "ref_ids", "opaque_ids", "ref_fields",
-                 "refs", "prims")
+                 "prim_reader", "arrange", "ref_fields", "prim_sizes", "_columns")
 
     def __init__(self, mt: MethodTable) -> None:
         self.mt, self.mt_id = mt, mt.mt_id
@@ -281,12 +292,81 @@ class _Plan:
         self.prim_reader = _spans(prims)
         place = {fd: k for k, fd in enumerate(refs + prims)}
         self.arrange = _picker([place.get(fd, len(place)) for fd in fields])
-        index = {fd: i for i, fd in enumerate(fields, 1)}
-        self.ref_ids = _picker([index[fd] for fd in refs])
-        self.opaque_ids = _picker([index[fd] for fd in fields if fd.is_ref and fd not in place])
         self.ref_fields = tuple(refs)
-        self.refs = tuple((index[fd], fd.offset) for fd in refs)
-        self.prims = tuple((index[fd], fd.offset, fd.size) for fd in prims)
+        self.prim_sizes = tuple(fd.size for fd in prims)
+        self._columns = None
+
+    def columns(self) -> _Columns:
+        """Where a record's fields sit in the record and in the object, as
+        ``numpy`` index arrays (built by the first landing: the sender never
+        needs them)."""
+        if self._columns is None:
+            import numpy as np
+
+            fields = self.mt.fields
+            at = dict(zip(fields, itertools.accumulate((fd.size for fd in fields), initial=4)))
+            refs = self.ref_fields
+            ids = [*refs, *(fd for fd in fields if fd.is_ref and fd not in refs)]
+            prims = [(at[fd] + b, fd.offset + b)
+                     for fd in fields if not fd.is_ref for b in range(fd.size)]
+            self._columns = _Columns(
+                np.array([at[fd] for fd in ids], np.int64),
+                np.arange(len(refs)),
+                np.array([fd.offset >> 3 for fd in refs], np.int64),
+                np.array([r for r, _ in prims], np.int64),
+                np.array([h for _, h in prims], np.int64),
+            )
+        return self._columns
+
+
+class _Columns(NamedTuple):
+    """A class plan's landing columns: the record offsets of its reference
+    ids (the Transportable ones first, in layout order, then the others);
+    the Transportable ones' places and their word offsets in the object;
+    the record and object offsets of every primitive byte."""
+
+    rec_ids: Any
+    places: Any
+    heap_refs: Any
+    rec_prims: Any
+    heap_prims: Any
+
+
+class _Table(NamedTuple):
+    """A decoded type table.
+
+    Its plans; per entry the record boundary pass's step (a
+    class record's size, 0 for an array) and element width; ``types``,
+    whose rows are every entry's kind, mt_id, size base, element width and
+    length mask (a record's size is ``(length * width + base) & ~7``, its
+    length ``u32 & mask``); and per class entry ``stores``: whether each of
+    its Transportable references may name a record of each entry, then
+    null — the store rule."""
+
+    plans: list
+    steps: list
+    widths: list
+    types: Any
+    stores: list
+
+
+class _Records:
+    """A validated representation, decoded by type.
+
+    Per record, the header words: ``mt_id``, ``size`` and ``lengths`` (0 for
+    a class).  Per class type, ``(plan, its table entry, its records, their
+    reference ids, their primitive bytes or None)``.  For every array at
+    once, ``arrays``: ``(each word's record, its place in its array, the
+    words, which words are reference ids, those ids)``, or None.
+    ``nbytes`` is every primitive array's payload size, in record order.
+    Ids are -1 for null."""
+
+    __slots__ = ("n", "mt_id", "size", "lengths", "nbytes", "classes", "arrays")
+
+    def __init__(self, n, mt_id, size, lengths, nbytes) -> None:
+        self.n, self.mt_id, self.size, self.lengths, self.nbytes = n, mt_id, size, lengths, nbytes
+        self.classes: list = []
+        self.arrays = None
 
 
 class MotorSerializer:
@@ -305,8 +385,7 @@ class MotorSerializer:
         self.objects_deserialized = 0
         #: mt_id -> plan; the registry never reuses an id
         self._plans: dict[int, _Plan] = {}
-        #: (field, target MethodTable) pairs that passed rt.check_storable
-        self._storable: set[tuple[FieldDesc, MethodTable]] = set()
+        self._views = None  # the heap as numpy words and bytes
 
     def _plan(self, mt: MethodTable) -> _Plan:
         plan = self._plans.get(mt.mt_id)
@@ -372,7 +451,7 @@ class MotorSerializer:
                 entry = types.get(mt_id)
                 if entry is None:
                     plan = self._plan(mts[mt_id])
-                    charges = (per_obj, *[per_byte * size for _, _, size in plan.prims])
+                    charges = (per_obj, *[per_byte * size for size in plan.prim_sizes])
                     entry = types[mt_id] = (plan, len(types), charges)
                 plan, tidx, charges = entry
                 kind = plan.kind
@@ -464,171 +543,256 @@ class MotorSerializer:
             for cb in h.region_end:
                 cb("motor.deserialize")
 
-    def _scan(self, data: memoryview) -> list[tuple[_Plan, int, int, tuple]]:
-        """Decode and validate every record; allocates and charges nothing.
-
-        One ``(plan, length, instance size, values)`` per record.  A class's
-        values are its unpacked record (type-table index, reference ids,
-        primitive bytes), a reference array's its element ids, a primitive
-        array's the ``(position, nbytes)`` of its payload inside ``data``.
-        """
-        rd = _Reader(data)
-        if rd.u32() != MAGIC:
-            raise SerializationError("bad magic")
-        rd.u32()  # flags
+    def _type_table(self, rd: _Reader) -> _Table:
+        """Read the type table at ``rd``, and what the records need of it."""
         try:
             plans = [self._plan(self._read_type_entry(rd)) for _ in range(rd.u32())]
         except TypeLoadError as e:
             raise SerializationError(f"type table: {e}") from None
-        nrecords, ntypes = rd.u32(), len(plans)
-        pos, end = rd.pos, len(data)
-        u32_from = _u32.unpack_from
-        scanned = []
-        ids: list[int] = []  # every Transportable reference field's object id,
-        fields: list[FieldDesc] = []  # ... the field it fills,
-        elems: list[int] = []  # ... every reference array element's
-        nulls: list[int] = []  # ... and every other reference field's
+        import numpy as np
+
+        def storable(fd: FieldDesc, mt: MethodTable) -> bool:
+            try:
+                self.runtime.check_storable(fd.declaring, fd, mt)
+            except ObjectModelViolation:
+                return False
+            return True
+
+        stores = [
+            np.array([[*(storable(fd, p.mt) for p in plans), True] for fd in plan.ref_fields],
+                     bool).reshape(-1, len(plans) + 1)
+            for plan in plans
+        ]
+        return _Table(
+            plans,
+            [plan.record.size if plan.kind == _K_CLASS else 0 for plan in plans],
+            [plan.elem_size for plan in plans],
+            np.array([
+                (p.kind, p.mt_id, p.instance_size, 0, 0) if p.kind == _K_CLASS
+                else (p.kind, p.mt_id, ARRAY_DATA_OFFSET + 7, p.elem_size, 0xFFFFFFFF)
+                for p in plans
+            ], np.int64).reshape(-1, 5).T,
+            stores,
+        )
+
+    def _scan(self, data) -> _Records | None:
+        """Decode and validate every record; allocates and charges nothing.
+
+        One sequential pass finds where each record starts (a type index
+        per record, a length per array); everything else is array work, per
+        class type and over all arrays at once.  None for a null root."""
+        import numpy as np
+
+        end = len(data)
+        buf = bytearray(end + 8)  # the representation, and zeros to read a
+        buf[:end] = data  # payload's last word whole
+        mv = memoryview(buf)[:end]
+        rd = _Reader(mv)
+        if rd.u32() != MAGIC:
+            raise SerializationError("bad magic")
+        rd.u32()  # flags
+        table = self._type_table(rd)
+        plans, ntypes = table.plans, len(table.plans)
+        n, pos = rd.u32(), rd.pos
+        if n > (end - pos) // 4:  # every record is 4 bytes or more
+            raise SerializationError(f"{n} records cannot fit in {end - pos} bytes")
+
+        # The one loop over records: where each starts.  ``words[k][i]`` is
+        # the u32 at byte 4i + k; a read past the end is an IndexError.
+        words = [mv[k : k + ((end - k) & ~3)].cast("I") for k in range(4)]
+        steps, widths = table.steps, table.widths
+        starts = array("q")
+        add = starts.append
         try:
-            for _ in range(nrecords):
-                (tidx,) = u32_from(data, pos)
-                if tidx >= ntypes:
-                    raise SerializationError(
-                        f"record {len(scanned)}: type index {tidx} outside the "
-                        f"{ntypes}-entry type table"
-                    )
-                plan = plans[tidx]
-                kind = plan.kind
-                if kind == _K_CLASS:
-                    values = plan.record.unpack_from(data, pos)
-                    pos += plan.record.size
-                    ids += plan.ref_ids(values)
-                    fields += plan.ref_fields
-                    nulls += plan.opaque_ids(values)
-                    scanned.append((plan, 0, plan.instance_size, values))
-                    continue
-                (length,) = u32_from(data, pos + 4)
-                pos += 8
-                nbytes = length * plan.elem_size
-                if kind == _K_REF_ARRAY:
-                    values = struct.unpack_from(f"<{length}q", data, pos)
-                    elems += values
-                elif pos + nbytes > end:
-                    raise SerializationError("truncated representation")
-                else:
-                    values = (pos, nbytes)
-                pos += nbytes
-                size = (ARRAY_DATA_OFFSET + nbytes + 7) & ~7  # align8, inline
-                scanned.append((plan, length, size, values))
-        except struct.error:
+            for _ in range(n):
+                add(pos)
+                w, i = words[pos & 3], pos >> 2
+                t = w[i]
+                pos += steps[t] or _u32x2.size + w[i + 1] * widths[t]
+        except IndexError:
+            pos = starts[-1]
+            if pos + 4 <= end and (t := _u32.unpack_from(mv, pos)[0]) >= ntypes:
+                raise SerializationError(
+                    f"record {len(starts) - 1}: type index {t} outside the "
+                    f"{ntypes}-entry type table"
+                ) from None
             raise SerializationError("truncated representation") from None
+        if pos > end:
+            raise SerializationError("truncated representation")
         if pos != end:
             raise SerializationError(f"{end - pos} bytes after the last record")
-        for refs in (ids, elems):
-            if refs and not (-1 <= min(refs) and max(refs) < nrecords):
-                raise SerializationError(f"an object id outside [-1, {nrecords})")
-        if nulls.count(-1) != len(nulls):
-            raise SerializationError("an object id in a reference that is not Transportable")
-        # Every reference field can hold its target's type: the store rule,
-        # checked once per (field, target type) pair, in record order.
-        plan_of = [plan for plan, _, _, _ in scanned]
-        plan_of.append(None)  # id -1, null
-        for fd, target in dict.fromkeys(zip(fields, map(plan_of.__getitem__, ids))):
-            if target is not None and (fd, target.mt) not in self._storable:
-                try:
-                    self.runtime.check_storable(fd.declaring, fd, target.mt)
-                except ObjectModelViolation as e:
-                    raise SerializationError(str(e)) from None
-                self._storable.add((fd, target.mt))
-        return scanned
+        if not n:
+            return None
+
+        # Per record: type, length (an array's second u32) and size.
+        # ``at[p]`` is the 8 bytes at position p.
+        at = np.ndarray((end + 1,), "<i8", buf, 0, (1,))
+        begin = np.frombuffer(starts, np.int64)
+        first = at[begin]
+        tids = first & 0xFFFFFFFF
+        kind, mt_id, base, width, mask = table.types[:, tids]
+        lengths = (first >> 32) & mask
+        nbytes = lengths * width
+        rec = _Records(n, mt_id, (nbytes + base) & ~7, lengths, nbytes[kind == _K_PRIM_ARRAY])
+
+        # Per class type: its records' reference ids and primitive bytes.
+        for t, plan in enumerate(plans):
+            of_t = (tids == t).nonzero()[0] if plan.kind == _K_CLASS else ()
+            if len(of_t):
+                cols = plan.columns()
+                row = begin[of_t][:, None]
+                prims = None
+                if len(cols.rec_prims):
+                    prims = np.frombuffer(buf, np.uint8)[row + cols.rec_prims]
+                rec.classes.append((plan, t, of_t, at[row + cols.rec_ids], prims))
+        # Every array at once: its elements as words, ``rows`` each word's
+        # record and ``place`` its place in its array.
+        arr = width.nonzero()[0]
+        if len(arr):
+            nb = nbytes[arr]
+            count = (nb + 7) >> 3
+            ends = count.cumsum()
+            rows = arr.repeat(count)
+            place = np.arange(ends[-1]) - (ends - count).repeat(count)
+            elems = at[begin[rows] + _u32x2.size + (place << 3)]
+            tail = nb & 7
+            cut = tail.nonzero()[0]  # the last word keeps only payload bytes
+            if len(cut):
+                elems[ends[cut] - 1] &= (1 << (tail[cut] << 3)) - 1
+            isref = kind[rows] == _K_REF_ARRAY
+            rec.arrays = (rows, place, elems, isref, elems[isref])
+
+        # The checks, in the order checking record by record meets a fault:
+        # an id out of range, an id in a reference that is not Transportable,
+        # then the store rule, pair by pair in record order (``stores`` is
+        # the rule, id -1 reading type ``ntypes``: null).
+        ref_ids = [ids[:, : len(plan.ref_fields)] for plan, _, _, ids, _ in rec.classes]
+        for ids in ref_ids if rec.arrays is None else [*ref_ids, rec.arrays[4]]:
+            if ids.size and not (-1 <= ids.min() and ids.max() < n):
+                raise SerializationError(f"an object id outside [-1, {n})")
+        for plan, _, _, ids, _ in rec.classes:
+            if (ids[:, len(plan.ref_fields):] != -1).any():
+                raise SerializationError("an object id in a reference that is not Transportable")
+        tids = np.concatenate((tids, (ntypes,)))
+        refused = []  # (record, field, target type) of each refused store
+        for (plan, t, of_t, _, _), ids in zip(rec.classes, ref_ids):
+            targets = tids[ids]
+            bad, ks = (~table.stores[t][plan.columns().places, targets]).nonzero()
+            refused += zip(of_t[bad].tolist(), ks.tolist(), targets[bad, ks].tolist())
+        if refused:
+            record, k, target = min(refused)
+            fd = plans[tids[record]].ref_fields[k]
+            try:
+                self.runtime.check_storable(fd.declaring, fd, plans[target].mt)
+            except ObjectModelViolation as e:
+                raise SerializationError(str(e)) from None
+        return rec
+
+    def _heap_views(self) -> tuple:
+        """The heap as ``numpy`` words and bytes (its mapping never moves)."""
+        if self._views is None:
+            import numpy as np
+
+            mem = self.runtime.heap.mem
+            self._views = np.frombuffer(mem, "<i8", len(mem) >> 3), np.frombuffer(mem, np.uint8)
+        return self._views
 
     def _deserialize(self, data) -> ObjRef | None:
-        rt = self.runtime
-        data = memoryview(data)
-        scanned = self._scan(data)
-        if not scanned:
-            return None
-        heap, handles, costs = rt.heap, rt.handles, rt.costs
-        mem = heap.mem
-        charge_all = rt.clock.charge_all
-        self.objects_deserialized += len(scanned)
+        import numpy as np
 
-        # Pass 1: land the objects in nursery runs (see the module
-        # docstring).  ``addrs`` holds every landed object's address;
-        # ``slots`` roots ``addrs[:len(slots)]`` across the collections.
+        rec = self._scan(data)
+        if rec is None:
+            return None
+        rt = self.runtime
+        heap, handles, costs = rt.heap, rt.handles, rt.costs
+        charge_all = rt.clock.charge_all
+        heap_words, heap_bytes = self._heap_views()
+        self.objects_deserialized += rec.n
+
+        # Land the objects in nursery runs (see the module docstring).
+        # ``placed`` holds the landed objects' addresses, in pieces;
+        # ``slots`` roots the first ``len(slots)`` across the collections.
         # The charges are owed in order and fold before the allocation that
         # may collect, and at the end.
-        addrs: list[int] = []
+        n, size = rec.n, rec.size
+        ends = size.cumsum()
+        aux = size | rec.lengths << 32  # a header's second word: size, then aux
+        pairs = np.full(2 * n, costs.alloc_ns)  # each object's (per object, allocation)
+        pairs[0::2] = costs.motor_deser_per_obj_ns
+        placed: list = []
         slots: list[int] = []
-        owed: list[float] = []
+        owed: list = []
         try:
-            per_obj, alloc_ns = costs.motor_deser_per_obj_ns, costs.alloc_ns
-            header, root, n, j = HEADER.pack_into, handles.alloc, len(scanned), 0
+            root, j = handles.alloc, 0
             while True:
-                # The run: records j..k-1, which fit the free nursery (every
-                # size is 8-aligned), one bump.  Each object is still charged
-                # as allocating it alone would be.
-                room = free = heap.nursery.free
-                k = j
-                while k < n and scanned[k][2] <= room:
-                    room -= scanned[k][2]
-                    k += 1
-                addr = heap.alloc_gen0_run(free - room, k - j)
-                owed += (per_obj, alloc_ns) * (k - j)
-                for plan, length, size, _ in scanned[j:k]:
-                    header(mem, addr, plan.mt_id, 0, size, length)
-                    addrs.append(addr)
-                    addr += size
+                # The run: records j..k-1, which fit the free nursery, one
+                # bump.  Each object is still charged as allocating it alone.
+                done = int(ends[j - 1]) if j else 0
+                k = int(ends.searchsorted(done + heap.nursery.free, "right"))
+                addr = heap.alloc_gen0_run(int(ends[k - 1]) - done if k > j else 0, k - j)
+                run = ends[j:k] - size[j:k] + (addr - done)
+                word = run >> 3
+                heap_words[word] = rec.mt_id[j:k]
+                heap_words[word + 1] = aux[j:k]
+                placed.append(run)
+                owed.append(pairs[2 * j : 2 * k])
                 if k == n:
                     break
                 # Record k is where allocating object by object collects.
-                plan, length, size, _ = scanned[k]
-                owed.append(per_obj)
-                batch, owed = owed, []  # the finally folds only what is left
-                charge_all(batch)
-                slots += [root(a) for a in addrs[len(slots):]]
-                slots.append(root(rt.alloc_object(plan.mt, size, length)))
-                addrs = [handles.get(slot) for slot in slots]
+                batch, owed = np.concatenate((*owed, pairs[2 * k : 2 * k + 1])), []
+                charge_all(batch)  # the finally folds only what is owed after it
+                slots += map(root, np.concatenate(placed)[len(slots):].tolist())
+                mt = self._plans[int(rec.mt_id[k])].mt
+                slots.append(root(rt.alloc_object(mt, int(size[k]), int(rec.lengths[k]))))
+                placed = [np.array(list(map(handles.get, slots)), np.int64)]
                 j = k + 1
 
-            # Pass 2: fill payloads and wire references.  Nothing from here
-            # to the last store allocates or polls a safepoint, so the
-            # addresses are read once; id -1 reads the 0 appended to them.
-            # The barrier records only a slot outside the nursery, so a
-            # young object skips it.
-            per_byte = costs.motor_ser_per_byte_ns
-            record_write = rt.gc.record_write
-            young = range(heap.nursery.base, heap.nursery.end)
-            u64_into = _u64.pack_into
-            addrs.append(0)
-            for (plan, length, _, values), addr in zip(scanned, addrs):
-                kind = plan.kind
-                if kind == _K_CLASS:
-                    for i, offset in plan.refs:
-                        target = addrs[values[i]]
-                        if target:  # else null: the instance was zeroed
-                            u64_into(mem, addr + offset, target)
-                            if addr not in young:
-                                record_write(addr + offset, target)
-                    for i, offset, size in plan.prims:
-                        mem[addr + offset : addr + offset + size] = values[i]
-                elif kind == _K_REF_ARRAY:
-                    base = addr + ARRAY_DATA_OFFSET
-                    targets = [addrs[rid] for rid in values]
-                    struct.pack_into(f"<{length}Q", mem, base, *targets)
-                    if addr not in young:
-                        for i, target in enumerate(targets):
-                            if target:
-                                record_write(base + REF_SIZE * i, target)
-                else:
-                    pos, nbytes = values
-                    base = addr + ARRAY_DATA_OFFSET
-                    mem[base : base + nbytes] = data[pos : pos + nbytes]
-                    owed.append(per_byte * nbytes)
-            return rt.make_ref(addrs[0])
+            # Fill the payloads and wire the references.  Nothing from here
+            # on allocates or polls a safepoint, so the addresses are read
+            # once; id -1 reads the 0 appended to them.
+            addrs = np.concatenate((*placed, (0,)))
+            stores = []  # (slot word, target, record) of every reference written
+            for plan, _, of_t, ids, prims in rec.classes:
+                cols = plan.columns()
+                at = addrs[of_t][:, None]
+                slot = (at >> 3) + cols.heap_refs
+                heap_words[slot] = target = addrs[ids[:, : len(plan.ref_fields)]]
+                stores.append((slot, target, of_t[:, None]))
+                if prims is not None:
+                    heap_bytes[at + cols.heap_prims] = prims
+            if rec.arrays is not None:
+                rows, place, elems, isref, ids = rec.arrays
+                slot = (addrs[rows] >> 3) + (ARRAY_DATA_OFFSET // REF_SIZE) + place
+                elems[isref] = target = addrs[ids]
+                heap_words[slot] = elems
+                stores.append((slot[isref], target, rows[isref]))
+            owed.append(costs.motor_ser_per_byte_ns * rec.nbytes)
+            if slots:  # else every landed object is in the nursery
+                self._barrier(stores)
+            return rt.make_ref(int(addrs[0]))
         finally:
-            charge_all(owed)
+            if owed:
+                charge_all(np.concatenate(owed))
             for slot in reversed(slots):
                 handles.free(slot)
+
+    def _barrier(self, stores) -> None:
+        """The write barrier of the landing's stores: it records only a slot
+        outside the nursery that now holds a nursery address, so only those
+        are offered to it, record by record and field by field (the order
+        the remembered set is filled in is the order the next collection
+        forwards in)."""
+        import numpy as np
+
+        nursery, record_write = self.runtime.heap.nursery, self.runtime.gc.record_write
+        lo, hi = nursery.base, nursery.end
+        slots = np.concatenate([s.ravel() for s, _, _ in stores]) << 3
+        targets = np.concatenate([t.ravel() for _, t, _ in stores])
+        records = np.concatenate([np.broadcast_to(r, s.shape).ravel() for s, _, r in stores])
+        keep = (((slots < lo) | (slots >= hi)) & (targets >= lo) & (targets < hi)).nonzero()[0]
+        keep = keep[records[keep].argsort(kind="stable")]
+        for slot, target in zip(slots[keep].tolist(), targets[keep].tolist()):
+            record_write(slot, target)
 
     def _read_type_entry(self, rd: _Reader) -> MethodTable:
         rt = self.runtime

@@ -20,8 +20,6 @@ simulation and not of the operating system's run queue.
 from __future__ import annotations
 
 import time
-from functools import reduce
-from operator import add
 
 
 class Clock:
@@ -63,9 +61,9 @@ class Clock:
         """Account ``ns`` nanoseconds of simulated work."""
         raise NotImplementedError
 
-    def charge_all(self, seq: list[float]) -> None:
-        """Account every charge of ``seq``, in order, as that many
-        :meth:`charge` calls would."""
+    def charge_all(self, seq) -> None:
+        """Account every charge of ``seq`` (a list of floats or a float64
+        ``numpy`` array), in order, as that many :meth:`charge` calls would."""
         raise NotImplementedError
 
     def merge(self, ts_ns: float) -> None:
@@ -87,7 +85,7 @@ class WallClock(Clock):
     def charge(self, ns: float) -> None:  # noqa: ARG002 - interface parity
         return None
 
-    def charge_all(self, seq: list[float]) -> None:  # noqa: ARG002
+    def charge_all(self, seq) -> None:  # noqa: ARG002
         return None
 
     def merge(self, ts_ns: float) -> None:  # noqa: ARG002
@@ -129,18 +127,27 @@ class VirtualClock(Clock):
         if t is not None:
             t()
 
-    def charge_all(self, seq: list[float]) -> None:
+    def charge_all(self, seq) -> None:
         """The exact fold of ``seq``: the same IEEE additions in the same
         order, ``charges`` up by ``len(seq)``, and a negative element refused
-        before anything changes.  With a tick installed each element is
-        charged alone, so the tick fires at the same modelled instants."""
-        if seq and min(seq) < 0:
-            raise ValueError(f"negative charge: {min(seq)}")
+        before anything changes.  It folds a ``float64`` copy whose first
+        element carries ``now`` with ``cumsum``, which adds one element at a
+        time, in order (``sum`` pairs them up).  With a tick installed each
+        element is charged alone, so the tick fires at the same modelled
+        instants."""
+        import numpy as np
+
+        seq = np.array(seq, float)
+        if not seq.size:
+            return
+        if (lo := float(seq.min())) < 0:
+            raise ValueError(f"negative charge: {lo}")
         if self.tick is not None:
-            for ns in seq:
+            for ns in seq.tolist():
                 self.charge(ns)
             return
-        self._now_ns = reduce(add, seq, self._now_ns)
+        seq[0] += self._now_ns
+        self._now_ns = float(seq.cumsum()[-1])
         self.charges += len(seq)
 
     def merge(self, ts_ns: float) -> None:

@@ -1,10 +1,11 @@
 """Motor's custom serializer: type table + object data, Transportable bit."""
 
 import struct
+import tracemalloc
 
 import pytest
 
-from repro.motor.serialization import MotorSerializer, SerializationError
+from repro.motor.serialization import MAGIC, MotorSerializer, SerializationError
 from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
 from repro.simtime import VirtualClock
 from repro.workloads.linkedlist import (
@@ -230,6 +231,29 @@ class TestMalformedInput:
         allocated, handles = b.heap.stats.objects_allocated, len(b.handles)
         with pytest.raises(SerializationError):
             MotorSerializer(b).deserialize(data)
+        assert b.heap.stats.objects_allocated == allocated
+        assert len(b.handles) == handles
+
+    def test_an_absurd_record_count_is_refused_before_sizing(self):
+        """A 20-byte representation claiming 2**32 - 1 records: every
+        record takes 4 bytes or more, so the count is refused before
+        anything is sized by it — no heap allocation, no handle, and no
+        host-side table of 4 G entries (measured after one valid landing,
+        so that loading the receiver's modules is not counted)."""
+        a, b = pair()
+        ser = MotorSerializer(b)
+        ser.deserialize(bytes(MotorSerializer(a).serialize(build_linked_list(a, 2, 16))))
+        data = struct.pack("<IIII", MAGIC, 0, 0, 2**32 - 1) + bytes(4)
+        assert len(data) == 20
+        allocated, handles = b.heap.stats.objects_allocated, len(b.handles)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SerializationError, match="cannot fit"):
+                ser.deserialize(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert b.heap.stats.objects_allocated == allocated
         assert len(b.handles) == handles
 

@@ -14,8 +14,8 @@ from repro.runtime.runtime import ManagedRuntime, RuntimeConfig
 from repro.workloads.linkedlist import build_linked_list, define_linked_array, verify_linked_list
 
 
-def make_rt() -> ManagedRuntime:
-    rt = ManagedRuntime(RuntimeConfig(heap_capacity=8 << 20, nursery_size=32 << 10))
+def make_rt(nursery_size: int = 32 << 10) -> ManagedRuntime:
+    rt = ManagedRuntime(RuntimeConfig(heap_capacity=8 << 20, nursery_size=nursery_size))
     rt.define_class(
         "GNode",
         [
@@ -23,20 +23,31 @@ def make_rt() -> ManagedRuntime:
             ("a", "GNode", True),  # transportable edge
             ("b", "GNode", False),  # non-transportable edge -> nulled
             ("data", "int32[]", True),
+            ("kids", "GNode[]", True),  # an object array: its elements propagate
         ],
     )
     return rt
 
 
-node_st = st.fixed_dictionaries(
-    {
-        "v": st.integers(min_value=-(2**62), max_value=2**62),
-        "payload": st.lists(st.integers(-(2**31), 2**31 - 1), max_size=6),
-        "a": st.integers(min_value=-1, max_value=11),
-        "b": st.integers(min_value=-1, max_value=11),
-    }
-)
+node_fields = {
+    "v": st.integers(min_value=-(2**62), max_value=2**62),
+    "payload": st.lists(st.integers(-(2**31), 2**31 - 1), max_size=6),
+    "a": st.integers(min_value=-1, max_value=11),
+    "b": st.integers(min_value=-1, max_value=11),
+}
+node_st = st.fixed_dictionaries(node_fields)
 graph_st = st.lists(node_st, min_size=1, max_size=12)
+#: nodes that may also hold a GNode[]: its elements index the graph (-1 and
+#: past-the-end indices are null elements), so elements repeat, are shared
+#: between arrays and point back at their holder
+kin_st = st.lists(
+    st.fixed_dictionaries(
+        {**node_fields,
+         "kids": st.none() | st.lists(st.integers(min_value=-1, max_value=11), max_size=5)}
+    ),
+    min_size=1,
+    max_size=12,
+)
 
 
 def build(rt, desc):
@@ -50,6 +61,12 @@ def build(rt, desc):
             idx = d[fname]
             if 0 <= idx < len(nodes):
                 rt.set_ref(node, fname, nodes[idx])
+        if d.get("kids") is not None:
+            kids = rt.new_array("GNode", len(d["kids"]))
+            for i, idx in enumerate(d["kids"]):
+                if 0 <= idx < len(nodes):
+                    rt.set_elem_ref(kids, i, nodes[idx])
+            rt.set_ref(node, "kids", kids)
     return nodes
 
 
@@ -88,6 +105,68 @@ def test_roundtrip_preserves_transportable_closure(desc, visited):
     got_root = MotorSerializer(b_rt, visited=visited).deserialize(data)
     got = transportable_closure_snapshot(b_rt, got_root)
     assert got == expected
+
+
+def closure(rt, root) -> list:
+    """The graph the Transportable edges reach from ``root``: per node, in
+    the order a breadth-first walk numbers them, ``(v, payload, a, kids)``,
+    with ``a`` and every element of ``kids`` as a node number (None for
+    null) — so sharing and cycles compare, not just values."""
+    number: dict[int, int] = {}
+    nodes = []
+
+    def visit(node):
+        if node is None:
+            return None
+        if node.addr not in number:
+            number[node.addr] = len(nodes)
+            nodes.append(node)
+        return number[node.addr]
+
+    visit(root)
+    out = []
+    for node in nodes:  # grows as the walk finds nodes
+        data, kids = rt.get_field(node, "data"), rt.get_field(node, "kids")
+        out.append((
+            rt.get_field(node, "v"),
+            None if data is None else [rt.get_elem(data, i) for i in range(rt.array_length(data))],
+            visit(rt.get_field(node, "a")),
+            None if kids is None
+            else [visit(rt.get_elem(kids, i)) for i in range(rt.array_length(kids))],
+        ))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(desc=kin_st)
+def test_object_arrays_roundtrip_the_transportable_closure(desc):
+    a_rt, b_rt = make_rt(), make_rt()
+    root = build(a_rt, desc)[0]
+    got = MotorSerializer(b_rt).deserialize(MotorSerializer(a_rt).serialize(root))
+    assert closure(b_rt, got) == closure(a_rt, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(desc=kin_st)
+def test_a_collection_mid_landing_builds_the_same_graph(desc):
+    """A receiver whose nursery is nearly full lands a few records, then
+    collects (promoting them, object arrays included) and lands the rest:
+    the graph equals a roomy receiver's, and after one more collection too
+    — the write barrier kept every promoted slot that points at a young
+    object."""
+    a_rt = make_rt()
+    data = bytes(MotorSerializer(a_rt).serialize(build(a_rt, desc)[0]))
+    roomy = make_rt()
+    want = closure(roomy, MotorSerializer(roomy).deserialize(data))
+    tight = make_rt(nursery_size=1 << 10)
+    while tight.heap.nursery.free > 120:  # garbage: the first GNode still fits
+        tight.new_array("byte", 8)
+    collections = tight.gc.stats.gen0_collections
+    got = MotorSerializer(tight).deserialize(data)
+    assert tight.gc.stats.gen0_collections > collections or len(want) == 1
+    assert closure(tight, got) == want
+    tight.gc.collect(0)
+    assert closure(tight, got) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,14 +1,18 @@
 """Transport plans change what the host pays, never what is sent or modelled.
 
-Two things are pinned here against the commit before the plans existed:
+Three things are pinned here against the commit before the plans existed
+(the landed bytes against the commit before the landing worked by type):
 
 * the representation (``sha256`` of the bytes) and the modelled cost
   (``VirtualClock.now()`` and ``.charges`` deltas) of ``serialize`` and of
   ``deserialize``, for both visited kinds — the same charges, in the same
   order, so the float sums are bit-equal;
-* landing under collection: where collections fall during pass 1, what
-  they promote, and that a ``deserialize`` leaves exactly one new handle
-  (the root) on success and none when landing fails.
+* the bytes a ``deserialize`` lands in the heap (``sha256`` of the span);
+* landing under collection: where collections fall between the nursery runs, what
+  they promote, the remembered set a landing of class records and
+  reference arrays leaves (and what the next collection makes of it), and
+  that a ``deserialize`` leaves exactly one new handle (the root) on
+  success and none when landing fails.
 """
 
 from __future__ import annotations
@@ -115,6 +119,35 @@ def test_representation_and_modelled_cost_pinned(graph, visited):
     assert measure(graph, visited) == PINNED[(graph, visited)]
 
 
+def landed(graph: str) -> tuple[str, int]:
+    """(sha256, length) of the heap span one deserialize lands: from the
+    root's address to the nursery's bump pointer after it (empty for a null
+    root).  Headers, fields, array payloads and padding, byte for byte."""
+    rt = _runtime()
+    ser = MotorSerializer(rt)
+    data = bytes(ser.serialize(GRAPHS[graph](rt)))
+    got = ser.deserialize(data)
+    end = rt.heap.nursery.alloc_ptr
+    begin = end if got is None else got.addr
+    return hashlib.sha256(rt.heap.mem[begin:end]).hexdigest(), end - begin
+
+
+# Captured at e59e795, before the landing worked by type, with
+#   PYTHONPATH=src:. python -c "from tests.motor.test_transport_plans import *; \
+#     [print(g, landed(g)) for g in GRAPHS]"
+# (the visited kind changes neither the representation nor the landing)
+LANDED = {
+    "list256": ("b0d190de00f88e5c4ec7efe642e56e41e918f83fcc6d0aef991274db42836872", 18432),
+    "mixed": ("ba13b0c05c5ef7095308422ad5bc2cd6dee5c25b21439af3c93d63af17acf438", 240),
+    "null": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(LANDED))
+def test_landed_bytes_pinned(graph):
+    assert landed(graph) == LANDED[graph]
+
+
 # -- landing under collection ---------------------------------------------------
 
 
@@ -142,6 +175,59 @@ def test_landing_under_collection():
     assert (b.clock.charges, b.clock.now()) == (19096, 5179935.999999441)
     assert len(b.handles) == handles + 1  # the root, nothing else
     verify_linked_list(b, root, elements=3000, total_bytes=16000)
+
+
+def _define_kin(rt: ManagedRuntime) -> None:
+    rt.define_class(
+        "Kin", [("v", "int64", True), ("kids", "Kin[]", True), ("far", "Kin", True)]
+    )
+
+
+def _kin_tree(rt: ManagedRuntime, fanout: int = 8, depth: int = 3):
+    """A ``fanout``-ary tree of ``Kin`` (585 nodes): each inner node holds
+    its children in a ``Kin[]``, and every node a class reference to a node
+    further on, so the records mix class and reference-array stores that
+    point ahead of the record holding them."""
+    nodes = [rt.new("Kin", v=0)]
+    for i in range((fanout**depth - 1) // (fanout - 1)):
+        kids = rt.new_array("Kin", fanout)
+        for k in range(fanout):
+            nodes.append(rt.new("Kin", v=len(nodes)))
+            rt.set_elem_ref(kids, k, nodes[-1])
+        rt.set_ref(nodes[i], "kids", kids)
+    for i, node in enumerate(nodes):
+        rt.set_ref(node, "far", nodes[(7 * i + 3) % len(nodes)])
+    return nodes[0]
+
+
+def test_mixed_landing_under_collection():
+    """The tree lands through an 8 KiB nursery, so promoted class records
+    and reference arrays point at records landed after them.  The write
+    barrier must see those stores as landing record by record did: the
+    remembered set (its iteration order is its insertion history), and so
+    where the next collection forwards each object and the order of its
+    copy charges, equal the parent's."""
+    a = _runtime()
+    _define_kin(a)
+    data = bytes(MotorSerializer(a).serialize(_kin_tree(a)))
+    b = _runtime(nursery_size=8 << 10)
+    _define_kin(b)
+    root = MotorSerializer(b).deserialize(data)
+    remembered = hashlib.sha256(repr(list(b.gc._remembered)).encode()).hexdigest()
+    b.gc.collect(0)
+    stats = b.gc.stats
+    got = (stats.gen0_collections, len(b.gc._remembered) == 0, remembered,
+           stats.objects_promoted, b.clock.charges, b.clock.now(),
+           hashlib.sha256(b.heap.mem).hexdigest())
+    assert root is not None and got == KIN_LANDED
+
+
+#: captured at e59e795, which offered the barrier each store as it wired
+#: record after record, with the statements of the test above
+KIN_LANDED = (
+    4, True, "2ed9af02448a9b8ff1228ec2db8bbe739f9be95b31f311ae3c3e7fe77b91f5c9", 658, 1974,
+    573920.0, "7a305a04fe9e9b5dcff701accb688e1408ab2546f501a72e211f93d132eeeaa2",
+)
 
 
 def test_failed_landing_leaks_no_handle():

@@ -52,3 +52,16 @@ def test_index_has_exactly_the_top_level_names_of_the_tree():
     tops = {(module, qual.split(".")[0]) for module, qual in _tree()}
     assert index - tops == set(), f"gone from src/repro; {HINT}"
     assert tops - index == set(), f"no row in the census; {HINT}"
+
+
+def test_a_failing_consumer_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A consumer that exits non-zero reaches less than it should: the tool
+    names it, exits non-zero and leaves the committed file as it was."""
+    doc = tmp_path / "CENSUS.md"
+    doc.write_text("committed\n")
+    fail = [sys.executable, "-c", "raise SystemExit(3)"]
+    monkeypatch.setattr(census, "DOC", doc)
+    monkeypatch.setattr(census, "consumers", lambda tmp: {"T": ("a failing suite", [fail])})
+    assert census.main() != 0
+    assert doc.read_text() == "committed\n"
+    assert f"exit 3: {' '.join(fail)}" in capsys.readouterr().err

@@ -59,6 +59,9 @@ def _bits(clock: VirtualClock) -> tuple[str, int]:
     return clock.now().hex(), clock.charges
 
 
+# a sum past the largest float is inf, as one charge at a time makes it;
+# the fold's ``numpy`` also warns
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestChargeAll:
     """``charge_all(seq)`` is ``for ns in seq: charge(ns)``, to the bit."""
 
@@ -100,6 +103,34 @@ class TestChargeAll:
     def test_empty_is_nothing(self):
         clock = VirtualClock(5.0)
         clock.charge_all([])
+        assert _bits(clock) == ((5.0).hex(), 0)
+
+    @given(start=STARTS, seq=CHARGES, tick=st.booleans())
+    def test_a_float64_array_folds_as_its_list_does(self, start, seq, tick):
+        """The array form (``cumsum``, which adds in order) leaves the same
+        bits, count and tick instants as the list, and the array as it was."""
+        import numpy as np
+
+        seen = {}
+        for name, given_seq in (("list", seq), ("array", np.array(seq, float))):
+            clock = VirtualClock(start)
+            seen[name] = []
+            if tick:
+                clock.tick = lambda c=clock, log=seen[name]: log.append(c.now().hex())
+            clock.charge_all(given_seq)
+            seen[name].append(_bits(clock))
+            assert type(clock.now()) is float
+        assert seen["array"] == seen["list"]
+        arr = np.array(seq, float)
+        VirtualClock(start).charge_all(arr)
+        assert arr.tolist() == seq
+
+    def test_a_negative_array_element_is_refused(self):
+        import numpy as np
+
+        clock = VirtualClock(5.0)
+        with pytest.raises(ValueError):
+            clock.charge_all(np.array([1.0, -0.5, 2.0]))
         assert _bits(clock) == ((5.0).hex(), 0)
 
 
