@@ -84,7 +84,64 @@ def _null(rt: ManagedRuntime):
     return None
 
 
-GRAPHS = {"list256": _list256, "mixed": _mixed, "null": _null}
+# The graphs below reach every edge of the rule that a reference declared
+# as a primitive array names a leaf the walk need not visit.
+
+
+def _shared_leaf(rt: ManagedRuntime):
+    """Two nodes naming one ``int32[]``: it is found twice, sent once."""
+    define_linked_array(rt)
+    shared = rt.new_array("int32", 3, values=[1, -2, 3])
+    first, second = rt.new("LinkedArray"), rt.new("LinkedArray")
+    rt.set_ref(first, "array", shared)
+    rt.set_ref(second, "array", shared)
+    rt.set_ref(first, "next", second)
+    return first
+
+
+def _leaf_root(rt: ManagedRuntime):
+    """A primitive array as the root, its payload not a whole word."""
+    return rt.new_array("int16", 5, values=[1, -1, 300, -300, 7])
+
+
+def _object_field(rt: ManagedRuntime):
+    """An ``object``-typed Transportable field holding an ``int32[]`` (its
+    declared type can name anything, so it is visited), and one holding a
+    class object."""
+    rt.define_class("Boxed", [("any", "object", True), ("more", "Boxed", True),
+                              ("n", "int32", True)])
+    box, inner = rt.new("Boxed", n=1), rt.new("Boxed", n=2)
+    rt.set_ref(box, "any", rt.new_array("int32", 2, values=[5, 6]))
+    rt.set_ref(box, "more", inner)
+    rt.set_ref(inner, "any", box)
+    return box
+
+
+def _leaf_elements(rt: ManagedRuntime):
+    """A reference array of ``int32[]``: a null element, one array twice,
+    and an empty one."""
+    arr = rt.new_array("int32[]", 5)
+    leaf = rt.new_array("int32", 3, values=[4, 5, 6])
+    rt.set_elem_ref(arr, 0, leaf)
+    rt.set_elem_ref(arr, 2, rt.new_array("int32", 0))
+    rt.set_elem_ref(arr, 3, leaf)
+    rt.set_elem_ref(arr, 4, rt.new_array("int32", 1, values=[-9]))
+    return arr
+
+
+def _null_leaf(rt: ManagedRuntime):
+    """A node whose ``int32[]`` field is null, then one whose is not."""
+    define_linked_array(rt)
+    first, second = rt.new("LinkedArray"), rt.new("LinkedArray")
+    rt.set_ref(second, "array", rt.new_array("int32", 1, values=[9]))
+    rt.set_ref(first, "next", second)
+    return first
+
+
+GRAPHS = {"list256": _list256, "mixed": _mixed, "null": _null,
+          "shared_leaf": _shared_leaf, "leaf_root": _leaf_root,
+          "object_field": _object_field, "leaf_elements": _leaf_elements,
+          "null_leaf": _null_leaf}
 
 
 def measure(graph: str, visited: str) -> tuple:
@@ -119,6 +176,71 @@ def test_representation_and_modelled_cost_pinned(graph, visited):
     assert measure(graph, visited) == PINNED[(graph, visited)]
 
 
+def _split_array(rt: ManagedRuntime):
+    """256 ``LinkedArray`` elements, each with an ``int32[]`` of ``i % 5``
+    ints; elements 17 and 200 are null and elements 3 and 4 share one
+    array, so the split copies it into both parts."""
+    define_linked_array(rt)
+    arr = rt.new_array("LinkedArray", 256)
+    for i in range(256):
+        if i in (17, 200):
+            continue
+        node = rt.new("LinkedArray")
+        if i == 4:
+            rt.set_ref(node, "array", rt.get_field(rt.get_elem(arr, 3), "array"))
+        else:
+            rt.set_ref(node, "array", rt.new_array("int32", i % 5, values=range(i, i + i % 5)))
+        rt.set_elem_ref(arr, i, node)
+    return arr
+
+
+def measure_split(visited: str) -> tuple:
+    """(sha256 of the frame, write_split_frame ns and charges, then the
+    gather landing's ns and charges)."""
+    rt = _runtime()
+    arr = _split_array(rt)
+    ser = MotorSerializer(rt, visited=visited)
+    clock = rt.clock
+    out = bytearray()
+    t0, c0 = clock.now(), clock.charges
+    ser.write_split_frame(out, arr)
+    t1, c1 = clock.now(), clock.charges
+    ser.build_array_from_parts(*MotorSerializer.unframe_parts(bytes(out)))
+    t2, c2 = clock.now(), clock.charges
+    return hashlib.sha256(out).hexdigest(), t1 - t0, c1 - c0, t2 - t1, c2 - c1
+
+
+# Captured at 7a93c08, before the walk skipped primitive-array leaves and
+# encoded by type, with the statements of measure() and measure_split()
+# (e59e795 gives the same figures)
+PINNED_LEAVES = {
+    ("shared_leaf", "linear"): ("5b93f7fbba6fd39d14367307b781208999c895b913fda620823776fb45ab97e0", 1881.8000000000002, 5, 2560.8, 7),
+    ("shared_leaf", "hashed"): ("5b93f7fbba6fd39d14367307b781208999c895b913fda620823776fb45ab97e0", 2150.8, 5, 2560.8, 7),
+    ("leaf_root", "linear"): ("2716112d90402b250d1c6758bd4fd876810ec5c28c9fe6c416505c796fed627e", 629.0, 3, 859.0, 3),
+    ("leaf_root", "hashed"): ("2716112d90402b250d1c6758bd4fd876810ec5c28c9fe6c416505c796fed627e", 699.0, 3, 859.0, 3),
+    ("object_field", "linear"): ("8ead395a8926988683b949a1ecfbf7fc059b812d1d877634ec950861042bdab1", 1883.2000000000003, 7, 2557.2000000000003, 7),
+    ("object_field", "hashed"): ("8ead395a8926988683b949a1ecfbf7fc059b812d1d877634ec950861042bdab1", 2154.4, 7, 2557.1999999999994, 7),
+    ("leaf_elements", "linear"): ("65d98fb5e0d516be779c57157c35d56b5db32d243a679cfd6c78c9ce108c225f", 2512.0, 8, 3414.4000000000005, 11),
+    ("leaf_elements", "hashed"): ("65d98fb5e0d516be779c57157c35d56b5db32d243a679cfd6c78c9ce108c225f", 2844.4, 8, 3414.4, 11),
+    ("null_leaf", "linear"): ("b1dfcb8cb9855f5211202a76ce624c381442590a7a6ed44211957d46115e9be0", 1870.1999999999998, 5, 2553.6000000000004, 7),
+    ("null_leaf", "hashed"): ("b1dfcb8cb9855f5211202a76ce624c381442590a7a6ed44211957d46115e9be0", 2073.6, 5, 2553.600000000001, 7),
+}
+PINNED_SPLIT = {
+    "linear": ("eb6ce9cb1a97170097d7d4c8153309cb30a9353b8198fd2ad813e2af473acdd6", 317344.00000000215, 1018, 433745.1999999999, 1271),
+    "hashed": ("eb6ce9cb1a97170097d7d4c8153309cb30a9353b8198fd2ad813e2af473acdd6", 352345.2, 1018, 433745.1999999999, 1271),
+}
+
+
+@pytest.mark.parametrize("graph,visited", sorted(PINNED_LEAVES))
+def test_leaf_edges_pinned(graph, visited):
+    assert measure(graph, visited) == PINNED_LEAVES[(graph, visited)]
+
+
+@pytest.mark.parametrize("visited", sorted(PINNED_SPLIT))
+def test_split_frame_pinned(visited):
+    assert measure_split(visited) == PINNED_SPLIT[visited]
+
+
 def landed(graph: str) -> tuple[str, int]:
     """(sha256, length) of the heap span one deserialize lands: from the
     root's address to the nursery's bump pointer after it (empty for a null
@@ -140,6 +262,12 @@ LANDED = {
     "list256": ("b0d190de00f88e5c4ec7efe642e56e41e918f83fcc6d0aef991274db42836872", 18432),
     "mixed": ("ba13b0c05c5ef7095308422ad5bc2cd6dee5c25b21439af3c93d63af17acf438", 240),
     "null": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    # the leaf edges, captured at e59e795 and equal at 7a93c08
+    "shared_leaf": ("b5cd91358620b7017ccdd2e2470e74b66d8717c62d8a06e792a129afbb2db97b", 112),
+    "leaf_root": ("64eb08ac21d71ea4ad14ada21fdb91bee55f9a4527db0c55fbc9cbfe8e9a6986", 32),
+    "object_field": ("2e2d93be9019eaa49d4cd5e1372907c44db994af689928a3a30cdfab62c5e31c", 104),
+    "leaf_elements": ("2598004e95642403e06257ee03110a5490fdb798d080d3d526d85b6f07acb4fa", 128),
+    "null_leaf": ("193da4c4fb3aab8381382f22a6dd8b79e1316be0bb41a240f91fa6e53804daeb", 104),
 }
 
 

@@ -163,6 +163,40 @@ class TestMotorAttach:
 
         assert all(mpiexec(2, main, session_factory=motor_session))
 
+    def test_split_spans_are_one_per_frame_and_one_per_landing(self):
+        """The split sender encodes every part of a frame in one pass and
+        the gather side lands every part in one: a scattered frame is one
+        ``motor.serialize`` span and one ``motor.serialized`` event (its
+        objects summed over its parts), and landing the parts is one
+        ``motor.deserialize`` span."""
+        from repro.workloads.linkedlist import define_linked_array
+
+        def main(ctx):
+            vm = ctx.session
+            rt = vm.runtime
+            define_linked_array(rt)
+            inst = instrument(vm)
+            comm = vm.comm_world
+            if comm.Rank == 0:
+                arr = rt.new_array("LinkedArray", 6)
+                for i in range(6):
+                    node = rt.new("LinkedArray")
+                    rt.set_ref(node, "array", rt.new_array("int32", 1, values=[i]))
+                    rt.set_elem_ref(arr, i, node)
+                comm.OScatter(arr, 0)
+            else:
+                comm.OScatter(None, 0)
+            snap = inst.snapshot()
+            spans = [s["name"] for s in snap["spans"]]
+            events = [e["args"]["objects"] for e in snap["events"]
+                      if e["name"] == "motor.serialized"]
+            return spans.count("motor.serialize"), events, spans.count("motor.deserialize")
+
+        # the root frames one chunk per rank (3 parts of 2 objects each)
+        root, other = mpiexec(2, main, session_factory=motor_session)
+        assert root == (2, [6, 6], 1)
+        assert other == (0, [], 1)
+
     def test_conditional_pin_registration_is_an_event(self):
         """A young buffer under a nonblocking receive is protected by a
         conditional pin (§7.4); the registration shows on the timeline."""
